@@ -53,11 +53,29 @@ class RunConfig:
         if self.quiver_file:
             with open(self.quiver_file) as fh:
                 return parse_quiver(fh.read())
-        if self.ctx and self.ctx.startswith("cyclic:"):
-            return cyclic_shape(int(self.ctx.split(":")[1]))
         if self.ctx:
-            return builtin_quiver(self.ctx)
+            return _ctx_shape(self.ctx)
         raise SystemExit("either --ctx or --quiver is required")
+
+
+def _ctx_shape(ctx):
+    """The shape named by --ctx; ValueError for an unknown name."""
+    if ctx.startswith("cyclic:"):
+        return cyclic_shape(int(ctx.split(":")[1]))
+    return builtin_quiver(ctx)
+
+
+def _basis_cap(config):
+    """The grading cap of a composition-context command, within the context's cap."""
+    if config.ctx not in CONTEXT_CAPS:
+        raise SystemExit("--ctx must name a composition context (%s), not %r"
+                         % (", ".join(sorted(CONTEXT_CAPS)), config.ctx))
+    limit = CONTEXT_CAPS[config.ctx]
+    cap = config.cap or limit
+    if len(cap) != len(limit) or any(not 0 <= c <= m for c, m in zip(cap, limit)):
+        raise SystemExit("--cap %s is outside the %s basis cap %s"
+                         % (",".join(map(str, cap)), config.ctx, ",".join(map(str, limit))))
+    return cap
 
 
 def _parse_ints(text):
@@ -180,8 +198,8 @@ def _suite_serre(config):
 
 
 def _suite_orthogonality(config):
+    cap = _basis_cap(config)
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
-    cap = config.cap or ctx.cap
     results = []
     ok = True
     for nu in itertools.product(*(range(c + 1) for c in cap)):
@@ -192,8 +210,8 @@ def _suite_orthogonality(config):
 
 
 def _suite_triangularity(config):
+    cap = _basis_cap(config)
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
-    cap = config.cap or ctx.cap
     results = []
     ok = True
     for nu in itertools.product(*(range(c + 1) for c in cap)):
@@ -250,8 +268,8 @@ def _suite_eta(config, rank, bound):
 
 
 def _suite_kashiwara(config):
+    cap = _basis_cap(config)
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
-    cap = config.cap or ctx.cap
     results = []
     ok = True
     for v in ctx.shape.vertices:
@@ -352,8 +370,8 @@ def _index_str(a):
 
 
 def cmd_comp_basis(config, which):
+    cap = _basis_cap(config)
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
-    cap = config.cap or ctx.cap
     slices = {}
     failed = False
     for nu in itertools.product(*(range(c + 1) for c in cap)):
@@ -383,7 +401,12 @@ def cmd_comp_basis(config, which):
 
 
 def cmd_cyclic_canonical(config, rank, dim, emit_kind):
+    if rank < 2:
+        raise SystemExit("--rank %d: cyclic shapes need rank >= 2" % rank)
     cap = _parse_ints(dim) or (2, 2)
+    if len(cap) != rank:
+        raise SystemExit("--dim %s needs %d entries, one per vertex of --rank %d"
+                         % (",".join(map(str, cap)), rank, rank))
     basis = CyclicCanonicalBasis(rank, cap, cache_dir=config.cache_dir)
     out = {}
     failed = False
@@ -501,6 +524,11 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     config = RunConfig(args)
+    if config.ctx:
+        try:
+            _ctx_shape(config.ctx)
+        except ValueError as exc:
+            raise SystemExit("--ctx %s: %s" % (config.ctx, exc))
     if args.command == "roots":
         return cmd_roots(config, args.window)
     if args.command == "verify":

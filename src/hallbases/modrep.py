@@ -11,9 +11,18 @@ requested dimension vector.  Completeness is certified exactly, never
 assumed: breadth-first orbit enumeration partitions the whole representation
 space, and synthesized catalogs (known indecomposable families) must pass
 the mass formula sum |G|/|Aut M| = |rep space| whenever the space is small
-enough to count.  Classification of arbitrary modules against a catalog goes
-through Hom-dimension profiles against a separating probe set, which the
-build step verifies to be injective on every dimension slice.
+enough to count.  The build also certifies, in Krull-Schmidt form, that the
+classes of every dimension slice are pairwise non-isomorphic: their
+decompositions into indecomposables are pairwise distinct, and Hom-dimension
+profiles separate the indecomposables of each slice.
+
+Classification of arbitrary modules against a catalog goes through
+Hom-dimension profiles against a probe set of indecomposables.  Probes are
+chosen lazily, on the first classification in a slice, and only where the
+slice has two or more classes; a slice that is never classified costs
+nothing.  By Auslander's theorem, Hom profiles against all indecomposables
+determine a module; if the catalog's indecomposables do not separate the
+classes of a slice, its first classification raises OracleError.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 from .cartan import euler_form
@@ -246,7 +256,29 @@ def rref(F, A):
 
 
 def m_rank(F, A):
-    return len(rref(F, A)[1])
+    """Rank of A by forward elimination: no normalisation, no back-substitution."""
+    rows = [row for row in A if any(row)]
+    mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        for k in range(rank, len(rows)):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        piv = rows[k]
+        rows[k] = rows[rank]
+        rows[rank] = piv
+        rank += 1
+        if rank == len(rows):
+            break
+        scale = inv[piv[c]]
+        for k in range(rank, len(rows)):
+            row = rows[k]
+            if row[c]:
+                factor = mul[neg[mul[row[c]][scale]]]
+                rows[k] = [add[a][factor[b]] for a, b in zip(row, piv)]
+    return rank
 
 
 def kernel_basis(F, A):
@@ -466,17 +498,17 @@ def _unknown_patterns(shape, F, dims_N, dims_M):
     return total, offsets, patterns
 
 
-def hom_space(M, N):
-    """Base-field basis of Hom(M, N); each element is {vertex: base matrix}.
+def _hom_equations(M, N):
+    """The linear system whose solutions are the homomorphisms M -> N.
 
-    The returned matrices are the base-field forms f_i^p of shape
-    (d_i n_i^N) x (d_i n_i^M); the count equals dim_k Hom(M, N).
+    Returns (total, offsets, patterns, rows) as in _unknown_patterns, with
+    rows the equations over the base field, one per arrow-matrix entry.
     """
     shape, F = M.shape, M.F
     total, offsets, patterns = _unknown_patterns(shape, F, N.dims, M.dims)
-    if total == 0:
-        return []
     rows = []
+    if total == 0:
+        return total, offsets, patterns, rows
     for h in shape.arrows:
         s, t = h.src, h.tgt
         si, ti = shape.index[s], shape.index[t]
@@ -502,6 +534,17 @@ def hom_space(M, N):
                 for u, contrib in contributions.items():
                     row[u] = contrib[r][c]
                 rows.append(tuple(row))
+    return total, offsets, patterns, rows
+
+
+def hom_space(M, N):
+    """Base-field basis of Hom(M, N); each element is {vertex: base matrix}.
+
+    The returned matrices are the base-field forms f_i^p of shape
+    (d_i n_i^N) x (d_i n_i^M); the count equals dim_k Hom(M, N).
+    """
+    shape, F = M.shape, M.F
+    total, offsets, patterns, rows = _hom_equations(M, N)
     if not rows:
         sols = tuple(tuple(1 if j == k else 0 for j in range(total)) for k in range(total))
     else:
@@ -540,8 +583,12 @@ def _block_diag(F, mat, blocks):
 
 
 def hom_dim(M, N):
-    """dim_k Hom(M, N) over the base field."""
-    return len(hom_space(M, N))
+    """dim_k Hom(M, N) over the base field: unknowns minus the equations' rank.
+
+    No basis is built; hom_space does that for callers that need the maps.
+    """
+    total, _, _, rows = _hom_equations(M, N)
+    return total - m_rank(M.F, rows)
 
 
 def end_dim(M):
@@ -1223,7 +1270,11 @@ class IsoClassCatalog:
     known families; in both cases the exact mass formula
     sum |G| / |Aut M| = |representation space| certifies completeness on
     every dimension vector small enough to count (and orbit enumeration
-    certifies it unconditionally).
+    certifies it unconditionally).  Construction, from a build or a cache,
+    certifies that no two classes of a slice are isomorphic (see
+    _certify_distinct) and raises OracleError otherwise.  The probes that
+    classify uses are chosen per slice on its first classification, so
+    probes_by_dim is empty right after construction.
     """
 
     def __init__(self, shape, F, dims_list, synthesizer=None, budget=DEFAULT_BUDGET,
@@ -1238,7 +1289,7 @@ class IsoClassCatalog:
         self._classify_cache = {}
         self._scan_cache = {}
         self.probes_by_dim = {}
-        self._profiles_vs_probes = {}
+        self._class_by_profile = {}
         self.mass_checked = []
         self.cache_dir = cache_dir
         self.mass_budget = mass_budget
@@ -1253,7 +1304,7 @@ class IsoClassCatalog:
             self._build(synthesizer, budget)
             if cache_dir:
                 self._save_cache()
-        self._finish_probes()
+        self._certify_distinct()
 
     # -- construction ---------------------------------------------------
 
@@ -1440,37 +1491,52 @@ class IsoClassCatalog:
                 % (dims, self.F.q, total, n_states))
         self.mass_checked.append(dims)
 
-    def _finish_probes(self):
-        """Choose, per dimension vector, a separating probe set of indecs."""
+    def _certify_distinct(self):
+        """Certify that the classes of every slice are pairwise non-isomorphic.
+
+        By Krull-Schmidt, modules are isomorphic exactly when their
+        decompositions into indecomposables agree.  So it suffices that the
+        decompositions of each slice are pairwise distinct and that Hom
+        profiles separate the indecomposables of each slice (indecomposables
+        of different slices differ in dimension).
+        """
         for dims, cids in self.by_dim.items():
-            if len(cids) < 2:
-                self.probes_by_dim[dims] = []
-                for cid in cids:
-                    self._profiles_vs_probes[cid] = ()
+            decs = {self.classes[cid].decomposition for cid in cids}
+            if len(decs) != len(cids):
+                raise OracleError("two classes at %s share a decomposition" % (dims,))
+            indecs = [cid for cid in cids if self.classes[cid].indec]
+            if len(indecs) > 1:
+                self._separate(indecs, dims)
+
+    def _separate(self, cids, dims):
+        """Probes whose Hom profiles tell the classes cids apart.
+
+        Candidates are taken in indec_ids order and kept only when they split
+        a group of classes whose profiles still collide; each kept probe
+        extends every profile by one entry.  Returns (probes, {cid: profile})
+        and raises OracleError when the candidates run out first.
+        """
+        profiles = {cid: () for cid in cids}
+        groups = [list(cids)]
+        probes = []
+        for p in self.indec_ids:
+            if not groups:
+                break
+            parts = []
+            for group in groups:
+                by_entry = {}
+                for cid in group:
+                    by_entry.setdefault(self._class_profile_entry(cid, p), []).append(cid)
+                parts.append(by_entry)
+            if all(len(by_entry) == 1 for by_entry in parts):
                 continue
-            probes = []
-            def prof(cid):
-                return tuple(self._class_profile_entry(cid, p) for p in probes)
-            remaining = True
-            cand_iter = iter(self.indec_ids)
-            while remaining:
-                seen = {}
-                remaining = False
-                for cid in cids:
-                    key = prof(cid)
-                    if key in seen:
-                        remaining = True
-                        break
-                    seen[key] = cid
-                if remaining:
-                    nxt = next(cand_iter, None)
-                    if nxt is None:
-                        raise OracleError(
-                            "profiles do not separate the classes at %s" % (dims,))
-                    probes.append(nxt)
-            self.probes_by_dim[dims] = probes
+            probes.append(p)
             for cid in cids:
-                self._profiles_vs_probes[cid] = prof(cid)
+                profiles[cid] += (self._class_profile_entry(cid, p),)
+            groups = [g for by_entry in parts for g in by_entry.values() if len(g) > 1]
+        if groups:
+            raise OracleError("profiles do not separate the classes at %s" % (dims,))
+        return probes, profiles
 
     def _class_profile_entry(self, cid, probe_cid):
         """dim Hom(probe, class) via additivity over the decomposition."""
@@ -1486,7 +1552,13 @@ class IsoClassCatalog:
         return [self.classes[cid] for cid in self.by_dim.get(tuple(dims), ())]
 
     def classify(self, module):
-        """The catalog class id of a module (dims must be cataloged)."""
+        """The catalog class id of a module (dims must be cataloged).
+
+        A slice with several classes gets its probes on its first
+        classification: indecomposables whose Hom profiles separate the
+        classes of the slice (see _separate).  The module's profile against
+        them names its class.
+        """
         dims = module.dims
         if dims not in self.by_dim:
             raise KeyError("dimension vector %s is not cataloged" % (dims,))
@@ -1496,14 +1568,13 @@ class IsoClassCatalog:
         key = module.key()
         if key in self._classify_cache:
             return self._classify_cache[key]
-        probes = self.probes_by_dim[dims]
-        prof = tuple(hom_dim(self.classes[p].module, module) for p in probes)
-        match = None
-        for cid in cids:
-            if self._profiles_vs_probes[cid] == prof:
-                if match is not None:
-                    raise OracleError("ambiguous classification at %s" % (dims,))
-                match = cid
+        if dims not in self.probes_by_dim:
+            probes, profiles = self._separate(cids, dims)
+            self.probes_by_dim[dims] = probes
+            self._class_by_profile[dims] = {prof: cid for cid, prof in profiles.items()}
+        prof = tuple(hom_dim(self.classes[p].module, module)
+                     for p in self.probes_by_dim[dims])
+        match = self._class_by_profile[dims].get(prof)
         if match is None:
             raise OracleError("module of dims %s matches no catalog class" % (dims,))
         self._classify_cache[key] = match
@@ -1684,10 +1755,7 @@ class IsoClassCatalog:
             "by_dim": {",".join(map(str, k)): v for k, v in self.by_dim.items()},
             "mass_checked": [list(d) for d in self.mass_checked],
         }
-        path = self._cat_path()
-        if not os.path.exists(path):
-            with open(path, "w") as fh:
-                fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _write_once(self._cat_path(), payload)
 
     def _load_cache(self):
         path = self._cat_path()
@@ -1719,10 +1787,7 @@ class IsoClassCatalog:
         os.makedirs(self.cache_dir, exist_ok=True)
         payload = {str(cid): {"%d,%d" % k: v for k, v in counts.items()}
                    for cid, counts in out.items()}
-        path = self._scan_path(dims)
-        if not os.path.exists(path):
-            with open(path, "w") as fh:
-                fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _write_once(self._scan_path(dims), payload)
 
     def _load_scan(self, dims):
         path = self._scan_path(dims)
@@ -1735,6 +1800,26 @@ class IsoClassCatalog:
             out[int(cid)] = {tuple(int(x) for x in k.split(",")): v
                              for k, v in counts.items()}
         return out
+
+
+def _write_once(path, payload):
+    """Write payload as JSON to path unless it exists, atomically.
+
+    The text goes to a temporary file in the same directory that replaces
+    path only when complete, so a crash or an exception leaves either no
+    file or a whole one, never a truncated file that later runs would load.
+    """
+    if os.path.exists(path):
+        return
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _unit(n, a):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hallbases
 from hallbases.cli import main
 
 
@@ -102,6 +106,35 @@ class TestHallPoly:
         code, doc = run(tmp_path, "hall-poly", "--ctx", "a1", "--triple", "2/1/1")
         assert code == 0
         assert doc["poly"] == ["1", "1"]  # 1 + q
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, names", [
+        (("roots", "--ctx", "nonsense"), "nonsense"),
+        (("roots", "--ctx", "cyclic:0"), "cyclic:0"),
+        (("cyclic-canonical", "--rank", "2", "--dim", "1"), "--dim"),
+        (("cyclic-canonical", "--rank", "1", "--dim", "1"), "--rank"),
+        (("comp-basis", "--ctx", "kronecker", "--cap", "3,3"), "--cap"),
+        (("comp-basis", "--ctx", "kronecker", "--cap", "1,1,1"), "--cap"),
+        (("verify", "--suite", "kashiwara", "--ctx", "kronecker", "--cap", "3,0"), "--cap"),
+    ])
+    def test_one_line_refusal(self, tmp_path, argv, names):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        message = exc.value.code
+        assert isinstance(message, str) and names in message and "\n" not in message
+        assert not (tmp_path / "out.json").exists()
+
+    def test_refusal_exit_status(self):
+        src = os.path.dirname(os.path.dirname(hallbases.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hallbases.cli", "cyclic-canonical", "--rank", "2",
+             "--dim", "1"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

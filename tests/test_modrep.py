@@ -1,12 +1,22 @@
 import itertools
+import os
+import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hallbases import modrep
 from hallbases.cartan import builtin_quiver, euler_form
+from hallbases.cyclic import cyclic_shape, synth_cyclic
 from hallbases.modrep import (
     GF,
     BudgetError,
+    FiniteModule,
     IsoClassCatalog,
+    OracleError,
+    SynthClass,
     aut_order_brute,
     direct_sum,
     end_dim,
@@ -15,7 +25,12 @@ from hallbases.modrep import (
     field,
     hall_number,
     hom_dim,
+    hom_space,
     is_isomorphic,
+    kronecker_indec,
+    m_mul,
+    m_rank,
+    rref,
     simple_module,
     sub_quotient,
     submodule_tuples,
@@ -285,3 +300,174 @@ def _mt(mat):
     if not mat:
         return ()
     return tuple(tuple(mat[i][j] for i in range(len(mat))) for j in range(len(mat[0])))
+
+
+def _planted(extra):
+    """synth_kronecker plus the classes extra(shape, F, dims) returns."""
+    def synth(shape, F, dims):
+        return synth_kronecker(shape, F, dims) + extra(shape, F, dims)
+    return synth
+
+
+class TestBuildCertificate:
+    # mass_budget=0 switches the mass check off, so only the Krull-Schmidt
+    # certificate of the build can catch the planted duplicate
+
+    def test_indecomposable_cataloged_twice(self):
+        def extra(shape, F, dims):
+            if dims != (1, 1):
+                return []
+            M = kronecker_indec(shape, F, ("reg", (0, 1), 1))
+            return [SynthClass(M, ((("regdup", (0, 1), 1), 1),))]
+        with pytest.raises(OracleError, match="do not separate"):
+            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra),
+                            mass_budget=0)
+
+    def test_decomposition_cataloged_twice(self):
+        def extra(shape, F, dims):
+            if dims != (1, 1):
+                return []
+            return [sc for sc in synth_kronecker(shape, F, dims)
+                    if len(sc.decomposition) > 1]
+        with pytest.raises(OracleError, match="share a decomposition"):
+            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra),
+                            mass_budget=0)
+
+
+def _random_invertible(F, n, rng):
+    while True:
+        g = tuple(tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(n))
+        if m_rank(F, g) == n:
+            return g
+
+
+def _base_change(M, rng):
+    """M transported along random invertible vertex maps (trivial valuations)."""
+    shape, F = M.shape, M.F
+    g = {i: _random_invertible(F, M.dims[shape.index[i]], rng) for i in shape.vertices}
+    ginv = {i: modrep._m_inv(F, g[i]) if g[i] else () for i in shape.vertices}
+    maps = {}
+    for h in shape.arrows:
+        mat = M.maps[h.id]
+        if mat and mat[0]:
+            mat = m_mul(F, m_mul(F, g[h.tgt], mat), ginv[h.src])
+        maps[h.id] = mat
+    return FiniteModule(shape, F, M.dims, maps)
+
+
+LAZY_CATALOGS = {
+    "kronecker-q2": lambda: IsoClassCatalog(KRON, F2, [(2, 2)], synthesizer=synth_kronecker),
+    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(2, 2)], synthesizer=synth_kronecker),
+    "a2tilde-q2": lambda: IsoClassCatalog(A2T, F2, [(1, 1, 1)]),
+    "cyclic2-q2": lambda: IsoClassCatalog(cyclic_shape(2), F2, [(2, 2)],
+                                          synthesizer=synth_cyclic),
+}
+
+
+class TestLazyClassification:
+    @pytest.mark.parametrize("name", sorted(LAZY_CATALOGS))
+    def test_classify_against_catalog(self, name):
+        cat = LAZY_CATALOGS[name]()
+        assert cat.probes_by_dim == {}
+        rng = random.Random(name)
+        for c in cat.classes:
+            assert cat.classify(c.module) == c.cid
+            assert cat.classify(_base_change(c.module, rng)) == c.cid
+        multi = [dims for dims, cids in cat.by_dim.items() if len(cids) > 1]
+        assert sorted(cat.probes_by_dim) == sorted(multi)
+        for dims, probes in cat.probes_by_dim.items():
+            profiles = {tuple(hom_dim(cat.classes[p].module, c.module) for p in probes)
+                        for c in cat.classes_of_dim(dims)}
+            assert len(profiles) == len(cat.by_dim[dims])
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+class TestCacheWrites:
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        broken_json = SimpleNamespace(dumps=_fail)
+        cache = tmp_path / "cache"
+
+        def build():
+            return IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=synth_kronecker,
+                                   cache_dir=str(cache))
+
+        with monkeypatch.context() as m:
+            m.setattr(modrep, "json", broken_json)
+            with pytest.raises(RuntimeError):
+                build()
+        assert list(cache.iterdir()) == []
+        with monkeypatch.context() as m:
+            m.setattr(modrep.os, "replace", _fail)
+            with pytest.raises(RuntimeError):
+                build()
+        assert list(cache.iterdir()) == []
+        cat = build()  # rebuilds and writes a whole file
+        assert [p.name for p in cache.iterdir()] == [os.path.basename(cat._cat_path())]
+        with monkeypatch.context() as m:
+            m.setattr(modrep, "json", broken_json)
+            with pytest.raises(RuntimeError):
+                cat.scan_dim((1, 1))
+        assert len(list(cache.iterdir())) == 1
+        assert build().scan_dim((1, 1)) == cat.scan_dim((1, 1))
+        assert len(list(cache.iterdir())) == 2
+
+
+FIELDS = (field(2), field(3), field(2, 2), field(5), field(7))
+
+
+@st.composite
+def gf_matrices(draw):
+    """A field and a matrix over it of any shape up to 7 x 7, empty shapes
+    included.  Some are products through an inner dimension of 1 to 3, so
+    of low rank, and some have rows set to zero."""
+    F = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+
+    def mat(r, c):
+        return [[draw(st.integers(0, F.q - 1)) for _ in range(c)] for _ in range(r)]
+
+    inner = draw(st.one_of(st.none(), st.integers(1, 3)))
+    if inner is None:
+        A = mat(rows, cols)
+    else:
+        A = [list(row) for row in m_mul(F, mat(rows, inner), mat(inner, cols))]
+    for r in draw(st.sets(st.integers(0, rows - 1))) if rows else ():
+        A[r] = [0] * cols
+    return F, tuple(tuple(row) for row in A)
+
+
+@st.composite
+def module_pairs(draw):
+    """Two random modules of one small shape over one field."""
+    shape = draw(st.sampled_from((KRON, C2F)))
+    F = draw(st.sampled_from(FIELDS))
+
+    def module():
+        dims = tuple(draw(st.integers(0, 2)) for _ in shape.vertices)
+        maps = {}
+        for h in shape.arrows:
+            r = shape.d[h.tgt] * dims[shape.index[h.tgt]]
+            c = h.m * dims[shape.index[h.src]]
+            maps[h.id] = tuple(tuple(draw(st.lists(st.integers(0, F.q - 1),
+                                                   min_size=c, max_size=c)))
+                               for _ in range(r))
+        return FiniteModule(shape, F, dims, maps)
+
+    return module(), module()
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(gf_matrices())
+    def test_rank_matches_rref(self, case):
+        F, A = case
+        assert m_rank(F, A) == len(rref(F, A)[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(module_pairs())
+    def test_hom_dim_matches_hom_space(self, pair):
+        M, N = pair
+        assert hom_dim(M, N) == len(hom_space(M, N))
