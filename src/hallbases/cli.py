@@ -1,6 +1,6 @@
 """Command-line front end emitting deterministic JSON reports.
 
-Subcommands: roots, verify, basis, comp-basis, cyclic-canonical, hall-poly.
+Subcommands: roots, verify, comp-basis, cyclic-canonical, hall-poly.
 Every report carries schema: 1; Laurent polynomials are serialized in the
 canonical ``c*v^e + ...`` text form; exit status is 0 exactly when every
 checked identity passed.
@@ -13,7 +13,6 @@ import itertools
 import json
 import sys
 
-from . import laurent
 from .cartan import admissible_of, builtin_quiver, cartan_of, is_affine, parse_quiver
 from .cyclic import (
     CyclicCanonicalBasis,
@@ -29,7 +28,7 @@ from .cyclic import (
 from .hall import GenericHallAlgebra, HallContext
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
-from .modrep import IsoClassCatalog, field, synth_a1, synth_kronecker
+from .modrep import IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
 from .pbwbasis import CONTEXT_CAPS, get_context
 
 
@@ -39,20 +38,20 @@ class RunConfig:
     def __init__(self, args):
         self.ctx = getattr(args, "ctx", None)
         self.quiver_file = getattr(args, "quiver", None)
-        self.cap = _parse_ints(getattr(args, "cap", None))
-        self.primes = _parse_ints(getattr(args, "primes", None)) or (2, 3, 4, 5)
-        self.verify_prime = getattr(args, "verify_prime", None) or 7
-        self.order = getattr(args, "order", None)
+        self.cap = _parse_ints(getattr(args, "cap", None), "--cap")
+        self.primes = _parse_ints(getattr(args, "primes", None), "--primes") or (2, 3, 4, 5)
+        verify = getattr(args, "verify_prime", None)
+        self.verify_prime = 7 if verify is None else verify
         self.cache_dir = getattr(args, "cache_dir", None)
         self.out = getattr(args, "out", None)
-        self.threads = getattr(args, "threads", 1)
-        if self.order:
-            laurent.DEFAULT_SERIES_ORDER = self.order
 
     def shape(self):
         if self.quiver_file:
-            with open(self.quiver_file) as fh:
-                return parse_quiver(fh.read())
+            try:
+                with open(self.quiver_file) as fh:
+                    return parse_quiver(fh.read())
+            except (OSError, ValueError) as exc:
+                raise SystemExit("--quiver %s: %s" % (self.quiver_file, exc))
         if self.ctx:
             return _ctx_shape(self.ctx)
         raise SystemExit("either --ctx or --quiver is required")
@@ -78,10 +77,13 @@ def _basis_cap(config):
     return cap
 
 
-def _parse_ints(text):
+def _parse_ints(text, option):
     if not text:
         return None
-    return tuple(int(x) for x in str(text).split(","))
+    try:
+        return tuple(int(x) for x in str(text).split(","))
+    except ValueError:
+        raise SystemExit("%s %s: expected comma-separated integers" % (option, text))
 
 
 def emit(config, payload, failed=False):
@@ -111,16 +113,20 @@ def _serre_dims(shape):
     return dims
 
 
-def _field_of(q):
-    for p in (2, 3, 5, 7):
-        d = 0
-        x = q
-        while x % p == 0:
-            x //= p
-            d += 1
-        if x == 1 and d:
-            return field(p, d)
-    raise SystemExit("q = %d is not a small prime power" % q)
+class _A1Labeler:
+    """A1 classes are labeled by their dimension alone."""
+
+    def label_of(self, catalog, cid):
+        return ("A1", catalog.classes[cid].dims)
+
+
+def _a1_algebra(config, top):
+    """The generic Hall algebra of A1 up to dimension top, over the configured fields."""
+    a1 = builtin_quiver("a1")
+    catalogs = {q: IsoClassCatalog(a1, field_of_order(q), [(top,)], synthesizer=synth_a1,
+                                   budget=16, cache_dir=config.cache_dir)
+                for q in sorted(set(config.primes) | {config.verify_prime})}
+    return GenericHallAlgebra(a1, catalogs, _A1Labeler(), config.primes, config.verify_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +261,7 @@ def _eta_check(pair):
 
 def _suite_eta(config, rank, bound):
     pairs = list(_eta_pairs(rank, bound))
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(_eta_check, pairs))
-    else:
-        outcomes = [_eta_check(p) for p in pairs]
-    bad = [str(p) for p, good in zip(pairs, outcomes) if not good]
+    bad = [str(p) for p in pairs if not _eta_check(p)]
     ok = not bad
     return {"suite": "eta", "rank": rank, "bound": bound,
             "pairs_checked": len(pairs), "pass": ok, "counterexamples": bad}, not ok
@@ -310,18 +310,8 @@ def _suite_hallpoly(config):
     ok = ok and good
     checks.append({"triple": "g^{[1;2)}_{S1,S2} (cyclic r=2)",
                    "poly": [str(c) for c in hp.coefficients()], "pass": good})
-    a1 = builtin_quiver("a1")
-
-    class A1Labeler:
-        def label_of(self, catalog, cid):
-            return ("A1", catalog.classes[cid].dims)
-
-    catalogs = {q: IsoClassCatalog(a1, _field_of(q), [(2,)], synthesizer=synth_a1,
-                                   budget=16, cache_dir=config.cache_dir)
-                for q in sorted(set(primes) | {verify})}
-    alg1 = GenericHallAlgebra(a1, catalogs, A1Labeler(), primes, verify)
-    hp1 = alg1.fit_hall_polynomial(("A1", (2,)), ("A1", (1,)), ("A1", (1,)),
-                                   (1,), (1,), primes=primes, verify=verify)
+    hp1 = _a1_algebra(config, 2).fit_hall_polynomial(
+        ("A1", (2,)), ("A1", (1,)), ("A1", (1,)), (1,), (1,), primes=primes, verify=verify)
     good1 = [str(c) for c in hp1.coefficients()] == ["1", "1"]
     ok = ok and good1
     checks.append({"triple": "g^{S+S}_{S,S} (A1)",
@@ -403,7 +393,7 @@ def cmd_comp_basis(config, which):
 def cmd_cyclic_canonical(config, rank, dim, emit_kind):
     if rank < 2:
         raise SystemExit("--rank %d: cyclic shapes need rank >= 2" % rank)
-    cap = _parse_ints(dim) or (2, 2)
+    cap = _parse_ints(dim, "--dim") or (2, 2)
     if len(cap) != rank:
         raise SystemExit("--dim %s needs %d entries, one per vertex of --rank %d"
                          % (",".join(map(str, cap)), rank, rank))
@@ -429,9 +419,17 @@ def cmd_hall_poly(config, triple_spec):
         parts = [p.strip() for p in triple_spec.split("/")]
         if len(parts) != 3:
             raise SystemExit("--triple needs 'L / M / N' multisegment texts")
-        pis = [parse_multisegment("r=%d; %s" % (r, p) if not p.startswith("r=") else p)
-               for p in parts]
+        try:
+            pis = [parse_multisegment("r=%d; %s" % (r, p) if not p.startswith("r=") else p)
+                   for p in parts]
+        except ValueError as exc:
+            raise SystemExit("--triple %s: %s" % (triple_spec, exc))
+        if any(pi.r != r for pi in pis):
+            raise SystemExit("--triple %s: every multisegment needs rank %d" % (triple_spec, r))
         dims = [pi.dim_vector() for pi in pis]
+        if dims[0] != tuple(m + n for m, n in zip(dims[1], dims[2])):
+            raise SystemExit("--triple %s: L must have the dimension vector of M + N"
+                             % triple_spec)
         cap = tuple(max(d[k] for d in dims) for k in range(r))
         alg = cyclic_generic_algebra(r, cap, fit_fields=primes, verify_field=verify,
                                      escalation=None, cache_dir=config.cache_dir)
@@ -441,22 +439,14 @@ def cmd_hall_poly(config, triple_spec):
                                      lab.of_multisegment(pis[2]),
                                      dims[1], dims[2], primes=primes, verify=verify)
     elif config.ctx == "a1":
-        dims = [int(x) for x in triple_spec.split("/")]
+        try:
+            dims = [int(x) for x in triple_spec.split("/")]
+        except ValueError:
+            dims = []
         if len(dims) != 3 or dims[0] != dims[1] + dims[2]:
             raise SystemExit("--triple needs 'l / m / n' with l = m + n")
-        a1 = builtin_quiver("a1")
-
-        class A1Labeler:
-            def label_of(self, catalog, cid):
-                return ("A1", catalog.classes[cid].dims)
-
-        catalogs = {q: IsoClassCatalog(a1, _field_of(q), [(dims[0],)],
-                                       synthesizer=synth_a1, budget=16,
-                                       cache_dir=config.cache_dir)
-                    for q in sorted(set(primes) | {verify})}
-        alg = GenericHallAlgebra(a1, catalogs, A1Labeler(), primes, verify)
-        hp = alg.fit_hall_polynomial(("A1", (dims[0],)), ("A1", (dims[1],)),
-                                     ("A1", (dims[2],)), (dims[1],), (dims[2],))
+        hp = _a1_algebra(config, dims[0]).fit_hall_polynomial(
+            ("A1", (dims[0],)), ("A1", (dims[1],)), ("A1", (dims[2],)), (dims[1],), (dims[2],))
     else:
         raise SystemExit("hall-poly supports --ctx a1 or --ctx cyclic:<r>")
     return emit(config, {"command": "hall-poly",
@@ -474,13 +464,11 @@ def _add_common(p):
                                  "c2tilde-folded, cyclic:<r>, a1)")
     p.add_argument("--quiver", help="path to a quiver description file")
     p.add_argument("--cap", help="grading cap a,b[,c...]")
-    p.add_argument("--primes", help="fit fields, e.g. 2,3,4,5")
+    p.add_argument("--primes", help="fit field orders q (prime powers), e.g. 2,3,4,5")
     p.add_argument("--verify-prime", "--verify", dest="verify_prime", type=int,
-                   help="held-out verification field")
-    p.add_argument("--order", type=int, help="series truncation order")
+                   help="held-out verification field order q")
     p.add_argument("--cache-dir", dest="cache_dir", help="catalog cache directory")
     p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--threads", type=int, default=1, help="worker cap")
 
 
 def main(argv=None):
@@ -499,13 +487,6 @@ def main(argv=None):
                             "kashiwara", "hallpoly", "all"])
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--bound", type=int, default=5)
-
-    p = sub.add_parser("basis", help="emit basis tables")
-    _add_common(p)
-    p.add_argument("which", choices=["comp", "cyclic"])
-    p.add_argument("--emit", default="C", choices=["N", "E", "C", "report"])
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--dim", help="cyclic dimension vector, e.g. 2,2")
 
     p = sub.add_parser("comp-basis", help="composition-algebra basis tables")
     _add_common(p)
@@ -529,14 +510,15 @@ def main(argv=None):
             _ctx_shape(config.ctx)
         except ValueError as exc:
             raise SystemExit("--ctx %s: %s" % (config.ctx, exc))
+    for q in config.primes + (config.verify_prime,):
+        try:
+            field_of_order(q)
+        except ValueError as exc:
+            raise SystemExit("--primes/--verify-prime: %s" % exc)
     if args.command == "roots":
         return cmd_roots(config, args.window)
     if args.command == "verify":
         return cmd_verify(config, args.suite, args.rank, args.bound)
-    if args.command == "basis":
-        if args.which == "comp":
-            return cmd_comp_basis(config, args.emit)
-        return cmd_cyclic_canonical(config, args.rank, args.dim, args.emit)
     if args.command == "comp-basis":
         return cmd_comp_basis(config, args.emit)
     if args.command == "cyclic-canonical":

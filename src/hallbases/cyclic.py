@@ -18,8 +18,17 @@ from __future__ import annotations
 import itertools
 
 from .cartan import Arrow, euler_form
-from .laurent import LaurentPoly, RationalV, in_lattice
-from .modrep import FiniteModule, IsoClassCatalog, OracleError, SynthClass, field, hom_dim
+from .hall import GenericHallAlgebra, apply_bar, expand_in, linear_extension, triangular_bases
+from .laurent import LaurentPoly, RationalV
+from .modrep import (
+    FiniteModule,
+    IsoClassCatalog,
+    OracleError,
+    SynthClass,
+    field,
+    field_of_order,
+    hom_dim,
+)
 
 
 class CyclicQuiver:
@@ -419,30 +428,16 @@ def cyclic_generic_algebra(r, cap, fit_fields=(2, 3, 4), verify_field=5,
                            escalation=((2, 3, 4, 5), 7), cache_dir=None,
                            mass_budget=2 ** 17):
     """The generic Hall algebra of nilpotent K_r representations up to cap."""
-    from .hall import GenericHallAlgebra
     shape = cyclic_shape(r)
     fields_needed = sorted(set(fit_fields) | {verify_field} |
                            (set(escalation[0]) | {escalation[1]} if escalation else set()))
     catalogs = {}
     for q in fields_needed:
-        F = field(*_prime_power(q))
-        catalogs[q] = IsoClassCatalog(shape, F, [tuple(cap)], synthesizer=synth_cyclic,
-                                      budget=40, mass_budget=mass_budget,
-                                      cache_dir=cache_dir)
+        catalogs[q] = IsoClassCatalog(shape, field_of_order(q), [tuple(cap)],
+                                      synthesizer=synth_cyclic, budget=40,
+                                      mass_budget=mass_budget, cache_dir=cache_dir)
     return GenericHallAlgebra(shape, catalogs, CyclicLabeler(r), fit_fields,
                               verify_field, escalation=escalation)
-
-
-def _prime_power(q):
-    for p in (2, 3, 5, 7, 11, 13):
-        d = 0
-        x = q
-        while x % p == 0:
-            x //= p
-            d += 1
-        if x == 1 and d:
-            return (p, d)
-    raise ValueError("q = %d is not a recognized prime power" % q)
 
 
 class CyclicCanonicalBasis:
@@ -486,87 +481,33 @@ class CyclicCanonicalBasis:
 
     def _build_grading(self, dims):
         alg = self.alg
-        labels = alg.labels_of_dim(dims)
-        pis = [self.labeler.to_multisegment(l) for l in labels]
-        apers = [pi for pi in pis if pi.is_aperiodic()]
-        order = _topo_order(apers, leq_G)
+        pis = [self.labeler.to_multisegment(l) for l in alg.labels_of_dim(dims)]
+        order = linear_extension([pi for pi in pis if pi.is_aperiodic()], Multisegment.key,
+                                 _below_G)
         self.order_by_grading[dims] = order
         for pi in order:
             word = word_of(pi)
             if diamond_word(word, self.r) != pi:
                 raise OracleError("word round-trip failed for %s" % pi)
             mono = alg.monomial_elt(tuple((str(j), a) for j, a in word))
-            angle = self._to_angle(mono)
-            self.monomials[pi] = angle
-            if angle.get(pi) != RationalV(1):
-                raise OracleError("monomial of %s is not unitriangular" % pi)
-            for pi2 in angle:
-                if pi2 != pi and not (leq_G(pi2, pi) and pi2 != pi):
-                    raise OracleError(
-                        "monomial of %s has support %s outside the order ideal"
-                        % (pi, pi2))
-            # eliminate aperiodic lower terms, tracking E-coordinates
-            residual = dict(angle)
-            coords = {pi: RationalV(1)}
-            for prev in reversed(order[: order.index(pi)]):
-                c = residual.get(prev)
-                if c is None or c.is_zero():
-                    continue
-                for k, v in self.E[prev].items():
-                    residual[k] = residual.get(k, RationalV(0)) - c * v
-                    if residual[k].is_zero():
-                        del residual[k]
-                coords[prev] = c
-            for k in residual:
-                if k != pi and k.is_aperiodic():
-                    raise OracleError("elimination left aperiodic residue %s below %s"
-                                      % (k, pi))
-            self.E[pi] = residual
-            self.mono_E_coords[pi] = coords
-        from .hall import bar_invariant_solve, bar_matrix_from_monomials
-        bar_e = bar_matrix_from_monomials(order, {pi: self.mono_E_coords[pi]
-                                                  for pi in order})
-        self.bar_E.update(bar_e)
-        for pi in order:
-            self.B[pi] = bar_invariant_solve(pi, order, self.bar_E)
-
-    def _bar_of(self, coords):
-        from .hall import apply_bar
-        return apply_bar(coords, self.bar_E)
+            self.monomials[pi] = self._to_angle(mono)
+        E, mono_E, bar_E, B = triangular_bases(order, self.monomials, _below_G)
+        self.E.update(E)
+        self.mono_E_coords.update(mono_E)
+        self.bar_E.update(bar_E)
+        self.B.update(B)
 
     def B_in_angle(self, pi):
         """B(pi) expanded in the <M(pi')> coordinates."""
-        out = {}
-        for pi2, c in self.B[pi].items():
-            for k, v in self.E[pi2].items():
-                out[k] = out.get(k, RationalV(0)) + c * v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return expand_in(self.B[pi], self.E)
 
     def check_bar_invariant(self, pi):
-        diff = self._bar_of(self.B[pi])
-        for k, v in self.B[pi].items():
-            diff[k] = diff.get(k, RationalV(0)) - v
-        return all(v.is_zero() for v in diff.values())
+        return apply_bar(self.B[pi], self.bar_E) == self.B[pi]
 
 
-def _topo_order(items, leq):
-    """A deterministic linear extension of a partial order given by leq."""
-    items = sorted(items, key=lambda pi: pi.key())
-    out = []
-    placed = set()
-    while len(out) < len(items):
-        progressed = False
-        for pi in items:
-            if pi.key() in placed:
-                continue
-            if all(other.key() in placed or not (leq(other, pi) and other != pi)
-                   for other in items):
-                out.append(pi)
-                placed.add(pi.key())
-                progressed = True
-        if not progressed:
-            raise OracleError("order has a cycle; not a partial order")
-    return out
+def _below_G(pi1, pi2):
+    """The strict degeneration order pi1 <_G pi2."""
+    return leq_G(pi1, pi2) and pi1 != pi2
 
 
 def canonical_cyclic(r, cap, **kwargs):

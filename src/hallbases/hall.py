@@ -710,6 +710,92 @@ def _splits_below(dims):
 # shared unitriangular bar machinery
 # ---------------------------------------------------------------------------
 
+def linear_extension(items, key, less):
+    """A deterministic linear extension of the strict partial order less.
+
+    Items are swept in key order, repeatedly; an item is placed once every
+    item strictly below it has been placed.
+    """
+    items = sorted(items, key=key)
+    out = []
+    placed = set()
+    while len(out) < len(items):
+        progressed = False
+        for a in items:
+            if a in placed:
+                continue
+            if all(b in placed or not less(b, a) for b in items):
+                out.append(a)
+                placed.add(a)
+                progressed = True
+        if not progressed:
+            raise OracleError("order has a cycle; not a partial order")
+    return out
+
+
+def expand_in(coords, basis):
+    """sum of c * basis[k] over coords, with zero coordinates dropped."""
+    out = {}
+    for k, c in coords.items():
+        for j, v in basis[k].items():
+            out[j] = out.get(j, RationalV(0)) + c * v
+    return {j: v for j, v in out.items() if not v.is_zero()}
+
+
+def eliminate(coords, steps, basis):
+    """Reduce coords by the vectors basis[k], k taken in the order of steps.
+
+    At each step the current coefficient c of k (if nonzero) is removed by
+    subtracting c * basis[k].  Returns (residual, used) with
+    coords = residual + sum of used[k] * basis[k].
+    """
+    residual = dict(coords)
+    used = {}
+    for k in steps:
+        c = residual.get(k)
+        if not c:
+            continue
+        for j, v in basis[k].items():
+            residual[j] = residual.get(j, RationalV(0)) - c * v
+            if residual[j].is_zero():
+                del residual[j]
+        used[k] = c
+    return residual, used
+
+
+def triangular_bases(order, monomials, less):
+    """The triangular basis E and the bar-invariant basis C of one slice.
+
+    order lists the slice's aperiodic indices along a linear extension of
+    the strict order less; monomials[a] holds the coordinates of the
+    bar-invariant monomial of a in an ambient basis, which must be 1 at a
+    and otherwise supported strictly below a.  E(a) is the monomial with
+    the aperiodic lower terms eliminated.  Returns (E, mono_E, bar_E, C):
+    E in ambient coordinates; the monomials, bar(E) and C in E-coordinates.
+    """
+    aperiodic = set(order)
+    E = {}
+    mono_E = {}
+    for n, a in enumerate(order):
+        coords = monomials[a]
+        if coords.get(a) != RationalV(1):
+            raise OracleError("monomial of %s is not unitriangular" % (a,))
+        for b in coords:
+            if b != a and not less(b, a):
+                raise OracleError("monomial of %s supports %s, which is not below it"
+                                  % (a, b))
+        residual, used = eliminate(coords, reversed(order[:n]), E)
+        for b in residual:
+            if b != a and b in aperiodic:
+                raise OracleError("elimination left aperiodic residue %s below %s"
+                                  % (b, a))
+        E[a] = residual
+        mono_E[a] = {a: RationalV(1), **used}
+    bar_E = bar_matrix_from_monomials(order, mono_E)
+    C = {a: bar_invariant_solve(a, order, bar_E) for a in order}
+    return E, mono_E, bar_E, C
+
+
 def bar_matrix_from_monomials(order, mono_coords):
     """E-coordinates of bar(E(a)) from bar-invariant monomials.
 
@@ -739,12 +825,7 @@ def bar_matrix_from_monomials(order, mono_coords):
 
 def apply_bar(coords, bar_E):
     """bar of an element given in E-coordinates, again in E-coordinates."""
-    out = {}
-    for a, c in coords.items():
-        cb = c.bar()
-        for k, v in bar_E[a].items():
-            out[k] = out.get(k, RationalV(0)) + cb * v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return expand_in({a: c.bar() for a, c in coords.items()}, bar_E)
 
 
 def bar_invariant_solve(a, order, bar_E):

@@ -10,9 +10,9 @@ equality of vectors of rational functions.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, RationalV, in_lattice, quantum_factorial
+from .laurent import LaurentPoly, RationalV, in_lattice, quantum_factorial, row_reduce
 from .modrep import BudgetError, OracleError
-from .pbwbasis import PbwIndex
+from .pbwbasis import PbwIndex, solve_in_span
 
 
 class AdmissibleTriple:
@@ -106,10 +106,15 @@ class AdmissibleTriple:
         indices = self.ctx.indices_of_grading(nu)
         images = [self.eps_on_index(a) for a in indices]
         keys = sorted({k for img in images for k in img}, key=lambda a: repr(a.key()))
-        rows = [[img.get(k, RationalV(0)) for img in images] for k in keys]
+        R, pivots = row_reduce([[img.get(k, RationalV(0)) for img in images]
+                                for k in keys], len(indices))
         basis = []
-        for vec in _kernel(rows, len(indices)):
-            basis.append({a: c for a, c in zip(indices, vec) if not c.is_zero()})
+        for free in range(len(indices)):
+            if free in pivots:
+                continue
+            vec = {indices[pc]: -R[r][free] for r, pc in enumerate(pivots)}
+            vec[indices[free]] = RationalV(1)
+            basis.append({a: vec[a] for a in indices if vec.get(a)})
         self._p0_cache[nu] = basis
         return basis
 
@@ -132,8 +137,7 @@ class AdmissibleTriple:
             for bi, y in enumerate(self.p0_basis(base_nu)):
                 columns.append(self.phi_divided(y, n))
                 tags.append((n, bi))
-        from .pbwbasis import _solve_in_span
-        sol, ok = _solve_in_span(columns, coords)
+        sol, ok = solve_in_span(columns, coords)
         if not ok:
             raise OracleError("string decomposition failed: slice not saturated")
         out = {}
@@ -258,37 +262,3 @@ def _grading_of(ctx, coords):
     if len(gradings) != 1:
         raise ValueError("coordinates mix gradings")
     return gradings.pop()
-
-
-def _kernel(rows, ncols):
-    """Right kernel of a matrix with RationalV entries, as coefficient rows."""
-    A = [list(r) for r in rows]
-    nrows = len(A)
-    pivots = []
-    row = 0
-    for c in range(ncols):
-        pr = None
-        for r in range(row, nrows):
-            if not A[r][c].is_zero():
-                pr = r
-                break
-        if pr is None:
-            continue
-        A[row], A[pr] = A[pr], A[row]
-        inv = A[row][c]
-        A[row] = [x / inv for x in A[row]]
-        for r in range(nrows):
-            if r != row and not A[r][c].is_zero():
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-        pivots.append(c)
-        row += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [RationalV(0)] * ncols
-        vec[fc] = RationalV(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = RationalV(0) - A[r][fc]
-        basis.append(vec)
-    return basis

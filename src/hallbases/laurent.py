@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-#: default truncation order for series expansions at v = infinity
-DEFAULT_SERIES_ORDER = 10
-
 
 class LaurentPoly:
     """A Laurent polynomial sum c_e * v^e with exact rational coefficients."""
@@ -471,15 +468,13 @@ def gauss_binom(n, k, d=1):
     return num.divexact(den)
 
 
-def expand_at_infinity(r, order=None):
+def expand_at_infinity(r, order):
     """Exact expansion of r in Q(v) in descending powers of v, down to v^-order.
 
     Writes num = v^N n(u), den = v^D d(u) with u = v^-1 and d(0) != 0, and
     expands the power series n(u)/d(u).  The top exponent of the result is
     exactly N - D, which is how poles at infinity are detected.
     """
-    if order is None:
-        order = DEFAULT_SERIES_ORDER
     r = _coerce_rational(r)
     if r.is_zero():
         return SeriesTail([], order)
@@ -505,16 +500,43 @@ def expand_at_infinity(r, order=None):
     return SeriesTail(terms, order)
 
 
-def in_lattice(r, strict=False, order=None):
+def in_lattice(r, strict=False):
     """Membership in Q[[v^-1]] cap Q(v) (strict: in v^-1 Q[[v^-1]] cap Q(v)).
 
     Decided exactly by pole analysis at v = infinity: the criterion is that
-    the top exponent deg(num) - deg(den) is <= 0 (strict: <= -1).  The order
-    argument is accepted for interface uniformity but the answer never
-    depends on a truncation.
+    the top exponent deg(num) - deg(den) is <= 0 (strict: <= -1), so the
+    answer never depends on a truncation.
     """
     r = _coerce_rational(r)
     top = r.top_exponent()
     if top is None:
         return True
     return top < 0 if strict else top <= 0
+
+
+def row_reduce(rows, ncols):
+    """Gauss-Jordan elimination over Q or Q(v) (Fraction or RationalV entries).
+
+    Pivots are sought in the first ncols columns only; any further columns
+    (an augmented right-hand side or identity block) are carried along.  The
+    pivot of a column is its first nonzero entry at or below the current
+    row.  Returns (R, pivots): R is the reduced copy of rows, whose row k
+    has a 1 in column pivots[k] and zeros elsewhere in that column; the rows
+    after len(pivots) are zero in the first ncols columns.
+    """
+    A = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        row = len(pivots)
+        pr = next((r for r in range(row, len(A)) if A[r][c]), None)
+        if pr is None:
+            continue
+        A[row], A[pr] = A[pr], A[row]
+        inv = A[row][c]
+        A[row] = [x / inv for x in A[row]]
+        for r in range(len(A)):
+            if r != row and A[r][c]:
+                f = A[r][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
+        pivots.append(c)
+    return A, pivots

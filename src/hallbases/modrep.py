@@ -34,6 +34,7 @@ import tempfile
 from fractions import Fraction
 
 from .cartan import euler_form
+from .laurent import row_reduce
 
 #: default resource bound: refuse when q^(total module dimension) > 2^budget
 DEFAULT_BUDGET = 8
@@ -168,6 +169,27 @@ def field(p, deg=1):
     if key not in _FIELDS:
         _FIELDS[key] = GF(p, deg)
     return _FIELDS[key]
+
+
+#: GF tabulates all q*q sums and products up front, so larger q is refused
+MAX_FIELD_ORDER = 256
+
+
+def field_of_order(q):
+    """GF(q) for a prime power q; ValueError for any other q.
+
+    q is split by its smallest prime factor p; GF refuses a degree for which
+    no defining polynomial is on record.
+    """
+    if not 2 <= q <= MAX_FIELD_ORDER:
+        raise ValueError("q = %d is outside 2..%d" % (q, MAX_FIELD_ORDER))
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    deg = 0
+    while q % p ** (deg + 1) == 0:
+        deg += 1
+    if p ** deg != q:
+        raise ValueError("q = %d is not a prime power" % q)
+    return field(p, deg)
 
 
 def gl_order(q, n):
@@ -1706,9 +1728,11 @@ class IsoClassCatalog:
         n = len(sh.vertices)
         E = [[Fraction(_euler(sh, _unit(n, a), _unit(n, b))) for b in range(n)]
              for a in range(n)]
-        Einv = _frac_inverse(E)
-        if Einv is None:
+        R, pivots = row_reduce([row + [Fraction(int(a == b)) for b in range(n)]
+                                for a, row in enumerate(E)], n)
+        if len(pivots) < n:
             return None
+        Einv = [row[n:] for row in R]
         cox = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):
@@ -1829,27 +1853,6 @@ def _unit(n, a):
 def _apply_int_matrix(mat, vec):
     n = len(vec)
     return tuple(sum(mat[a][b] * vec[b] for b in range(n)) for a in range(n))
-
-
-def _frac_inverse(A):
-    n = len(A)
-    aug = [list(A[i]) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if aug[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                g = aug[r][c]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def _key_to_json(key):

@@ -18,11 +18,13 @@ from .cyclic import Multisegment, leq_G, word_of
 from .hall import (
     GenericHallAlgebra,
     apply_bar,
-    bar_invariant_solve,
-    bar_matrix_from_monomials,
+    eliminate,
+    expand_in,
+    linear_extension,
+    triangular_bases,
 )
-from .laurent import LaurentPoly, RationalV, in_lattice
-from .modrep import IsoClassCatalog, OracleError, field, synth_kronecker
+from .laurent import RationalV, in_lattice, row_reduce
+from .modrep import IsoClassCatalog, OracleError, field_of_order, synth_kronecker
 from .symfun import SymmetricLayer, check_partition, partitions_of
 
 
@@ -309,7 +311,7 @@ class CompositionContext:
         self.catalogs = {}
         for q in fields_needed:
             self.catalogs[q] = IsoClassCatalog(
-                shape, _field_of(q), [self.cap], synthesizer=synthesizer,
+                shape, field_of_order(q), [self.cap], synthesizer=synthesizer,
                 budget=budget, mass_budget=mass_budget, cache_dir=cache_dir)
         self.alg = GenericHallAlgebra(shape, self.catalogs, self.labeler,
                                       fit_fields, verify_field, escalation=escalation)
@@ -534,7 +536,7 @@ class CompositionContext:
         nu = elt.grading
         indices = self.indices_of_grading(nu)
         columns = [self.N_element(a).coeffs for a in indices]
-        coords, ok = _solve_in_span(columns, elt.coeffs)
+        coords, ok = solve_in_span(columns, elt.coeffs)
         if not ok:
             raise OracleError("element of grading %s lies outside the N-span" % (nu,))
         return {a: c for a, c in zip(indices, coords) if not c.is_zero()}
@@ -562,46 +564,21 @@ class CompositionContext:
             return self._basis_cache[nu]
         indices = self.indices_of_grading(nu)
         apers = [a for a in indices if a.is_aperiodic(self.tube_ranks)]
-        order = _topo_order_indices(apers, lambda x, y: prec(x, y, self.tube_ranks))
-        monos = {}
-        E = {}
-        mono_E = {}
+        order = linear_extension(apers, lambda a: repr(a.key()), self._prec)
+        monos = {a: self.monomial(a) for a in order}
+        E, mono_E, bar_E, C = triangular_bases(
+            order, {a: m.coords for a, m in monos.items()}, self._prec)
         for a in order:
-            mono = self.monomial(a)
-            coords = dict(mono.coords)
-            if coords.get(a) != RationalV(1):
-                raise OracleError("monomial of %s is not unitriangular" % (a,))
-            for b in coords:
-                if b != a and not prec(b, a, self.tube_ranks):
-                    raise OracleError(
-                        "monomial of %s supports %s, which is not below it" % (a, b))
-            monos[a] = mono
-            residual = coords
-            e_coords = {a: RationalV(1)}
-            for a2 in reversed(order[: order.index(a)]):
-                c = residual.get(a2)
-                if c is None or c.is_zero():
-                    continue
-                if not c.is_polynomial():
-                    raise OracleError("elimination coefficient at %s not in A'" % (a2,))
-                for k, v in E[a2].items():
-                    residual[k] = residual.get(k, RationalV(0)) - c * v
-                    if residual[k].is_zero():
-                        del residual[k]
-                e_coords[a2] = c
-            for b, c in residual.items():
-                if b != a and b.is_aperiodic(self.tube_ranks):
-                    raise OracleError("elimination left aperiodic residue %s" % (b,))
+            for b, c in E[a].items():
                 if not c.is_polynomial():
                     raise OracleError("PBW coefficient at %s not in A'" % (b,))
-            E[a] = residual
-            mono_E[a] = e_coords
-        bar_E = bar_matrix_from_monomials(order, mono_E)
-        C = {a: bar_invariant_solve(a, order, bar_E) for a in order}
         data = {"indices": indices, "aperiodic": order, "monomials": monos,
                 "E": E, "mono_E": mono_E, "bar_E": bar_E, "C": C}
         self._basis_cache[nu] = data
         return data
+
+    def _prec(self, a, b):
+        return prec(a, b, self.tube_ranks)
 
     def E_in_N(self, nu, a):
         return self.basis_of_grading(nu)["E"][a]
@@ -609,11 +586,7 @@ class CompositionContext:
     def C_in_N(self, nu, a):
         """C(a) expanded in N coordinates."""
         data = self.basis_of_grading(nu)
-        out = {}
-        for a2, c in data["C"][a].items():
-            for k, v in data["E"][a2].items():
-                out[k] = out.get(k, RationalV(0)) + c * v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return expand_in(data["C"][a], data["E"])
 
     def check_bar_involution(self, nu):
         """R bar(R) = Id for the bar matrix on E."""
@@ -633,18 +606,9 @@ class CompositionContext:
     def monomial_to_C(self, nu, a):
         """Coefficients h with m^omega(a) = C(a) + sum h C(a'), all in A'."""
         data = self.basis_of_grading(nu)
-        residual = dict(data["mono_E"][a])
         order = data["aperiodic"]
-        out = {}
-        for a2 in reversed(order[: order.index(a) + 1]):
-            c = residual.get(a2)
-            if c is None or c.is_zero():
-                continue
-            out[a2] = c
-            for k, v in data["C"][a2].items():
-                residual[k] = residual.get(k, RationalV(0)) - c * v
-                if residual[k].is_zero():
-                    del residual[k]
+        residual, out = eliminate(data["mono_E"][a], reversed(order[: order.index(a) + 1]),
+                                  data["C"])
         if residual:
             raise OracleError("monomial did not reduce to the C basis")
         for a2, c in out.items():
@@ -695,18 +659,6 @@ class GenericElement:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _field_of(q):
-    for p in (2, 3, 5, 7):
-        d = 0
-        x = q
-        while x % p == 0:
-            x //= p
-            d += 1
-        if x == 1 and d:
-            return field(p, d)
-    raise ValueError("q = %d is not a small prime power" % q)
-
-
 def _delta_multiple(dims, delta):
     """m with dims = m * delta, or None."""
     if all(x == 0 for x in dims):
@@ -732,57 +684,20 @@ def _topological_vertices(shape):
     return tuple(order)
 
 
-def _topo_order_indices(items, strict_less):
-    items = sorted(items, key=lambda a: repr(a.key()))
-    out = []
-    placed = set()
-    while len(out) < len(items):
-        progressed = False
-        for a in items:
-            if a.key() in placed:
-                continue
-            if all(b.key() in placed or not strict_less(b, a) for b in items):
-                out.append(a)
-                placed.add(a.key())
-                progressed = True
-        if not progressed:
-            raise OracleError("the order on indices has a cycle")
-    return out
-
-
-def _solve_in_span(columns, target):
+def solve_in_span(columns, target):
     """Solve sum x_j col_j = target over Q(v); returns (coeffs, consistent).
 
     Insists on full column rank (the N-elements are a basis of their span).
     """
     keys = sorted({k for col in columns for k in col} | set(target), key=repr)
-    nrows, ncols = len(keys), len(columns)
-    A = [[columns[j].get(k, RationalV(0)) for j in range(ncols)] +
-         [target.get(k, RationalV(0))] for k in keys]
-    row = 0
-    piv_rows = []
-    for c in range(ncols):
-        pr = None
-        for r in range(row, nrows):
-            if not A[r][c].is_zero():
-                pr = r
-                break
-        if pr is None:
-            raise OracleError("N-basis columns are linearly dependent")
-        A[row], A[pr] = A[pr], A[row]
-        inv = A[row][c]
-        A[row] = [x / inv for x in A[row]]
-        for r in range(nrows):
-            if r != row and not A[r][c].is_zero():
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-        piv_rows.append(row)
-        row += 1
-    for r in range(row, nrows):
-        if not A[r][ncols].is_zero():
-            return [], False
-    coeffs = [A[piv_rows[c]][ncols] for c in range(ncols)]
-    return coeffs, True
+    ncols = len(columns)
+    R, pivots = row_reduce([[col.get(k, RationalV(0)) for col in columns] +
+                            [target.get(k, RationalV(0))] for k in keys], ncols)
+    if len(pivots) < ncols:
+        raise OracleError("N-basis columns are linearly dependent")
+    if any(row[ncols] for row in R[ncols:]):
+        return [], False
+    return [row[ncols] for row in R[:ncols]], True
 
 
 # ---------------------------------------------------------------------------

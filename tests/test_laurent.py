@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from hallbases.laurent import (
     LaurentPoly,
@@ -14,7 +16,10 @@ from hallbases.laurent import (
     poly_gcd,
     quantum_factorial,
     quantum_int,
+    row_reduce,
 )
+from hallbases.modrep import OracleError
+from hallbases.pbwbasis import solve_in_span
 
 
 def L(d):
@@ -207,3 +212,103 @@ class TestLattice:
 
     def test_zero_in_lattice(self):
         assert in_lattice(RationalV(LaurentPoly.zero()), strict=True)
+
+
+# -- exact elimination over Q and Q(v) ---------------------------------------
+
+_v = sympy.Symbol("v")
+
+frac_entry_st = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]).map(Fraction)
+rat_entry_st = st.builds(
+    lambda num, den: RationalV(LaurentPoly(num), den),
+    st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=2),
+    st.sampled_from([LaurentPoly.one(), V(1) + 1, V(1) - 1, V(-1) + 2]))
+
+
+def matrix_st(entry_st, max_size):
+    return st.integers(1, max_size).flatmap(lambda m: st.integers(1, max_size).flatmap(
+        lambda n: st.lists(st.lists(entry_st, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+matrices_st = st.one_of(matrix_st(frac_entry_st, 4), matrix_st(rat_entry_st, 3))
+
+
+def _sym(x):
+    if isinstance(x, RationalV):
+        return _sym(x.num) / _sym(x.den)
+    if isinstance(x, LaurentPoly):
+        return sum((_sym(c) * _v ** e for e, c in x.coeffs.items()), sympy.Integer(0))
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sympy_rank(A):
+    M = sympy.Matrix([[_sym(x) for x in row] for row in A])
+    return DomainMatrix.from_Matrix(M).convert_to(sympy.QQ.frac_field(_v)).rank()
+
+
+def _zero(A):
+    return A[0][0] * 0
+
+
+def _mat_vec(A, x):
+    return [sum((a * b for a, b in zip(row, x)), _zero(A)) for row in A]
+
+
+class TestRowReduce:
+    @given(matrices_st)
+    @settings(max_examples=60, deadline=None)
+    def test_kernel(self, A):
+        n = len(A[0])
+        R, pivots = row_reduce(A, n)
+        rank = _sympy_rank(A)
+        assert len(pivots) == rank
+        for k, pc in enumerate(pivots):
+            assert [bool(R[r][pc]) for r in range(len(R))] == [r == k for r in range(len(R))]
+        kernel = []
+        for free in (c for c in range(n) if c not in pivots):
+            x = [_zero(A)] * n
+            x[free] = _zero(A) + 1
+            for r, pc in enumerate(pivots):
+                x[pc] = -R[r][free]
+            kernel.append(x)
+        assert len(kernel) == n - rank
+        for x in kernel:
+            assert not any(_mat_vec(A, x))
+
+    @given(matrices_st, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_solve(self, A, data):
+        m, n = len(A), len(A[0])
+        columns = [{r: A[r][c] for r in range(m)} for c in range(n)]
+        x0 = data.draw(st.lists(st.sampled_from([0, 1, -2]), min_size=n, max_size=n))
+        b = _mat_vec(A, [_zero(A) + c for c in x0])
+        bump = data.draw(st.integers(0, m - 1))
+        b_bad = [y + int(r == bump) for r, y in enumerate(b)]
+        if _sympy_rank(A) < n:
+            with pytest.raises(OracleError):
+                solve_in_span(columns, dict(enumerate(b)))
+            return
+        x, ok = solve_in_span(columns, dict(enumerate(b)))
+        assert ok and x == [_zero(A) + c for c in x0]
+        consistent = _sympy_rank([row + [y] for row, y in zip(A, b_bad)]) == n
+        x, ok = solve_in_span(columns, dict(enumerate(b_bad)))
+        assert ok == consistent
+        assert _mat_vec(A, x) == b_bad if ok else x == []
+
+    @given(matrices_st)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse(self, A):
+        n = min(len(A), len(A[0]))
+        A = [row[:n] for row in A[:n]]
+        one = _zero(A) + 1
+        eye = [[one if i == j else _zero(A) for j in range(n)] for i in range(n)]
+        R, pivots = row_reduce([row + e for row, e in zip(A, eye)], n)
+        if _sympy_rank(A) < n:
+            assert len(pivots) < n
+            return
+        assert len(pivots) == n
+        inv = [row[n:] for row in R]
+        assert [_mat_vec(A, col) for col in zip(*inv)] == [list(c) for c in zip(*eye)]
+        M = sympy.Matrix([[_sym(x) for x in row] for row in A])
+        assert all(sympy.simplify(_sym(x) - y) == 0
+                   for x, y in zip(sum(inv, []), M.inv()))

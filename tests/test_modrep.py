@@ -23,6 +23,7 @@ from hallbases.modrep import (
     enumerate_modules,
     ext_dim,
     field,
+    field_of_order,
     hall_number,
     hom_dim,
     hom_space,
@@ -64,6 +65,18 @@ class TestGF:
     def test_mult_matrix(self):
         # multiplication by g on F4 over F2 in basis 1, g
         assert F4.mult_matrix(2) == ((0, 1), (1, 1))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+    def test_field_of_order(self, q):
+        F = field_of_order(q)
+        assert F.q == q and F.p ** F.deg == q
+        for a in range(1, q):
+            assert F.mul(a, F.inv(a)) == 1
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 12, 32, 257])
+    def test_field_of_order_refused(self, q):
+        with pytest.raises(ValueError):
+            field_of_order(q)
 
 
 @pytest.fixture(scope="module")
