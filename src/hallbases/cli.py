@@ -28,7 +28,7 @@ from .cyclic import (
 from .hall import GenericHallAlgebra, HallContext
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
-from .modrep import IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
+from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
 from .pbwbasis import CONTEXT_CAPS, get_context
 
 
@@ -515,16 +515,19 @@ def main(argv=None):
             field_of_order(q)
         except ValueError as exc:
             raise SystemExit("--primes/--verify-prime: %s" % exc)
-    if args.command == "roots":
-        return cmd_roots(config, args.window)
-    if args.command == "verify":
-        return cmd_verify(config, args.suite, args.rank, args.bound)
-    if args.command == "comp-basis":
-        return cmd_comp_basis(config, args.emit)
-    if args.command == "cyclic-canonical":
-        return cmd_cyclic_canonical(config, args.rank, args.dim, args.emit)
-    if args.command == "hall-poly":
-        return cmd_hall_poly(config, args.triple)
+    try:
+        if args.command == "roots":
+            return cmd_roots(config, args.window)
+        if args.command == "verify":
+            return cmd_verify(config, args.suite, args.rank, args.bound)
+        if args.command == "comp-basis":
+            return cmd_comp_basis(config, args.emit)
+        if args.command == "cyclic-canonical":
+            return cmd_cyclic_canonical(config, args.rank, args.dim, args.emit)
+        if args.command == "hall-poly":
+            return cmd_hall_poly(config, args.triple)
+    except BudgetError as exc:
+        raise SystemExit("refused, over budget: %s" % exc)
     raise SystemExit("unknown command")
 
 

@@ -10,6 +10,7 @@ equality of vectors of rational functions.
 
 from __future__ import annotations
 
+from .hall import expand_in
 from .laurent import LaurentPoly, RationalV, in_lattice, quantum_factorial, row_reduce
 from .modrep import BudgetError, OracleError
 from .pbwbasis import PbwIndex, solve_in_span
@@ -54,10 +55,10 @@ class AdmissibleTriple:
         return self._eps_cache[key]
 
     def phi(self, coords):
-        return _apply(self.phi_on_index, coords)
+        return expand_in(coords, {a: self.phi_on_index(a) for a in coords})
 
     def eps(self, coords):
-        return _apply(self.eps_on_index, coords)
+        return expand_in(coords, {a: self.eps_on_index(a) for a in coords})
 
     def phi_divided(self, coords, n):
         """phi^(n) = phi^n / [n]!_{v_i}."""
@@ -140,17 +141,13 @@ class AdmissibleTriple:
         sol, ok = solve_in_span(columns, coords)
         if not ok:
             raise OracleError("string decomposition failed: slice not saturated")
-        out = {}
+        by_n = {}
         for (n, bi), c in zip(tags, sol):
-            if c.is_zero():
-                continue
-            y = self.p0_basis(tuple(x - n * e for x, e in zip(nu, self.e_i)))[bi]
-            acc = out.setdefault(n, {})
-            for k, v in y.items():
-                acc[k] = acc.get(k, RationalV(0)) + c * v
+            if not c.is_zero():
+                by_n.setdefault(n, {})[bi] = c
         result = []
-        for n, y in sorted(out.items()):
-            y = {k: v for k, v in y.items() if not v.is_zero()}
+        for n, coefs in sorted(by_n.items()):
+            y = expand_in(coefs, self.p0_basis(tuple(x - n * e for x, e in zip(nu, self.e_i))))
             if y:
                 result.append((n, y))
         # exact reconstruction check
@@ -221,18 +218,6 @@ def verify_sink_identity(ctx, a):
 
 
 # -- small dict-vector helpers (N coordinates over Q(v)) --------------------
-
-def _apply(op_on_index, coords):
-    out = {}
-    for a, c in coords.items():
-        for b, v in op_on_index(a).items():
-            s = out.get(b, RationalV(0)) + c * v
-            if s.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = s
-    return out
-
 
 def _add(x, y):
     out = dict(x)

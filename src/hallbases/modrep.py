@@ -236,71 +236,56 @@ def m_mul(F, A, B):
 def m_scale(F, c, A):
     return tuple(tuple(F.mul(c, a) for a in row) for row in A)
 
-def m_stack(rows_list):
-    out = []
-    for rows in rows_list:
-        out.extend(rows)
-    return tuple(out)
-
 def m_transpose(A):
     if not A:
         return ()
     return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
 
 
-def rref(F, A):
-    """Row-reduce; returns (R, pivot_columns)."""
-    R = [list(row) for row in A]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if R[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = F.inv(R[r][c])
-        R[r] = [F.mul(inv, x) for x in R[r]]
-        for rr in range(rows):
-            if rr != r and R[rr][c]:
-                f = R[rr][c]
-                R[rr] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[rr], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return tuple(tuple(row) for row in R), tuple(pivots)
+def _eliminate(F, A, reduced):
+    """The GF(q) elimination: (echelon rows, pivot columns), zero rows dropped.
 
-
-def m_rank(F, A):
-    """Rank of A by forward elimination: no normalisation, no back-substitution."""
+    Each pivot column is cleared below its pivot by table lookups; the
+    pivots stay unscaled.  With reduced, each pivot is scaled to 1 and its
+    column is cleared above as well, which gives the reduced echelon form.
+    """
     rows = [row for row in A if any(row)]
     mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
-    rank = 0
+    pivots = []
     for c in range(len(rows[0]) if rows else 0):
-        for k in range(rank, len(rows)):
+        r = len(pivots)
+        for k in range(r, len(rows)):
             if rows[k][c]:
                 break
         else:
             continue
         piv = rows[k]
-        rows[k] = rows[rank]
-        rows[rank] = piv
-        rank += 1
-        if rank == len(rows):
-            break
+        if reduced:
+            unit = mul[inv[piv[c]]]
+            piv = [unit[x] for x in piv]
+        rows[k] = rows[r]
+        rows[r] = piv
+        pivots.append(c)
         scale = inv[piv[c]]
-        for k in range(rank, len(rows)):
+        for k in range(0 if reduced else r + 1, len(rows)):
             row = rows[k]
-            if row[c]:
+            if row[c] and k != r:
                 factor = mul[neg[mul[row[c]][scale]]]
                 rows[k] = [add[a][factor[b]] for a, b in zip(row, piv)]
-    return rank
+        if len(pivots) == len(rows):
+            break
+    return rows[:len(pivots)], pivots
+
+
+def rref(F, A):
+    """Reduced row echelon form of A without its zero rows: (R, pivot_columns)."""
+    rows, pivots = _eliminate(F, A, True)
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def m_rank(F, A):
+    """Rank of A by forward elimination: no normalisation, no back-substitution."""
+    return len(_eliminate(F, A, False)[1])
 
 
 def kernel_basis(F, A):
@@ -389,12 +374,15 @@ class FiniteModule:
 
     dims[i] is the dimension of the vertex space over D_i; maps[h] is the
     base-field matrix of the structure map of arrow h, of shape
-    (d_t * n_t) x (m_h * n_s).
+    (d_t * n_t) x (m_h * n_s).  A valued vertex (d_i > 1) needs a prime base
+    field, since D_i elements are written as d_i x d_i matrices over F_p.
     """
 
     __slots__ = ("shape", "F", "dims", "maps", "_key")
 
     def __init__(self, shape, F, dims, maps):
+        if F.deg > 1 and any(shape.d[i] > 1 for i in shape.vertices):
+            raise ValueError("valued vertices need a prime base field, not %r" % (F,))
         self.shape = shape
         self.F = F
         self.dims = tuple(int(x) for x in dims)
@@ -477,86 +465,57 @@ def direct_sum(M, N):
     return FiniteModule(shape, F, dims, maps)
 
 
-def module_from_plain(shape, F, dims, plain_maps):
-    """Build a module of a trivially valued shape from ordinary matrices."""
-    return FiniteModule(shape, F, dims, plain_maps)
-
-
 # -- Hom spaces -------------------------------------------------------------
 
-def _unknown_patterns(shape, F, dims_N, dims_M):
-    """Base-field matrix patterns of the Hom-space unknowns, per vertex.
+def _hom_rows(M, N):
+    """The linear equations of Hom(M, N), one row per unknown.
 
-    Unknown (i, a, b, c): entry (a,b) of f_i gets the c-th power of the
-    generator of D_i; its base-field pattern is mult_matrix placed at block
-    (a, b).  Returns (count, index_of, patterns) with patterns[i] a list of
-    base-field matrices.
-    """
-    patterns = {}
-    offsets = {}
-    total = 0
-    for i in shape.vertices:
-        ii = shape.index[i]
-        d = shape.d[i]
-        Di = F if d == 1 else field(F.p, F.deg * d)
-        rows_n, cols_n = dims_N[ii], dims_M[ii]
-        plist = []
-        gen = Di.p if d > 1 else 1
-        powers = [1]
-        for _ in range(d - 1):
-            powers.append(Di.mul(powers[-1], gen))
-        for a in range(rows_n):
-            for b in range(cols_n):
-                for c in range(d):
-                    blk = Di.mult_matrix(powers[c]) if d > 1 else ((1,),)
-                    mat = [[0] * (d * cols_n) for _ in range(d * rows_n)]
-                    for r in range(d):
-                        for cc in range(d):
-                            mat[a * d + r][b * d + cc] = blk[r][cc]
-                    plist.append(tuple(tuple(r) for r in mat))
-        patterns[i] = plist
-        offsets[i] = total
-        total += len(plist)
-    return total, offsets, patterns
-
-
-def _hom_equations(M, N):
-    """The linear system whose solutions are the homomorphisms M -> N.
-
-    Returns (total, offsets, patterns, rows) as in _unknown_patterns, with
-    rows the equations over the base field, one per arrow-matrix entry.
+    Unknown (i, a, b, c) is the block P_c = mult_matrix(g^c), g the generator
+    of D_i, at D_i-entry (a, b) of f_i; unknowns run over the vertices in
+    shape order, then a, b, c.  Its row is its image under
+    f -> (f_t M_h - N_h (I (x) f_s))_h, arrows in shape order, each arrow's
+    entries row by row.  An arrow into i sees P_c M_h[b-th block of rows] in
+    row block a; an arrow out of i sees -N_h[:, a-th block of columns of
+    block u] P_c in column block (u, b).  Returns (P, rows) with
+    P[i] = [P_0, ..., P_{d_i - 1}].
     """
     shape, F = M.shape, M.F
-    total, offsets, patterns = _unknown_patterns(shape, F, N.dims, M.dims)
-    rows = []
-    if total == 0:
-        return total, offsets, patterns, rows
+    neg = F._neg
+    start, n_eq = {}, 0
     for h in shape.arrows:
-        s, t = h.src, h.tgt
-        si, ti = shape.index[s], shape.index[t]
-        ds = shape.d[s]
-        blocks = h.m // ds
-        thM, thN = M.maps[h.id], N.maps[h.id]
-        n_eq_rows = shape.d[t] * N.dims[ti]
-        n_eq_cols = h.m * M.dims[si]
-        if n_eq_rows * n_eq_cols == 0:
-            continue
-        # condition f_t . thM - thN . (I (x) f_s) = 0; s != t since no loops
-        contributions = {}
-        for idx, pat in enumerate(patterns[t]):
-            contributions[offsets[t] + idx] = m_mul(F, pat, thM)
-        for idx, pat in enumerate(patterns[s]):
-            lifted = _block_diag(F, pat, blocks)
-            contrib = m_mul(F, thN, lifted)
-            contributions[offsets[s] + idx] = tuple(tuple(F.neg(x) for x in row)
-                                                    for row in contrib)
-        for r in range(n_eq_rows):
-            for c in range(n_eq_cols):
-                row = [0] * total
-                for u, contrib in contributions.items():
-                    row[u] = contrib[r][c]
-                rows.append(tuple(row))
-    return total, offsets, patterns, rows
+        start[h.id] = n_eq
+        n_eq += len(N.maps[h.id]) * h.m * M.dims[shape.index[h.src]]
+    P, rows = {}, []
+    for i in shape.vertices:
+        d = shape.d[i]
+        n_N, n_M = N.dims[shape.index[i]], M.dims[shape.index[i]]
+        Di = M.vertex_field(i)
+        # g^c has the code p^c for c < d (base-p digits are coefficients)
+        P[i] = [Di.mult_matrix(Di.p ** c) for c in range(d)] if d > 1 else [((1,),)]
+        into = [h for h in shape.arrows if h.tgt == i]
+        out = [h for h in shape.arrows if h.src == i]
+        for a in range(n_N):
+            for b in range(n_M):
+                for Pc in P[i]:
+                    row = [0] * n_eq
+                    for h in into:
+                        width = h.m * M.dims[shape.index[h.src]]
+                        at = start[h.id] + a * d * width
+                        band = M.maps[h.id][b * d:(b + 1) * d]
+                        for vals in (m_mul(F, Pc, band) if d > 1 else band):
+                            row[at:at + width] = vals
+                            at += width
+                    for h in out:
+                        width = h.m * n_M
+                        for u in range(h.m // d):
+                            col = u * d * n_N + a * d
+                            band = [r[col:col + d] for r in N.maps[h.id]]
+                            at = start[h.id] + u * d * n_M + b * d
+                            for vals in (m_mul(F, band, Pc) if d > 1 else band):
+                                row[at:at + d] = [neg[x] for x in vals]
+                                at += width
+                    rows.append(row)
+    return P, rows
 
 
 def hom_space(M, N):
@@ -566,26 +525,29 @@ def hom_space(M, N):
     (d_i n_i^N) x (d_i n_i^M); the count equals dim_k Hom(M, N).
     """
     shape, F = M.shape, M.F
-    total, offsets, patterns, rows = _hom_equations(M, N)
-    if not rows:
-        sols = tuple(tuple(1 if j == k else 0 for j in range(total)) for k in range(total))
+    add, mul = F._add, F._mul
+    P, rows = _hom_rows(M, N)
+    if rows and rows[0]:
+        sols = kernel_basis(F, m_transpose(rows))
     else:
-        sols = kernel_basis(F, tuple(rows))
+        sols = m_id(F, len(rows))
     out = []
     for vec in sols:
+        coefs = iter(vec)
         fs = {}
         for i in shape.vertices:
-            ii = shape.index[i]
             d = shape.d[i]
-            rn, cn = N.dims[ii], M.dims[ii]
-            mat = [[0] * (d * cn) for _ in range(d * rn)]
-            for idx, pat in enumerate(patterns[i]):
-                coef = vec[offsets[i] + idx]
-                if coef:
-                    for r in range(d * rn):
-                        for c in range(d * cn):
-                            if pat[r][c]:
-                                mat[r][c] = F.add(mat[r][c], F.mul(coef, pat[r][c]))
+            n_N, n_M = N.dims[shape.index[i]], M.dims[shape.index[i]]
+            mat = [[0] * (d * n_M) for _ in range(d * n_N)]
+            for a in range(n_N):
+                for b in range(n_M):
+                    for Pc in P[i]:
+                        coef = next(coefs)
+                        if coef:
+                            for r in range(d):
+                                dst = mat[a * d + r]
+                                for c in range(d):
+                                    dst[b * d + c] = add[dst[b * d + c]][mul[coef][Pc[r][c]]]
             fs[i] = tuple(tuple(r) for r in mat)
         out.append(fs)
     return out
@@ -609,8 +571,8 @@ def hom_dim(M, N):
 
     No basis is built; hom_space does that for callers that need the maps.
     """
-    total, _, _, rows = _hom_equations(M, N)
-    return total - m_rank(M.F, rows)
+    _, rows = _hom_rows(M, N)
+    return len(rows) - m_rank(M.F, rows)
 
 
 def end_dim(M):
@@ -631,16 +593,26 @@ def _euler(shape, x, y):
     return euler_form(shape, x, y)
 
 
-def is_invertible_hom(M, N, f):
+def _isomorphisms(M, basis, what, log2_bound):
+    """The invertible linear combinations of a basis of Hom(M, N), dim N = dim M.
+
+    Yields the coefficient tuples, enumerating all q^len(basis) combinations;
+    raises BudgetError when there are more than 2^log2_bound of them.
+    """
     shape, F = M.shape, M.F
-    for i in shape.vertices:
-        mat = f[i]
-        n = len(mat)
-        if n != (len(mat[0]) if n else 0):
-            return False
-        if n and m_rank(F, mat) != n:
-            return False
-    return True
+    if F.q ** len(basis) > 2 ** log2_bound:
+        raise BudgetError("%s space q^%d too large" % (what, len(basis)))
+    for coeffs in itertools.product(range(F.q), repeat=len(basis)):
+        for i in shape.vertices:
+            n = shape.d[i] * M.dims[shape.index[i]]
+            mat = m_zero(n, n)
+            for c, b in zip(coeffs, basis):
+                if c:
+                    mat = m_add(F, mat, m_scale(F, c, b[i]))
+            if m_rank(F, mat) != n:
+                break
+        else:
+            yield coeffs
 
 
 def is_isomorphic(M, N):
@@ -648,59 +620,14 @@ def is_isomorphic(M, N):
     if M.dims != N.dims:
         return False
     basis = hom_space(M, N)
-    h = len(basis)
-    if h != hom_dim(N, M):
+    if len(basis) != hom_dim(N, M):
         return False
-    F = M.F
-    shape = M.shape
-    if h == 0:
-        return M.dim_k() == 0
-    if F.q ** h > 2 ** 22:
-        raise BudgetError("isomorphism search space q^%d too large" % h)
-    for coeffs in itertools.product(range(F.q), repeat=h):
-        f = {}
-        for i in shape.vertices:
-            acc = None
-            for c, b in zip(coeffs, basis):
-                if c:
-                    term = m_scale(F, c, b[i])
-                    acc = term if acc is None else m_add(F, acc, term)
-            if acc is None:
-                acc = m_zero(len(basis[0][i]), len(basis[0][i][0]) if basis[0][i] else 0)
-            f[i] = acc
-        if is_invertible_hom(M, N, f):
-            return True
-    return False
+    return next(_isomorphisms(M, basis, "isomorphism search", 22), None) is not None
 
 
 def aut_order_brute(M):
     """|Aut M| by enumerating the endomorphism space (small modules only)."""
-    basis = hom_space(M, M)
-    h = len(basis)
-    F = M.F
-    if F.q ** h > 2 ** 20:
-        raise BudgetError("automorphism count space q^%d too large" % h)
-    count = 0
-    shape = M.shape
-    for coeffs in itertools.product(range(F.q), repeat=h):
-        f = {}
-        ok = True
-        for i in shape.vertices:
-            acc = None
-            for c, b in zip(coeffs, basis):
-                if c:
-                    term = m_scale(F, c, b[i])
-                    acc = term if acc is None else m_add(F, acc, term)
-            n = shape.d[i] * M.dims[shape.index[i]]
-            if acc is None:
-                acc = m_zero(n, n)
-            f[i] = acc
-            if n and m_rank(F, acc) != n:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(1 for _ in _isomorphisms(M, hom_space(M, M), "automorphism count", 20))
 
 
 # -- submodules, subquotients ------------------------------------------------
@@ -798,80 +725,49 @@ def _mat_vec(F, A, v):
 
 
 def sub_quotient(module, sub):
-    """The (submodule, quotient) pair of modules determined by SubspaceTuple."""
+    """The (submodule, quotient) pair of modules determined by SubspaceTuple.
+
+    Raises OracleError when sub is not arrow-stable.
+    """
     shape, F = module.shape, module.F
     # per vertex: full base-field basis rows = expanded W rows then expanded
     # complement rows (unit D_i-rows at the non-pivot D_i-coordinates)
-    comp_rows = {}
+    comp_fp = {}
     full_rows = {}
     for i in shape.vertices:
-        ii = shape.index[i]
         Di = module.vertex_field(i)
         d = shape.d[i]
-        n = module.dims[ii]
-        wrows = sub.rows[i]
-        pivots = set()
-        if wrows:
-            _, piv = rref(Di, wrows)
-            pivots = set(piv)
+        n = module.dims[shape.index[i]]
+        pivots = set(rref(Di, sub.rows[i])[1]) if sub.rows[i] else set()
         comp = tuple(tuple(1 if c == j else 0 for c in range(n))
                      for j in range(n) if j not in pivots)
-        comp_rows[i] = comp
-        full = sub.fp_rows[i] + _expand_rows_over_base(F, Di, d, comp, n)
-        full_rows[i] = full
-    sub_dims = [0] * len(shape.vertices)
-    quo_dims = [0] * len(shape.vertices)
-    for i in shape.vertices:
-        ii = shape.index[i]
-        sub_dims[ii] = len(sub.rows[i])
-        quo_dims[ii] = module.dims[ii] - len(sub.rows[i])
+        comp_fp[i] = _expand_rows_over_base(F, Di, d, comp, n)
+        full_rows[i] = sub.fp_rows[i] + comp_fp[i]
     sub_maps = {}
     quo_maps = {}
     for h in shape.arrows:
-        s, t = h.src, h.tgt
-        si, ti = shape.index[s], shape.index[t]
-        ds, dt = shape.d[s], shape.d[t]
-        blocks = h.m // ds
+        t = h.tgt
+        w_t = shape.d[t] * len(sub.rows[t])
+        n_t = shape.d[t] * module.dims[shape.index[t]]
         th = module.maps[h.id]
-        w_t = len(sub.rows[t])
-        n_t = module.dims[ti]
-        # columns of the submodule map: images of M (x) W_s basis vectors
-        sub_cols = []
-        for vec in _source_basis_vectors(module, h, sub.fp_rows[s]):
-            img = _mat_vec(F, th, vec)
-            coords = rowspace_coords(F, full_rows[t], img) if any(img) else (0,) * (dt * n_t)
-            if coords is None:
-                raise OracleError("submodule image left the span; stability was not checked")
-            sub_cols.append(coords[: dt * w_t])
-        sub_maps[h.id] = m_transpose(tuple(sub_cols)) if sub_cols else \
-            tuple(() for _ in range(dt * w_t)) if dt * w_t else ()
-        # quotient map: images of complement basis vectors, complement part
-        Ds = module.vertex_field(s)
-        comp_fp = _expand_rows_over_base(F, Ds, ds, comp_rows[s], module.dims[si])
-        quo_cols = []
-        for vec in _source_basis_vectors(module, h, comp_fp):
-            img = _mat_vec(F, th, vec)
-            coords = rowspace_coords(F, full_rows[t], img) if any(img) else (0,) * (dt * n_t)
-            if coords is None:
-                raise OracleError("image not expressible in the full basis")
-            quo_cols.append(coords[dt * w_t:])
-        nq_t = dt * quo_dims[ti]
-        quo_maps[h.id] = m_transpose(tuple(quo_cols)) if quo_cols else \
-            tuple(() for _ in range(nq_t)) if nq_t else ()
-    # fix empty shapes
-    for h in shape.arrows:
-        s, t = h.src, h.tgt
-        si, ti = shape.index[s], shape.index[t]
-        dt = shape.d[t]
-        r_s, c_s = dt * sub_dims[ti], h.m * sub_dims[si]
-        if not sub_maps[h.id] or len(sub_maps[h.id]) != r_s:
-            sub_maps[h.id] = tuple((0,) * c_s for _ in range(r_s))
-        r_q, c_q = dt * quo_dims[ti], h.m * quo_dims[si]
-        if not quo_maps[h.id] or len(quo_maps[h.id]) != r_q:
-            quo_maps[h.id] = tuple((0,) * c_q for _ in range(r_q))
-    S = FiniteModule(shape, F, sub_dims, sub_maps)
-    Q = FiniteModule(shape, F, quo_dims, quo_maps)
-    return S, Q
+        # columns: coordinates of the images of the M (x) W_s basis vectors,
+        # then of the M (x) complement basis vectors, in the full basis at t
+        for fp_s, maps, lo, hi in ((sub.fp_rows[h.src], sub_maps, 0, w_t),
+                                   (comp_fp[h.src], quo_maps, w_t, n_t)):
+            cols = []
+            for vec in _source_basis_vectors(module, h, fp_s):
+                img = _mat_vec(F, th, vec)
+                coords = rowspace_coords(F, full_rows[t], img) if any(img) else (0,) * n_t
+                if coords is None:
+                    raise OracleError("image not expressible in the full basis")
+                if any(coords[hi:]):
+                    raise OracleError("an image of W leaves W; the tuple is not arrow-stable")
+                cols.append(coords[lo:hi])
+            maps[h.id] = tuple(tuple(col[r] for col in cols) for r in range(hi - lo))
+    sub_dims = tuple(len(sub.rows[i]) for i in shape.vertices)
+    quo_dims = tuple(n - w for n, w in zip(module.dims, sub_dims))
+    return (FiniteModule(shape, F, sub_dims, sub_maps),
+            FiniteModule(shape, F, quo_dims, quo_maps))
 
 
 def submodule_tuples(module):
@@ -1208,10 +1104,6 @@ def kronecker_indec_keys(F, dims):
     return keys
 
 
-def _key_str(key):
-    return repr(key)
-
-
 def synth_kronecker(shape, F, dims):
     """All classes of a Kronecker dimension vector as sums of indec families."""
     a, b = dims
@@ -1224,7 +1116,7 @@ def synth_kronecker(shape, F, dims):
             for key in kronecker_indec_keys(F, (x, y)):
                 all_keys.append(key)
                 key_dims.append((x, y))
-    order = sorted(range(len(all_keys)), key=lambda i: _key_str(all_keys[i]))
+    order = sorted(range(len(all_keys)), key=lambda i: repr(all_keys[i]))
     all_keys = [all_keys[i] for i in order]
     key_dims = [key_dims[i] for i in order]
     out = []
@@ -1355,7 +1247,7 @@ class IsoClassCatalog:
 
     def _build_dim_synth(self, dims, synthesizer):
         sclasses = synthesizer(self.shape, self.F, dims)
-        sclasses.sort(key=lambda sc: _key_str(sc.decomposition))
+        sclasses.sort(key=lambda sc: repr(sc.decomposition))
         key_to_cid = getattr(self, "_synth_key_to_cid", None)
         if key_to_cid is None:
             key_to_cid = self._synth_key_to_cid = {}

@@ -121,6 +121,7 @@ class TestRefusals:
         (("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--verify-prime", "12"), "q = 12"),
         (("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--primes", "2,x"), "--primes"),
         (("roots", "--quiver", "no/such/quiver.txt"), "--quiver"),
+        (("hall-poly", "--ctx", "a1", "--triple", "9/5/4"), "exceeds budget"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -140,6 +141,7 @@ class TestRefusals:
         ("hall-poly", "--ctx", "cyclic:2", "--triple", "1:2x1/zz/2:1"),
         ("hall-poly", "--ctx", "cyclic:2", "--triple", "1:2 x1 / 1:1 x1 / 2:1 x1",
          "--primes", "2,3,6"),
+        ("hall-poly", "--ctx", "a1", "--triple", "9/5/4"),
     ])
     def test_bad_input_exit_status(self, tmp_path, argv):
         bad_quiver = tmp_path / "q.txt"
@@ -189,6 +191,7 @@ class TestGoldenReports:
         ("verify_all_a2tilde", ("verify", "--suite", "all", "--ctx", "a2tilde")),
         ("comp-basis_kronecker_C", ("comp-basis", "--ctx", "kronecker", "--cap", "2,2",
                                     "--emit", "C")),
+        ("roots_kronecker_w6", ("roots", "--ctx", "kronecker", "--window", "6")),
     ])
     def test_matches_golden(self, tmp_path, golden, argv):
         out = tmp_path / "out.json"

@@ -4,7 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hallbases import modrep
@@ -16,6 +16,7 @@ from hallbases.modrep import (
     FiniteModule,
     IsoClassCatalog,
     OracleError,
+    SubspaceTuple,
     SynthClass,
     aut_order_brute,
     direct_sum,
@@ -28,6 +29,8 @@ from hallbases.modrep import (
     hom_dim,
     hom_space,
     is_isomorphic,
+    is_submodule,
+    kernel_basis,
     kronecker_indec,
     m_mul,
     m_rank,
@@ -453,10 +456,10 @@ def gf_matrices(draw):
 
 
 @st.composite
-def module_pairs(draw):
+def module_pairs(draw, fields=FIELDS):
     """Two random modules of one small shape over one field."""
     shape = draw(st.sampled_from((KRON, C2F)))
-    F = draw(st.sampled_from(FIELDS))
+    F = draw(st.sampled_from(fields))
 
     def module():
         dims = tuple(draw(st.integers(0, 2)) for _ in shape.vertices)
@@ -467,6 +470,11 @@ def module_pairs(draw):
             maps[h.id] = tuple(tuple(draw(st.lists(st.integers(0, F.q - 1),
                                                    min_size=c, max_size=c)))
                                for _ in range(r))
+        if shape is C2F and F.deg > 1:
+            # valued vertices are refused over a non-prime base field
+            with pytest.raises(ValueError, match="prime base field"):
+                FiniteModule(shape, F, dims, maps)
+            reject()
         return FiniteModule(shape, F, dims, maps)
 
     return module(), module()
@@ -484,3 +492,157 @@ class TestKernelProperties:
     def test_hom_dim_matches_hom_space(self, pair):
         M, N = pair
         assert hom_dim(M, N) == len(hom_space(M, N))
+
+
+# -- an oracle for Hom and the GF(q) kernel that does not share their code ---
+
+PRIME_FIELDS = (field(2), field(3), field(5), field(7))
+
+
+def _product(F, A, B, rows, inner, cols):
+    """A (rows x inner) times B (inner x cols), entry by entry."""
+    out = []
+    for r in range(rows):
+        row = []
+        for c in range(cols):
+            s = 0
+            for k in range(inner):
+                s = F.add(s, F.mul(A[r][k], B[k][c]))
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def _is_hom(M, N, f):
+    """f_t M_h = N_h (I (x) f_s) on every arrow h, I (x) f_s block diagonal."""
+    shape, F = M.shape, M.F
+    for h in shape.arrows:
+        s, t = shape.index[h.src], shape.index[h.tgt]
+        ds, dt = shape.d[h.src], shape.d[h.tgt]
+        rows, cols = dt * N.dims[t], h.m * M.dims[s]
+        fs, nN, nM = f[h.src], ds * N.dims[s], ds * M.dims[s]
+        lifted = [[fs[r % nN][c % nM] if r // nN == c // nM else 0
+                   for c in range(h.m * M.dims[s])] for r in range(h.m * N.dims[s])]
+        lhs = _product(F, f[h.tgt], M.maps[h.id], rows, dt * M.dims[t], cols)
+        rhs = _product(F, N.maps[h.id], lifted, rows, h.m * N.dims[s], cols)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _vertex_maps(M, N, i):
+    """Every D_i-linear map M_i -> N_i, in base-field form."""
+    shape = M.shape
+    d = shape.d[i]
+    Di = M.vertex_field(i)
+    n_N, n_M = N.dims[shape.index[i]], M.dims[shape.index[i]]
+    for entries in itertools.product(range(Di.q), repeat=n_N * n_M):
+        mat = [[0] * (d * n_M) for _ in range(d * n_N)]
+        for k, x in enumerate(entries):
+            a, b = divmod(k, n_M)
+            blk = Di.mult_matrix(x) if d > 1 else ((x,),)
+            for r in range(d):
+                for c in range(d):
+                    mat[a * d + r][b * d + c] = blk[r][c]
+        yield tuple(tuple(row) for row in mat)
+
+
+@st.composite
+def square_matrices(draw):
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 6))
+    return F, tuple(tuple(draw(st.integers(0, F.q - 1)) for _ in range(n)) for _ in range(n))
+
+
+class TestHomOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(module_pairs(PRIME_FIELDS))
+    def test_hom_space_elements_are_homomorphisms(self, pair):
+        M, N = pair
+        basis = hom_space(M, N)
+        assert len(basis) == hom_dim(M, N)
+        for f in basis:
+            assert _is_hom(M, N, f)
+        flat = [tuple(x for i in M.shape.vertices for row in f[i] for x in row)
+                for f in basis]
+        assert m_rank(M.F, flat) == len(basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(module_pairs(PRIME_FIELDS))
+    def test_hom_dim_counts_homomorphisms(self, pair):
+        M, N = pair
+        shape, F = M.shape, M.F
+        unknowns = sum(shape.d[i] * M.dims[shape.index[i]] * N.dims[shape.index[i]]
+                       for i in shape.vertices)
+        if F.q ** unknowns > 2 ** 12:
+            return
+        count = 0
+        for maps in itertools.product(*(_vertex_maps(M, N, i) for i in shape.vertices)):
+            count += _is_hom(M, N, dict(zip(shape.vertices, maps)))
+        assert count == F.q ** hom_dim(M, N)
+
+
+class TestKernelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(gf_matrices())
+    def test_kernel_basis(self, case):
+        F, A = case
+        if not A:
+            return  # a matrix without rows does not carry its column count
+        basis = kernel_basis(F, A)
+        assert len(basis) == len(A[0]) - m_rank(F, A)
+        for x in basis:
+            assert _product(F, A, [[v] for v in x], len(A), len(A[0]), 1) == [[0]] * len(A)
+        assert m_rank(F, basis) == len(basis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices())
+    def test_inverse(self, case):
+        F, A = case
+        n = len(A)
+        if m_rank(F, A) < n:
+            with pytest.raises(ValueError):
+                modrep._m_inv(F, A)
+            return
+        identity = [[int(r == c) for c in range(n)] for r in range(n)]
+        assert _product(F, modrep._m_inv(F, A), A, n, n, n) == identity
+
+    @settings(max_examples=300, deadline=None)
+    @given(gf_matrices())
+    def test_rref_is_reduced(self, case):
+        F, A = case
+        R, pivots = rref(F, A)
+        assert len(R) == len(pivots) and list(pivots) == sorted(set(pivots))
+        for r, pc in enumerate(pivots):
+            assert R[r][pc] == 1 and not any(R[r][:pc])
+            assert all(R[k][pc] == 0 for k in range(len(R)) if k != r)
+        assert m_rank(F, tuple(A) + R) == len(pivots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gf_matrices())
+    def test_rank_matches_sympy(self, case):
+        from sympy import GF as SympyGF
+        from sympy.polys.matrices import DomainMatrix
+
+        F, A = case
+        if F.deg > 1:
+            return
+        want = DomainMatrix.from_list([list(r) for r in A], SympyGF(F.p)).rank() if A else 0
+        assert m_rank(F, A) == want
+
+
+class TestValuedVertices:
+    def test_refused_over_a_prime_power(self):
+        with pytest.raises(ValueError, match="prime base field"):
+            simple_module(C2F, F4, "1+3")
+        with pytest.raises(ValueError, match="prime base field"):
+            IsoClassCatalog(C2F, F4, [(1, 1)])
+
+
+class TestStability:
+    def test_unstable_tuple_refused(self):
+        L = kronecker_indec(KRON, F2, ("reg", (1, 1), 1))
+        W = SubspaceTuple(L, {"1": ((1,),), "2": ()})
+        assert not is_submodule(L, W)
+        with pytest.raises(OracleError, match="arrow-stable"):
+            sub_quotient(L, W)
