@@ -25,6 +25,7 @@ from .modrep import (
     IsoClassCatalog,
     OracleError,
     SynthClass,
+    check_budget,
     field,
     field_of_order,
     hom_dim,
@@ -424,17 +425,28 @@ class CyclicLabeler:
         return ("Pi", tuple(sorted(pi.entries.items())))
 
 
+#: cyclic catalogs refuse a cap with q^(total dimension) > 2^CYCLIC_BUDGET
+CYCLIC_BUDGET = 40
+
+
 def cyclic_generic_algebra(r, cap, fit_fields=(2, 3, 4), verify_field=5,
                            escalation=((2, 3, 4, 5), 7), cache_dir=None,
                            mass_budget=2 ** 17):
-    """The generic Hall algebra of nilpotent K_r representations up to cap."""
+    """The generic Hall algebra of nilpotent K_r representations up to cap.
+
+    Every field's budget is checked before the first catalog is built, so an
+    over-budget cap is refused up front, not after the smaller fields ran.
+    """
     shape = cyclic_shape(r)
     fields_needed = sorted(set(fit_fields) | {verify_field} |
                            (set(escalation[0]) | {escalation[1]} if escalation else set()))
+    fields = {q: field_of_order(q) for q in fields_needed}
+    for F in fields.values():
+        check_budget(shape, F, tuple(cap), CYCLIC_BUDGET)
     catalogs = {}
-    for q in fields_needed:
-        catalogs[q] = IsoClassCatalog(shape, field_of_order(q), [tuple(cap)],
-                                      synthesizer=synth_cyclic, budget=40,
+    for q, F in fields.items():
+        catalogs[q] = IsoClassCatalog(shape, F, [tuple(cap)],
+                                      synthesizer=synth_cyclic, budget=CYCLIC_BUDGET,
                                       mass_budget=mass_budget, cache_dir=cache_dir)
     return GenericHallAlgebra(shape, catalogs, CyclicLabeler(r), fit_fields,
                               verify_field, escalation=escalation)

@@ -55,6 +55,14 @@ class BudgetError(RuntimeError):
     """An enumeration request exceeded the configured resource budget."""
 
 
+def check_budget(shape, F, dims, budget):
+    """Raise BudgetError when q^(total dimension of dims) exceeds 2^budget."""
+    total_dim = sum(shape.d[i] * dims[shape.index[i]] for i in shape.vertices)
+    if F.q ** total_dim > 2 ** budget:
+        raise BudgetError("dimension vector %s over GF(%d) exceeds budget 2^%d"
+                          % (tuple(dims), F.q, budget))
+
+
 class OracleError(RuntimeError):
     """An internal consistency check of the oracle failed."""
 
@@ -288,16 +296,17 @@ def m_rank(F, A):
     return len(_eliminate(F, A, False)[1])
 
 
-def kernel_basis(F, A):
-    """Basis of the right kernel {x : A x = 0}, as rows."""
-    if not A:
-        return ()
-    cols = len(A[0])
+def kernel_basis(F, A, ncols):
+    """Basis of the right kernel {x : A x = 0} of A with ncols columns, as rows.
+
+    A matrix without rows does not carry its column count; its kernel is
+    all of F^ncols.
+    """
     R, pivots = rref(F, A)
-    free = [c for c in range(cols) if c not in pivots]
+    free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [0] * cols
+        vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = F.neg(R[r][fc])
@@ -527,10 +536,7 @@ def hom_space(M, N):
     shape, F = M.shape, M.F
     add, mul = F._add, F._mul
     P, rows = _hom_rows(M, N)
-    if rows and rows[0]:
-        sols = kernel_basis(F, m_transpose(rows))
-    else:
-        sols = m_id(F, len(rows))
+    sols = kernel_basis(F, m_transpose(rows), len(rows))
     out = []
     for vec in sols:
         coefs = iter(vec)
@@ -841,6 +847,62 @@ def _is_nilpotent_state(shape, F, dims, maps):
     for _ in range(max(total.bit_length(), 1)):
         power = m_mul(F, power, power)
     return not any(any(row) for row in power)
+
+
+def _is_nilpotent(F, C):
+    """C^n == 0 for the n x n matrix C, by squaring."""
+    power, exponent = C, 1
+    while exponent < len(C):
+        power = m_mul(F, power, power)
+        exponent *= 2
+    return not any(any(row) for row in power)
+
+
+def _all_matrices(F, rows, cols):
+    for flat in itertools.product(range(F.q), repeat=rows * cols):
+        yield tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+
+
+def _nilpotent_point_count(shape, F, dims):
+    """Number of arrow-map tuples of a cyclic shape whose cycle is nilpotent.
+
+    The cycle starts at a vertex v0 of smallest dimension n0; its composite
+    there is C = M_last P, with M_last the arrow into v0 and P the product of
+    the other maps.  M -> M P maps onto the n0 x n0 matrices whose rows lie
+    in rowspace P, with kernel of dimension n0 (n_last - rk P).  So each
+    product P counts q^(n0 (n_last - rk P)) times the number N(rowspace P)
+    of nilpotent n0 x n0 matrices with rows in W = rowspace P: the X B_W,
+    with B_W the reduced basis of W, such that B_W X is nilpotent (AB is
+    nilpotent iff BA is).  For the same reason nilpotency of the composite
+    does not depend on the start vertex, so this equals counting
+    _is_nilpotent_state over _iter_states.
+    """
+    sizes = _arrow_shapes(shape, dims)
+    if not all(dims):
+        return F.q ** sum(r * c for r, c in sizes.values())
+    n0 = min(dims)
+    cur = shape.vertices[dims.index(n0)]
+    by_src = {h.src: h for h in shape.arrows}
+    prods = {m_id(F, n0): 1}  # product of the maps walked so far -> tuples
+    for _ in range(len(shape.vertices) - 1):
+        h = by_src[cur]
+        step = {}
+        for M in _all_matrices(F, *sizes[h.id]):
+            for P, mult in prods.items():
+                MP = m_mul(F, M, P)
+                step[MP] = step.get(MP, 0) + mult
+        prods = step
+        cur = h.tgt
+    n_last = dims[shape.index[cur]]
+    nilpotent_in = {}  # reduced basis B_W -> N(W)
+    total = 0
+    for P, mult in prods.items():
+        B = rref(F, P)[0]
+        if B not in nilpotent_in:
+            nilpotent_in[B] = sum(_is_nilpotent(F, m_mul(F, B, X))
+                                  for X in _all_matrices(F, n0, len(B)))
+        total += mult * F.q ** (n0 * (n_last - len(B))) * nilpotent_in[B]
+    return total
 
 
 def _gl_generators(Di, n):
@@ -1230,13 +1292,9 @@ class IsoClassCatalog:
         return out
 
     def _build(self, synthesizer, budget):
-        shape, F = self.shape, self.F
         for dims in self.dims_list:
-            total_dim = sum(shape.d[i] * dims[shape.index[i]] for i in shape.vertices)
-            if F.q ** total_dim > 2 ** budget:
-                raise BudgetError(
-                    "dimension vector %s over GF(%d) exceeds budget 2^%d"
-                    % (dims, F.q, budget))
+            check_budget(self.shape, self.F, dims, budget)
+        for dims in self.dims_list:
             start = len(self.classes)
             if synthesizer is not None:
                 self._build_dim_synth(dims, synthesizer)
@@ -1387,11 +1445,7 @@ class IsoClassCatalog:
         if n_states > self.mass_budget:
             return
         if getattr(self.shape, "nilpotent", False):
-            count = 0
-            for maps in _iter_states(self.shape, self.F, dims):
-                if _is_nilpotent_state(self.shape, self.F, dims, maps):
-                    count += 1
-            n_states = count
+            n_states = _nilpotent_point_count(self.shape, self.F, dims)
         g = self._group_order(dims)
         total = 0
         for cid in self.by_dim[dims]:
@@ -1765,10 +1819,7 @@ def _key_from_json(key):
 
 def enumerate_modules(shape, F, dims, budget=DEFAULT_BUDGET):
     """One representative per isomorphism class of the given dimension vector."""
-    total_dim = sum(shape.d[i] * dims[shape.index[i]] for i in shape.vertices)
-    if F.q ** total_dim > 2 ** budget:
-        raise BudgetError("dimension vector %s over GF(%d) exceeds budget 2^%d"
-                          % (tuple(dims), F.q, budget))
+    check_budget(shape, F, dims, budget)
     return [FiniteModule(shape, F, tuple(dims), maps)
             for maps, _ in enumerate_bfs(shape, F, tuple(dims))]
 

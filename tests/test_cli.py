@@ -122,6 +122,7 @@ class TestRefusals:
         (("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--primes", "2,x"), "--primes"),
         (("roots", "--quiver", "no/such/quiver.txt"), "--quiver"),
         (("hall-poly", "--ctx", "a1", "--triple", "9/5/4"), "exceeds budget"),
+        (("cyclic-canonical", "--rank", "2", "--dim", "9,9"), "exceeds budget"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:

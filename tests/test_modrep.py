@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hallbases import modrep
 from hallbases.cartan import builtin_quiver, euler_form
-from hallbases.cyclic import cyclic_shape, synth_cyclic
+from hallbases.cyclic import cyclic_generic_algebra, cyclic_shape, synth_cyclic
 from hallbases.modrep import (
     GF,
     BudgetError,
@@ -104,6 +105,12 @@ class TestEnumerate:
     def test_budget_refused(self):
         with pytest.raises(BudgetError):
             enumerate_modules(KRON, F3, (3, 3), budget=8)
+
+    def test_budget_checked_before_any_slice_is_built(self):
+        def synth(shape, F, dims):
+            raise AssertionError("slice %s built before the budget refusal" % (dims,))
+        with pytest.raises(BudgetError, match=r"\(5, 5\) over GF\(2\)"):
+            IsoClassCatalog(cyclic_shape(2), F2, [(5, 5)], synthesizer=synth, budget=9)
 
     def test_synthesis_matches_bfs(self):
         for F in (F2, F3):
@@ -350,6 +357,46 @@ class TestBuildCertificate:
                             mass_budget=0)
 
 
+def _dropping_one_class(drop_dims):
+    """synth_cyclic without the last decomposable class of the slice drop_dims."""
+    def synth(shape, F, dims):
+        classes = synth_cyclic(shape, F, dims)
+        if dims == drop_dims:
+            last = max(k for k, sc in enumerate(classes)
+                       if len(sc.decomposition) > 1 or sc.decomposition[0][1] > 1)
+            del classes[last]
+        return classes
+    return synth
+
+
+class TestNilpotentMassCheck:
+    @pytest.mark.parametrize("r, q", [(r, q) for r in (2, 3) for q in (2, 3, 4, 5)])
+    def test_count_matches_state_walk(self, r, q):
+        shape, F = cyclic_shape(r), field_of_order(q)
+        checked = 0
+        for dims in itertools.product(range(4), repeat=r):
+            if modrep._state_count(shape, F, dims) > 2 ** 12:
+                continue
+            walked = sum(modrep._is_nilpotent_state(shape, F, dims, maps)
+                         for maps in modrep._iter_states(shape, F, dims))
+            assert modrep._nilpotent_point_count(shape, F, dims) == walked, dims
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("dims", [(0, 2), (1, 1), (2, 2)])
+    @pytest.mark.parametrize("F", [F2, F3])
+    def test_dropped_class_fails_the_mass_check(self, F, dims):
+        with pytest.raises(OracleError, match="mass check failed at %s" % re.escape(str(dims))):
+            IsoClassCatalog(cyclic_shape(2), F, [dims], synthesizer=_dropping_one_class(dims))
+
+    def test_cyclic_algebra_certifies_the_same_slices(self):
+        slices = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1),
+                  (1, 3), (2, 2), (2, 3)]
+        alg = cyclic_generic_algebra(2, (2, 3))
+        assert {q: cat.mass_checked for q, cat in alg.catalogs.items()} == {
+            2: slices, 3: slices[:11], 4: slices[:11], 5: slices[:10], 7: slices[:10]}
+
+
 def _random_invertible(F, n, rng):
     while True:
         g = tuple(tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(n))
@@ -584,15 +631,15 @@ class TestHomOracle:
 
 class TestKernelOracle:
     @settings(max_examples=300, deadline=None)
-    @given(gf_matrices())
-    def test_kernel_basis(self, case):
+    @given(gf_matrices(), st.integers(0, 7))
+    def test_kernel_basis(self, case, cols_if_no_rows):
         F, A = case
-        if not A:
-            return  # a matrix without rows does not carry its column count
-        basis = kernel_basis(F, A)
-        assert len(basis) == len(A[0]) - m_rank(F, A)
+        ncols = len(A[0]) if A else cols_if_no_rows
+        basis = kernel_basis(F, A, ncols)
+        assert len(basis) == ncols - m_rank(F, A)
         for x in basis:
-            assert _product(F, A, [[v] for v in x], len(A), len(A[0]), 1) == [[0]] * len(A)
+            assert len(x) == ncols
+            assert _product(F, A, [[v] for v in x], len(A), ncols, 1) == [[0]] * len(A)
         assert m_rank(F, basis) == len(basis)
 
     @settings(max_examples=200, deadline=None)
