@@ -113,9 +113,6 @@ class ValuedQuiver:
     #: module categories over acyclic quivers have no nilpotency condition
     nilpotent = False
 
-    def euler(self, x, y):
-        return euler_form(self, x, y)
-
     def key(self):
         """Deterministic structural key, used for cache file names."""
         return "V[%s]A[%s]" % (

@@ -25,7 +25,7 @@ from .cyclic import (
     parse_multisegment,
     word_of,
 )
-from .hall import GenericHallAlgebra, HallContext
+from .hall import GenericHallAlgebra, HallContext, field_orders
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
 from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
@@ -125,7 +125,7 @@ def _a1_algebra(config, top):
     a1 = builtin_quiver("a1")
     catalogs = {q: IsoClassCatalog(a1, field_of_order(q), [(top,)], synthesizer=synth_a1,
                                    budget=16, cache_dir=config.cache_dir)
-                for q in sorted(set(config.primes) | {config.verify_prime})}
+                for q in field_orders(config.primes, config.verify_prime)}
     return GenericHallAlgebra(a1, catalogs, _A1Labeler(), config.primes, config.verify_prime)
 
 

@@ -17,8 +17,15 @@ from __future__ import annotations
 
 import itertools
 
-from .cartan import Arrow, euler_form
-from .hall import GenericHallAlgebra, apply_bar, expand_in, linear_extension, triangular_bases
+from .cartan import Arrow
+from .hall import (
+    GenericHallAlgebra,
+    apply_bar,
+    expand_in,
+    field_orders,
+    linear_extension,
+    triangular_bases,
+)
 from .laurent import LaurentPoly, RationalV
 from .modrep import (
     FiniteModule,
@@ -26,6 +33,7 @@ from .modrep import (
     OracleError,
     SynthClass,
     check_budget,
+    direct_sum,
     field,
     field_of_order,
     hom_dim,
@@ -50,9 +58,6 @@ class CyclicQuiver:
     @property
     def n(self):
         return self.r
-
-    def euler(self, x, y):
-        return euler_form(self, x, y)
 
     def unit_vector(self, i):
         e = [0] * self.r
@@ -337,23 +342,12 @@ def synth_cyclic(shape, F, dims):
     """Synthesizer: one class per multisegment of the dimension vector."""
     out = []
     for pi in multisegments_of_dim(shape.r, dims):
-        dec = []
-        mods = None
+        summands, dec = [], []
         for (i, l), m in sorted(pi.entries.items()):
-            seg_mod = build_module(shape, F, Multisegment.segment(shape.r, i, l))
+            summands += [build_module(shape, F, Multisegment.segment(shape.r, i, l))] * m
             dec.append((("seg", i, l), m))
-            for _ in range(m):
-                mods = seg_mod if mods is None else _dsum(mods, seg_mod)
-        if mods is None:
-            from .modrep import zero_module
-            mods = zero_module(shape, F)
-        out.append(SynthClass(mods, tuple(dec)))
+        out.append(SynthClass(direct_sum(*summands, shape=shape, F=F), tuple(dec)))
     return out
-
-
-def _dsum(a, b):
-    from .modrep import direct_sum
-    return direct_sum(a, b)
 
 
 _HOM_MEMO = {}
@@ -438,9 +432,7 @@ def cyclic_generic_algebra(r, cap, fit_fields=(2, 3, 4), verify_field=5,
     over-budget cap is refused up front, not after the smaller fields ran.
     """
     shape = cyclic_shape(r)
-    fields_needed = sorted(set(fit_fields) | {verify_field} |
-                           (set(escalation[0]) | {escalation[1]} if escalation else set()))
-    fields = {q: field_of_order(q) for q in fields_needed}
+    fields = {q: field_of_order(q) for q in field_orders(fit_fields, verify_field, escalation)}
     for F in fields.values():
         check_budget(shape, F, tuple(cap), CYCLIC_BUDGET)
     catalogs = {}
@@ -520,18 +512,3 @@ class CyclicCanonicalBasis:
 def _below_G(pi1, pi2):
     """The strict degeneration order pi1 <_G pi2."""
     return leq_G(pi1, pi2) and pi1 != pi2
-
-
-def canonical_cyclic(r, cap, **kwargs):
-    """The cyclic canonical basis as a map: aperiodic pi -> <M>-coordinates.
-
-    Convenience wrapper around CyclicCanonicalBasis; every value is the
-    expansion of B(pi) in the angle basis, bar-invariance re-checked.
-    """
-    basis = CyclicCanonicalBasis(r, cap, **kwargs)
-    out = {}
-    for pi in basis.B:
-        if not basis.check_bar_invariant(pi):
-            raise OracleError("B(%s) failed its bar-invariance re-check" % pi)
-        out[pi] = basis.B_in_angle(pi)
-    return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cartan import euler_form
 from .laurent import LaurentPoly, RationalV
 from .modrep import OracleError, direct_sum, simple_module
 
@@ -51,6 +52,14 @@ def qpoly_eval(p, q):
 def qpoly_to_v(p):
     """Substitute q = v^2: double every exponent."""
     return LaurentPoly({2 * e: c for e, c in p.coeffs.items()})
+
+
+def field_orders(fit_fields, verify_field, escalation=None):
+    """Sorted orders q of every field a fit may read: fit, verify, escalation."""
+    qs = set(fit_fields) | {verify_field}
+    if escalation:
+        qs |= set(escalation[0]) | {escalation[1]}
+    return tuple(sorted(qs))
 
 
 class FitError(OracleError):
@@ -107,10 +116,6 @@ class HallContext:
         self.shape = catalog.shape
         self.F = catalog.F
 
-    def euler(self, x, y):
-        from .modrep import _euler
-        return _euler(self.shape, x, y)
-
     def zero_elt(self):
         return HallElement(self, None, {})
 
@@ -138,10 +143,7 @@ class HallContext:
         """u_i^(a) = <S_i^a> (valid under v^2 = q)."""
         if a == 0:
             return self.unit()
-        s = simple_module(self.shape, self.F, vertex)
-        M = s
-        for _ in range(a - 1):
-            M = direct_sum(M, s)
+        M = direct_sum(*[simple_module(self.shape, self.F, vertex)] * a)
         return self.angle(self.catalog.classify(M))
 
     def coproduct(self, x):
@@ -158,7 +160,7 @@ class HallContext:
             for (m_cid, n_cid), g in scan.items():
                 m_info = self.catalog.classes[m_cid]
                 n_info = self.catalog.classes[n_cid]
-                tw = self.euler(m_info.dims, n_info.dims)
+                tw = euler_form(self.shape, m_info.dims, n_info.dims)
                 factor = Fraction(g * m_info.aut * n_info.aut, aL)
                 term = coeff * LaurentPoly.v_power(tw, factor)
                 key = (m_cid, n_cid)
@@ -238,7 +240,7 @@ class HallElement:
         ctx = self.ctx
         cat = ctx.catalog
         target = tuple(a + b for a, b in zip(self.grading, other.grading))
-        tw = LaurentPoly.v_power(ctx.euler(self.grading, other.grading))
+        tw = LaurentPoly.v_power(euler_form(ctx.shape, self.grading, other.grading))
         scan = cat.scan_dim(target)
         out = {}
         for l_cid in cat.by_dim[target]:
@@ -288,9 +290,7 @@ class GenericHallAlgebra:
         self.fit_fields = tuple(fit_fields)
         self.verify_field = verify_field
         self.escalation = escalation  # optional (fit_fields, verify_field)
-        self.all_fields = tuple(sorted(set(self.fit_fields) | {verify_field} |
-                                       set(escalation[0] if escalation else ()) |
-                                       ({escalation[1]} if escalation else set())))
+        self.all_fields = field_orders(fit_fields, verify_field, escalation)
         self._labels_by_dim = {}     # dims -> sorted list of labels
         self._label_maps = {}        # (q, dims) -> {cid: label}
         self._label_data = {}        # label -> dict(end, dim_k, count_poly, aut_poly)
@@ -453,7 +453,7 @@ class GenericHallAlgebra:
             for split1 in _splits_below(dims):
                 split2 = tuple(a - b for a, b in zip(dims, split1))
                 table = self.mult_table(split1, split2)
-                tw = _euler_of(self.shape, split1, split2)
+                tw = euler_form(self.shape, split1, split2)
                 for (l1, l2), targets in table.items():
                     c = targets.get(label)
                     if c is None or c.is_zero():
@@ -513,12 +513,8 @@ class GenericHallAlgebra:
         """u_i^(a) = <S_i^(+a)> = v_i^(a(a-1)) [S_i^(+a)]."""
         if a == 0:
             return self.unit()
-        q = self.all_fields[0]
-        F = self.catalogs[q].F
-        s = simple_module(self.shape, F, vertex)
-        M = s
-        for _ in range(a - 1):
-            M = direct_sum(M, s)
+        F = self.catalogs[self.all_fields[0]].F
+        M = direct_sum(*[simple_module(self.shape, F, vertex)] * a)
         return self.angle_elt(M.dims, self.label_of_module(M))
 
     def monomial_elt(self, word):
@@ -659,7 +655,7 @@ class LabelElement:
         alg = self.alg
         table = alg.mult_table(self.grading, other.grading)
         target = tuple(a + b for a, b in zip(self.grading, other.grading))
-        tw = RationalV(LaurentPoly.v_power(_euler_of(alg.shape, self.grading, other.grading)))
+        tw = RationalV(LaurentPoly.v_power(euler_form(alg.shape, self.grading, other.grading)))
         out = {}
         for l1, c1 in self.coeffs.items():
             for l2, c2 in other.coeffs.items():
@@ -692,11 +688,6 @@ class LabelElement:
         body = "; ".join("%r: %s" % (l, c) for l, c in sorted(self.coeffs.items(),
                                                               key=lambda kv: repr(kv[0])))
         return "LabelElement(%s | %s)" % (self.grading, body)
-
-
-def _euler_of(shape, x, y):
-    from .modrep import _euler
-    return _euler(shape, x, y)
 
 
 def _splits_below(dims):

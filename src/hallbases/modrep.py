@@ -10,8 +10,8 @@ Catalogs list exactly one representative per isomorphism class of each
 requested dimension vector.  Completeness is certified exactly, never
 assumed: breadth-first orbit enumeration partitions the whole representation
 space, and synthesized catalogs (known indecomposable families) must pass
-the mass formula sum |G|/|Aut M| = |rep space| whenever the space is small
-enough to count.  The build also certifies, in Krull-Schmidt form, that the
+the mass formula sum |G|/|Aut M| = |rep space|: on every slice of an acyclic
+shape, and on the nilpotent slices small enough to count.  The build also certifies, in Krull-Schmidt form, that the
 classes of every dimension slice are pairwise non-isomorphic: their
 decompositions into indecomposables are pairwise distinct, and Hom-dimension
 profiles separate the indecomposables of each slice.
@@ -222,11 +222,11 @@ def m_add(F, A, B):
     return tuple(tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 def m_mul(F, A, B):
-    if not A or not B:
-        return m_zero(len(A), len(B[0]) if B else 0)
-    cols = len(B[0])
-    inner = len(B)
-    Bt = tuple(tuple(B[k][j] for k in range(inner)) for j in range(cols))
+    return _mul_t(F, A, m_transpose(B))
+
+
+def _mul_t(F, A, Bt):
+    """A times the transpose of Bt: entry (r, c) is row r of A dot row c of Bt."""
     mul = F._mul
     add = F._add
     out = []
@@ -314,39 +314,6 @@ def kernel_basis(F, A, ncols):
     return tuple(basis)
 
 
-def in_rowspace(F, R, pivots, v):
-    """Membership of v in the row space given its rref R with pivot columns."""
-    v = list(v)
-    for r, pc in enumerate(pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, R[r])]
-    return not any(v)
-
-
-def rowspace_coords(F, rows, v):
-    """Coefficients x with x . rows = v, or None if v is outside the span."""
-    if not rows:
-        return () if not any(v) else None
-    A = m_transpose(rows)
-    aug = tuple(row + (val,) for row, val in zip(A, v))
-    R, pivots = rref(F, aug)
-    ncols = len(rows)
-    if ncols in pivots:
-        return None
-    sol = [0] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = R[r][ncols]
-    # consistency: rows may be dependent; verify
-    chk = [0] * len(v)
-    for coef, row in zip(sol, rows):
-        if coef:
-            chk = [F.add(x, F.mul(coef, y)) for x, y in zip(chk, row)]
-    if tuple(chk) != tuple(v):
-        return None
-    return tuple(sol)
-
-
 def subspaces(F, n, k):
     """All k-dimensional subspaces of F^n as reduced-echelon basis rows."""
     if k == 0:
@@ -424,11 +391,6 @@ class FiniteModule:
         return "FiniteModule(dim=%s over GF(%d))" % (self.dims, self.F.q)
 
 
-def zero_module(shape, F):
-    dims = (0,) * len(shape.vertices)
-    return FiniteModule(shape, F, dims, {h.id: () for h in shape.arrows})
-
-
 def simple_module(shape, F, vertex):
     dims = [0] * len(shape.vertices)
     dims[shape.index[vertex]] = 1
@@ -441,35 +403,29 @@ def simple_module(shape, F, vertex):
     return FiniteModule(shape, F, dims, maps)
 
 
-def direct_sum(M, N):
-    shape, F = M.shape, M.F
-    dims = tuple(a + b for a, b in zip(M.dims, N.dims))
+def direct_sum(*modules, shape=None, F=None):
+    """The direct sum of the modules; for no summands, the zero module of shape over F.
+
+    Vertex spaces are stacked in summand order.  The source space of an
+    arrow is m_h / d_s blocks of the vertex space, each stacked the same
+    way, so every map is block diagonal in each block of its columns.
+    """
+    if modules:
+        shape, F = modules[0].shape, modules[0].F
+    dims = tuple(sum(M.dims[k] for M in modules) for k in range(len(shape.vertices)))
     maps = {}
     for h in shape.arrows:
-        s, t = shape.index[h.src], shape.index[h.tgt]
-        d_t = shape.d[h.tgt]
-        A, B = M.maps[h.id], N.maps[h.id]
-        ra, ca = d_t * M.dims[t], h.m * M.dims[s]
-        rb, cb = d_t * N.dims[t], h.m * N.dims[s]
-        # the source space is m_h blocks of the vertex space; interleave
-        # blockwise so the summand structure is preserved per block
-        rows = []
-        blocks_a = ca // max(h.m, 1) if h.m else 0
-        na_s, nb_s = M.dims[s], N.dims[s]
-        ds = shape.d[h.src]
-        for r in range(ra + rb):
-            src_is_a = r < ra
-            src_row = A[r] if src_is_a else B[r - ra]
-            row = []
-            for u in range(h.m // ds if ds else 0):
-                # block u of A-source columns then of B-source columns
-                if src_is_a:
-                    row.extend(src_row[u * ds * na_s:(u + 1) * ds * na_s])
-                    row.extend([0] * (ds * nb_s))
-                else:
-                    row.extend([0] * (ds * na_s))
-                    row.extend(src_row[u * ds * nb_s:(u + 1) * ds * nb_s])
-            rows.append(tuple(row))
+        s, ds = shape.index[h.src], shape.d[h.src]
+        width = ds * dims[s]
+        rows, at = [], 0
+        for M in modules:
+            n = ds * M.dims[s]
+            for src in M.maps[h.id]:
+                row = [0] * (h.m * dims[s])
+                for u in range(h.m // ds):
+                    row[u * width + at:u * width + at + n] = src[u * n:(u + 1) * n]
+                rows.append(tuple(row))
+            at += n
         maps[h.id] = tuple(rows)
     return FiniteModule(shape, F, dims, maps)
 
@@ -587,16 +543,10 @@ def end_dim(M):
 
 def ext_dim(M, N):
     """dim_k Ext^1(M, N) = dim Hom - <dim M, dim N> (hereditary)."""
-    e = hom_dim(M, N) - _euler(M.shape, M.dims, N.dims)
+    e = hom_dim(M, N) - euler_form(M.shape, M.dims, N.dims)
     if e < 0:
         raise OracleError("negative Ext dimension; Euler identity violated")
     return e
-
-
-def _euler(shape, x, y):
-    if hasattr(shape, "euler"):
-        return shape.euler(x, y)
-    return euler_form(shape, x, y)
 
 
 def _isomorphisms(M, basis, what, log2_bound):
@@ -638,7 +588,7 @@ def aut_order_brute(M):
 
 # -- submodules, subquotients ------------------------------------------------
 
-def _expand_rows_over_base(F, Di, d, rows, n):
+def _expand_rows_over_base(Di, d, rows):
     """Base-field expansion of D_i-basis rows: row j yields rows g^a * r_j.
 
     Base-field coordinates of D_i^n use per-coordinate blocks of size d, and
@@ -660,133 +610,113 @@ def _expand_rows_over_base(F, Di, d, rows, n):
     return tuple(out)
 
 
+def _frame(module, i, rows):
+    """The adapted base-field basis of V_i for the D_i-subspace W_i = span(rows).
+
+    The basis is the expansion of W_i's rows followed by the expansion of the
+    unit rows at W_i's non-pivot D_i-coordinates, so its first w vectors span
+    W_i.  Returns (w, to_basis, from_basis): to_basis holds the basis vectors
+    as rows, and from_basis, the inverse of its transpose, takes a base-field
+    column vector to its coordinates in the basis.
+    """
+    Di, d = module.vertex_field(i), module.shape.d[i]
+    n = module.dims[module.shape.index[i]]
+    pivots = rref(Di, rows)[1]
+    comp = tuple(tuple(int(c == j) for c in range(n)) for j in range(n) if j not in pivots)
+    to_basis = _expand_rows_over_base(Di, d, tuple(rows) + comp)
+    return d * len(rows), to_basis, _m_inv(module.F, m_transpose(to_basis))
+
+
+def _images(module, h, frame):
+    """Images under M_h of the adapted basis of M_h (x) V_s, one per row.
+
+    frame is _frame at the source s; the basis of M_h (x) V_s is its basis
+    in each of the m_h / d_s blocks, so the images are the columns of
+    M_h _block_diag(to_s^T).  Returns (the images of the W_s vectors, the
+    images of the complement vectors), each block by block.
+    """
+    w, to_basis, _ = frame
+    n, blocks = len(to_basis), h.m // module.shape.d[h.src]
+    img = _mul_t(module.F, _block_diag(module.F, to_basis, blocks), module.maps[h.id])
+    return (tuple(img[u * n + j] for u in range(blocks) for j in range(w)),
+            tuple(img[u * n + j] for u in range(blocks) for j in range(w, n)))
+
+
 class SubspaceTuple:
-    """A tuple of D_i-subspaces, with cached base-field data."""
+    """A tuple of D_i-subspaces W_i with an adapted basis of every V_i.
 
-    __slots__ = ("rows", "fp_rows", "fp_rref", "dims")
+    frames[i] is _frame of W_i and images[h] is _images of the frame at the
+    source of h.  submodule_tuples passes both in, having computed them once
+    per subspace rather than once per tuple.
+    """
 
-    def __init__(self, module, rows):
-        shape, F = module.shape, module.F
+    __slots__ = ("rows", "dims", "frames", "images")
+
+    def __init__(self, module, rows, frames=None, images=None):
+        shape = module.shape
         self.rows = rows
-        self.fp_rows = {}
-        self.fp_rref = {}
-        dims = []
-        for i in shape.vertices:
-            ii = shape.index[i]
-            d = shape.d[i]
-            Di = module.vertex_field(i)
-            rws = rows[i]
-            dims.append(len(rws))
-            fp = _expand_rows_over_base(F, Di, d, rws, module.dims[ii])
-            self.fp_rows[i] = fp
-            self.fp_rref[i] = rref(F, fp) if fp else ((), ())
-        self.dims = tuple(dims)
-
-
-def _source_basis_vectors(module, h, fp_rows_s):
-    """Base-field vectors of the source space M_h (x) W_s inside M_h (x) V_s."""
-    shape = module.shape
-    s = h.src
-    si = shape.index[s]
-    ds = shape.d[s]
-    blocks = h.m // ds
-    n_amb = ds * module.dims[si]
-    out = []
-    for u in range(blocks):
-        for row in fp_rows_s:
-            vec = [0] * (blocks * n_amb)
-            vec[u * n_amb:(u + 1) * n_amb] = row
-            out.append(tuple(vec))
-    return out
+        self.dims = tuple(len(rows[i]) for i in shape.vertices)
+        if frames is None:
+            frames = {i: _frame(module, i, rows[i]) for i in shape.vertices}
+        if images is None:
+            images = {h.id: _images(module, h, frames[h.src]) for h in shape.arrows}
+        self.frames = frames
+        self.images = images
 
 
 def is_submodule(module, sub):
-    """Arrow stability of a SubspaceTuple."""
-    shape, F = module.shape, module.F
-    for h in shape.arrows:
-        th = module.maps[h.id]
-        if not th or not th[0]:
-            continue
-        R, piv = sub.fp_rref[h.tgt]
-        for vec in _source_basis_vectors(module, h, sub.fp_rows[h.src]):
-            img = _mat_vec(F, th, vec)
-            if not any(img):
-                continue
-            if not piv or not in_rowspace(F, R, piv, img):
-                return False
+    """Arrow stability of a SubspaceTuple.
+
+    M_h maps M_h (x) W_s into W_t iff the coordinates past w_t of the images
+    of the W_s vectors, in the adapted basis at t, all vanish.
+    """
+    for h in module.shape.arrows:
+        w_t, _, from_t = sub.frames[h.tgt]
+        if any(map(any, _mul_t(module.F, from_t[w_t:], sub.images[h.id][0]))):
+            return False
     return True
-
-
-def _mat_vec(F, A, v):
-    mul = F._mul
-    add = F._add
-    out = []
-    for row in A:
-        s = 0
-        for a, b in zip(row, v):
-            if a and b:
-                s = add[s][mul[a][b]]
-        out.append(s)
-    return tuple(out)
 
 
 def sub_quotient(module, sub):
     """The (submodule, quotient) pair of modules determined by SubspaceTuple.
 
+    In the adapted basis at t, the coordinates of the images of the W_s
+    vectors are the sub map on top and must vanish below w_t; below w_t, the
+    coordinates of the images of the complement vectors are the quotient map.
     Raises OracleError when sub is not arrow-stable.
     """
     shape, F = module.shape, module.F
-    # per vertex: full base-field basis rows = expanded W rows then expanded
-    # complement rows (unit D_i-rows at the non-pivot D_i-coordinates)
-    comp_fp = {}
-    full_rows = {}
-    for i in shape.vertices:
-        Di = module.vertex_field(i)
-        d = shape.d[i]
-        n = module.dims[shape.index[i]]
-        pivots = set(rref(Di, sub.rows[i])[1]) if sub.rows[i] else set()
-        comp = tuple(tuple(1 if c == j else 0 for c in range(n))
-                     for j in range(n) if j not in pivots)
-        comp_fp[i] = _expand_rows_over_base(F, Di, d, comp, n)
-        full_rows[i] = sub.fp_rows[i] + comp_fp[i]
-    sub_maps = {}
-    quo_maps = {}
+    sub_maps, quo_maps = {}, {}
     for h in shape.arrows:
-        t = h.tgt
-        w_t = shape.d[t] * len(sub.rows[t])
-        n_t = shape.d[t] * module.dims[shape.index[t]]
-        th = module.maps[h.id]
-        # columns: coordinates of the images of the M (x) W_s basis vectors,
-        # then of the M (x) complement basis vectors, in the full basis at t
-        for fp_s, maps, lo, hi in ((sub.fp_rows[h.src], sub_maps, 0, w_t),
-                                   (comp_fp[h.src], quo_maps, w_t, n_t)):
-            cols = []
-            for vec in _source_basis_vectors(module, h, fp_s):
-                img = _mat_vec(F, th, vec)
-                coords = rowspace_coords(F, full_rows[t], img) if any(img) else (0,) * n_t
-                if coords is None:
-                    raise OracleError("image not expressible in the full basis")
-                if any(coords[hi:]):
-                    raise OracleError("an image of W leaves W; the tuple is not arrow-stable")
-                cols.append(coords[lo:hi])
-            maps[h.id] = tuple(tuple(col[r] for col in cols) for r in range(hi - lo))
-    sub_dims = tuple(len(sub.rows[i]) for i in shape.vertices)
-    quo_dims = tuple(n - w for n, w in zip(module.dims, sub_dims))
-    return (FiniteModule(shape, F, sub_dims, sub_maps),
+        w_t, _, from_t = sub.frames[h.tgt]
+        img_w, img_c = sub.images[h.id]
+        coords = _mul_t(F, from_t, img_w)
+        if any(map(any, coords[w_t:])):
+            raise OracleError("an image of W leaves W; the tuple is not arrow-stable")
+        sub_maps[h.id] = coords[:w_t]
+        quo_maps[h.id] = _mul_t(F, from_t[w_t:], img_c)
+    quo_dims = tuple(n - w for n, w in zip(module.dims, sub.dims))
+    return (FiniteModule(shape, F, sub.dims, sub_maps),
             FiniteModule(shape, F, quo_dims, quo_maps))
 
 
 def submodule_tuples(module):
-    """All arrow-stable tuples of D_i-subspaces of the module."""
+    """All arrow-stable tuples of D_i-subspaces of the module.
+
+    Each subspace gets its adapted basis once, and each (arrow, source
+    subspace) pair its images once; a candidate tuple only picks them.
+    """
     shape = module.shape
-    per_vertex = []
-    for i in shape.vertices:
-        ii = shape.index[i]
-        Di = module.vertex_field(i)
-        per_vertex.append(list(all_subspaces(Di, module.dims[ii])))
-    for combo in itertools.product(*per_vertex):
-        rows = {i: combo[n] for n, i in enumerate(shape.vertices)}
-        st = SubspaceTuple(module, rows)
+    subs = {i: list(all_subspaces(module.vertex_field(i), module.dims[shape.index[i]]))
+            for i in shape.vertices}
+    frames = {i: [_frame(module, i, rows) for rows in subs[i]] for i in shape.vertices}
+    images = {h.id: [_images(module, h, frame) for frame in frames[h.src]]
+              for h in shape.arrows}
+    for combo in itertools.product(*(range(len(subs[i])) for i in shape.vertices)):
+        pick = dict(zip(shape.vertices, combo))
+        st = SubspaceTuple(module, {i: subs[i][k] for i, k in pick.items()},
+                           {i: frames[i][k] for i, k in pick.items()},
+                           {h.id: images[h.id][pick[h.src]] for h in shape.arrows})
         if is_submodule(module, st):
             yield st
 
@@ -1185,14 +1115,10 @@ def synth_kronecker(shape, F, dims):
 
     def rec(start, remaining, chosen):
         if remaining == (0, 0):
-            mods = None
+            summands = []
             for key, mult in chosen:
-                m = kronecker_indec(shape, F, key)
-                for _ in range(mult):
-                    mods = m if mods is None else direct_sum(mods, m)
-            if mods is None:
-                mods = zero_module(shape, F)
-            out.append(SynthClass(mods, tuple(chosen)))
+                summands += [kronecker_indec(shape, F, key)] * mult
+            out.append(SynthClass(direct_sum(*summands, shape=shape, F=F), tuple(chosen)))
             return
         if start >= len(all_keys):
             return
@@ -1245,8 +1171,9 @@ class IsoClassCatalog:
     Built either by exhaustive orbit enumeration or from a synthesizer of
     known families; in both cases the exact mass formula
     sum |G| / |Aut M| = |representation space| certifies completeness on
-    every dimension vector small enough to count (and orbit enumeration
-    certifies it unconditionally).  Construction, from a build or a cache,
+    every dimension vector of an acyclic shape and on every nilpotent one
+    small enough to count (and orbit enumeration certifies it
+    unconditionally).  Construction, from a build or a cache,
     certifies that no two classes of a slice are isomorphic (see
     _certify_distinct) and raises OracleError otherwise.  The probes that
     classify uses are chosen per slice on its first classification, so
@@ -1420,7 +1347,7 @@ class IsoClassCatalog:
             raise OracleError("class %d is not local; indec detection failed" % info.cid)
         info.res = res
         if self.delta is not None:
-            dfc = _euler(self.shape, self.delta, info.dims)
+            dfc = euler_form(self.shape, self.delta, info.dims)
             info.defect = "pp" if dfc < 0 else ("pi" if dfc > 0 else "reg")
 
     def _finish_decomposable(self, info):
@@ -1441,10 +1368,15 @@ class IsoClassCatalog:
         info.aut = aut * q ** (end - sq_sum)
 
     def _mass_check(self, dims):
+        """Certify the slice by the mass formula sum |G|/|Aut M| = #states.
+
+        For acyclic shapes #states is the closed form q^N, so every slice is
+        checked; mass_budget bounds only the nilpotent point count.
+        """
         n_states = _state_count(self.shape, self.F, dims)
-        if n_states > self.mass_budget:
-            return
         if getattr(self.shape, "nilpotent", False):
+            if n_states > self.mass_budget:
+                return
             n_states = _nilpotent_point_count(self.shape, self.F, dims)
         g = self._group_order(dims)
         total = 0
@@ -1672,7 +1604,7 @@ class IsoClassCatalog:
         if any(sh.d[i] != 1 for i in sh.vertices):
             return None
         n = len(sh.vertices)
-        E = [[Fraction(_euler(sh, _unit(n, a), _unit(n, b))) for b in range(n)]
+        E = [[Fraction(euler_form(sh, _unit(n, a), _unit(n, b))) for b in range(n)]
              for a in range(n)]
         R, pivots = row_reduce([row + [Fraction(int(a == b)) for b in range(n)]
                                 for a, row in enumerate(E)], n)

@@ -20,6 +20,7 @@ from .hall import (
     apply_bar,
     eliminate,
     expand_in,
+    field_orders,
     linear_extension,
     triangular_bases,
 )
@@ -305,9 +306,7 @@ class CompositionContext:
         self.delta = min_delta(self.datum)
         self.seq = admissible_of(shape)
         self.labeler = AffineLabeler(shape, self.seq, window=window)
-        fields_needed = sorted(set(fit_fields) | {verify_field} |
-                               (set(escalation[0]) | {escalation[1]}
-                                if escalation else set()))
+        fields_needed = field_orders(fit_fields, verify_field, escalation)
         self.catalogs = {}
         for q in fields_needed:
             self.catalogs[q] = IsoClassCatalog(

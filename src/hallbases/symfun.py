@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .hall import LabelElement
 from .laurent import LaurentPoly, RationalV
 
 
@@ -250,13 +251,7 @@ def H_element(alg, delta, m):
     for label in homogeneous_labels(alg, dims):
         data = alg.label_data(label)
         coeffs[label] = RationalV(LaurentPoly.v_power(-data["dim_k"]))
-    out = _label_elt_sum(alg, dims, coeffs)
-    return out
-
-
-def _label_elt_sum(alg, dims, coeffs):
-    from .hall import LabelElement
-    return LabelElement(alg, tuple(dims), coeffs)
+    return LabelElement(alg, dims, coeffs)
 
 
 class SymmetricLayer:

@@ -193,6 +193,8 @@ class TestGoldenReports:
         ("comp-basis_kronecker_C", ("comp-basis", "--ctx", "kronecker", "--cap", "2,2",
                                     "--emit", "C")),
         ("roots_kronecker_w6", ("roots", "--ctx", "kronecker", "--window", "6")),
+        ("cyclic-canonical_r2_d2-3", ("cyclic-canonical", "--rank", "2", "--dim", "2,3")),
+        ("verify_all_kronecker", ("verify", "--suite", "all", "--ctx", "kronecker")),
     ])
     def test_matches_golden(self, tmp_path, golden, argv):
         out = tmp_path / "out.json"

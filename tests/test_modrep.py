@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hallbases import modrep
-from hallbases.cartan import builtin_quiver, euler_form
+from hallbases.cartan import Arrow, ValuedQuiver, builtin_quiver, euler_form
 from hallbases.cyclic import cyclic_generic_algebra, cyclic_shape, synth_cyclic
 from hallbases.modrep import (
     GF,
@@ -19,6 +19,7 @@ from hallbases.modrep import (
     OracleError,
     SubspaceTuple,
     SynthClass,
+    all_subspaces,
     aut_order_brute,
     direct_sum,
     end_dim,
@@ -333,8 +334,13 @@ def _planted(extra):
 
 
 class TestBuildCertificate:
-    # mass_budget=0 switches the mass check off, so only the Krull-Schmidt
-    # certificate of the build can catch the planted duplicate
+    # the mass check is switched off, so only the Krull-Schmidt certificate
+    # of the build can catch the planted duplicate; mass_budget cannot do
+    # that for an acyclic shape, whose every slice is mass-checked
+
+    @pytest.fixture(autouse=True)
+    def no_mass_check(self, monkeypatch):
+        monkeypatch.setattr(IsoClassCatalog, "_mass_check", lambda self, dims: None)
 
     def test_indecomposable_cataloged_twice(self):
         def extra(shape, F, dims):
@@ -343,8 +349,7 @@ class TestBuildCertificate:
             M = kronecker_indec(shape, F, ("reg", (0, 1), 1))
             return [SynthClass(M, ((("regdup", (0, 1), 1), 1),))]
         with pytest.raises(OracleError, match="do not separate"):
-            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra),
-                            mass_budget=0)
+            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra))
 
     def test_decomposition_cataloged_twice(self):
         def extra(shape, F, dims):
@@ -353,14 +358,13 @@ class TestBuildCertificate:
             return [sc for sc in synth_kronecker(shape, F, dims)
                     if len(sc.decomposition) > 1]
         with pytest.raises(OracleError, match="share a decomposition"):
-            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra),
-                            mass_budget=0)
+            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra))
 
 
-def _dropping_one_class(drop_dims):
-    """synth_cyclic without the last decomposable class of the slice drop_dims."""
+def _dropping_one_class(drop_dims, synthesizer=synth_cyclic):
+    """synthesizer without the last decomposable class of the slice drop_dims."""
     def synth(shape, F, dims):
-        classes = synth_cyclic(shape, F, dims)
+        classes = synthesizer(shape, F, dims)
         if dims == drop_dims:
             last = max(k for k, sc in enumerate(classes)
                        if len(sc.decomposition) > 1 or sc.decomposition[0][1] > 1)
@@ -395,6 +399,20 @@ class TestNilpotentMassCheck:
         alg = cyclic_generic_algebra(2, (2, 3))
         assert {q: cat.mass_checked for q, cat in alg.catalogs.items()} == {
             2: slices, 3: slices[:11], 4: slices[:11], 5: slices[:10], 7: slices[:10]}
+
+
+class TestAcyclicMassCheck:
+    # 7^8 states at (2, 2), over mass_budget: an acyclic count is q^N anyway
+
+    def test_every_slice_certified(self):
+        cat = IsoClassCatalog(KRON, field(7), [(2, 2)], synthesizer=synth_kronecker,
+                              budget=16)
+        assert len(cat.dims_list) == 9 and cat.mass_checked == cat.dims_list
+
+    def test_dropped_class_fails_the_mass_check(self):
+        with pytest.raises(OracleError, match=r"mass check failed at \(2, 2\) over GF\(7\)"):
+            IsoClassCatalog(KRON, field(7), [(2, 2)], budget=16,
+                            synthesizer=_dropping_one_class((2, 2), synth_kronecker))
 
 
 def _random_invertible(F, n, rng):
@@ -693,3 +711,156 @@ class TestStability:
         assert not is_submodule(L, W)
         with pytest.raises(OracleError, match="arrow-stable"):
             sub_quotient(L, W)
+
+
+# -- an oracle for submodules and subquotients that does not share _frame's code
+
+# an unvalued vertex into a valued one: M_h (x) V_s has m_h / d_s = 2 blocks
+TWO_BLOCKS = ValuedQuiver(("1", "2"), {"1": 1, "2": 2}, (Arrow("a", "1", "2", 2),))
+
+
+def _shape_of(name):
+    if name == "two-blocks":
+        return TWO_BLOCKS
+    return cyclic_shape(2) if name == "cyclic:2" else builtin_quiver(name)
+
+
+def _random_modules(shape, F, rng, count):
+    """Modules with dims up to 2 whose maps are zero, of rank <= 1 or random."""
+    for _ in range(count):
+        dims = tuple(rng.choice((0, 1, 2, 2)) for _ in shape.vertices)
+        maps = {}
+        for h in shape.arrows:
+            r = shape.d[h.tgt] * dims[shape.index[h.tgt]]
+            c = h.m * dims[shape.index[h.src]]
+            kind = rng.choice(("zero", "rank <= 1", "random"))
+            if kind == "rank <= 1":
+                u = [rng.randrange(F.q) for _ in range(r)]
+                v = [rng.randrange(F.q) for _ in range(c)]
+                mat = [[F.mul(a, b) for b in v] for a in u]
+            else:
+                mat = [[rng.randrange(F.q) if kind == "random" else 0 for _ in range(c)]
+                       for _ in range(r)]
+            maps[h.id] = tuple(tuple(row) for row in mat)
+        yield FiniteModule(shape, F, dims, maps)
+
+
+def _base_rows(Di, d, rows):
+    """The rows g^a r (a < d, g the generator of D_i) in base-field coordinates."""
+    powers = [1]
+    while len(powers) < d:
+        powers.append(Di.mul(powers[-1], Di.p))
+    return [[c for x in r for c in Di.coords(Di.mul(g, x))] for r in rows for g in powers]
+
+
+def _bases(M, i, rows):
+    """(basis of W_i, basis of the complement) over the base field, as lists.
+
+    rows is in reduced echelon form, so a pivot is a row's first nonzero entry;
+    the complement is spanned by the unit rows at the other coordinates.
+    """
+    n = M.dims[M.shape.index[i]]
+    pivots = {next(c for c, x in enumerate(r) if x) for r in rows}
+    units = [[int(c == j) for c in range(n)] for j in range(n) if j not in pivots]
+    Di, d = M.vertex_field(i), M.shape.d[i]
+    return _base_rows(Di, d, rows), _base_rows(Di, d, units)
+
+
+def _images(M, h, vectors):
+    """M_h applied to each vector of V_s placed in each block of M_h (x) V_s."""
+    shape, F = M.shape, M.F
+    blocks = h.m // shape.d[h.src]
+    n = shape.d[h.src] * M.dims[shape.index[h.src]]
+    out = []
+    for u in range(blocks):
+        for v in vectors:
+            x = [0] * (blocks * n)
+            x[u * n:(u + 1) * n] = v
+            out.append([_dot(F, row, x) for row in M.maps[h.id]])
+    return out
+
+
+def _dot(F, a, b):
+    s = 0
+    for x, y in zip(a, b):
+        s = F.add(s, F.mul(x, y))
+    return s
+
+
+def _combination(F, basis, coeffs, n):
+    """sum_k coeffs[k] basis[k], a vector of length n."""
+    return [_dot(F, [b[c] for b in basis], coeffs) for c in range(n)]
+
+
+def _in_span(F, basis, vectors):
+    stack = tuple(tuple(v) for v in basis + vectors)
+    return m_rank(F, stack) == m_rank(F, tuple(tuple(v) for v in basis))
+
+
+class TestSubmoduleOracle:
+    @pytest.mark.parametrize("name", ["kronecker", "a2tilde", "cyclic:2", "c2tilde-folded",
+                                      "two-blocks"])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_subspace_tuple(self, name, q):
+        shape, F = _shape_of(name), field(q)
+        stable = rejected = 0
+        for M in _random_modules(shape, F, random.Random("%s-%d" % (name, q)), 20):
+            spaces = [list(all_subspaces(M.vertex_field(i), M.dims[shape.index[i]]))
+                      for i in shape.vertices]
+            accepted = []
+            for combo in itertools.product(*spaces):
+                rows = dict(zip(shape.vertices, combo))
+                bases = {i: _bases(M, i, rows[i]) for i in shape.vertices}
+                want = all(_in_span(F, bases[h.tgt][0], _images(M, h, bases[h.src][0]))
+                           for h in shape.arrows)
+                W = SubspaceTuple(M, rows)
+                assert is_submodule(M, W) == want, (M.maps, rows)
+                if not want:
+                    with pytest.raises(OracleError, match="arrow-stable"):
+                        sub_quotient(M, W)
+                    rejected += 1
+                    continue
+                accepted.append(combo)
+                S, Q = sub_quotient(M, W)
+                assert S.dims == tuple(len(r) for r in combo)
+                assert Q.dims == tuple(a - b for a, b in zip(M.dims, S.dims))
+                for h in shape.arrows:
+                    B_t, C_t = bases[h.tgt]
+                    n_t = shape.d[h.tgt] * M.dims[shape.index[h.tgt]]
+                    # M_h B_s = B_t S_h, column by column
+                    for c, img in enumerate(_images(M, h, bases[h.src][0])):
+                        coeffs = [row[c] for row in S.maps[h.id]]
+                        assert img == _combination(F, B_t, coeffs, n_t)
+                    # M_h C_s = C_t Q_h modulo W_t, column by column
+                    for c, img in enumerate(_images(M, h, bases[h.src][1])):
+                        coeffs = [row[c] for row in Q.maps[h.id]]
+                        rest = _combination(F, C_t, coeffs, n_t)
+                        assert _in_span(F, B_t, [[F.sub(a, b) for a, b in zip(img, rest)]])
+            stable += len(accepted)
+            assert [tuple(W.rows[i] for i in shape.vertices)
+                    for W in submodule_tuples(M)] == accepted
+        assert stable and rejected
+
+
+class TestDirectSum:
+    @pytest.mark.parametrize("name, q", [("kronecker", 2), ("cyclic:2", 3),
+                                         ("c2tilde-folded", 3), ("two-blocks", 3)])
+    def test_equals_the_left_fold(self, name, q):
+        shape, F = _shape_of(name), field(q)
+        rng = random.Random(name)
+        for _ in range(6):
+            mods = list(_random_modules(shape, F, rng, rng.randrange(1, 5)))
+            total = direct_sum(*mods)
+            fold = mods[0]
+            for M in mods[1:]:
+                fold = direct_sum(fold, M)
+            assert total.dims == fold.dims and total.maps == fold.maps
+            # Hom is additive in each argument: the blocks sit where they should
+            for i in shape.vertices:
+                S = simple_module(shape, F, i)
+                assert hom_dim(S, total) == sum(hom_dim(S, M) for M in mods)
+                assert hom_dim(total, S) == sum(hom_dim(M, S) for M in mods)
+
+    def test_no_summands(self):
+        Z = direct_sum(shape=C2F, F=F3)
+        assert Z.dims == (0, 0) and all(m == () for m in Z.maps.values())
