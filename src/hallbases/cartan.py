@@ -7,7 +7,9 @@ decided by an exact rational semidefiniteness test, never numerically.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from operator import le
 
 
 class Arrow:
@@ -239,6 +241,44 @@ def euler_form(vq, x, y):
 
 def sym_form(vq, x, y):
     return euler_form(vq, x, y) + euler_form(vq, y, x)
+
+
+# -- bounded multisets of dimension vectors --------------------------------
+
+def gradings_below(cap):
+    """Every grading 0 <= nu <= cap componentwise, in ascending lexicographic order."""
+    return itertools.product(*(range(c + 1) for c in cap))
+
+
+def multisets(weights, bound, exact=True):
+    """Every multiset of weighted items whose total weight fits in bound.
+
+    Yields (mults, rest): mults[k] is the multiplicity of item k and
+    rest = bound - sum_k mults[k] * weights[k], componentwise >= 0.  With
+    exact=True only rest == 0 is yielded.  An item of weight zero always has
+    multiplicity 0.  The order is descending lexicographic in mults: item 0
+    outermost, largest multiplicity first.  Nothing is built up front, so a
+    caller holds one multiset at a time.
+    """
+    weights = [tuple(w) for w in weights]
+    mults = [0] * len(weights)
+
+    def walk(items, rest):
+        # items: the indices still to choose whose weight fits in rest
+        if not items:
+            if not (exact and any(rest)):
+                yield tuple(mults), rest
+            return
+        k, later = items[0], items[1:]
+        w = weights[k]
+        for m in range(min(r // x for r, x in zip(rest, w) if x), -1, -1):
+            left = tuple(r - m * x for r, x in zip(rest, w))
+            mults[k] = m
+            yield from walk([j for j in later if all(map(le, weights[j], left))], left)
+        mults[k] = 0
+
+    bound = tuple(bound)
+    return walk([k for k, w in enumerate(weights) if any(w) and all(map(le, w, bound))], bound)
 
 
 def reflect(datum, i, x):

@@ -9,11 +9,17 @@ checked identity passed.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
-from .cartan import admissible_of, builtin_quiver, cartan_of, is_affine, parse_quiver
+from .cartan import (
+    admissible_of,
+    builtin_quiver,
+    cartan_of,
+    gradings_below,
+    is_affine,
+    parse_quiver,
+)
 from .cyclic import (
     CyclicCanonicalBasis,
     Multisegment,
@@ -25,7 +31,7 @@ from .cyclic import (
     parse_multisegment,
     word_of,
 )
-from .hall import GenericHallAlgebra, HallContext, field_orders
+from .hall import HallContext, generic_hall_algebra
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
 from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
@@ -122,11 +128,9 @@ class _A1Labeler:
 
 def _a1_algebra(config, top):
     """The generic Hall algebra of A1 up to dimension top, over the configured fields."""
-    a1 = builtin_quiver("a1")
-    catalogs = {q: IsoClassCatalog(a1, field_of_order(q), [(top,)], synthesizer=synth_a1,
-                                   budget=16, cache_dir=config.cache_dir)
-                for q in field_orders(config.primes, config.verify_prime)}
-    return GenericHallAlgebra(a1, catalogs, _A1Labeler(), config.primes, config.verify_prime)
+    return generic_hall_algebra(builtin_quiver("a1"), (top,), _A1Labeler(), config.primes,
+                                config.verify_prime, synthesizer=synth_a1, budget=16,
+                                cache_dir=config.cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ def _suite_orthogonality(config):
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
     results = []
     ok = True
-    for nu in itertools.product(*(range(c + 1) for c in cap)):
+    for nu in gradings_below(cap):
         fails = ctx.verify_almost_orthogonal(nu)
         results.append({"grading": list(nu), "pairs_failed": len(fails)})
         ok = ok and not fails
@@ -220,7 +224,7 @@ def _suite_triangularity(config):
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
     results = []
     ok = True
-    for nu in itertools.product(*(range(c + 1) for c in cap)):
+    for nu in gradings_below(cap):
         data = ctx.basis_of_grading(nu)
         bar_ok = ctx.check_bar_involution(nu)
         c_ok = all(ctx.check_C_bar_invariant(nu, a) for a in data["aperiodic"])
@@ -233,12 +237,9 @@ def _suite_triangularity(config):
 
 def _eta_pairs(rank, bound):
     apers = []
-    for total in range(bound + 1):
-        for dims in itertools.product(range(total + 1), repeat=rank):
-            if sum(dims) == total:
-                for pi in multisegments_of_dim(rank, dims):
-                    if pi.is_aperiodic():
-                        apers.append(pi)
+    for dims in sorted(gradings_below((bound,) * rank), key=lambda d: (sum(d), d)):
+        if sum(dims) <= bound:
+            apers += [pi for pi in multisegments_of_dim(rank, dims) if pi.is_aperiodic()]
     for pi1 in apers:
         for pi2 in apers:
             if pi1.total_boxes() + pi2.total_boxes() <= bound:
@@ -275,18 +276,18 @@ def _suite_kashiwara(config):
     for v in ctx.shape.vertices:
         tri = AdmissibleTriple(ctx, v)
         rel_ok = True
-        for nu in itertools.product(*(range(c + 1) for c in cap)):
+        for nu in gradings_below(cap):
             target = tuple(a + b for a, b in zip(nu, tri.e_i))
             if all(t <= c for t, c in zip(target, cap)):
                 rel_ok = rel_ok and tri.check_relation(nu)
         lat_fails = 0
-        for nu in itertools.product(*(range(c + 1) for c in cap)):
+        for nu in gradings_below(cap):
             lat_fails += len(check_lattice_stability(tri, nu))
         ok = ok and rel_ok and lat_fails == 0
         results.append({"vertex": str(v), "relation": rel_ok,
                         "lattice_failures": lat_fails})
     sink_ok = True
-    for nu in itertools.product(*(range(c + 1) for c in cap)):
+    for nu in gradings_below(cap):
         for a in ctx.indices_of_grading(nu):
             sink_ok = sink_ok and verify_sink_identity(ctx, a)
     ok = ok and sink_ok
@@ -355,16 +356,12 @@ def cmd_verify(config, suite, rank, bound):
 # bases
 # ---------------------------------------------------------------------------
 
-def _index_str(a):
-    return str(a)
-
-
 def cmd_comp_basis(config, which):
     cap = _basis_cap(config)
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
     slices = {}
     failed = False
-    for nu in itertools.product(*(range(c + 1) for c in cap)):
+    for nu in gradings_below(cap):
         data = ctx.basis_of_grading(nu)
         order = data["aperiodic"]
         entry = {}
@@ -382,15 +379,14 @@ def cmd_comp_basis(config, which):
                     coords = data["E"][a]
                 else:
                     coords = ctx.C_in_N(nu, a)
-                entry[_index_str(a)] = [[_index_str(b), str(c)]
-                                        for b, c in sorted(coords.items(),
-                                                           key=lambda kv: _index_str(kv[0]))]
+                entry[str(a)] = [[str(b), str(c)]
+                                 for b, c in sorted(coords.items(), key=lambda kv: str(kv[0]))]
         slices["%s" % (list(nu),)] = entry
     return emit(config, {"command": "comp-basis", "ctx": config.ctx,
                          "emit": which, "cap": list(cap), "slices": slices}, failed)
 
 
-def cmd_cyclic_canonical(config, rank, dim, emit_kind):
+def cmd_cyclic_canonical(config, rank, dim):
     if rank < 2:
         raise SystemExit("--rank %d: cyclic shapes need rank >= 2" % rank)
     cap = _parse_ints(dim, "--dim") or (2, 2)
@@ -409,7 +405,7 @@ def cmd_cyclic_canonical(config, rank, dim, emit_kind):
             "coords": [[str(p), str(c)] for p, c in sorted(ang.items(), key=lambda kv: str(kv[0]))],
         }
     return emit(config, {"command": "cyclic-canonical", "rank": rank,
-                         "dim": list(cap), "emit": emit_kind, "basis": out}, failed)
+                         "dim": list(cap), "emit": "B", "basis": out}, failed)
 
 
 def cmd_hall_poly(config, triple_spec):
@@ -496,7 +492,6 @@ def main(argv=None):
     _add_common(p)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--dim", help="dimension cap, e.g. 2,2")
-    p.add_argument("--emit", default="B", choices=["B", "report"])
 
     p = sub.add_parser("hall-poly", help="fit and verify one Hall polynomial")
     _add_common(p)
@@ -523,7 +518,7 @@ def main(argv=None):
         if args.command == "comp-basis":
             return cmd_comp_basis(config, args.emit)
         if args.command == "cyclic-canonical":
-            return cmd_cyclic_canonical(config, args.rank, args.dim, args.emit)
+            return cmd_cyclic_canonical(config, args.rank, args.dim)
         if args.command == "hall-poly":
             return cmd_hall_poly(config, args.triple)
     except BudgetError as exc:

@@ -15,27 +15,21 @@ round-trip contract diamond_word(word_of(pi)) == pi.
 
 from __future__ import annotations
 
-import itertools
-
-from .cartan import Arrow
+from .cartan import Arrow, gradings_below, multisets
 from .hall import (
-    GenericHallAlgebra,
     apply_bar,
     expand_in,
-    field_orders,
+    generic_hall_algebra,
     linear_extension,
     triangular_bases,
 )
 from .laurent import LaurentPoly, RationalV
 from .modrep import (
     FiniteModule,
-    IsoClassCatalog,
     OracleError,
     SynthClass,
-    check_budget,
     direct_sum,
     field,
-    field_of_order,
     hom_dim,
 )
 
@@ -276,35 +270,10 @@ def eta_fold(pi):
 
 def multisegments_of_dim(r, dims):
     """All multisegments of the cyclic quiver K_r with the given dim vector."""
-    dims = tuple(dims)
-    total = sum(dims)
-    segs = []
-    for i in range(1, r + 1):
-        for l in range(1, total + 1):
-            d = Multisegment.segment(r, i, l).dim_vector()
-            if all(a <= b for a, b in zip(d, dims)):
-                segs.append(((i, l), d))
-    out = []
-
-    def rec(idx, remaining, chosen):
-        if all(x == 0 for x in remaining):
-            out.append(Multisegment(r, dict(chosen)))
-            return
-        if idx >= len(segs):
-            return
-        (seg, d) = segs[idx]
-        mx = min((rm // dd for rm, dd in zip(remaining, d) if dd), default=0)
-        for m in range(mx, -1, -1):
-            rest = tuple(rm - m * dd for rm, dd in zip(remaining, d))
-            if any(x < 0 for x in rest):
-                continue
-            if m:
-                chosen[seg] = m
-            rec(idx + 1, rest, chosen)
-            chosen.pop(seg, None)
-
-    rec(0, dims, {})
-    return out
+    segs = [((i, l), Multisegment.segment(r, i, l).dim_vector())
+            for i in range(1, r + 1) for l in range(1, sum(dims) + 1)]
+    return [Multisegment(r, {seg: m for (seg, _), m in zip(segs, mults) if m})
+            for mults, _ in multisets([d for _, d in segs], dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +395,11 @@ CYCLIC_BUDGET = 40
 def cyclic_generic_algebra(r, cap, fit_fields=(2, 3, 4), verify_field=5,
                            escalation=((2, 3, 4, 5), 7), cache_dir=None,
                            mass_budget=2 ** 17):
-    """The generic Hall algebra of nilpotent K_r representations up to cap.
-
-    Every field's budget is checked before the first catalog is built, so an
-    over-budget cap is refused up front, not after the smaller fields ran.
-    """
-    shape = cyclic_shape(r)
-    fields = {q: field_of_order(q) for q in field_orders(fit_fields, verify_field, escalation)}
-    for F in fields.values():
-        check_budget(shape, F, tuple(cap), CYCLIC_BUDGET)
-    catalogs = {}
-    for q, F in fields.items():
-        catalogs[q] = IsoClassCatalog(shape, F, [tuple(cap)],
-                                      synthesizer=synth_cyclic, budget=CYCLIC_BUDGET,
-                                      mass_budget=mass_budget, cache_dir=cache_dir)
-    return GenericHallAlgebra(shape, catalogs, CyclicLabeler(r), fit_fields,
-                              verify_field, escalation=escalation)
+    """The generic Hall algebra of nilpotent K_r representations up to cap."""
+    return generic_hall_algebra(cyclic_shape(r), cap, CyclicLabeler(r), fit_fields,
+                                verify_field, escalation=escalation, synthesizer=synth_cyclic,
+                                budget=CYCLIC_BUDGET, mass_budget=mass_budget,
+                                cache_dir=cache_dir)
 
 
 class CyclicCanonicalBasis:
@@ -469,7 +427,7 @@ class CyclicCanonicalBasis:
         self.mono_E_coords = {}
         self.bar_E = {}
         self.order_by_grading = {}
-        for dims in sorted(itertools.product(*(range(c + 1) for c in self.cap))):
+        for dims in gradings_below(self.cap):
             self._build_grading(dims)
 
     # angle coordinates: {pi-key: RationalV} relative to <M(pi)>

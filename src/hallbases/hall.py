@@ -17,9 +17,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import euler_form
+from .cartan import euler_form, gradings_below
 from .laurent import LaurentPoly, RationalV
-from .modrep import OracleError, direct_sum, simple_module
+from .modrep import (
+    DEFAULT_BUDGET,
+    IsoClassCatalog,
+    OracleError,
+    check_budget,
+    direct_sum,
+    field_of_order,
+    simple_module,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +458,7 @@ class GenericHallAlgebra:
             cntL = qpoly_to_v(self._label_data[label]["count"])
             terms = {}
             # every split of the grading contributes its own mult table
-            for split1 in _splits_below(dims):
+            for split1 in gradings_below(dims):
                 split2 = tuple(a - b for a, b in zip(dims, split1))
                 table = self.mult_table(split1, split2)
                 tw = euler_form(self.shape, split1, split2)
@@ -610,6 +618,25 @@ class GenericHallAlgebra:
         return HallPolynomial(poly, (l_label, m_label, n_label), primes, verify)
 
 
+def generic_hall_algebra(shape, cap, labeler, fit_fields, verify_field, escalation=None,
+                         synthesizer=None, budget=DEFAULT_BUDGET, mass_budget=2 ** 17,
+                         cache_dir=None):
+    """One catalog of shape up to cap per field a fit may read, and their generic algebra.
+
+    Every field's budget is checked before the first catalog is built, so an
+    over-budget cap is refused up front, not after the smaller fields ran.
+    """
+    cap = tuple(cap)
+    fields = [field_of_order(q) for q in field_orders(fit_fields, verify_field, escalation)]
+    for F in fields:
+        check_budget(shape, F, cap, budget)
+    catalogs = {F.q: IsoClassCatalog(shape, F, [cap], synthesizer=synthesizer, budget=budget,
+                                     mass_budget=mass_budget, cache_dir=cache_dir)
+                for F in fields}
+    return GenericHallAlgebra(shape, catalogs, labeler, fit_fields, verify_field,
+                              escalation=escalation)
+
+
 class LabelElement:
     """A graded element of the generic Hall algebra in label coordinates."""
 
@@ -688,13 +715,6 @@ class LabelElement:
         body = "; ".join("%r: %s" % (l, c) for l, c in sorted(self.coeffs.items(),
                                                               key=lambda kv: repr(kv[0])))
         return "LabelElement(%s | %s)" % (self.grading, body)
-
-
-def _splits_below(dims):
-    import itertools
-    ranges = [range(x + 1) for x in dims]
-    for t in itertools.product(*ranges):
-        yield t
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .cartan import euler_form
+from .cartan import euler_form, gradings_below, multisets
 from .laurent import row_reduce
 
 #: default resource bound: refuse when q^(total module dimension) > 2^budget
@@ -1099,39 +1099,15 @@ def kronecker_indec_keys(F, dims):
 def synth_kronecker(shape, F, dims):
     """All classes of a Kronecker dimension vector as sums of indec families."""
     a, b = dims
-    all_keys = []
-    key_dims = []
-    for x in range(a + 1):
-        for y in range(b + 1):
-            if (x, y) == (0, 0) or x > a or y > b:
-                continue
-            for key in kronecker_indec_keys(F, (x, y)):
-                all_keys.append(key)
-                key_dims.append((x, y))
-    order = sorted(range(len(all_keys)), key=lambda i: repr(all_keys[i]))
-    all_keys = [all_keys[i] for i in order]
-    key_dims = [key_dims[i] for i in order]
+    keyed = sorted(((key, (x, y)) for x in range(a + 1) for y in range(b + 1) if x or y
+                    for key in kronecker_indec_keys(F, (x, y))), key=lambda kd: repr(kd[0]))
     out = []
-
-    def rec(start, remaining, chosen):
-        if remaining == (0, 0):
-            summands = []
-            for key, mult in chosen:
-                summands += [kronecker_indec(shape, F, key)] * mult
-            out.append(SynthClass(direct_sum(*summands, shape=shape, F=F), tuple(chosen)))
-            return
-        if start >= len(all_keys):
-            return
-        dk = key_dims[start]
-        max_mult = 0
-        if dk[0] <= remaining[0] and dk[1] <= remaining[1]:
-            max_mult = min(remaining[0] // dk[0] if dk[0] else a + b,
-                           remaining[1] // dk[1] if dk[1] else a + b)
-        for mult in range(max_mult, -1, -1):
-            rest = (remaining[0] - mult * dk[0], remaining[1] - mult * dk[1])
-            rec(start + 1, rest, chosen + [(all_keys[start], mult)] if mult else chosen)
-
-    rec(0, (a, b), [])
+    for mults, _ in multisets([d for _, d in keyed], dims):
+        chosen = [(key, m) for (key, _), m in zip(keyed, mults) if m]
+        summands = []
+        for key, m in chosen:
+            summands += [kronecker_indec(shape, F, key)] * m
+        out.append(SynthClass(direct_sum(*summands, shape=shape, F=F), tuple(chosen)))
     return out
 
 
@@ -1157,11 +1133,7 @@ class ClassInfo:
 
 
 def _dims_closure(requested):
-    seen = set()
-    for dims in requested:
-        ranges = [range(x + 1) for x in dims]
-        for t in itertools.product(*ranges):
-            seen.add(t)
+    seen = {t for dims in requested for t in gradings_below(dims)}
     return sorted(seen, key=lambda t: (sum(t), t))
 
 
@@ -1293,37 +1265,15 @@ class IsoClassCatalog:
         if not cands:
             return None
         profile = [hom_dim(self.classes[p].module, M) for p in self.indec_ids]
-        target_dims = M.dims
         solutions = []
-
-        def rec(idx, remaining, chosen):
-            if len(solutions) > 1:
-                return
-            if all(x == 0 for x in remaining):
-                vec = {cid: m for cid, m in chosen if m}
-                for p_idx, p in enumerate(self.indec_ids):
-                    s = sum(m * self._pair(p, cid) for cid, m in vec.items())
-                    if s != profile[p_idx]:
-                        return
+        for mults, _ in multisets([self.classes[cid].dims for cid in cands], M.dims):
+            vec = {cid: m for cid, m in zip(cands, mults) if m}
+            if all(sum(m * self._pair(p, cid) for cid, m in vec.items()) == profile[p_idx]
+                   for p_idx, p in enumerate(self.indec_ids)):
+                if solutions:
+                    raise OracleError("decomposition of a module is not determined by profiles")
                 solutions.append(tuple(sorted(vec.items())))
-                return
-            if idx >= len(cands):
-                return
-            cid = cands[idx]
-            d = self.classes[cid].dims
-            mx = min((r // x for r, x in zip(remaining, d) if x), default=0)
-            if all(x == 0 for x in d):
-                mx = 0
-            for m in range(mx, -1, -1):
-                rest = tuple(r - m * x for r, x in zip(remaining, d))
-                rec(idx + 1, rest, chosen + [(cid, m)])
-
-        rec(0, target_dims, [])
-        if not solutions:
-            return None
-        if len(solutions) > 1:
-            raise OracleError("decomposition of a module is not determined by profiles")
-        return solutions[0]
+        return solutions[0] if solutions else None
 
     def _pair(self, p_cid, x_cid):
         """dim Hom(indec p, indec x), cached."""

@@ -11,21 +11,18 @@ unitriangular eliminations in Q(v).
 
 from __future__ import annotations
 
-import itertools
-
-from .cartan import admissible_of, builtin_quiver, cartan_of, is_affine, min_delta
+from .cartan import admissible_of, builtin_quiver, cartan_of, is_affine, min_delta, multisets
 from .cyclic import Multisegment, leq_G, word_of
 from .hall import (
-    GenericHallAlgebra,
     apply_bar,
     eliminate,
     expand_in,
-    field_orders,
+    generic_hall_algebra,
     linear_extension,
     triangular_bases,
 )
 from .laurent import RationalV, in_lattice, row_reduce
-from .modrep import IsoClassCatalog, OracleError, field_of_order, synth_kronecker
+from .modrep import OracleError, synth_kronecker
 from .symfun import SymmetricLayer, check_partition, partitions_of
 
 
@@ -306,20 +303,15 @@ class CompositionContext:
         self.delta = min_delta(self.datum)
         self.seq = admissible_of(shape)
         self.labeler = AffineLabeler(shape, self.seq, window=window)
-        fields_needed = field_orders(fit_fields, verify_field, escalation)
-        self.catalogs = {}
-        for q in fields_needed:
-            self.catalogs[q] = IsoClassCatalog(
-                shape, field_of_order(q), [self.cap], synthesizer=synthesizer,
-                budget=budget, mass_budget=mass_budget, cache_dir=cache_dir)
-        self.alg = GenericHallAlgebra(shape, self.catalogs, self.labeler,
-                                      fit_fields, verify_field, escalation=escalation)
+        self.alg = generic_hall_algebra(shape, self.cap, self.labeler, fit_fields, verify_field,
+                                        escalation=escalation, synthesizer=synthesizer,
+                                        budget=budget, mass_budget=mass_budget,
+                                        cache_dir=cache_dir)
+        self.catalogs = self.alg.catalogs
         max_m = min((c // d for c, d in zip(self.cap, self.delta)), default=0)
         self.symmetric = SymmetricLayer(self.alg, self.delta, max_m) if max_m >= 0 else None
-        q0 = fields_needed[0]
-        self.tube_ranks = [len(simples) for simples in
-                           self.labeler.tube_simple_dims(self.catalogs[q0])]
-        self.tube_dims = self.labeler.tube_simple_dims(self.catalogs[q0])
+        self.tube_dims = self.labeler.tube_simple_dims(self.catalogs[self.alg.all_fields[0]])
+        self.tube_ranks = [len(simples) for simples in self.tube_dims]
         # vertex order for monomials: sources first, no arrows backwards
         self.vertex_order = _topological_vertices(shape)
         self._indices_cache = {}
@@ -335,13 +327,9 @@ class CompositionContext:
         if nu in self._indices_cache:
             return self._indices_cache[nu]
         out = []
-        minus_parts = self._boundary_options(nu, positive=False)
-        for cminus, used_m in minus_parts:
-            rest1 = tuple(a - b for a, b in zip(nu, used_m))
-            for cplus, used_p in self._boundary_options(rest1, positive=True):
-                rest2 = tuple(a - b for a, b in zip(rest1, used_p))
-                for c0, used_0 in self._tube_options(rest2):
-                    rest3 = tuple(a - b for a, b in zip(rest2, used_0))
+        for cminus, rest1 in self._boundary_options(nu, positive=False):
+            for cplus, rest2 in self._boundary_options(rest1, positive=True):
+                for c0, rest3 in self._tube_options(rest2):
                     m = _delta_multiple(rest3, self.delta)
                     if m is None:
                         continue
@@ -360,78 +348,22 @@ class CompositionContext:
                 b = self.beta(t)
             except ValueError:
                 break
-            if all(x <= y for x, y in zip(b, bound)):
-                roots.append((t, b))
+            roots.append((t, b))
             if sum(b) > sum(bound):
                 break
             t += 1 if positive else -1
             if abs(t) > 40:
                 break
-        results = []
-
-        def rec(idx, remaining, chosen):
-            if idx == len(roots):
-                used = tuple(a - b for a, b in zip(bound, remaining))
-                results.append((tuple(chosen), used))
-                return
-            t, b = roots[idx]
-            mx = min((r // x for r, x in zip(remaining, b) if x), default=0)
-            for mult in range(mx, -1, -1):
-                rest = tuple(r - mult * x for r, x in zip(remaining, b))
-                if mult:
-                    chosen.append((t, mult))
-                rec(idx + 1, rest, chosen)
-                if mult:
-                    chosen.pop()
-
-        rec(0, bound, [])
-        return results
+        return _fitting(roots, bound)
 
     def _tube_options(self, bound):
         """Tuples of per-tube multisegments with ambient dim sum <= bound."""
-        per_tube = []
-        for ti, r in enumerate(self.tube_ranks):
-            opts = []
-            segs = []
-            for i in range(1, r + 1):
-                for l in range(1, sum(bound) + 1):
-                    d = self._tube_segment_dim(ti, i, l)
-                    if all(x <= y for x, y in zip(d, bound)):
-                        segs.append(((i, l), d))
-
-            def rec(idx, remaining, chosen, segs=segs, opts=opts):
-                if idx == len(segs):
-                    used = tuple(a - b for a, b in zip(bound, remaining))
-                    opts.append((tuple(chosen), used))
-                    return
-                (seg, d) = segs[idx]
-                mx = min((r2 // x for r2, x in zip(remaining, d) if x), default=0)
-                for mult in range(mx, -1, -1):
-                    rest = tuple(r2 - mult * x for r2, x in zip(remaining, d))
-                    if mult:
-                        chosen.append((seg, mult))
-                    rec(idx + 1, rest, chosen)
-                    if mult:
-                        chosen.pop()
-
-            rec(0, bound, [])
-            per_tube.append(opts)
-        out = []
-        for combo in itertools.product(*per_tube):
-            total = tuple(0 for _ in bound)
-            parts = []
-            ok = True
-            for part, used in combo:
-                total = tuple(a + b for a, b in zip(total, used))
-                parts.append(part)
-                if any(x > y for x, y in zip(total, bound)):
-                    ok = False
-                    break
-            if ok:
-                out.append((tuple(parts), total))
-        if not self.tube_ranks:
-            out = [((), tuple(0 for _ in bound))]
-        return out
+        segs = [((ti, (i, l)), self._tube_segment_dim(ti, i, l))
+                for ti, r in enumerate(self.tube_ranks)
+                for i in range(1, r + 1) for l in range(1, sum(bound) + 1)]
+        return [(tuple(tuple((seg, m) for (tj, seg), m in chosen if tj == ti)
+                       for ti in range(len(self.tube_ranks))), rest)
+                for chosen, rest in _fitting(segs, bound)]
 
     def _tube_segment_dim(self, ti, i, l):
         dims = self.tube_dims[ti]
@@ -657,6 +589,16 @@ class GenericElement:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def _fitting(items, bound):
+    """Every multiset of (label, dims) items with dim sum <= bound.
+
+    Returns (((label, mult), ...) over the nonzero multiplicities, bound - dim sum)
+    pairs, in the order of cartan.multisets.
+    """
+    return [(tuple((label, m) for (label, _), m in zip(items, mults) if m), rest)
+            for mults, rest in multisets([d for _, d in items], bound, exact=False)]
+
 
 def _delta_multiple(dims, delta):
     """m with dims = m * delta, or None."""

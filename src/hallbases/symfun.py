@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .cartan import multisets
 from .hall import LabelElement
 from .laurent import LaurentPoly, RationalV
 
@@ -30,19 +31,9 @@ def check_partition(lam):
 
 def partitions_of(n):
     """All partitions of n, in descending lexicographic order."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, mx, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(mx, remaining), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(n, n, [])
-    return out
+    parts = range(n, 0, -1)
+    return [tuple(p for p, m in zip(parts, mults) for _ in range(m))
+            for mults, _ in multisets([(p,) for p in parts], (n,))]
 
 
 def lex_less(lam, mu):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,9 +15,11 @@ from hallbases.cartan import (
     cartan_of,
     euler_form,
     fold,
+    gradings_below,
     is_affine,
     is_finite_type,
     min_delta,
+    multisets,
     parse_quiver,
     reflect,
     sym_form,
@@ -231,3 +234,55 @@ class TestTextFormat:
     def test_unknown_directive(self):
         with pytest.raises(ValueError):
             parse_quiver("edge A B")
+
+
+def _multisets_oracle(weights, bound, exact):
+    """Filter the full product of descending per-item multiplicity ranges."""
+    tops = [min((b // x for b, x in zip(bound, w) if x), default=0) if any(w) else 0
+            for w in weights]
+    out = []
+    for mults in itertools.product(*(range(t, -1, -1) for t in tops)):
+        rest = tuple(b - sum(m * w[c] for m, w in zip(mults, weights))
+                     for c, b in enumerate(bound))
+        if all(x >= 0 for x in rest) and not (exact and any(rest)):
+            out.append((mults, rest))
+    return out
+
+
+class TestMultisets:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    def test_matches_product_oracle(self, exact, ncomp):
+        rng = random.Random(100 * ncomp + exact)
+        for _ in range(150):
+            nitems = rng.randint(0, 5)
+            weights = [tuple(rng.randint(0, 3) for _ in range(ncomp)) for _ in range(nitems)]
+            bound = tuple(rng.randint(0, 5) for _ in range(ncomp))
+            want = _multisets_oracle(weights, bound, exact)
+            assert list(multisets(weights, bound, exact)) == want
+
+    def test_zero_weight_gets_multiplicity_zero(self):
+        assert list(multisets([(0, 0), (1, 0)], (2, 0))) == [((0, 2), (0, 0))]
+        assert list(multisets([(0,)], (3,), exact=False)) == [((0,), (3,))]
+        assert list(multisets([(0,)], (0,))) == [((0,), (0,))]
+
+    def test_no_items(self):
+        assert list(multisets([], (0, 0))) == [((), (0, 0))]
+        assert list(multisets([], (1, 0))) == []
+        assert list(multisets([], (1, 0), exact=False)) == [((), (1, 0))]
+
+    def test_descending_lexicographic(self):
+        got = [m for m, _ in multisets([(1, 0), (0, 1), (1, 1)], (2, 2))]
+        assert got == [(2, 2, 0), (1, 1, 1), (0, 0, 2)]
+        got = [m for m, _ in multisets([(1,), (2,)], (3,), exact=False)]
+        assert got == sorted(got, reverse=True) and len(got) == 6
+
+
+class TestGradingsBelow:
+    @pytest.mark.parametrize("cap", [(), (0,), (3,), (2, 0), (1, 2), (2, 1, 2)])
+    def test_every_grading_once_in_lex_order(self, cap):
+        got = list(gradings_below(cap))
+        want = sorted(nu for nu in itertools.product(range(max(cap, default=0) + 1),
+                                                     repeat=len(cap))
+                      if all(x <= c for x, c in zip(nu, cap)))
+        assert got == want

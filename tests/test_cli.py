@@ -10,6 +10,7 @@ import pytest
 
 import hallbases
 from hallbases.cli import main
+from hallbases.modrep import IsoClassCatalog
 
 
 def run(tmp_path, *argv):
@@ -131,6 +132,18 @@ class TestRefusals:
         assert isinstance(message, str) and names in message and "\n" not in message
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("hall-poly", "--ctx", "a1", "--triple", "9/5/4"),
+        ("cyclic-canonical", "--rank", "2", "--dim", "9,9"),
+    ])
+    def test_no_catalog_before_budget_refusal(self, tmp_path, monkeypatch, argv):
+        def build(self, shape, F, *args, **kwargs):
+            raise AssertionError("GF(%d) catalog built before the budget refusal" % F.q)
+
+        monkeypatch.setattr(IsoClassCatalog, "__init__", build)
+        with pytest.raises(SystemExit, match="exceeds budget"):
+            run(tmp_path, *argv)
+
     def test_refusal_exit_status(self):
         proc = _run_cli("cyclic-canonical", "--rank", "2", "--dim", "1")
         assert proc.returncode == 1
@@ -165,6 +178,7 @@ class TestRemovedOptions:
         ("verify", "--suite", "eta", "--threads", "4"),
         ("verify", "--suite", "eta", "--order", "3"),
         ("basis", "comp", "--ctx", "kronecker", "--cap", "1,1"),
+        ("cyclic-canonical", "--rank", "2", "--dim", "1,1", "--emit", "B"),
     ])
     def test_rejected_by_the_parser(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:

@@ -70,3 +70,17 @@ class TestJacobiTrudi:
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     assert mat.get((lam, mu), 0) == kostka(lam, mu)
+
+
+class TestPartitions:
+    # p(n) for n = 0..12
+    COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_descending_lex_with_p_n_entries(self, n):
+        lams = partitions_of(n)
+        assert len(lams) == self.COUNTS[n]
+        assert lams == sorted(set(lams), reverse=True)
+        for lam in lams:
+            assert sum(lam) == n and list(lam) == sorted(lam, reverse=True)
+            assert all(part > 0 for part in lam)
