@@ -429,6 +429,18 @@ class AdmissibleSequence:
             raise ValueError("beta_%d is not a positive root; the sequence is not reduced there" % t)
         return x
 
+    def betas(self, window):
+        """{t: beta_t} for |t| <= window; each ray (t <= 0, then t >= 1) is
+        walked outwards and stops where the periodic word stops being reduced."""
+        out = {}
+        for ray in (range(0, -window - 1, -1), range(1, window + 1)):
+            for t in ray:
+                try:
+                    out[t] = self.beta(t)
+                except ValueError:
+                    break
+        return out
+
 
 def admissible_of(vq):
     """The admissible sequence obtained from a topological sink ordering.

@@ -31,7 +31,7 @@ from .cyclic import (
     parse_multisegment,
     word_of,
 )
-from .hall import HallContext, generic_hall_algebra
+from .hall import FitError, HallContext, generic_hall_algebra
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
 from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
@@ -87,9 +87,12 @@ def _parse_ints(text, option):
     if not text:
         return None
     try:
-        return tuple(int(x) for x in str(text).split(","))
+        values = tuple(int(x) for x in str(text).split(","))
     except ValueError:
         raise SystemExit("%s %s: expected comma-separated integers" % (option, text))
+    if any(x < 0 for x in values):
+        raise SystemExit("%s %s: entries must not be negative" % (option, text))
+    return values
 
 
 def emit(config, payload, failed=False):
@@ -147,17 +150,7 @@ def cmd_roots(config, window):
     catalog = None
     rows = []
     failed = False
-    betas = {}
-    # walk each ray outwards and stop at the first invalid position: beyond
-    # it the periodic word is no longer reduced, whatever beta it produces
-    for direction in (0, 1):
-        t = direction
-        while abs(t) <= window:
-            try:
-                betas[t] = seq.beta(t)
-            except ValueError:
-                break
-            t += 1 if direction else -1
+    betas = seq.betas(window)
     if affine:
         synth = synth_kronecker if config.ctx == "kronecker" else None
         try:
@@ -499,6 +492,9 @@ def main(argv=None):
                    help="'L / M / N' multisegments (cyclic) or dims (a1)")
 
     args = parser.parse_args(argv)
+    for option in ("window", "bound"):
+        if getattr(args, option, 0) < 0:
+            raise SystemExit("--%s %d: must not be negative" % (option, getattr(args, option)))
     config = RunConfig(args)
     if config.ctx:
         try:
@@ -523,6 +519,9 @@ def main(argv=None):
             return cmd_hall_poly(config, args.triple)
     except BudgetError as exc:
         raise SystemExit("refused, over budget: %s" % exc)
+    except FitError as exc:
+        sys.stderr.write("refused, fit not verified: %s; fit over more --primes\n" % exc)
+        return 2
     raise SystemExit("unknown command")
 
 

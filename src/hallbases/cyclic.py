@@ -27,8 +27,6 @@ from .laurent import LaurentPoly, RationalV
 from .modrep import (
     FiniteModule,
     OracleError,
-    SynthClass,
-    direct_sum,
     field,
     hom_dim,
 )
@@ -308,15 +306,11 @@ def build_module(shape, F, pi):
 
 
 def synth_cyclic(shape, F, dims):
-    """Synthesizer: one class per multisegment of the dimension vector."""
-    out = []
-    for pi in multisegments_of_dim(shape.r, dims):
-        summands, dec = [], []
-        for (i, l), m in sorted(pi.entries.items()):
-            summands += [build_module(shape, F, Multisegment.segment(shape.r, i, l))] * m
-            dec.append((("seg", i, l), m))
-        out.append(SynthClass(direct_sum(*summands, shape=shape, F=F), tuple(dec)))
-    return out
+    """Synthesizer: the segments [i;l) whose dimension vector is dims."""
+    l = sum(dims)
+    segments = [(i, Multisegment.segment(shape.r, i, l)) for i in range(1, shape.r + 1) if l]
+    return [(("seg", i, l), build_module(shape, F, seg))
+            for i, seg in segments if seg.dim_vector() == tuple(dims)]
 
 
 _HOM_MEMO = {}
@@ -393,13 +387,11 @@ CYCLIC_BUDGET = 40
 
 
 def cyclic_generic_algebra(r, cap, fit_fields=(2, 3, 4), verify_field=5,
-                           escalation=((2, 3, 4, 5), 7), cache_dir=None,
-                           mass_budget=2 ** 17):
+                           escalation=((2, 3, 4, 5), 7), cache_dir=None):
     """The generic Hall algebra of nilpotent K_r representations up to cap."""
     return generic_hall_algebra(cyclic_shape(r), cap, CyclicLabeler(r), fit_fields,
                                 verify_field, escalation=escalation, synthesizer=synth_cyclic,
-                                budget=CYCLIC_BUDGET, mass_budget=mass_budget,
-                                cache_dir=cache_dir)
+                                budget=CYCLIC_BUDGET, cache_dir=cache_dir)
 
 
 class CyclicCanonicalBasis:

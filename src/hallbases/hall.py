@@ -619,8 +619,7 @@ class GenericHallAlgebra:
 
 
 def generic_hall_algebra(shape, cap, labeler, fit_fields, verify_field, escalation=None,
-                         synthesizer=None, budget=DEFAULT_BUDGET, mass_budget=2 ** 17,
-                         cache_dir=None):
+                         synthesizer=None, budget=DEFAULT_BUDGET, cache_dir=None):
     """One catalog of shape up to cap per field a fit may read, and their generic algebra.
 
     Every field's budget is checked before the first catalog is built, so an
@@ -631,7 +630,7 @@ def generic_hall_algebra(shape, cap, labeler, fit_fields, verify_field, escalati
     for F in fields:
         check_budget(shape, F, cap, budget)
     catalogs = {F.q: IsoClassCatalog(shape, F, [cap], synthesizer=synthesizer, budget=budget,
-                                     mass_budget=mass_budget, cache_dir=cache_dir)
+                                     cache_dir=cache_dir)
                 for F in fields}
     return GenericHallAlgebra(shape, catalogs, labeler, fit_fields, verify_field,
                               escalation=escalation)

@@ -39,6 +39,10 @@ from .laurent import row_reduce
 #: default resource bound: refuse when q^(total module dimension) > 2^budget
 DEFAULT_BUDGET = 8
 
+#: orbit enumeration and the nilpotent mass check walk or count at most
+#: 2^STATE_BUDGET arrow-map tuples of a slice
+STATE_BUDGET = 17
+
 #: documented fixed defining polynomials, low-degree coefficients first
 IRREDUCIBLE = {
     (2, 2): (1, 1, 1),        # x^2 + x + 1
@@ -1025,24 +1029,13 @@ def companion(F, p):
     return tuple(tuple(r) for r in out)
 
 
-# -- synthesizers -------------------------------------------------------------
+# -- synthesizers: the indecomposables of one dimension vector, [(key, module)]
 
 def synth_a1(shape, F, dims):
-    """Single vertex, no arrows: one class per dimension."""
-    n = dims[0]
-    M = FiniteModule(shape, F, dims, {})
-    key = ("s",)
-    return [SynthClass(M, ((key, n),) if n else ())]
-
-
-class SynthClass:
-    """A synthesized class: representative plus decomposition by indec keys."""
-
-    __slots__ = ("module", "decomposition")
-
-    def __init__(self, module, decomposition):
-        self.module = module
-        self.decomposition = tuple(decomposition)
+    """Single vertex, no arrows: the simple is the one indecomposable."""
+    if dims != (1,):
+        return []
+    return [(("s",), FiniteModule(shape, F, dims, {}))]
 
 
 def kronecker_indec(shape, F, key):
@@ -1097,18 +1090,8 @@ def kronecker_indec_keys(F, dims):
 
 
 def synth_kronecker(shape, F, dims):
-    """All classes of a Kronecker dimension vector as sums of indec families."""
-    a, b = dims
-    keyed = sorted(((key, (x, y)) for x in range(a + 1) for y in range(b + 1) if x or y
-                    for key in kronecker_indec_keys(F, (x, y))), key=lambda kd: repr(kd[0]))
-    out = []
-    for mults, _ in multisets([d for _, d in keyed], dims):
-        chosen = [(key, m) for (key, _), m in zip(keyed, mults) if m]
-        summands = []
-        for key, m in chosen:
-            summands += [kronecker_indec(shape, F, key)] * m
-        out.append(SynthClass(direct_sum(*summands, shape=shape, F=F), tuple(chosen)))
-    return out
+    """The Kronecker indecomposables of dims, one per family key."""
+    return [(key, kronecker_indec(shape, F, key)) for key in kronecker_indec_keys(F, dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -1153,7 +1136,7 @@ class IsoClassCatalog:
     """
 
     def __init__(self, shape, F, dims_list, synthesizer=None, budget=DEFAULT_BUDGET,
-                 mass_budget=2 ** 17, cache_dir=None):
+                 cache_dir=None):
         self.shape = shape
         self.F = F
         self.dims_list = _dims_closure(dims_list)
@@ -1167,7 +1150,6 @@ class IsoClassCatalog:
         self._class_by_profile = {}
         self.mass_checked = []
         self.cache_dir = cache_dir
-        self.mass_budget = mass_budget
         self.delta = None
         if not getattr(shape, "nilpotent", False):
             from .cartan import ValuedQuiver, cartan_of, is_affine, min_delta
@@ -1193,6 +1175,10 @@ class IsoClassCatalog:
     def _build(self, synthesizer, budget):
         for dims in self.dims_list:
             check_budget(self.shape, self.F, dims, budget)
+            n_states = _state_count(self.shape, self.F, dims)
+            if synthesizer is None and n_states > 2 ** STATE_BUDGET:
+                raise BudgetError("orbit enumeration of %s over GF(%d) walks %d states, over 2^%d"
+                                  % (dims, self.F.q, n_states, STATE_BUDGET))
         for dims in self.dims_list:
             start = len(self.classes)
             if synthesizer is not None:
@@ -1203,53 +1189,56 @@ class IsoClassCatalog:
             self._mass_check(dims)
 
     def _build_dim_synth(self, dims, synthesizer):
-        sclasses = synthesizer(self.shape, self.F, dims)
-        sclasses.sort(key=lambda sc: repr(sc.decomposition))
-        key_to_cid = getattr(self, "_synth_key_to_cid", None)
-        if key_to_cid is None:
-            key_to_cid = self._synth_key_to_cid = {}
-        for sc in sclasses:
-            cid = len(self.classes)
-            info = ClassInfo(cid, sc.module, dims)
-            if len(sc.decomposition) == 1 and sc.decomposition[0][1] == 1:
-                info.indec = True
-                info.synth_key = sc.decomposition[0][0]
-                key_to_cid[info.synth_key] = cid
-                self.indec_ids.append(cid)
-                info.decomposition = ((cid, 1),)
-                self._finish_indec(info)
+        """Every class of dims: a multiset of cataloged or new indecomposables.
+
+        Classes come in repr order of their decomposition by synthesizer key,
+        summands in repr-of-key order; a sum reuses its summands' modules.
+        """
+        items = [(self.classes[cid].synth_key, cid, self.classes[cid].module)
+                 for cid in self._indecs_within(dims)]
+        items += [(key, None, M) for key, M in synthesizer(self.shape, self.F, dims)]
+        items.sort(key=lambda item: repr(item[0]))
+        named = []
+        for mults, _ in multisets([M.dims for _, _, M in items], dims):
+            chosen = [(item, m) for item, m in zip(items, mults) if m]
+            named.append((repr(tuple((item[0], m) for item, m in chosen)), chosen))
+        named.sort(key=lambda nc: nc[0])
+        for _, chosen in named:
+            if len(chosen) == 1 and chosen[0][0][1] is None:
+                key, _, M = chosen[0][0]
+                self._add_class(M, None, key)
             else:
-                dec = tuple(sorted(((key_to_cid[k], m) for k, m in sc.decomposition)))
-                for icid, _ in dec:
-                    if not self.classes[icid].indec:
-                        raise OracleError("synth decomposition references a decomposable")
-                info.decomposition = dec
-                self._finish_decomposable(info)
-            self.classes.append(info)
+                summands = [item[2] for item, m in chosen for _ in range(m)]
+                self._add_class(direct_sum(*summands, shape=self.shape, F=self.F),
+                                tuple(sorted((item[1], m) for item, m in chosen)))
 
     def _build_dim_bfs(self, dims):
         shape, F = self.shape, self.F
         reps = enumerate_bfs(shape, F, dims)
         reps.sort(key=lambda ro: tuple(ro[0][h.id] for h in shape.arrows))
         for maps, orbit_size in reps:
-            cid = len(self.classes)
             M = FiniteModule(shape, F, dims, maps)
-            info = ClassInfo(cid, M, dims)
-            dec = self._solve_decomposition(M)
-            if dec is None:
-                info.indec = True
-                self.indec_ids.append(cid)
-                info.decomposition = ((cid, 1),)
-                self._finish_indec(info)
-            else:
-                info.decomposition = dec
-                self._finish_decomposable(info)
+            info = self._add_class(M, self._solve_decomposition(M))
             g = self._group_order(dims)
             if g % info.aut or g // info.aut != orbit_size:
                 raise OracleError(
                     "orbit size %d does not match |G|/|Aut| for class %d"
-                    % (orbit_size, cid))
-            self.classes.append(info)
+                    % (orbit_size, info.cid))
+
+    def _add_class(self, module, decomposition, synth_key=None):
+        """Append the class of module; decomposition None makes it a new indecomposable."""
+        info = ClassInfo(len(self.classes), module, module.dims)
+        if decomposition is None:
+            info.indec = True
+            info.synth_key = synth_key
+            self.indec_ids.append(info.cid)
+            info.decomposition = ((info.cid, 1),)
+            self._finish_indec(info)
+        else:
+            info.decomposition = decomposition
+            self._finish_decomposable(info)
+        self.classes.append(info)
+        return info
 
     def _solve_decomposition(self, M):
         """Unique expression of M as a sum of already known indecs, or None.
@@ -1260,8 +1249,7 @@ class IsoClassCatalog:
         """
         if all(x == 0 for x in M.dims):
             return ()
-        cands = [cid for cid in self.indec_ids
-                 if all(x <= y for x, y in zip(self.classes[cid].dims, M.dims))]
+        cands = self._indecs_within(M.dims)
         if not cands:
             return None
         profile = [hom_dim(self.classes[p].module, M) for p in self.indec_ids]
@@ -1274,6 +1262,11 @@ class IsoClassCatalog:
                     raise OracleError("decomposition of a module is not determined by profiles")
                 solutions.append(tuple(sorted(vec.items())))
         return solutions[0] if solutions else None
+
+    def _indecs_within(self, dims):
+        """The cataloged indecomposables whose dimension vectors fit in dims."""
+        return [cid for cid in self.indec_ids
+                if all(x <= y for x, y in zip(self.classes[cid].dims, dims))]
 
     def _pair(self, p_cid, x_cid):
         """dim Hom(indec p, indec x), cached."""
@@ -1321,11 +1314,11 @@ class IsoClassCatalog:
         """Certify the slice by the mass formula sum |G|/|Aut M| = #states.
 
         For acyclic shapes #states is the closed form q^N, so every slice is
-        checked; mass_budget bounds only the nilpotent point count.
+        checked; STATE_BUDGET bounds only the nilpotent point count.
         """
         n_states = _state_count(self.shape, self.F, dims)
         if getattr(self.shape, "nilpotent", False):
-            if n_states > self.mass_budget:
+            if n_states > 2 ** STATE_BUDGET:
                 return
             n_states = _nilpotent_point_count(self.shape, self.F, dims)
         g = self._group_order(dims)

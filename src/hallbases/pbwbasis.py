@@ -30,26 +30,21 @@ from .symfun import SymmetricLayer, check_partition, partitions_of
 # labels for classes of an affine valued quiver
 # ---------------------------------------------------------------------------
 
+#: labels name the real roots beta_t with |t| <= LABEL_WINDOW
+LABEL_WINDOW = 10
+
+
 class AffineLabeler:
     """Field-independent labels: preprojective/preinjective root positions,
     per-tube multisegments, and homogeneous (degree, partition) points."""
 
-    def __init__(self, shape, seq, window=10):
+    def __init__(self, shape, seq):
         self.shape = shape
         self.seq = seq
-        self.window = window
         self.beta_pp = {}
         self.beta_pi = {}
-        for t in range(0, -window - 1, -1):
-            try:
-                self.beta_pp[seq.beta(t)] = t
-            except ValueError:
-                break
-        for t in range(1, window + 1):
-            try:
-                self.beta_pi[seq.beta(t)] = t
-            except ValueError:
-                break
+        for t, beta in seq.betas(LABEL_WINDOW).items():
+            (self.beta_pp if t <= 0 else self.beta_pi)[beta] = t
         self._tube_cache = {}
 
     def _tube_data(self, catalog):
@@ -291,9 +286,7 @@ def prec(a, b, ranks):
 class CompositionContext:
     """Everything needed to compute bases of H^0 for one affine valued quiver."""
 
-    def __init__(self, name, shape, cap, synthesizer=None,
-                 fit_fields=(2, 3, 4), verify_field=5, escalation=((2, 3, 4, 5), 7),
-                 cache_dir=None, window=10, budget=30, mass_budget=2 ** 17):
+    def __init__(self, name, shape, cap, synthesizer=None, cache_dir=None):
         self.name = name
         self.shape = shape
         self.cap = tuple(cap)
@@ -302,11 +295,10 @@ class CompositionContext:
             raise ValueError("composition contexts require an affine quiver")
         self.delta = min_delta(self.datum)
         self.seq = admissible_of(shape)
-        self.labeler = AffineLabeler(shape, self.seq, window=window)
-        self.alg = generic_hall_algebra(shape, self.cap, self.labeler, fit_fields, verify_field,
-                                        escalation=escalation, synthesizer=synthesizer,
-                                        budget=budget, mass_budget=mass_budget,
-                                        cache_dir=cache_dir)
+        self.labeler = AffineLabeler(shape, self.seq)
+        self.alg = generic_hall_algebra(shape, self.cap, self.labeler, (2, 3, 4), 5,
+                                        escalation=((2, 3, 4, 5), 7), synthesizer=synthesizer,
+                                        budget=30, cache_dir=cache_dir)
         self.catalogs = self.alg.catalogs
         max_m = min((c // d for c, d in zip(self.cap, self.delta)), default=0)
         self.symmetric = SymmetricLayer(self.alg, self.delta, max_m) if max_m >= 0 else None

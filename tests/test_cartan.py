@@ -214,6 +214,20 @@ class TestBeta:
                 assert c.sym_form(b, b) == c.sym_form(ei, ei)
 
 
+    def test_betas_walk_both_rays(self):
+        seq = admissible_of(KRON)
+        betas = seq.betas(2)
+        assert list(betas) == [0, -1, -2, 1, 2]
+        assert betas == {t: seq.beta(t) for t in range(-2, 3)}
+        assert seq.betas(0) == {0: seq.beta(0)}
+
+    def test_betas_stop_where_the_word_is_not_reduced(self):
+        # finite type: each ray lists the three positive roots of A2, then stops
+        betas = admissible_of(A2).betas(6)
+        assert list(betas) == [0, -1, -2, 1, 2, 3]
+        assert sorted(set(betas.values())) == [(0, 1), (1, 0), (1, 1)]
+
+
 class TestTextFormat:
     def test_roundtrip(self):
         text = """

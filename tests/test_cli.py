@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ import pytest
 
 import hallbases
 from hallbases.cli import main
+from hallbases import modrep
 from hallbases.modrep import IsoClassCatalog
 
 
@@ -124,6 +126,10 @@ class TestRefusals:
         (("roots", "--quiver", "no/such/quiver.txt"), "--quiver"),
         (("hall-poly", "--ctx", "a1", "--triple", "9/5/4"), "exceeds budget"),
         (("cyclic-canonical", "--rank", "2", "--dim", "9,9"), "exceeds budget"),
+        (("cyclic-canonical", "--rank", "2", "--dim=-1,2"), "--dim -1,2"),
+        (("comp-basis", "--ctx", "kronecker", "--cap", "1,-1"), "--cap 1,-1"),
+        (("roots", "--ctx", "kronecker", "--window", "-2"), "--window -2"),
+        (("verify", "--suite", "eta", "--bound", "-1"), "--bound -1"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -156,6 +162,8 @@ class TestRefusals:
         ("hall-poly", "--ctx", "cyclic:2", "--triple", "1:2 x1 / 1:1 x1 / 2:1 x1",
          "--primes", "2,3,6"),
         ("hall-poly", "--ctx", "a1", "--triple", "9/5/4"),
+        ("cyclic-canonical", "--rank", "2", "--dim=-1,2"),
+        ("roots", "--window", "-2"),
     ])
     def test_bad_input_exit_status(self, tmp_path, argv):
         bad_quiver = tmp_path / "q.txt"
@@ -164,6 +172,31 @@ class TestRefusals:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("argv", [
+        ("hall-poly", "--ctx", "a1", "--triple", "4/2/2"),
+        ("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--primes", "2"),
+    ])
+    def test_unverified_fit_exit_status(self, argv):
+        # too few fit fields for the degree: the held-out field disagrees
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert "fit through" in proc.stderr
+
+    def test_orbit_enumeration_refused_up_front(self, tmp_path, monkeypatch):
+        # a2tilde has no synthesizer; its slice (2,3,3) has 2^21 states
+        def walk(*args):
+            raise AssertionError("a slice was enumerated before the state-budget refusal")
+
+        monkeypatch.setattr(modrep, "enumerate_bfs", walk)
+        code, doc = run(tmp_path, "roots", "--ctx", "a2tilde", "--window", "5")
+        assert code == 0
+        assert doc["table"][0] == {"warning": "no catalog: orbit enumeration of (2, 3, 3) "
+                                              "over GF(2) walks 2097152 states, over 2^17"}
+        assert len(doc["table"]) == 12
 
 
 def _run_cli(*argv):
@@ -215,6 +248,26 @@ class TestGoldenReports:
         assert main(list(argv) + ["--out", str(out)]) == 0
         want = REPO / "perfbench" / "golden" / (golden + ".json")
         assert out.read_bytes() == want.read_bytes()
+
+
+def test_cache_files_pinned(tmp_path):
+    """The cache files of two benchmark commands, byte for byte, by one digest.
+
+    The class order of every slice fixes the class ids and so every cache
+    file; the digest holds both fixed while the way catalogs are built changes.
+    """
+    runs = (("roots", ("roots", "--ctx", "kronecker", "--window", "6")),
+            ("cyclic", ("cyclic-canonical", "--rank", "2", "--dim", "2,3")))
+    digest = hashlib.sha256()
+    for label, argv in runs:
+        cache = tmp_path / label
+        assert main(list(argv) + ["--cache-dir", str(cache),
+                                  "--out", str(tmp_path / (label + ".json"))]) == 0
+        for path in sorted(cache.iterdir()):
+            digest.update(("%s/%s\n" % (label, path.name)).encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "8768177d4cf78758fe26a43feb0e0a01a6489f5f074109bc45227d5007cb8750")
 
 
 def test_tracer_targets_resolve():

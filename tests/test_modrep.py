@@ -1,5 +1,7 @@
 import itertools
+import json
 import os
+from collections import Counter
 import random
 import re
 from types import SimpleNamespace
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from hallbases import modrep
 from hallbases.cartan import Arrow, ValuedQuiver, builtin_quiver, euler_form
-from hallbases.cyclic import cyclic_generic_algebra, cyclic_shape, synth_cyclic
+from hallbases.cyclic import Multisegment, cyclic_generic_algebra, cyclic_shape, synth_cyclic
 from hallbases.modrep import (
     GF,
     BudgetError,
@@ -18,7 +20,6 @@ from hallbases.modrep import (
     IsoClassCatalog,
     OracleError,
     SubspaceTuple,
-    SynthClass,
     all_subspaces,
     aut_order_brute,
     direct_sum,
@@ -34,6 +35,7 @@ from hallbases.modrep import (
     is_submodule,
     kernel_basis,
     kronecker_indec,
+    kronecker_indec_keys,
     m_mul,
     m_rank,
     rref,
@@ -327,7 +329,7 @@ def _mt(mat):
 
 
 def _planted(extra):
-    """synth_kronecker plus the classes extra(shape, F, dims) returns."""
+    """synth_kronecker plus the indecomposables extra(shape, F, dims) returns."""
     def synth(shape, F, dims):
         return synth_kronecker(shape, F, dims) + extra(shape, F, dims)
     return synth
@@ -335,8 +337,8 @@ def _planted(extra):
 
 class TestBuildCertificate:
     # the mass check is switched off, so only the Krull-Schmidt certificate
-    # of the build can catch the planted duplicate; mass_budget cannot do
-    # that for an acyclic shape, whose every slice is mass-checked
+    # can catch the planted duplicate; STATE_BUDGET cannot do that for an
+    # acyclic shape, whose every slice is mass-checked
 
     @pytest.fixture(autouse=True)
     def no_mass_check(self, monkeypatch):
@@ -346,30 +348,34 @@ class TestBuildCertificate:
         def extra(shape, F, dims):
             if dims != (1, 1):
                 return []
-            M = kronecker_indec(shape, F, ("reg", (0, 1), 1))
-            return [SynthClass(M, ((("regdup", (0, 1), 1), 1),))]
+            return [(("regdup", (0, 1), 1), kronecker_indec(shape, F, ("reg", (0, 1), 1)))]
         with pytest.raises(OracleError, match="do not separate"):
             IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra))
 
-    def test_decomposition_cataloged_twice(self):
-        def extra(shape, F, dims):
-            if dims != (1, 1):
-                return []
-            return [sc for sc in synth_kronecker(shape, F, dims)
-                    if len(sc.decomposition) > 1]
+    def test_decomposition_cataloged_twice(self, tmp_path):
+        # the catalog forms every sum once, so the duplicate is planted in
+        # its cache file, which a later construction loads and certifies
+        cat = IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=synth_kronecker,
+                              cache_dir=str(tmp_path))
+        path = cat._cat_path()
+        with open(path) as fh:
+            payload = json.load(fh)
+        sums = [cid for cid in payload["by_dim"]["1,1"]
+                if not payload["classes"][cid]["indec"]]
+        payload["by_dim"]["1,1"].append(len(payload["classes"]))
+        payload["classes"].append(payload["classes"][sums[0]])
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
         with pytest.raises(OracleError, match="share a decomposition"):
-            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra))
+            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=synth_kronecker,
+                            cache_dir=str(tmp_path))
 
 
-def _dropping_one_class(drop_dims, synthesizer=synth_cyclic):
-    """synthesizer without the last decomposable class of the slice drop_dims."""
+def _dropping_one_indec(drop_dims, synthesizer=synth_cyclic):
+    """synthesizer without the last indecomposable of the slice drop_dims."""
     def synth(shape, F, dims):
-        classes = synthesizer(shape, F, dims)
-        if dims == drop_dims:
-            last = max(k for k, sc in enumerate(classes)
-                       if len(sc.decomposition) > 1 or sc.decomposition[0][1] > 1)
-            del classes[last]
-        return classes
+        indecs = synthesizer(shape, F, dims)
+        return indecs[:-1] if dims == drop_dims else indecs
     return synth
 
 
@@ -387,11 +393,11 @@ class TestNilpotentMassCheck:
             checked += 1
         assert checked >= 10
 
-    @pytest.mark.parametrize("dims", [(0, 2), (1, 1), (2, 2)])
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2)])
     @pytest.mark.parametrize("F", [F2, F3])
     def test_dropped_class_fails_the_mass_check(self, F, dims):
         with pytest.raises(OracleError, match="mass check failed at %s" % re.escape(str(dims))):
-            IsoClassCatalog(cyclic_shape(2), F, [dims], synthesizer=_dropping_one_class(dims))
+            IsoClassCatalog(cyclic_shape(2), F, [dims], synthesizer=_dropping_one_indec(dims))
 
     def test_cyclic_algebra_certifies_the_same_slices(self):
         slices = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1),
@@ -402,7 +408,7 @@ class TestNilpotentMassCheck:
 
 
 class TestAcyclicMassCheck:
-    # 7^8 states at (2, 2), over mass_budget: an acyclic count is q^N anyway
+    # 7^8 states at (2, 2), over STATE_BUDGET: an acyclic count is q^N anyway
 
     def test_every_slice_certified(self):
         cat = IsoClassCatalog(KRON, field(7), [(2, 2)], synthesizer=synth_kronecker,
@@ -412,7 +418,79 @@ class TestAcyclicMassCheck:
     def test_dropped_class_fails_the_mass_check(self):
         with pytest.raises(OracleError, match=r"mass check failed at \(2, 2\) over GF\(7\)"):
             IsoClassCatalog(KRON, field(7), [(2, 2)], budget=16,
-                            synthesizer=_dropping_one_class((2, 2), synth_kronecker))
+                            synthesizer=_dropping_one_indec((2, 2), synth_kronecker))
+
+
+def _oracle_decompositions(indecs, dims):
+    """Every decomposition of dims over indecs [(key, dims)], in catalog order.
+
+    A filtered product: first how many summands of each dimension vector
+    (kept when they add up to dims), then, for each vector, a multiset of
+    that many indecomposables of it.  A decomposition is ((key, mult), ...)
+    in repr-of-key order, and the list is sorted by its repr.
+    """
+    by_dims = {}
+    for key, d in indecs:
+        by_dims.setdefault(d, []).append(key)
+    vectors = [d for d in sorted(by_dims) if all(x <= y for x, y in zip(d, dims))]
+    out = []
+    for counts in itertools.product(*(range(min(y // x for x, y in zip(d, dims) if x) + 1)
+                                      for d in vectors)):
+        if tuple(sum(c * d[k] for c, d in zip(counts, vectors))
+                 for k in range(len(dims))) != tuple(dims):
+            continue
+        for picks in itertools.product(*(itertools.combinations_with_replacement(by_dims[d], c)
+                                         for d, c in zip(vectors, counts))):
+            mults = Counter(key for pick in picks for key in pick)
+            out.append(tuple(sorted(mults.items(), key=lambda km: repr(km[0]))))
+    return sorted(out, key=repr)
+
+
+def _catalog_decompositions(cat, dims):
+    """The classes of a slice as ((synth key, mult), ...), in cid order."""
+    return [tuple(sorted(((cat.classes[icid].synth_key, m) for icid, m in c.decomposition),
+                         key=lambda km: repr(km[0])))
+            for c in cat.classes_of_dim(dims)]
+
+
+def _kronecker_indecs(F, cap):
+    return [(key, d) for d in itertools.product(*(range(c + 1) for c in cap))
+            for key in kronecker_indec_keys(F, d)]
+
+
+def _cyclic_indecs(r, cap):
+    segments = [Multisegment.segment(r, i, l)
+                for i in range(1, r + 1) for l in range(1, sum(cap) + 1)]
+    return [(("seg",) + next(iter(pi.entries)), pi.dim_vector()) for pi in segments]
+
+
+class TestSliceDecompositions:
+    """Each slice's classes are exactly the sums of indecomposables, in order."""
+
+    @pytest.mark.parametrize("shape, cap, F, indecs", [
+        pytest.param(KRON, (3, 3), F2, _kronecker_indecs(F2, (3, 3)), id="kronecker-q2"),
+        pytest.param(KRON, (3, 3), F3, _kronecker_indecs(F3, (3, 3)), id="kronecker-q3"),
+        pytest.param(cyclic_shape(2), (3, 3), F2, _cyclic_indecs(2, (3, 3)), id="cyclic2"),
+        pytest.param(cyclic_shape(3), (2, 2, 2), F3, _cyclic_indecs(3, (2, 2, 2)), id="cyclic3"),
+    ])
+    def test_matches_product_oracle(self, shape, cap, F, indecs):
+        synth = synth_kronecker if shape is KRON else synth_cyclic
+        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth, budget=40)
+        for dims in cat.dims_list:
+            assert _catalog_decompositions(cat, dims) == _oracle_decompositions(indecs, dims), dims
+
+    def test_each_indecomposable_built_once(self, monkeypatch):
+        built = []
+        real = modrep.kronecker_indec
+
+        def counting(shape, F, key):
+            built.append(key)
+            return real(shape, F, key)
+
+        monkeypatch.setattr(modrep, "kronecker_indec", counting)
+        cat = IsoClassCatalog(KRON, F3, [(3, 3)], synthesizer=synth_kronecker, budget=40)
+        assert len(built) == len(cat.indec_ids) == len(set(built))
+        assert set(built) == {cat.classes[cid].synth_key for cid in cat.indec_ids}
 
 
 def _random_invertible(F, n, rng):
