@@ -375,6 +375,10 @@ def min_delta(datum):
     return vec
 
 
+class OutsideWindowError(ValueError):
+    """beta_t was asked for so far out that the sequence was never checked there."""
+
+
 class AdmissibleSequence:
     """The doubly infinite periodic extension of a total sink ordering.
 
@@ -417,7 +421,8 @@ class AdmissibleSequence:
     def beta(self, t):
         """The positive real root beta_t attached to position t."""
         if abs(t) > 10 * self._window:
-            raise ValueError("beta_t requested far outside the verified window")
+            raise OutsideWindowError("beta_%d lies outside the verified window |t| <= %d"
+                                     % (t, 10 * self._window))
         x = self.vq.unit_vector(self.vertex(t))
         if t <= 0:
             for s in range(t + 1, 1):
@@ -431,12 +436,17 @@ class AdmissibleSequence:
 
     def betas(self, window):
         """{t: beta_t} for |t| <= window; each ray (t <= 0, then t >= 1) is
-        walked outwards and stops where the periodic word stops being reduced."""
+        walked outwards and stops where the periodic word stops being reduced.
+
+        Raises OutsideWindowError if a ray runs past the verified window first.
+        """
         out = {}
         for ray in (range(0, -window - 1, -1), range(1, window + 1)):
             for t in ray:
                 try:
                     out[t] = self.beta(t)
+                except OutsideWindowError:
+                    raise
                 except ValueError:
                     break
         return out

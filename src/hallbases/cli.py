@@ -13,6 +13,7 @@ import json
 import sys
 
 from .cartan import (
+    OutsideWindowError,
     admissible_of,
     builtin_quiver,
     cartan_of,
@@ -150,7 +151,10 @@ def cmd_roots(config, window):
     catalog = None
     rows = []
     failed = False
-    betas = seq.betas(window)
+    try:
+        betas = seq.betas(window)
+    except OutsideWindowError as exc:
+        raise SystemExit("--window %d: %s" % (window, exc))
     if affine:
         synth = synth_kronecker if config.ctx == "kronecker" else None
         try:
@@ -322,6 +326,8 @@ def cmd_verify(config, suite, rank, bound):
             suites += ["orthogonality", "triangularity", "kashiwara"]
     else:
         suites = [suite]
+    if "eta" in suites:
+        _check_cyclic_rank(rank)
     reports = []
     failed = False
     for s in suites:
@@ -379,9 +385,13 @@ def cmd_comp_basis(config, which):
                          "emit": which, "cap": list(cap), "slices": slices}, failed)
 
 
-def cmd_cyclic_canonical(config, rank, dim):
+def _check_cyclic_rank(rank):
     if rank < 2:
         raise SystemExit("--rank %d: cyclic shapes need rank >= 2" % rank)
+
+
+def cmd_cyclic_canonical(config, rank, dim):
+    _check_cyclic_rank(rank)
     cap = _parse_ints(dim, "--dim") or (2, 2)
     if len(cap) != rank:
         raise SystemExit("--dim %s needs %d entries, one per vertex of --rank %d"

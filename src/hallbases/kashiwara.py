@@ -13,7 +13,7 @@ from __future__ import annotations
 from .hall import expand_in
 from .laurent import LaurentPoly, RationalV, in_lattice, quantum_factorial, row_reduce
 from .modrep import BudgetError, OracleError
-from .pbwbasis import PbwIndex, solve_in_span
+from .pbwbasis import PbwIndex, SpanSolver
 
 
 class AdmissibleTriple:
@@ -27,6 +27,7 @@ class AdmissibleTriple:
         self._phi_cache = {}
         self._eps_cache = {}
         self._p0_cache = {}
+        self._string_cache = {}
 
     # -- raw operators in N coordinates -----------------------------------
 
@@ -122,23 +123,16 @@ class AdmissibleTriple:
     def string_decompose(self, coords):
         """x = sum phi^(N) y_N with eps(y_N) = 0, exactly; returns [(N, y_N)].
 
-        Solved as one linear system over Q(v); the reconstruction residual is
-        checked to be identically zero.
+        Solved in the span of the columns phi^(n) y, y running over a basis
+        of P(0) on the slice nu - n e_i, factored once per grading; the
+        reconstruction residual of every decomposition is checked to be
+        identically zero.
         """
         if not coords:
             return []
         nu = _grading_of(self.ctx, coords)
-        columns = []
-        tags = []
-        ncap = 0
-        while all(x - ncap * e >= 0 for x, e in zip(nu, self.e_i)):
-            ncap += 1
-        for n in range(ncap):
-            base_nu = tuple(x - n * e for x, e in zip(nu, self.e_i))
-            for bi, y in enumerate(self.p0_basis(base_nu)):
-                columns.append(self.phi_divided(y, n))
-                tags.append((n, bi))
-        sol, ok = solve_in_span(columns, coords)
+        tags, solver = self._string_solver(nu)
+        sol, ok = solver.solve(coords)
         if not ok:
             raise OracleError("string decomposition failed: slice not saturated")
         by_n = {}
@@ -158,21 +152,39 @@ class AdmissibleTriple:
             raise OracleError("string decomposition does not reassemble")
         return result
 
+    def _string_solver(self, nu):
+        """(tags, solver) for the columns phi^(n) y of the slice nu."""
+        if nu not in self._string_cache:
+            columns = []
+            tags = []
+            n = 0
+            while all(x - n * e >= 0 for x, e in zip(nu, self.e_i)):
+                base_nu = tuple(x - n * e for x, e in zip(nu, self.e_i))
+                for bi, y in enumerate(self.p0_basis(base_nu)):
+                    columns.append(self.phi_divided(y, n))
+                    tags.append((n, bi))
+                n += 1
+            self._string_cache[nu] = (tags, SpanSolver(columns))
+        return self._string_cache[nu]
+
+    def shift(self, strings, k):
+        """Move every string of a decomposition by k: sum phi^(N+k) y_N.
+
+        Strings pushed below N = 0 vanish; raising may hit the cap.
+        """
+        out = {}
+        for n, y in strings:
+            if n + k >= 0:
+                out = _add(out, self.phi_divided(y, n + k))
+        return out
+
     def etilde(self, coords):
         """Shift the string decomposition down by one."""
-        out = {}
-        for n, y in self.string_decompose(coords):
-            if n == 0:
-                continue
-            out = _add(out, self.phi_divided(y, n - 1))
-        return out
+        return self.shift(self.string_decompose(coords), -1)
 
     def phitilde(self, coords):
         """Shift the string decomposition up by one (may hit the cap)."""
-        out = {}
-        for n, y in self.string_decompose(coords):
-            out = _add(out, self.phi_divided(y, n + 1))
-        return out
+        return self.shift(self.string_decompose(coords), 1)
 
 
 def check_lattice_stability(triple, nu, include_phi=True):
@@ -184,13 +196,13 @@ def check_lattice_stability(triple, nu, include_phi=True):
     """
     ctx = triple.ctx
     failures = []
+    target = tuple(p + e for p, e in zip(nu, triple.e_i))
+    raise_too = include_phi and all(t <= c for t, c in zip(target, ctx.cap))
     for a in ctx.indices_of_grading(nu):
-        x = {a: RationalV(1)}
-        images = [("etilde", triple.etilde(x))]
-        if include_phi:
-            target = tuple(p + e for p, e in zip(nu, triple.e_i))
-            if all(t <= c for t, c in zip(target, ctx.cap)):
-                images.append(("phitilde", triple.phitilde(x)))
+        strings = triple.string_decompose({a: RationalV(1)})
+        images = [("etilde", triple.shift(strings, -1))]
+        if raise_too:
+            images.append(("phitilde", triple.shift(strings, 1)))
         for tag, img in images:
             for b, c in img.items():
                 if not in_lattice(c, strict=False):

@@ -24,8 +24,9 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
+                if c:
                     d[int(e)] = c
         self.coeffs = d
 
@@ -53,11 +54,15 @@ class LaurentPoly:
         other = _coerce(other)
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = d.get(e, Fraction(0)) + c
-            if s == 0:
-                d.pop(e, None)
+            s = d.get(e)
+            if s is None:
+                d[e] = c
             else:
-                d[e] = s
+                s += c
+                if s:
+                    d[e] = s
+                else:
+                    del d[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = d
         return out
@@ -81,11 +86,15 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = d.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    d.pop(e, None)
+                s = d.get(e)
+                if s is None:
+                    d[e] = c1 * c2
                 else:
-                    d[e] = s
+                    s += c1 * c2
+                    if s:
+                        d[e] = s
+                    else:
+                        del d[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = d
         return out
@@ -209,6 +218,11 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % str(self)
 
 
+#: shared constants; no LaurentPoly is ever changed in place
+_ZERO = LaurentPoly.zero()
+_ONE = LaurentPoly.one()
+
+
 def _coerce(x):
     if isinstance(x, LaurentPoly):
         return x
@@ -241,11 +255,16 @@ def _divmod_laurent(a, b):
         f = A[da] / lead
         Q[da - db] = f
         for e, c in B.items():
-            s = A.get(e + da - db, Fraction(0)) - f * c
-            if s == 0:
-                A.pop(e + da - db, None)
+            e += da - db
+            s = A.get(e)
+            if s is None:
+                A[e] = -f * c
             else:
-                A[e + da - db] = s
+                s -= f * c
+                if s:
+                    A[e] = s
+                else:
+                    del A[e]
     quot = LaurentPoly(Q).shift(sb - sa)
     rem = LaurentPoly(A).shift(-sa)
     return quot, rem
@@ -276,16 +295,16 @@ class RationalV:
 
     def __init__(self, num, den=None):
         num = _coerce(num)
-        den = LaurentPoly.one() if den is None else _coerce(den)
+        den = _ONE if den is None else _coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
+            self.num = _ZERO
+            self.den = _ONE
             return
-        if den == LaurentPoly.one():
+        if den == _ONE:
             self.num = num
-            self.den = den
+            self.den = _ONE
             return
         g = poly_gcd(num, den)
         if g.degree() > 0:
@@ -311,7 +330,7 @@ class RationalV:
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return self.den == LaurentPoly.one()
+        return self.den == _ONE
 
     def as_poly(self):
         """Return the underlying LaurentPoly; raises if there is a true denominator."""
@@ -321,6 +340,8 @@ class RationalV:
 
     def __add__(self, other):
         other = _coerce_rational(other)
+        if self.den == _ONE and other.den == _ONE:
+            return _polynomial(self.num + other.num)
         return RationalV(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -339,6 +360,8 @@ class RationalV:
 
     def __mul__(self, other):
         other = _coerce_rational(other)
+        if self.den == _ONE and other.den == _ONE:
+            return _polynomial(self.num * other.num)
         return RationalV(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -385,6 +408,14 @@ class RationalV:
 
     def __repr__(self):
         return "RationalV(%s)" % str(self)
+
+
+def _polynomial(num):
+    """num / 1, already normalized: a zero num keeps the denominator 1."""
+    out = RationalV.__new__(RationalV)
+    out.num = num
+    out.den = _ONE
+    return out
 
 
 def _coerce_rational(x):

@@ -308,6 +308,7 @@ class CompositionContext:
         self.vertex_order = _topological_vertices(shape)
         self._indices_cache = {}
         self._basis_cache = {}
+        self._solver_cache = {}
 
     # -- index enumeration -------------------------------------------------
 
@@ -458,8 +459,11 @@ class CompositionContext:
             return {}
         nu = elt.grading
         indices = self.indices_of_grading(nu)
-        columns = [self.N_element(a).coeffs for a in indices]
-        coords, ok = solve_in_span(columns, elt.coeffs)
+        solver = self._solver_cache.get(nu)
+        if solver is None:
+            solver = SpanSolver([self.N_element(a).coeffs for a in indices])
+            self._solver_cache[nu] = solver
+        coords, ok = solver.solve(elt.coeffs)
         if not ok:
             raise OracleError("element of grading %s lies outside the N-span" % (nu,))
         return {a: c for a, c in zip(indices, coords) if not c.is_zero()}
@@ -617,20 +621,53 @@ def _topological_vertices(shape):
     return tuple(order)
 
 
-def solve_in_span(columns, target):
-    """Solve sum x_j col_j = target over Q(v); returns (coeffs, consistent).
+class SpanSolver:
+    """Solves sum x_j col_j = target over Q(v) for many targets, one elimination.
 
-    Insists on full column rank (the N-elements are a basis of their span).
+    Row-reduces [A | I] once, A having one row per key of the columns, and
+    keeps the left factor E with E A = [I; 0].  A target b is in the span iff
+    its keys are keys of the columns and the rows of E b past the pivots are
+    zero; then the first rows of E b are its coordinates.  Insists on full
+    column rank (the N-elements are a basis of their span).
     """
-    keys = sorted({k for col in columns for k in col} | set(target), key=repr)
-    ncols = len(columns)
-    R, pivots = row_reduce([[col.get(k, RationalV(0)) for col in columns] +
-                            [target.get(k, RationalV(0))] for k in keys], ncols)
-    if len(pivots) < ncols:
-        raise OracleError("N-basis columns are linearly dependent")
-    if any(row[ncols] for row in R[ncols:]):
-        return [], False
-    return [row[ncols] for row in R[:ncols]], True
+
+    def __init__(self, columns):
+        keys = sorted({k for col in columns for k in col}, key=repr)
+        ncols = len(columns)
+        zero, one = RationalV(0), RationalV(1)
+        R, pivots = row_reduce([[col.get(k, zero) for col in columns] +
+                                [one if j == i else zero for j in range(len(keys))]
+                                for i, k in enumerate(keys)], ncols)
+        if len(pivots) < ncols:
+            raise OracleError("N-basis columns are linearly dependent")
+        self.ncols = ncols
+        self.keys = frozenset(keys)
+        # row r of E as its nonzero (key, entry) pairs
+        self.rows = [[(k, e) for k, e in zip(keys, row[ncols:]) if e] for row in R]
+
+    def solve(self, target):
+        """(coeffs, True) with sum coeffs_j col_j = target, or ([], False)
+        when the target lies outside the span of the columns."""
+        if any(c and k not in self.keys for k, c in target.items()):
+            return [], False
+        zero = RationalV(0)
+        out = []
+        for r, row in enumerate(self.rows):
+            s = zero
+            for k, e in row:
+                c = target.get(k)
+                if c:
+                    s = s + e * c
+            if r < self.ncols:
+                out.append(s)
+            elif s:
+                return [], False
+        return out, True
+
+
+def solve_in_span(columns, target):
+    """Solve sum x_j col_j = target over Q(v); returns (coeffs, consistent)."""
+    return SpanSolver(columns).solve(target)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ class HPoly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     self.terms[tuple(sorted(mono, reverse=True))] = c
 
@@ -126,11 +127,15 @@ class HPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
+            s = out.get(mono)
+            if s is None:
+                out[mono] = c
             else:
-                out.pop(mono, None)
+                s += c
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
         p = HPoly.__new__(HPoly)
         p.terms = out
         return p
@@ -148,11 +153,15 @@ class HPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2, reverse=True))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
+                s = out.get(mono)
+                if s is None:
+                    out[mono] = c1 * c2
                 else:
-                    out.pop(mono, None)
+                    s += c1 * c2
+                    if s:
+                        out[mono] = s
+                    else:
+                        del out[mono]
         p = HPoly.__new__(HPoly)
         p.terms = out
         return p

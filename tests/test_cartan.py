@@ -6,6 +6,7 @@ import pytest
 from hallbases.cartan import (
     AdmissibleSequence,
     Arrow,
+    OutsideWindowError,
     CartanDatum,
     Quiver,
     QuiverAutomorphism,
@@ -226,6 +227,14 @@ class TestBeta:
         betas = admissible_of(A2).betas(6)
         assert list(betas) == [0, -1, -2, 1, 2, 3]
         assert sorted(set(betas.values())) == [(0, 1), (1, 0), (1, 1)]
+        assert admissible_of(A2).betas(100) == betas
+
+    def test_betas_refuse_past_the_verified_window(self):
+        # kronecker checks |t| <= 6 and computes beta_t up to ten times that
+        seq = admissible_of(KRON)
+        assert len(seq.betas(60)) == 121
+        with pytest.raises(OutsideWindowError, match="beta_-61"):
+            seq.betas(61)
 
 
 class TestTextFormat:

@@ -37,6 +37,11 @@ class TestRoots:
         assert not doc["affine"]
         assert len(doc["table"]) == 6  # both rays list the three positive roots
 
+    def test_finite_type_ray_ends_quietly_in_a_wide_window(self, tmp_path):
+        code, doc = run(tmp_path, "roots", "--ctx", "a2", "--window", "100")
+        assert code == 0 and doc["window"] == 100
+        assert len(doc["table"]) == 6
+
     def test_quiver_file(self, tmp_path):
         qf = tmp_path / "q.txt"
         qf.write_text("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n")
@@ -130,6 +135,11 @@ class TestRefusals:
         (("comp-basis", "--ctx", "kronecker", "--cap", "1,-1"), "--cap 1,-1"),
         (("roots", "--ctx", "kronecker", "--window", "-2"), "--window -2"),
         (("verify", "--suite", "eta", "--bound", "-1"), "--bound -1"),
+        (("verify", "--suite", "eta", "--rank", "-1"), "--rank -1"),
+        (("verify", "--suite", "eta", "--rank", "0"), "--rank 0"),
+        (("verify", "--suite", "eta", "--rank", "1"), "--rank 1"),
+        (("verify", "--suite", "all", "--ctx", "a2tilde", "--rank", "1"), "--rank 1"),
+        (("roots", "--ctx", "kronecker", "--window", "100"), "--window 100"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -164,6 +174,8 @@ class TestRefusals:
         ("hall-poly", "--ctx", "a1", "--triple", "9/5/4"),
         ("cyclic-canonical", "--rank", "2", "--dim=-1,2"),
         ("roots", "--window", "-2"),
+        ("verify", "--suite", "eta", "--rank", "1"),
+        ("roots", "--ctx", "kronecker", "--window", "61"),
     ])
     def test_bad_input_exit_status(self, tmp_path, argv):
         bad_quiver = tmp_path / "q.txt"
@@ -268,6 +280,22 @@ def test_cache_files_pinned(tmp_path):
             digest.update(path.read_bytes())
     assert digest.hexdigest() == (
         "8768177d4cf78758fe26a43feb0e0a01a6489f5f074109bc45227d5007cb8750")
+
+
+def test_e_basis_reports_pinned(tmp_path):
+    """The E-basis reports of both contexts, byte for byte, by one digest.
+
+    Their Q(v) coefficients are read off in the N basis of each slice
+    (expand_in_N), which no golden report covers; the digest was taken
+    before that solve was factored once per grading.
+    """
+    digest = hashlib.sha256()
+    for ctx in ("kronecker", "a2tilde"):
+        out = tmp_path / (ctx + ".json")
+        assert main(["comp-basis", "--ctx", ctx, "--emit", "E", "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == (
+        "0a9ea0e79ac1170d141acfe3c725d9c26d60f98d30a85133230dc0788ce66d94")
 
 
 def test_tracer_targets_resolve():

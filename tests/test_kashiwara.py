@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -8,7 +9,7 @@ from hallbases.kashiwara import (
     verify_sink_identity,
 )
 from hallbases.laurent import LaurentPoly, RationalV, in_lattice
-from hallbases.modrep import BudgetError
+from hallbases.modrep import BudgetError, OracleError
 from hallbases.pbwbasis import PbwIndex, get_context
 
 
@@ -107,6 +108,60 @@ class TestLattice:
                 if not in_lattice(c, strict=False):
                     bad = True
         assert bad
+
+
+class TestFactorOnce:
+    def test_lattice_check_decomposes_each_N_once(self, kron, monkeypatch):
+        calls = []
+        decompose = AdmissibleTriple.string_decompose
+
+        def counted(self, coords):
+            calls.append(tuple(coords))
+            return decompose(self, coords)
+
+        monkeypatch.setattr(AdmissibleTriple, "string_decompose", counted)
+        tri = AdmissibleTriple(kron, "2")
+        for nu in [(1, 0), (2, 1), (2, 2)]:  # (2, 2) cannot be raised within the cap
+            calls.clear()
+            assert check_lattice_stability(tri, nu) == []
+            assert sorted(calls, key=repr) == sorted(
+                ((a,) for a in kron.indices_of_grading(nu)), key=repr)
+
+    def test_corrupted_solver_does_not_reassemble(self, kron):
+        tri = AdmissibleTriple(kron, "2")
+        a = kron.indices_of_grading((1, 1))[0]
+        tri.string_decompose({a: RationalV(1)})
+        _, solver = tri._string_cache[(1, 1)]
+        two = RationalV(2)
+        solver.rows = [[(k, e * two) for k, e in row] for row in solver.rows]
+        for b in kron.indices_of_grading((1, 1)):
+            with pytest.raises(OracleError, match="does not reassemble"):
+                tri.string_decompose({b: RationalV(1)})
+
+    def test_shifted_strings_pinned(self, kron):
+        """etilde and phitilde of every N(a) of both contexts, by one digest.
+
+        Taken before the string solve was factored once per grading; keys
+        are listed in repr order, so the digest holds the values only.
+        """
+        def text(coords):
+            return "{%s}" % ", ".join("%s: %s" % (a, c) for a, c in
+                                      sorted(coords.items(), key=lambda kv: repr(kv[0].key())))
+
+        digest = hashlib.sha256()
+        for ctx in (kron, get_context("a2tilde")):
+            for vertex in ctx.shape.vertices:
+                tri = AdmissibleTriple(ctx, vertex)
+                for nu in itertools.product(*(range(c + 1) for c in ctx.cap)):
+                    raised = all(x + e <= c for x, e, c in zip(nu, tri.e_i, ctx.cap))
+                    for a in ctx.indices_of_grading(nu):
+                        x = {a: RationalV(1)}
+                        line = "%s %s %s %s %s" % (ctx.name, vertex, nu, a, text(tri.etilde(x)))
+                        if raised:
+                            line += " | " + text(tri.phitilde(x))
+                        digest.update((line + "\n").encode())
+        assert digest.hexdigest() == (
+            "be167f1edc12cbfcc4a248a706d3d49dd8d13c88e3df46d887b58d7adb08752a")
 
 
 class TestSinkIdentity:

@@ -19,7 +19,7 @@ from hallbases.laurent import (
     row_reduce,
 )
 from hallbases.modrep import OracleError
-from hallbases.pbwbasis import solve_in_span
+from hallbases.pbwbasis import SpanSolver, solve_in_span
 
 
 def L(d):
@@ -312,3 +312,189 @@ class TestRowReduce:
         M = sympy.Matrix([[_sym(x) for x in row] for row in A])
         assert all(sympy.simplify(_sym(x) - y) == 0
                    for x, y in zip(sum(inv, []), M.inv()))
+
+
+# -- the factor-once solver and the Laurent kernel against independent oracles --
+
+key_names = ["k%d" % i for i in range(7)]
+small_poly_st = st.dictionaries(
+    st.integers(-2, 2), st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+    max_size=2).map(LaurentPoly)
+entry_kept_st = st.sampled_from([True, False, False])  # keeps elimination over Q(v) small
+
+
+@st.composite
+def span_systems(draw, min_size=1):
+    """Columns over Q(v) with up to 7 keys, sometimes dependent, and targets
+    that are in the span, bumped out of it, or carry a key outside the columns."""
+    m = draw(st.integers(min_size, 7))
+    n = draw(st.integers(min_size, m))
+    A = [[RationalV(draw(small_poly_st) if draw(entry_kept_st) else LaurentPoly.zero())
+          for _ in range(n)] for _ in range(m)]
+    for c, r in enumerate(draw(st.permutations(range(m)))[:n]):  # mostly full rank
+        A[r][c] = RationalV(draw(small_poly_st.filter(bool)))
+    if n >= 3 and draw(st.booleans()):
+        c1, c2 = draw(st.lists(st.sampled_from([RationalV(V(1)), RationalV(-2),
+                                                RationalV(V(-1) + 1)]), min_size=2, max_size=2))
+        for row in A:
+            row[n - 1] = row[0] * c1 + row[1] * c2
+    x = [RationalV(draw(small_poly_st)) for _ in range(n)]
+    b = _mat_vec(A, x)
+    kind = draw(st.sampled_from(["span", "bump", "outside"]))
+    target = {key_names[r]: y for r, y in enumerate(b) if y}
+    if kind == "bump":
+        r = draw(st.integers(0, m - 1))
+        target[key_names[r]] = b[r] + RationalV(draw(small_poly_st.filter(bool)))
+    elif kind == "outside":
+        target["z"] = RationalV(draw(small_poly_st.filter(bool)))
+    columns = [{key_names[r]: A[r][c] for r in range(m) if A[r][c]} for c in range(n)]
+    return A, columns, target
+
+
+def _one_shot(A, target):
+    """Coordinates by one elimination of [A | b], b's outside keys as extra rows."""
+    n = len(A[0])
+    rows = [row + [target.get(key_names[r], RationalV(0))] for r, row in enumerate(A)]
+    rows += [[RationalV(0)] * n + [c] for k, c in target.items() if k not in key_names]
+    R, pivots = row_reduce(rows, n)
+    if len(pivots) < n:
+        return None
+    if any(row[n] for row in R[n:]):
+        return [], False
+    return [row[n] for row in R[:n]], True
+
+
+class TestSpanSolver:
+    @given(span_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_shot_elimination(self, system):
+        self.check(system)
+
+    @given(span_systems(min_size=5))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_one_shot_elimination_large(self, system):
+        self.check(system)
+
+    @staticmethod
+    def check(system):
+        A, columns, target = system
+        want = _one_shot(A, target)
+        if want is None:
+            with pytest.raises(OracleError, match="linearly dependent"):
+                SpanSolver(columns)
+            return
+        solver = SpanSolver(columns)
+        got = solver.solve(target)
+        assert got == want
+        assert solve_in_span(columns, target) == want
+        if got[1]:
+            assert _mat_vec(A, got[0]) == [target.get(k, RationalV(0))
+                                            for k in key_names[:len(A)]]
+        # the factor is reused: a second target through the same solver
+        assert solver.solve({}) == ([RationalV(0)] * len(columns), True)
+
+    def test_outside_key_with_zero_value_is_in_span(self):
+        columns = [{"a": RationalV(V(1))}]
+        assert SpanSolver(columns).solve({"a": RationalV(V(2)), "z": RationalV(0)}) == (
+            [RationalV(V(1))], True)
+        assert SpanSolver(columns).solve({"z": RationalV(1)}) == ([], False)
+
+
+q_poly_st = st.dictionaries(
+    st.integers(-4, 4),
+    st.one_of(coeff_st, st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])),
+    max_size=4).map(LaurentPoly)
+
+
+def _sym_coeffs(expr):
+    """{exponent: Fraction} of a Laurent polynomial given as a sympy expression."""
+    expr = sympy.expand(expr)
+    if expr == 0:
+        return {}
+    shift = 20
+    poly = sympy.Poly(sympy.expand(expr * _v ** shift), _v)
+    return {e - shift: Fraction(int(c.p), int(c.q)) for (e,), c in poly.as_dict().items()}
+
+
+def _check_stored(p, want):
+    """p holds exactly the coefficients want, as Fractions, none zero, in canonical text."""
+    assert p.coeffs == want
+    assert all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
+    text = " + ".join("%s*v^%d" % (want[e], e) for e in sorted(want, reverse=True))
+    assert str(p) == (text or "0")
+
+
+def _strip(p):
+    """p / v^val(p) as a sympy polynomial."""
+    return sympy.Poly(sympy.expand(_sym(p) * _v ** -p.valuation()), _v)
+
+
+class TestKernelAgainstSympy:
+    @given(q_poly_st, q_poly_st)
+    @settings(max_examples=80, deadline=None)
+    def test_add_mul(self, f, g):
+        _check_stored(f + g, _sym_coeffs(_sym(f) + _sym(g)))
+        _check_stored(f * g, _sym_coeffs(_sym(f) * _sym(g)))
+        _check_stored(f - g, _sym_coeffs(_sym(f) - _sym(g)))
+        _check_stored(f + (-f), {})
+
+    @given(q_poly_st, q_poly_st)
+    @settings(max_examples=80, deadline=None)
+    def test_divexact(self, f, g):
+        if g.is_zero():
+            return
+        _check_stored((f * g).divexact(g), _sym_coeffs(_sym(f)))
+        if f.is_zero():
+            return
+        _, rem = sympy.div(_strip(f), _strip(g))
+        if rem.is_zero:
+            _check_stored(f.divexact(g), _sym_coeffs(sympy.cancel(_sym(f) / _sym(g))))
+        else:
+            with pytest.raises(ValueError, match="not exact"):
+                f.divexact(g)
+
+    @given(q_poly_st, q_poly_st, q_poly_st)
+    @settings(max_examples=60, deadline=None)
+    def test_poly_gcd(self, f, g, h):
+        if f.is_zero() or g.is_zero() or h.is_zero():
+            return
+        a, b = f * h, g * h
+        want = sympy.gcd(_strip(a), _strip(b)).monic()
+        _check_stored(poly_gcd(a, b), _sym_coeffs(want.as_expr()))
+
+    @given(q_poly_st, q_poly_st, q_poly_st, q_poly_st)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_normal_form(self, f, g, h, k):
+        if g.is_zero() or k.is_zero():
+            return
+        r, s = RationalV(f, g), RationalV(h, k)
+        for got, want in [(r, _sym(f) / _sym(g)),
+                          (r + s, _sym(f) / _sym(g) + _sym(h) / _sym(k)),
+                          (r * s, _sym(f) / _sym(g) * (_sym(h) / _sym(k))),
+                          (RationalV(f) + s, _sym(f) + _sym(h) / _sym(k)),
+                          (s * RationalV(f), _sym(h) / _sym(k) * _sym(f)),
+                          (r - r, sympy.Integer(0))]:
+            assert sympy.cancel(_sym(got) - want) == 0
+            # den: an ordinary polynomial, monic on top, coprime to num
+            assert got.den.valuation() == 0
+            assert got.den.coeffs[got.den.degree()] == 1
+            if got.is_zero():
+                assert got.den == LaurentPoly.one()
+            else:
+                assert sympy.gcd(_strip(got.num), _strip(got.den)).degree() == 0
+            _check_stored(got.num, _sym_coeffs(_sym(got.num)))
+            _check_stored(got.den, _sym_coeffs(_sym(got.den)))
+            if got.is_polynomial():
+                assert str(got) == str(got.num)
+            else:
+                assert str(got) == "(%s) / (%s)" % (got.num, got.den)
+
+    @given(q_poly_st, q_poly_st)
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial_fast_path(self, f, g):
+        # denominators 1 on both sides: the sum and product stay plain polynomials
+        for got, want in [(RationalV(f) + RationalV(g), f + g),
+                          (RationalV(f) * RationalV(g), f * g)]:
+            assert got.is_polynomial() and got.num == want
+            assert got == RationalV(want, LaurentPoly.one())
+            assert str(got) == str(want)
