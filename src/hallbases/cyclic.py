@@ -204,7 +204,10 @@ def word_of(pi):
 
     Peels the outermost letter with backtracking: [j;l) can be the segment
     created last iff no longer segment starts at j+1, and the remainder must
-    stay aperiodic.  The result satisfies diamond_word(word_of(pi)) == pi.
+    stay aperiodic.  Each step tries the vertex of the letter just peeled
+    first, so repeated letters merge into one divided power where they can
+    (for [3;2) x2 at r = 3 the word is ((3,2),(1,2)), not 3,1,3,1).  The
+    result satisfies diamond_word(word_of(pi)) == pi.
     """
     if not pi.is_aperiodic():
         raise ValueError("word_of is defined for aperiodic multisegments only")
@@ -221,15 +224,18 @@ def word_of(pi):
     return tuple(word)
 
 
-def _peel(pi):
+def _peel(pi, prev=None):
+    """The letters of a word of pi, outermost first; prev is the letter peeled before."""
     if pi.total_boxes() == 0:
         return ()
-    key = pi.key()
+    key = (pi.key(), prev)
     if key in _WORD_MEMO:
         return _WORD_MEMO[key]
     result = None
     r = pi.r
-    for j in range(1, r + 1):
+    order = range(1, r + 1) if prev is None else \
+        [prev] + [j for j in range(1, r + 1) if j != prev]
+    for j in order:
         nxt = j % r + 1
         max_next = max((l for (i, l) in pi.entries if i == nxt), default=0)
         lengths = sorted((l for (i, l) in pi.entries if i == j), reverse=True)
@@ -246,7 +252,7 @@ def _peel(pi):
                 smaller = pi.add_segment(j, l, -1).add_segment(nxt, l - 1)
             if not smaller.is_aperiodic():
                 continue
-            rest = _peel(smaller)
+            rest = _peel(smaller, j)
             if rest is not None:
                 result = (j,) + rest
                 break

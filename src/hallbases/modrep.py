@@ -377,6 +377,13 @@ class FiniteModule:
             if len(mat) != rows or (rows and len(mat[0]) != cols):
                 raise ValueError("map of arrow %r has the wrong shape" % (h.id,))
 
+    @classmethod
+    def _trusted(cls, shape, F, dims, maps):
+        """A module from a tuple dims and tuple-of-tuples maps of the right shapes, unchecked."""
+        M = cls.__new__(cls)
+        M.shape, M.F, M.dims, M.maps, M._key = shape, F, dims, maps, None
+        return M
+
     def key(self):
         if self._key is None:
             self._key = (self.dims, tuple(self.maps[h.id] for h in self.shape.arrows))
@@ -614,21 +621,62 @@ def _expand_rows_over_base(Di, d, rows):
     return tuple(out)
 
 
-def _frame(module, i, rows):
-    """The adapted base-field basis of V_i for the D_i-subspace W_i = span(rows).
+def _frame(F, Di, d, n, rows):
+    """The adapted base-field basis of D_i^n for the D_i-subspace W = span(rows).
 
-    The basis is the expansion of W_i's rows followed by the expansion of the
-    unit rows at W_i's non-pivot D_i-coordinates, so its first w vectors span
-    W_i.  Returns (w, to_basis, from_basis): to_basis holds the basis vectors
+    The basis is the expansion of W's rows followed by the expansion of the
+    unit rows at W's non-pivot D_i-coordinates, so its first w vectors span
+    W.  Returns (w, to_basis, from_basis): to_basis holds the basis vectors
     as rows, and from_basis, the inverse of its transpose, takes a base-field
     column vector to its coordinates in the basis.
     """
-    Di, d = module.vertex_field(i), module.shape.d[i]
-    n = module.dims[module.shape.index[i]]
     pivots = rref(Di, rows)[1]
     comp = tuple(tuple(int(c == j) for c in range(n)) for j in range(n) if j not in pivots)
     to_basis = _expand_rows_over_base(Di, d, tuple(rows) + comp)
-    return d * len(rows), to_basis, _m_inv(module.F, m_transpose(to_basis))
+    return d * len(rows), to_basis, _m_inv(F, m_transpose(to_basis))
+
+
+#: the subspace frames of every vertex space met so far, keyed by
+#: (p, deg of the base field, d_i, n_i); see _vertex_frames
+_FRAMES = {}
+
+
+def _vertex_frames(F, d, n):
+    """(subspaces, frames, containing) of D_i^n, D_i = F_{q^d}, built once per process.
+
+    subspaces lists every D_i-subspace in all_subspaces order and frames[k]
+    is _frame of subspaces[k]; both depend only on the field and the size, so
+    every module that has this vertex space shares them.  containing memoizes,
+    by the reduced echelon form of a set of base-field vectors, the indices k
+    in ascending order whose subspace contains them.
+    """
+    key = (F.p, F.deg, d, n)
+    table = _FRAMES.get(key)
+    if table is None:
+        Di = F if d == 1 else field(F.p, F.deg * d)
+        subs = list(all_subspaces(Di, n))
+        table = _FRAMES[key] = (subs, [_frame(F, Di, d, n, rows) for rows in subs], {})
+    return table
+
+
+def _inside(F, frame, vectors):
+    """Whether the base-field vectors lie in the subspace of the frame.
+
+    They do iff their coordinates past w in the adapted basis all vanish.
+    """
+    w, _, from_basis = frame
+    return not any(map(any, _mul_t(F, from_basis[w:], vectors)))
+
+
+def _containing(F, table, vectors):
+    """Indices, ascending, of the subspaces of a _vertex_frames table that contain the vectors."""
+    _, frames, memo = table
+    echelon = rref(F, vectors)[0]
+    found = memo.get(echelon)
+    if found is None:
+        found = memo[echelon] = [k for k, frame in enumerate(frames)
+                                 if _inside(F, frame, echelon)]
+    return found
 
 
 def _images(module, h, frame):
@@ -661,7 +709,9 @@ class SubspaceTuple:
         self.rows = rows
         self.dims = tuple(len(rows[i]) for i in shape.vertices)
         if frames is None:
-            frames = {i: _frame(module, i, rows[i]) for i in shape.vertices}
+            frames = {i: _frame(module.F, module.vertex_field(i), shape.d[i],
+                                module.dims[shape.index[i]], rows[i])
+                      for i in shape.vertices}
         if images is None:
             images = {h.id: _images(module, h, frames[h.src]) for h in shape.arrows}
         self.frames = frames
@@ -674,11 +724,8 @@ def is_submodule(module, sub):
     M_h maps M_h (x) W_s into W_t iff the coordinates past w_t of the images
     of the W_s vectors, in the adapted basis at t, all vanish.
     """
-    for h in module.shape.arrows:
-        w_t, _, from_t = sub.frames[h.tgt]
-        if any(map(any, _mul_t(module.F, from_t[w_t:], sub.images[h.id][0]))):
-            return False
-    return True
+    return all(_inside(module.F, sub.frames[h.tgt], sub.images[h.id][0])
+               for h in module.shape.arrows)
 
 
 def sub_quotient(module, sub):
@@ -700,29 +747,61 @@ def sub_quotient(module, sub):
         sub_maps[h.id] = coords[:w_t]
         quo_maps[h.id] = _mul_t(F, from_t[w_t:], img_c)
     quo_dims = tuple(n - w for n, w in zip(module.dims, sub.dims))
-    return (FiniteModule(shape, F, sub.dims, sub_maps),
-            FiniteModule(shape, F, quo_dims, quo_maps))
+    return (FiniteModule._trusted(shape, F, sub.dims, sub_maps),
+            FiniteModule._trusted(shape, F, quo_dims, quo_maps))
 
 
 def submodule_tuples(module):
     """All arrow-stable tuples of D_i-subspaces of the module.
 
-    Each subspace gets its adapted basis once, and each (arrow, source
-    subspace) pair its images once; a candidate tuple only picks them.
+    The tuples grow vertex by vertex in shape order and come out in
+    lexicographic order over the per-vertex lists of all_subspaces.  The
+    subspaces and frames of a vertex space come from the table that all
+    modules share (_vertex_frames).  The arrows into vertex t from earlier
+    vertices force the images of the chosen W_s into W_t, so only the
+    subspaces that contain those images are tried (_containing).  An arrow
+    back to an earlier vertex, or a loop, is checked once W at its source is
+    chosen.  Each (arrow, source subspace) pair gets its images once, and a
+    SubspaceTuple is built only for an arrow-stable tuple.
     """
-    shape = module.shape
-    subs = {i: list(all_subspaces(module.vertex_field(i), module.dims[shape.index[i]]))
-            for i in shape.vertices}
-    frames = {i: [_frame(module, i, rows) for rows in subs[i]] for i in shape.vertices}
-    images = {h.id: [_images(module, h, frame) for frame in frames[h.src]]
-              for h in shape.arrows}
-    for combo in itertools.product(*(range(len(subs[i])) for i in shape.vertices)):
-        pick = dict(zip(shape.vertices, combo))
-        st = SubspaceTuple(module, {i: subs[i][k] for i, k in pick.items()},
-                           {i: frames[i][k] for i, k in pick.items()},
-                           {h.id: images[h.id][pick[h.src]] for h in shape.arrows})
-        if is_submodule(module, st):
-            yield st
+    shape, F = module.shape, module.F
+    verts = shape.vertices
+    at = shape.index
+    tables = [_vertex_frames(F, shape.d[i], module.dims[at[i]]) for i in verts]
+    forcing = [[h for h in shape.arrows if at[h.tgt] == j and at[h.src] < j]
+               for j in range(len(verts))]
+    closing = [[h for h in shape.arrows if at[h.src] == j and at[h.tgt] <= j]
+               for j in range(len(verts))]
+    images = {h.id: {} for h in shape.arrows}
+    picks = [0] * len(verts)
+
+    def frame(i):
+        return tables[at[i]][1][picks[at[i]]]
+
+    def image(h):
+        k = picks[at[h.src]]
+        got = images[h.id].get(k)
+        if got is None:
+            got = images[h.id][k] = _images(module, h, frame(h.src))
+        return got
+
+    def grow(j):
+        if j == len(verts):
+            yield SubspaceTuple(module, {i: tables[at[i]][0][picks[at[i]]] for i in verts},
+                                {i: frame(i) for i in verts},
+                                {h.id: image(h) for h in shape.arrows})
+            return
+        table = tables[j]
+        if forcing[j]:
+            cands = _containing(F, table, [v for h in forcing[j] for v in image(h)[0]])
+        else:
+            cands = range(len(table[0]))
+        for k in cands:
+            picks[j] = k
+            if all(_inside(F, frame(h.tgt), image(h)[0]) for h in closing[j]):
+                yield from grow(j + 1)
+
+    yield from grow(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1130,7 +1209,9 @@ class IsoClassCatalog:
     small enough to count (and orbit enumeration certifies it
     unconditionally).  Construction, from a build or a cache,
     certifies that no two classes of a slice are isomorphic (see
-    _certify_distinct) and raises OracleError otherwise.  The probes that
+    _certify_distinct) and raises OracleError otherwise.  A catalog read
+    from a cache is mass-checked again, slice by slice, and must certify
+    exactly the slices the file lists as checked.  The probes that
     classify uses are chosen per slice on its first classification, so
     probes_by_dim is empty right after construction.
     """
@@ -1567,7 +1648,7 @@ class IsoClassCatalog:
 
     def _cache_key(self):
         import hashlib
-        blob = "%s|%d|%s|v3" % (self.shape.key(), self.F.q,
+        blob = "%s|%d|%s|v4" % (self.shape.key(), self.F.q,
                                 ";".join(map(str, self.dims_list)))
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
@@ -1625,7 +1706,18 @@ class IsoClassCatalog:
                 self.indec_ids.append(n)
         self.by_dim = {tuple(int(x) for x in k.split(",")) if k else (): v
                        for k, v in payload["by_dim"].items()}
-        self.mass_checked = [tuple(d) for d in payload["mass_checked"]]
+        if set(self.by_dim) != set(self.dims_list):
+            raise OracleError("cache file %s does not hold the slices %s"
+                              % (path, self.dims_list))
+        try:
+            for dims in self.dims_list:
+                self._mass_check(dims)
+        except OracleError as err:
+            raise OracleError("cache file %s: %s" % (path, err)) from None
+        stored = [tuple(d) for d in payload["mass_checked"]]
+        if self.mass_checked != stored:
+            raise OracleError("cache file %s lists the mass-checked slices %s, the check gives %s"
+                              % (path, stored, self.mass_checked))
         return True
 
     def _save_scan(self, dims, out):

@@ -96,6 +96,13 @@ class TestWords:
             for pi in aperiodic_upto(r, 4):
                 assert diamond_word(word_of(pi), r) == pi
 
+    def test_repeated_letters_merge(self):
+        # 3,1,3,1 also evaluates to [3;2) x2, but its monomial has leading
+        # coefficient v + v^-1; the divided powers give 1
+        pi = Multisegment(3, {(3, 2): 2})
+        assert word_of(pi) == ((3, 2), (1, 2))
+        assert diamond_word(word_of(pi), 3) == pi
+
     def test_nonaperiodic_rejected(self):
         with pytest.raises(ValueError):
             word_of(Multisegment(2, {(1, 1): 1, (2, 1): 1}))
@@ -208,3 +215,11 @@ class TestCanonical:
     def test_word_monomials_unitriangular(self, canonical22):
         for pi, angle in canonical22.monomials.items():
             assert str(angle[pi]) == "1*v^0"
+
+
+def test_rank_three_canonical_basis_is_bar_invariant():
+    # (2,2,2) holds [3;2) x2, whose alternating word is not unitriangular
+    basis = CyclicCanonicalBasis(3, (2, 2, 2))
+    assert Multisegment(3, {(3, 2): 2}) in basis.B
+    for pi in basis.B:
+        assert basis.check_bar_invariant(pi)

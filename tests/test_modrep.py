@@ -574,6 +574,78 @@ class TestCacheWrites:
         assert len(list(cache.iterdir())) == 2
 
 
+class TestCacheLoad:
+    """A loaded catalog is re-checked by the mass formula, slice by slice."""
+
+    @staticmethod
+    def _build(cache):
+        return IsoClassCatalog(KRON, F2, [(1, 2)], synthesizer=synth_kronecker,
+                               cache_dir=str(cache))
+
+    @staticmethod
+    def _rewrite(path, edit):
+        with open(path) as fh:
+            payload = json.load(fh)
+        edit(payload)
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+
+    def test_loaded_catalog_is_mass_checked_again(self, tmp_path, monkeypatch):
+        built = self._build(tmp_path)
+        calls = []
+        check = IsoClassCatalog._mass_check
+        monkeypatch.setattr(IsoClassCatalog, "_build", _fail)
+        monkeypatch.setattr(IsoClassCatalog, "_mass_check",
+                            lambda self, dims: calls.append(dims) or check(self, dims))
+        loaded = self._build(tmp_path)
+        assert calls == built.dims_list
+        assert loaded.mass_checked == built.mass_checked == built.dims_list
+
+    def test_wrong_automorphism_count_is_refused(self, tmp_path):
+        path = self._build(tmp_path)._cat_path()
+
+        def edit(payload):
+            # another class's |Aut| still divides |G| but changes the sum
+            classes = [payload["classes"][cid] for cid in payload["by_dim"]["1,2"]]
+            other = next(c["aut"] for c in classes if c["aut"] != classes[0]["aut"])
+            classes[0]["aut"] = other
+        self._rewrite(path, edit)
+        with pytest.raises(OracleError, match="cache file %s: mass check failed at \\(1, 2\\)"
+                           % re.escape(path)):
+            self._build(tmp_path)
+
+    def test_dropped_class_is_refused(self, tmp_path):
+        path = self._build(tmp_path)._cat_path()
+        self._rewrite(path, lambda payload: payload["by_dim"]["1,2"].pop())
+        with pytest.raises(OracleError, match="cache file %s: mass check failed"
+                           % re.escape(path)):
+            self._build(tmp_path)
+
+    def test_stored_list_must_equal_the_recomputed_one(self, tmp_path):
+        path = self._build(tmp_path)._cat_path()
+        self._rewrite(path, lambda payload: payload["mass_checked"].pop())
+        with pytest.raises(OracleError, match="lists the mass-checked slices"):
+            self._build(tmp_path)
+
+    def test_missing_slice_is_refused(self, tmp_path):
+        path = self._build(tmp_path)._cat_path()
+        self._rewrite(path, lambda payload: payload["by_dim"].pop("1,2"))
+        with pytest.raises(OracleError, match="does not hold the slices"):
+            self._build(tmp_path)
+
+    def test_cache_of_the_previous_format_is_not_read(self, tmp_path):
+        # the key names the catalog format; a file written under the old
+        # key (class order of before) is never loaded
+        import hashlib
+        cat = self._build(tmp_path / "new")
+        blob = "%s|%d|%s|v3" % (KRON.key(), 2, ";".join(map(str, cat.dims_list)))
+        old = tmp_path / ("cat_%s.json" % hashlib.sha256(blob.encode()).hexdigest()[:24])
+        old.write_text("not a catalog")
+        rebuilt = self._build(tmp_path)
+        assert os.path.basename(rebuilt._cat_path()) != old.name
+        assert [c.aut for c in rebuilt.classes] == [c.aut for c in cat.classes]
+
+
 FIELDS = (field(2), field(3), field(2, 2), field(5), field(7))
 
 
@@ -800,7 +872,10 @@ TWO_BLOCKS = ValuedQuiver(("1", "2"), {"1": 1, "2": 2}, (Arrow("a", "1", "2", 2)
 def _shape_of(name):
     if name == "two-blocks":
         return TWO_BLOCKS
-    return cyclic_shape(2) if name == "cyclic:2" else builtin_quiver(name)
+    if name.startswith("cyclic:"):
+        # the arrow r -> 1 closes back to the first vertex only at the last one
+        return cyclic_shape(int(name[len("cyclic:"):]))
+    return builtin_quiver(name)
 
 
 def _random_modules(shape, F, rng, count):
@@ -825,6 +900,9 @@ def _random_modules(shape, F, rng, count):
 
 def _base_rows(Di, d, rows):
     """The rows g^a r (a < d, g the generator of D_i) in base-field coordinates."""
+    if d == 1:
+        # D_i is the base field itself, which need not be prime
+        return [list(r) for r in rows]
     powers = [1]
     while len(powers) < d:
         powers.append(Di.mul(powers[-1], Di.p))
@@ -876,11 +954,14 @@ def _in_span(F, basis, vectors):
 
 
 class TestSubmoduleOracle:
-    @pytest.mark.parametrize("name", ["kronecker", "a2tilde", "cyclic:2", "c2tilde-folded",
-                                      "two-blocks"])
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_every_subspace_tuple(self, name, q):
-        shape, F = _shape_of(name), field(q)
+    @pytest.mark.parametrize("q, name", [
+        (q, name) for q in (2, 3, 4, 5)
+        for name in ("a2tilde", "c2tilde-folded", "cyclic:2", "cyclic:3", "kronecker",
+                     "two-blocks")
+        # valued vertices need a prime base field
+        if not (q == 4 and name in ("c2tilde-folded", "two-blocks"))])
+    def test_every_subspace_tuple(self, q, name):
+        shape, F = _shape_of(name), field_of_order(q)
         stable = rejected = 0
         for M in _random_modules(shape, F, random.Random("%s-%d" % (name, q)), 20):
             spaces = [list(all_subspaces(M.vertex_field(i), M.dims[shape.index[i]]))
@@ -918,6 +999,33 @@ class TestSubmoduleOracle:
             assert [tuple(W.rows[i] for i in shape.vertices)
                     for W in submodule_tuples(M)] == accepted
         assert stable and rejected
+
+
+class TestSharedFrames:
+    @pytest.mark.parametrize("name, q, dims", [("cyclic:2", 3, (2, 2)), ("kronecker", 2, (2, 2)),
+                                               ("c2tilde-folded", 3, (1, 2))],
+                             ids=["cyclic:2", "kronecker", "c2tilde-folded"])
+    def test_frame_once_per_subspace(self, monkeypatch, name, q, dims):
+        """One frame per (base field, D_i, n_i, subspace) across all classes of a slice."""
+        shape, F = _shape_of(name), field(q)
+        synth = {"cyclic:2": synth_cyclic, "kronecker": synth_kronecker}.get(name)
+        cat = IsoClassCatalog(shape, F, [dims], synthesizer=synth)
+        monkeypatch.setattr(modrep, "_FRAMES", {})
+        made = Counter()
+        frame = modrep._frame
+
+        def counted(F, Di, d, n, rows):
+            made[(F.q, Di.q, n, rows)] += 1
+            return frame(F, Di, d, n, rows)
+
+        monkeypatch.setattr(modrep, "_frame", counted)
+        counts = cat.scan_dim(dims)
+        assert len(counts) == len(cat.by_dim[dims]) > 1
+        assert made and max(made.values()) == 1
+        # every subspace of every vertex space of the slice has its frame
+        spaces = {(shape.d[i], dims[shape.index[i]]) for i in shape.vertices}
+        assert len(made) == sum(len(list(all_subspaces(field(F.p, F.deg * d), n)))
+                                for d, n in spaces)
 
 
 class TestDirectSum:
