@@ -32,7 +32,7 @@ from .cyclic import (
     parse_multisegment,
     word_of,
 )
-from .hall import FitError, HallContext, generic_hall_algebra
+from .hall import FitError, GenericHallAlgebra, HallContext
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
 from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
@@ -131,10 +131,9 @@ class _A1Labeler:
 
 
 def _a1_algebra(config, top):
-    """The generic Hall algebra of A1 up to dimension top, over the configured fields."""
-    return generic_hall_algebra(builtin_quiver("a1"), (top,), _A1Labeler(), config.primes,
-                                config.verify_prime, synthesizer=synth_a1, budget=16,
-                                cache_dir=config.cache_dir)
+    """The generic Hall algebra of A1 up to dimension top."""
+    return GenericHallAlgebra(builtin_quiver("a1"), (top,), _A1Labeler(), synthesizer=synth_a1,
+                              budget=16, cache_dir=config.cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +295,7 @@ def _suite_hallpoly(config):
     checks = []
     ok = True
     primes, verify = config.primes, config.verify_prime
-    alg = cyclic_generic_algebra(2, (1, 1), fit_fields=primes, verify_field=verify,
-                                 escalation=None, cache_dir=config.cache_dir)
+    alg = cyclic_generic_algebra(2, (1, 1), cache_dir=config.cache_dir)
     lab = alg.labeler
     hp = alg.fit_hall_polynomial(
         lab.of_multisegment(Multisegment.segment(2, 1, 2)),
@@ -430,8 +428,7 @@ def cmd_hall_poly(config, triple_spec):
             raise SystemExit("--triple %s: L must have the dimension vector of M + N"
                              % triple_spec)
         cap = tuple(max(d[k] for d in dims) for k in range(r))
-        alg = cyclic_generic_algebra(r, cap, fit_fields=primes, verify_field=verify,
-                                     escalation=None, cache_dir=config.cache_dir)
+        alg = cyclic_generic_algebra(r, cap, cache_dir=config.cache_dir)
         lab = alg.labeler
         hp = alg.fit_hall_polynomial(lab.of_multisegment(pis[0]),
                                      lab.of_multisegment(pis[1]),
@@ -445,7 +442,8 @@ def cmd_hall_poly(config, triple_spec):
         if len(dims) != 3 or dims[0] != dims[1] + dims[2]:
             raise SystemExit("--triple needs 'l / m / n' with l = m + n")
         hp = _a1_algebra(config, dims[0]).fit_hall_polynomial(
-            ("A1", (dims[0],)), ("A1", (dims[1],)), ("A1", (dims[2],)), (dims[1],), (dims[2],))
+            ("A1", (dims[0],)), ("A1", (dims[1],)), ("A1", (dims[2],)), (dims[1],), (dims[2],),
+            primes=primes, verify=verify)
     else:
         raise SystemExit("hall-poly supports --ctx a1 or --ctx cyclic:<r>")
     return emit(config, {"command": "hall-poly",
@@ -458,14 +456,16 @@ def cmd_hall_poly(config, triple_spec):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, fit_fields=False):
+    """The shared options; fit_fields adds the explicit fields of hall-poly and hallpoly."""
     p.add_argument("--ctx", help="built-in context name (kronecker, a2tilde, "
                                  "c2tilde-folded, cyclic:<r>, a1)")
     p.add_argument("--quiver", help="path to a quiver description file")
     p.add_argument("--cap", help="grading cap a,b[,c...]")
-    p.add_argument("--primes", help="fit field orders q (prime powers), e.g. 2,3,4,5")
-    p.add_argument("--verify-prime", "--verify", dest="verify_prime", type=int,
-                   help="held-out verification field order q")
+    if fit_fields:
+        p.add_argument("--primes", help="fit field orders q (prime powers), e.g. 2,3,4,5")
+        p.add_argument("--verify-prime", "--verify", dest="verify_prime", type=int,
+                       help="held-out verification field order q")
     p.add_argument("--cache-dir", dest="cache_dir", help="catalog cache directory")
     p.add_argument("--out", help="write the JSON report to this path")
 
@@ -480,7 +480,7 @@ def main(argv=None):
     p.add_argument("--window", type=int, default=3)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p)
+    _add_common(p, fit_fields=True)
     p.add_argument("--suite", required=True,
                    choices=["serre", "orthogonality", "triangularity", "eta",
                             "kashiwara", "hallpoly", "all"])
@@ -497,7 +497,7 @@ def main(argv=None):
     p.add_argument("--dim", help="dimension cap, e.g. 2,2")
 
     p = sub.add_parser("hall-poly", help="fit and verify one Hall polynomial")
-    _add_common(p)
+    _add_common(p, fit_fields=True)
     p.add_argument("--triple", required=True,
                    help="'L / M / N' multisegments (cyclic) or dims (a1)")
 
@@ -530,7 +530,7 @@ def main(argv=None):
     except BudgetError as exc:
         raise SystemExit("refused, over budget: %s" % exc)
     except FitError as exc:
-        sys.stderr.write("refused, fit not verified: %s; fit over more --primes\n" % exc)
+        sys.stderr.write("refused, fit not verified: %s\n" % exc)
         return 2
     raise SystemExit("unknown command")
 

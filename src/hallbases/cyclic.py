@@ -16,13 +16,7 @@ round-trip contract diamond_word(word_of(pi)) == pi.
 from __future__ import annotations
 
 from .cartan import Arrow, gradings_below, multisets
-from .hall import (
-    apply_bar,
-    expand_in,
-    generic_hall_algebra,
-    linear_extension,
-    triangular_bases,
-)
+from .hall import GenericHallAlgebra, apply_bar, expand_in, linear_extension, triangular_bases
 from .laurent import LaurentPoly, RationalV
 from .modrep import (
     FiniteModule,
@@ -392,12 +386,10 @@ class CyclicLabeler:
 CYCLIC_BUDGET = 40
 
 
-def cyclic_generic_algebra(r, cap, fit_fields=(2, 3, 4), verify_field=5,
-                           escalation=((2, 3, 4, 5), 7), cache_dir=None):
+def cyclic_generic_algebra(r, cap, cache_dir=None):
     """The generic Hall algebra of nilpotent K_r representations up to cap."""
-    return generic_hall_algebra(cyclic_shape(r), cap, CyclicLabeler(r), fit_fields,
-                                verify_field, escalation=escalation, synthesizer=synth_cyclic,
-                                budget=CYCLIC_BUDGET, cache_dir=cache_dir)
+    return GenericHallAlgebra(cyclic_shape(r), cap, CyclicLabeler(r), synthesizer=synth_cyclic,
+                              budget=CYCLIC_BUDGET, cache_dir=cache_dir)
 
 
 class CyclicCanonicalBasis:

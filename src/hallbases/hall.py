@@ -7,25 +7,32 @@ divided-power arithmetic) are checked exactly by reduction modulo v^2 - q.
 The generic layer works in field-independent coordinates: isomorphism
 classes are grouped into labels (decomposition types; homogeneous regular
 points are recorded only by degree and partition), and every structure
-constant is a polynomial in q obtained by Lagrange interpolation through
-several finite fields and verified on a held-out field before use.  With
+constant and label count is a polynomial in q.  Each is fitted by Lagrange
+interpolation on the shape's field ladder (field_ladder): through the first
+three fields, verified at the fourth, and widened one field at a time while
+a verification fails and the width stays within Riedtmann's degree bound
+plus one.  A verified fit of degree over the bound is an OracleError.  The
+catalog over a field is built the first time a fit reads that field.  With
 q = v^2 substituted, all basis-level statements (bar invariance, almost
 orthogonality, lattice membership) become exact statements in Q(v).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .cartan import euler_form, gradings_below
 from .laurent import LaurentPoly, RationalV
 from .modrep import (
     DEFAULT_BUDGET,
+    MAX_FIELD_ORDER,
     IsoClassCatalog,
     OracleError,
     check_budget,
     direct_sum,
     field_of_order,
+    prime_power,
     simple_module,
 )
 
@@ -62,12 +69,19 @@ def qpoly_to_v(p):
     return LaurentPoly({2 * e: c for e, c in p.coeffs.items()})
 
 
-def field_orders(fit_fields, verify_field, escalation=None):
-    """Sorted orders q of every field a fit may read: fit, verify, escalation."""
-    qs = set(fit_fields) | {verify_field}
-    if escalation:
-        qs |= set(escalation[0]) | {escalation[1]}
-    return tuple(sorted(qs))
+def field_ladder(shape):
+    """The field orders a fit of shape may read, ascending, up to MAX_FIELD_ORDER.
+
+    Prime powers, or primes only when some vertex is valued (d_i > 1), since
+    a valued vertex needs a prime base field.
+    """
+    valued = any(shape.d[i] > 1 for i in shape.vertices)
+    return tuple(q for q in range(2, MAX_FIELD_ORDER + 1)
+                 if prime_power(q) and (prime_power(q)[1] == 1 or not valued))
+
+
+#: the first fit of a constant reads ladder[:FIRST_WIDTH] and verifies at ladder[FIRST_WIDTH]
+FIRST_WIDTH = 3
 
 
 class FitError(OracleError):
@@ -85,6 +99,45 @@ def fit_and_verify(values, fit_fields, verify_field):
             "fit through %s gives %s at q=%d, oracle says %s"
             % (sorted(pts), got, verify_field, want))
     return poly
+
+
+def fit_on_ladder(ladder, read, bound):
+    """Fit every constant of read(q) = {key: value over GF(q)} as a polynomial in q.
+
+    A key absent from read(q) is 0 over GF(q).  Each key is fitted through
+    ladder[:w] and verified at ladder[w], from w = FIRST_WIDTH.  A failed
+    key widens the fit by one field while w <= bound(key) + 1, and read is
+    called once for each field the fits reach.  Raises FitError when a key
+    fails at its widest fit and OracleError when a verified fit has degree
+    over bound(key).  Returns {key: polynomial in q}, keys in first-read order.
+    """
+    w = FIRST_WIDTH
+    values = {q: read(q) for q in ladder[:w + 1]}
+    fits = dict.fromkeys(k for vals in values.values() for k in vals)
+    todo = list(fits)
+    while todo:
+        retry = []
+        for key in todo:
+            pts = {q: values[q].get(key, 0) for q in ladder[:w + 1]}
+            try:
+                poly = fit_and_verify(pts, ladder[:w], ladder[w])
+            except FitError:
+                if w > bound(key) or w + 1 == len(ladder):
+                    raise
+                retry.append(key)
+                continue
+            if not poly.is_zero() and poly.degree() > bound(key):
+                raise OracleError("fit of %r has degree %d, over its bound %d"
+                                  % (key, poly.degree(), bound(key)))
+            fits[key] = poly
+        if retry:
+            w += 1
+            values[ladder[w]] = read(ladder[w])
+            new = [k for k in values[ladder[w]] if k not in fits]
+            fits.update(dict.fromkeys(new))
+            retry += new
+        todo = retry
+    return fits
 
 
 class HallPolynomial:
@@ -284,98 +337,99 @@ class HallElement:
 # ---------------------------------------------------------------------------
 
 class GenericHallAlgebra:
-    """Field-independent Hall algebra in label coordinates.
+    """Field-independent Hall algebra of shape up to cap, in label coordinates.
 
-    catalogs: {q: IsoClassCatalog} covering the same dimension vectors over
-    the fit fields and the verify field; labeler assigns the common labels.
+    labeler assigns labels common to all fields.  The catalog over GF(q) is
+    built the first time a fit reads q (catalog).  The constructor checks
+    the budgets of the fields of a first fit and one widening, so an
+    over-budget cap is refused before any catalog is built; a field read
+    later checks its own budget first.
     """
 
-    def __init__(self, shape, catalogs, labeler, fit_fields, verify_field,
-                 escalation=None):
+    def __init__(self, shape, cap, labeler, synthesizer=None, budget=DEFAULT_BUDGET,
+                 cache_dir=None):
         self.shape = shape
-        self.catalogs = catalogs
+        self.cap = tuple(cap)
         self.labeler = labeler
-        self.fit_fields = tuple(fit_fields)
-        self.verify_field = verify_field
-        self.escalation = escalation  # optional (fit_fields, verify_field)
-        self.all_fields = field_orders(fit_fields, verify_field, escalation)
-        self._labels_by_dim = {}     # dims -> sorted list of labels
+        self.synthesizer = synthesizer
+        self.budget = budget
+        self.cache_dir = cache_dir
+        self.ladder = field_ladder(shape)
+        self.catalogs = {}           # q -> IsoClassCatalog, built on first read
+        self._check_budgets(self.ladder[:FIRST_WIDTH + 2])
+        self._label_sets = {}        # dims -> sorted labels over the first field read
+        self._labels_by_dim = {}     # dims -> sorted labels, once their counts are fitted
         self._label_maps = {}        # (q, dims) -> {cid: label}
-        self._label_data = {}        # label -> dict(end, dim_k, count_poly, aut_poly)
+        self._label_facts = {}       # label -> dict(end, dim_k, aut) over the first field read
+        self._label_data = {}        # label -> dict(end, dim_k, aut, dims, count)
         self._mult_tables = {}       # (dims1, dims2) -> {(l1, l2): {l: LaurentPoly in v}}
         self._coproduct_tables = {}  # dims -> {l: {(l1, l2): RationalV}}
+
+    def _check_budgets(self, qs):
+        for q in qs:
+            check_budget(self.shape, field_of_order(q), self.cap, self.budget)
+
+    def catalog(self, q):
+        """The catalog over GF(q), built the first time it is read."""
+        if q not in self.catalogs:
+            self._check_budgets([q])
+            self.catalogs[q] = IsoClassCatalog(self.shape, field_of_order(q), [self.cap],
+                                               synthesizer=self.synthesizer,
+                                               budget=self.budget, cache_dir=self.cache_dir)
+        return self.catalogs[q]
 
     # -- labels ------------------------------------------------------------
 
     def labels_of_dim(self, dims):
+        """The sorted labels of the slice dims; fits their counts on first use."""
         dims = tuple(dims)
-        if dims in self._labels_by_dim:
-            return self._labels_by_dim[dims]
-        per_field = {}
-        for q in self.all_fields:
-            cat = self.catalogs[q]
-            mapping = {}
-            for cid in cat.by_dim[dims]:
-                mapping[cid] = self.labeler.label_of(cat, cid)
-            self._label_maps[(q, dims)] = mapping
-            per_field[q] = sorted(set(mapping.values()))
-        base = per_field[self.all_fields[0]]
-        for q, labels in per_field.items():
-            if labels != base:
-                raise OracleError(
-                    "label sets differ between fields at %s: %s vs %s"
-                    % (dims, base, labels))
-        self._labels_by_dim[dims] = base
-        for label in base:
-            self._ensure_label_data(label, dims)
-        return base
+        if dims not in self._labels_by_dim:
+            # the mass formula gives deg count(l) <= end l - <dims, dims>
+            form = euler_form(self.shape, dims, dims)
+            counts = fit_on_ladder(
+                self.ladder, lambda q: Counter(self._label_map(q, dims).values()),
+                lambda label: self._label_facts[label]["end"] - form)
+            for label, count in counts.items():
+                self._label_data[label] = dict(self._label_facts[label], dims=dims, count=count)
+            self._labels_by_dim[dims] = self._label_sets[dims]
+        return self._labels_by_dim[dims]
+
+    def _label_map(self, q, dims):
+        """{cid: label} on the slice dims over GF(q), checked the first time it is read.
+
+        Its label set, and each label's End, dim_k and Aut polynomial, must
+        be those over the first field read; the Aut polynomial must give
+        |Aut| of every realization over GF(q).
+        """
+        if (q, dims) in self._label_maps:
+            return self._label_maps[(q, dims)]
+        cat = self.catalog(q)
+        mapping = {cid: self.labeler.label_of(cat, cid) for cid in cat.by_dim[dims]}
+        labels = sorted(set(mapping.values()))
+        base = self._label_sets.setdefault(dims, labels)
+        if labels != base:
+            raise OracleError("label sets differ between fields at %s: %s vs %s"
+                              % (dims, base, labels))
+        for label in labels:
+            infos = [cat.classes[cid] for cid, l in mapping.items() if l == label]
+            facts = {"end": infos[0].end, "dim_k": infos[0].module.dim_k(),
+                     "aut": self._aut_poly_from(cat, infos[0])}
+            if (self._label_facts.setdefault(label, facts) != facts
+                    or any((i.end, i.module.dim_k()) != (facts["end"], facts["dim_k"])
+                           for i in infos)):
+                raise OracleError("label %r has field-dependent End, dim_k or Aut structure"
+                                  % (label,))
+            if any(qpoly_eval(facts["aut"], q) != i.aut for i in infos):
+                raise OracleError("Aut polynomial of %r fails at q=%d" % (label, q))
+        self._label_maps[(q, dims)] = mapping
+        return mapping
 
     def realizations(self, q, dims, label):
         self.labels_of_dim(dims)
-        mapping = self._label_maps[(q, tuple(dims))]
-        return [cid for cid, l in mapping.items() if l == label]
+        return [cid for cid, l in self._label_map(q, tuple(dims)).items() if l == label]
 
-    def _ensure_label_data(self, label, dims):
-        if label in self._label_data:
-            return
-        ends = set()
-        dim_ks = set()
-        counts = {}
-        aut_polys = set()
-        for q in self.all_fields:
-            cat = self.catalogs[q]
-            reals = self.realizations(q, dims, label)
-            if not reals:
-                raise OracleError("label %r has no realization over q=%d" % (label, q))
-            counts[q] = len(reals)
-            for cid in reals:
-                info = cat.classes[cid]
-                ends.add(info.end)
-                dim_ks.add(info.module.dim_k())
-            aut_polys.add(self._aut_poly_from(cat, reals[0]))
-        if len(ends) != 1 or len(dim_ks) != 1:
-            raise OracleError("label %r has field-dependent End or dim_k" % (label,))
-        if len(aut_polys) != 1:
-            raise OracleError("label %r has field-dependent Aut structure" % (label,))
-        count_poly = fit_and_verify(counts, self.fit_fields, self.verify_field)
-        aut_poly = aut_polys.pop()
-        # exact check of the closed-form automorphism polynomial everywhere
-        for q in self.all_fields:
-            cat = self.catalogs[q]
-            for cid in self.realizations(q, dims, label):
-                if qpoly_eval(aut_poly, q) != cat.classes[cid].aut:
-                    raise OracleError("Aut polynomial of %r fails at q=%d" % (label, q))
-        self._label_data[label] = {
-            "end": ends.pop(),
-            "dim_k": dim_ks.pop(),
-            "dims": tuple(dims),
-            "count": count_poly,
-            "aut": aut_poly,
-        }
-
-    def _aut_poly_from(self, cat, cid):
+    def _aut_poly_from(self, cat, info):
         """|Aut| as a polynomial in q, from the decomposition structure."""
-        info = cat.classes[cid]
         poly = LaurentPoly.one()
         sq_sum = 0
         for icid, m in info.decomposition:
@@ -391,60 +445,61 @@ class GenericHallAlgebra:
     # -- structure constants -------------------------------------------------
 
     def mult_table(self, dims1, dims2):
-        """Generic structure constants for the product of two graded slices."""
+        """Generic structure constants for the product of two graded slices.
+
+        The entry of (l1, l2) at l sums g^L_{MN} over the realizations M of
+        l1 and N of l2, for one realization L of l.  Riedtmann's formula
+        g^L_{MN} = |Ext^1(M,N)_L| |Aut L| / (|Aut M| |Aut N| |Hom(M,N)|)
+        bounds its degree by end l - <dims1, dims2> - end l1 - end l2 plus
+        the degrees of the counts of l1 and l2.
+        """
         key = (tuple(dims1), tuple(dims2))
         if key in self._mult_tables:
             return self._mult_tables[key]
         dims1, dims2 = key
         target = tuple(a + b for a, b in zip(dims1, dims2))
-        self.labels_of_dim(dims1)
-        self.labels_of_dim(dims2)
-        self.labels_of_dim(target)
-        values = {}  # (l1, l2, l) -> {q: count}
-        for q in self.all_fields:
-            cat = self.catalogs[q]
-            scan = cat.scan_dim(target)
-            lmap_t = self._label_maps[(q, target)]
-            lmap_1 = self._label_maps[(q, dims1)]
-            lmap_2 = self._label_maps[(q, dims2)]
-            per_label = {}
-            for l_cid, counts in scan.items():
-                bucket = {}
-                for (m_cid, n_cid), g in counts.items():
-                    m_label = lmap_1.get(m_cid)
-                    n_label = lmap_2.get(n_cid)
-                    if m_label is None or n_label is None:
-                        continue
-                    k = (m_label, n_label)
-                    bucket[k] = bucket.get(k, 0) + g
-                target_label = lmap_t[l_cid]
-                if target_label in per_label:
-                    if per_label[target_label] != bucket:
-                        raise OracleError(
-                            "structure constants differ between realizations of %r"
-                            % (target_label,))
-                else:
-                    per_label[target_label] = bucket
-            for tl, bucket in per_label.items():
-                for (l1, l2), g in bucket.items():
-                    values.setdefault((l1, l2, tl), {})[q] = g
+        for dims in (dims1, dims2, target):
+            self.labels_of_dim(dims)
+        form = euler_form(self.shape, dims1, dims2)
+        data = self._label_data
+
+        def bound(labels):
+            l1, l2, tl = labels
+            return (data[tl]["end"] - form - data[l1]["end"] - data[l2]["end"]
+                    + data[l1]["count"].degree() + data[l2]["count"].degree())
+
         table = {}
-        for (l1, l2, tl), vals in values.items():
-            for q in self.all_fields:
-                vals.setdefault(q, 0)
-            poly = self._fit_constant(vals)
+        fits = fit_on_ladder(self.ladder, lambda q: self._label_counts(q, dims1, dims2, target),
+                             bound)
+        for (l1, l2, tl), poly in fits.items():
             table.setdefault((l1, l2), {})[tl] = qpoly_to_v(poly)
         self._mult_tables[key] = table
         return table
 
-    def _fit_constant(self, vals):
-        try:
-            return fit_and_verify(vals, self.fit_fields, self.verify_field)
-        except FitError:
-            if not self.escalation:
-                raise
-            big_fit, big_verify = self.escalation
-            return fit_and_verify(vals, big_fit, big_verify)
+    def _label_counts(self, q, dims1, dims2, target):
+        """The entries of mult_table(dims1, dims2) over GF(q), as {(l1, l2, l): count}.
+
+        Every realization L of l must give the same counts.
+        """
+        scan = self.catalog(q).scan_dim(target)
+        lmap_t = self._label_map(q, target)
+        lmap_1 = self._label_map(q, dims1)
+        lmap_2 = self._label_map(q, dims2)
+        per_label = {}
+        for l_cid, counts in scan.items():
+            bucket = {}
+            for (m_cid, n_cid), g in counts.items():
+                m_label = lmap_1.get(m_cid)
+                n_label = lmap_2.get(n_cid)
+                if m_label is None or n_label is None:
+                    continue
+                k = (m_label, n_label)
+                bucket[k] = bucket.get(k, 0) + g
+            if per_label.setdefault(lmap_t[l_cid], bucket) != bucket:
+                raise OracleError("structure constants differ between realizations of %r"
+                                  % (lmap_t[l_cid],))
+        return {(l1, l2, tl): g for tl, bucket in per_label.items()
+                for (l1, l2), g in bucket.items()}
 
     def coproduct_table(self, dims):
         """Green coproduct on the slice, label coordinates, RationalV entries."""
@@ -505,24 +560,23 @@ class GenericHallAlgebra:
                               RationalV(LaurentPoly.v_power(-data["dim_k"] + data["end"])))
 
     def label_of_module(self, module):
-        q = module.F.q
-        cat = self.catalogs[q]
-        cid = cat.classify(module)
+        cid = self.catalog(module.F.q).classify(module)
         self.labels_of_dim(module.dims)
-        return self._label_maps[(q, module.dims)][cid]
+        return self._label_map(module.F.q, module.dims)[cid]
+
+    def _simple(self, vertex):
+        """S_vertex over the first field of the ladder."""
+        return simple_module(self.shape, self.catalog(self.ladder[0]).F, vertex)
 
     def u(self, vertex):
-        dims = tuple(1 if i == vertex else 0 for i in self.shape.vertices)
-        q = self.all_fields[0]
-        s = simple_module(self.shape, self.catalogs[q].F, vertex)
-        return self.label_elt(dims, self.label_of_module(s))
+        s = self._simple(vertex)
+        return self.label_elt(s.dims, self.label_of_module(s))
 
     def divided_u(self, vertex, a):
         """u_i^(a) = <S_i^(+a)> = v_i^(a(a-1)) [S_i^(+a)]."""
         if a == 0:
             return self.unit()
-        F = self.catalogs[self.all_fields[0]].F
-        M = direct_sum(*[simple_module(self.shape, F, vertex)] * a)
+        M = direct_sum(*[self._simple(vertex)] * a)
         return self.angle_elt(M.dims, self.label_of_module(M))
 
     def monomial_elt(self, word):
@@ -550,28 +604,19 @@ class GenericHallAlgebra:
 
     def derive_left(self, vertex, x):
         """The u_i (x) (-) component of the Green coproduct."""
-        return self._derive(vertex, x, left=True)
-
-    def derive_right(self, vertex, x):
-        return self._derive(vertex, x, left=False)
-
-    def _derive(self, vertex, x, left):
         if x.is_zero():
             return self.zero_elt()
         e_i = tuple(1 if i == vertex else 0 for i in self.shape.vertices)
         rest = tuple(a - b for a, b in zip(x.grading, e_i))
         if any(c < 0 for c in rest):
             return self.zero_elt()
-        q0 = self.all_fields[0]
-        s_label = self.label_of_module(simple_module(self.shape, self.catalogs[q0].F, vertex))
+        s_label = self.label_of_module(self._simple(vertex))
         table = self.coproduct_table(x.grading)
         out = {}
         for label, cx in x.coeffs.items():
             for (l1, l2), val in table[label].items():
-                if left and l1 == s_label and self._label_data[l2]["dims"] == rest:
+                if l1 == s_label and self._label_data[l2]["dims"] == rest:
                     out[l2] = out.get(l2, RationalV(0)) + cx * val
-                if not left and l2 == s_label and self._label_data[l1]["dims"] == rest:
-                    out[l1] = out.get(l1, RationalV(0)) + cx * val
         return LabelElement(self, rest, out)
 
     def coproduct(self, x):
@@ -598,42 +643,24 @@ class GenericHallAlgebra:
 
     # -- Hall polynomial fitting -----------------------------------------
 
-    def fit_hall_polynomial(self, l_label, m_label, n_label, dims_m, dims_n,
-                            primes=None, verify=None):
-        """Fit g^L_{MN} through oracle counts and verify on a held-out field.
+    def fit_hall_polynomial(self, l_label, m_label, n_label, dims_m, dims_n, primes, verify):
+        """Fit g^L_{MN} through oracle counts over primes and verify at verify.
 
         Realizations are the canonical (lowest class id) ones per field.
+        Every field's budget is checked before the first new catalog is built.
         """
-        primes = tuple(primes) if primes else self.fit_fields
-        verify = verify if verify is not None else self.verify_field
+        primes = tuple(primes)
         dims_l = tuple(a + b for a, b in zip(dims_m, dims_n))
+        fields = sorted(set(primes) | {verify})
+        self._check_budgets(fields)
         values = {}
-        for q in sorted(set(primes) | {verify}):
-            cat = self.catalogs[q]
+        for q in fields:
             l_cid = min(self.realizations(q, dims_l, l_label))
             m_cid = min(self.realizations(q, dims_m, m_label))
             n_cid = min(self.realizations(q, dims_n, n_label))
-            values[q] = cat.hall_number(l_cid, m_cid, n_cid)
+            values[q] = self.catalog(q).hall_number(l_cid, m_cid, n_cid)
         poly = fit_and_verify(values, primes, verify)
         return HallPolynomial(poly, (l_label, m_label, n_label), primes, verify)
-
-
-def generic_hall_algebra(shape, cap, labeler, fit_fields, verify_field, escalation=None,
-                         synthesizer=None, budget=DEFAULT_BUDGET, cache_dir=None):
-    """One catalog of shape up to cap per field a fit may read, and their generic algebra.
-
-    Every field's budget is checked before the first catalog is built, so an
-    over-budget cap is refused up front, not after the smaller fields ran.
-    """
-    cap = tuple(cap)
-    fields = [field_of_order(q) for q in field_orders(fit_fields, verify_field, escalation)]
-    for F in fields:
-        check_budget(shape, F, cap, budget)
-    catalogs = {F.q: IsoClassCatalog(shape, F, [cap], synthesizer=synthesizer, budget=budget,
-                                     cache_dir=cache_dir)
-                for F in fields}
-    return GenericHallAlgebra(shape, catalogs, labeler, fit_fields, verify_field,
-                              escalation=escalation)
 
 
 class LabelElement:
@@ -695,18 +722,6 @@ class LabelElement:
 
     def coefficient(self, label):
         return self.coeffs.get(label, RationalV(0))
-
-    def all_polynomial(self):
-        return all(c.is_polynomial() for c in self.coeffs.values())
-
-    def specialize(self, q):
-        """Exact check value: coefficients reduced by v^2 = q as (c0, c1)."""
-        out = {}
-        for label, c in self.coeffs.items():
-            if not c.is_polynomial():
-                raise ValueError("specialization needs polynomial coefficients")
-            out[label] = c.as_poly().subs_v_squared(q)
-        return out
 
     def __repr__(self):
         if self.is_zero():

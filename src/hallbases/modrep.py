@@ -78,6 +78,9 @@ class OracleError(RuntimeError):
 class GF:
     """The finite field F_{p^deg} with a fixed defining polynomial.
 
+    The polynomial is the one on record in IRREDUCIBLE, or else the first
+    monic irreducible of degree deg that monic_irreducibles lists.
+
     Elements are integers whose base-p digits are the polynomial coefficients,
     so 0 and 1 are the additive and multiplicative units and, for deg > 1,
     the integer p encodes the generator x.
@@ -90,9 +93,7 @@ class GF:
         if deg == 1:
             self._red = None
         else:
-            if (p, deg) not in IRREDUCIBLE:
-                raise ValueError("no defining polynomial on record for GF(%d^%d)" % (p, deg))
-            self._red = IRREDUCIBLE[(p, deg)]
+            self._red = IRREDUCIBLE.get((p, deg)) or monic_irreducibles(field(p), deg)[deg][0]
         self._mul = [[self._mul_slow(a, b) for b in range(self.q)] for a in range(self.q)]
         self._add = [[self._add_slow(a, b) for b in range(self.q)] for a in range(self.q)]
         self._neg = [self._neg_slow(a) for a in range(self.q)]
@@ -177,8 +178,11 @@ _FIELDS = {}
 
 
 def field(p, deg=1):
+    """GF(p^deg) for a prime p; ValueError for a composite p."""
     key = (p, deg)
     if key not in _FIELDS:
+        if prime_power(p) != (p, 1):
+            raise ValueError("GF(%d^%d): %d is not a prime" % (p, deg, p))
         _FIELDS[key] = GF(p, deg)
     return _FIELDS[key]
 
@@ -187,21 +191,27 @@ def field(p, deg=1):
 MAX_FIELD_ORDER = 256
 
 
-def field_of_order(q):
-    """GF(q) for a prime power q; ValueError for any other q.
+def prime_power(q):
+    """(p, deg) with p prime and p^deg = q, or None when q is no prime power.
 
-    q is split by its smallest prime factor p; GF refuses a degree for which
-    no defining polynomial is on record.
+    q is split by its smallest prime factor p.
     """
-    if not 2 <= q <= MAX_FIELD_ORDER:
-        raise ValueError("q = %d is outside 2..%d" % (q, MAX_FIELD_ORDER))
+    if q < 2:
+        return None
     p = next(p for p in range(2, q + 1) if q % p == 0)
     deg = 0
     while q % p ** (deg + 1) == 0:
         deg += 1
-    if p ** deg != q:
+    return (p, deg) if p ** deg == q else None
+
+
+def field_of_order(q):
+    """GF(q) for a prime power q; ValueError for any other q."""
+    if not 2 <= q <= MAX_FIELD_ORDER:
+        raise ValueError("q = %d is outside 2..%d" % (q, MAX_FIELD_ORDER))
+    if prime_power(q) is None:
         raise ValueError("q = %d is not a prime power" % q)
-    return field(p, deg)
+    return field(*prime_power(q))
 
 
 def gl_order(q, n):

@@ -14,10 +14,10 @@ from __future__ import annotations
 from .cartan import admissible_of, builtin_quiver, cartan_of, is_affine, min_delta, multisets
 from .cyclic import Multisegment, leq_G, word_of
 from .hall import (
+    GenericHallAlgebra,
     apply_bar,
     eliminate,
     expand_in,
-    generic_hall_algebra,
     linear_extension,
     triangular_bases,
 )
@@ -88,9 +88,6 @@ class AffineLabeler:
                 members[cid] = (ti, i + 1, l)
         self._tube_cache[q] = (anchored, members)
         return self._tube_cache[q]
-
-    def n_tubes(self, catalog):
-        return len(self._tube_data(catalog)[0])
 
     def tube_simple_dims(self, catalog):
         anchored, _ = self._tube_data(catalog)
@@ -296,13 +293,11 @@ class CompositionContext:
         self.delta = min_delta(self.datum)
         self.seq = admissible_of(shape)
         self.labeler = AffineLabeler(shape, self.seq)
-        self.alg = generic_hall_algebra(shape, self.cap, self.labeler, (2, 3, 4), 5,
-                                        escalation=((2, 3, 4, 5), 7), synthesizer=synthesizer,
-                                        budget=30, cache_dir=cache_dir)
-        self.catalogs = self.alg.catalogs
+        self.alg = GenericHallAlgebra(shape, self.cap, self.labeler, synthesizer=synthesizer,
+                                      budget=30, cache_dir=cache_dir)
         max_m = min((c // d for c, d in zip(self.cap, self.delta)), default=0)
         self.symmetric = SymmetricLayer(self.alg, self.delta, max_m) if max_m >= 0 else None
-        self.tube_dims = self.labeler.tube_simple_dims(self.catalogs[self.alg.all_fields[0]])
+        self.tube_dims = self.labeler.tube_simple_dims(self.alg.catalog(self.alg.ladder[0]))
         self.tube_ranks = [len(simples) for simples in self.tube_dims]
         # vertex order for monomials: sources first, no arrows backwards
         self.vertex_order = _topological_vertices(shape)
@@ -506,9 +501,6 @@ class CompositionContext:
 
     def _prec(self, a, b):
         return prec(a, b, self.tube_ranks)
-
-    def E_in_N(self, nu, a):
-        return self.basis_of_grading(nu)["E"][a]
 
     def C_in_N(self, nu, a):
         """C(a) expanded in N coordinates."""

@@ -72,8 +72,7 @@ def test_01_quantum_serre_relations():
 
 
 def test_02_hall_polynomial_fitting():
-    alg = cyclic_generic_algebra(2, (1, 1), fit_fields=(2, 3, 4, 5), verify_field=7,
-                                 escalation=None)
+    alg = cyclic_generic_algebra(2, (1, 1))
     lab = alg.labeler
     hp = alg.fit_hall_polynomial(
         lab.of_multisegment(Multisegment.segment(2, 1, 2)),
@@ -88,12 +87,9 @@ def test_02_hall_polynomial_fitting():
         def label_of(self, catalog, cid):
             return ("A1", catalog.classes[cid].dims)
 
-    catalogs = {q: IsoClassCatalog(a1, field(2, 2) if q == 4 else field(q), [(2,)],
-                                   synthesizer=synth_a1, budget=16)
-                for q in (2, 3, 4, 5, 7)}
-    alg1 = GenericHallAlgebra(a1, catalogs, A1Labeler(), (2, 3, 4, 5), 7)
+    alg1 = GenericHallAlgebra(a1, (2,), A1Labeler(), synthesizer=synth_a1, budget=16)
     hp1 = alg1.fit_hall_polynomial(("A1", (2,)), ("A1", (1,)), ("A1", (1,)),
-                                   (1,), (1,))
+                                   (1,), (1,), primes=(2, 3, 4, 5), verify=7)
     ok = ok and hp1.poly == LaurentPoly({1: 1, 0: 1})
     report(2, "Hall polynomials fit on {2,3,4,5} and verify at 7: "
               "g^{[1;2)}_{S1,S2} = 1, g^{S+S}_{S,S} = q+1", ok)
@@ -121,7 +117,7 @@ def test_04_kostka_coefficients():
     ctx = get_context("kronecker")
     # the regular catalog to (2,2) must exist over F2 and F3 and agree: the
     # generic layer asserts identical label sets and fitted constants
-    ok = all(q in ctx.catalogs and (2, 2) in ctx.catalogs[q].by_dim for q in (2, 3))
+    ok = all(q in ctx.alg.catalogs and (2, 2) in ctx.alg.catalogs[q].by_dim for q in (2, 3))
     lam_idx = {a.lam: a for a in ctx.indices_of_grading((2, 2))
                if not a.cminus and not a.cplus}
     lam_idx1 = {a.lam: a for a in ctx.indices_of_grading((1, 1))
@@ -269,22 +265,22 @@ def test_10_inner_product_normalization():
         contexts.append(name)
     # cyclic contexts
     for r in (2, 3):
-        alg = cyclic_generic_algebra(r, tuple(1 for _ in range(r)), escalation=None)
+        alg = cyclic_generic_algebra(r, tuple(1 for _ in range(r)))
         for v in alg.shape.vertices:
             ok = ok and _check_simple_inner(alg, v, 1)
         contexts.append("cyclic:%d" % r)
-    # the folded C2 quiver through a dimension labeler (one class per e_i)
+    # the folded C2 quiver through a dimension labeler (one class per e_i),
+    # on its ladder of primes
     c2f = builtin_quiver("c2tilde-folded")
 
     class DimsLabeler:
         def label_of(self, catalog, cid):
             return ("D", catalog.classes[cid].dims)
 
-    catalogs = {q: IsoClassCatalog(c2f, field(q), [(1, 1)], budget=16)
-                for q in (2, 3, 5, 7)}
-    algf = GenericHallAlgebra(c2f, catalogs, DimsLabeler(), (2, 3, 5), 7)
+    algf = GenericHallAlgebra(c2f, (1, 1), DimsLabeler(), budget=16)
     for v in c2f.vertices:
         ok = ok and _check_simple_inner(algf, v, c2f.d[v])
+    ok = ok and 4 not in algf.ladder and set(algf.catalogs) <= set(algf.ladder)
     contexts.append("c2tilde-folded")
     report(10, "(<S_i>,<S_i>) = 1 + v_i^-2 + v_i^-4 + ... to order 10, "
                "all vertices of %s" % ", ".join(contexts), ok)

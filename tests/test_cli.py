@@ -225,6 +225,10 @@ class TestRemovedOptions:
         ("verify", "--suite", "eta", "--order", "3"),
         ("basis", "comp", "--ctx", "kronecker", "--cap", "1,1"),
         ("cyclic-canonical", "--rank", "2", "--dim", "1,1", "--emit", "B"),
+        # only hall-poly and verify take explicit fit fields
+        ("cyclic-canonical", "--rank", "2", "--dim", "1,1", "--primes", "2,3"),
+        ("comp-basis", "--ctx", "kronecker", "--cap", "1,1", "--verify-prime", "7"),
+        ("roots", "--ctx", "kronecker", "--primes", "2,3"),
     ])
     def test_rejected_by_the_parser(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -285,21 +289,24 @@ def test_cache_files_pinned(tmp_path):
 
     The class order of every slice fixes the class ids and so every cache
     file; the digest holds both fixed while the way catalogs are built changes.
-    The key in a file name versions the catalog format, so it is masked.
+    The key in a file name versions the catalog format, so it is masked.  The
+    digest is that of the files from before the field ladder, less the GF(7)
+    ones: no fit of these commands reads GF(7) any more.
     """
     runs = (("roots", ("roots", "--ctx", "kronecker", "--window", "6")), CYCLIC_23)
     assert _cache_digest(tmp_path, runs) == (
-        "913b3b0b753b1ba3dcead3ff583bd24573963e29d985b20b89cbff564634823b")
+        "a8e251411d8983f3b94c45963af34643313cf559169cffaaeb146decf3053bbb")
 
 
 def test_scan_files_pinned(tmp_path):
     """Every submodule count of cyclic-canonical --rank 2 --dim 2,3, by one digest.
 
     The scan files hold the counts of (quotient, sub) classes per class;
-    the digest was taken before the scan grew its tuples vertex by vertex.
+    the digest was taken before the scan grew its tuples vertex by vertex,
+    and the GF(7) files were left out of it once no fit read GF(7).
     """
     assert _cache_digest(tmp_path, (CYCLIC_23,), "scan_*.json") == (
-        "37e344e650b829cf69e9bb52db2ebda947aaa04412ffcd1b42c6620a4de1ea1b")
+        "262bf2c7b047aafd563bab2de00ae5777b15fbd58e5a9589cc1b1f20e1bc1916")
 
 
 def test_e_basis_reports_pinned(tmp_path):

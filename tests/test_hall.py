@@ -9,13 +9,22 @@ from hallbases.hall import (
     FitError,
     GenericHallAlgebra,
     HallContext,
+    field_ladder,
     fit_and_verify,
+    fit_on_ladder,
     lagrange_fit,
     qpoly_eval,
     qpoly_to_v,
 )
 from hallbases.laurent import LaurentPoly, RationalV, expand_at_infinity
-from hallbases.modrep import IsoClassCatalog, field, simple_module, synth_a1, synth_kronecker
+from hallbases.modrep import (
+    IsoClassCatalog,
+    OracleError,
+    field,
+    simple_module,
+    synth_a1,
+    synth_kronecker,
+)
 
 A2 = builtin_quiver("a2")
 KRON = builtin_quiver("kronecker")
@@ -229,10 +238,14 @@ class TestGenericLayer:
             assert all(v.is_zero() for v in diff.values())
 
 
+class A1Labeler:
+    def label_of(self, catalog, cid):
+        return ("A1", catalog.classes[cid].dims)
+
+
 class TestHallPolynomials:
     def test_cyclic_socle_constant(self):
-        alg = cyclic_generic_algebra(2, (1, 1), fit_fields=(2, 3, 4, 5), verify_field=7,
-                                     escalation=None)
+        alg = cyclic_generic_algebra(2, (1, 1))
         lab = alg.labeler
         from hallbases.cyclic import Multisegment
         hp = alg.fit_hall_polynomial(
@@ -250,26 +263,71 @@ class TestHallPolynomials:
         assert hp0.poly.is_zero()
 
     def test_a1_lines(self):
-        A1 = builtin_quiver("a1")
-
-        class A1Labeler:
-            def label_of(self, catalog, cid):
-                return ("A1", catalog.classes[cid].dims)
-
-        catalogs = {q: IsoClassCatalog(A1, field(*(2, 2) if q == 4 else (q, 1)),
-                                       [(2,)], synthesizer=synth_a1, budget=16)
-                    for q in (2, 3, 4, 5, 7)}
-        alg = GenericHallAlgebra(A1, catalogs, A1Labeler(), (2, 3, 4, 5), 7)
+        alg = GenericHallAlgebra(builtin_quiver("a1"), (2,), A1Labeler(), synthesizer=synth_a1,
+                                 budget=16)
         hp = alg.fit_hall_polynomial(("A1", (2,)), ("A1", (1,)), ("A1", (1,)),
-                                     (1,), (1,))
+                                     (1,), (1,), primes=(2, 3, 4, 5), verify=7)
         assert hp.poly == LaurentPoly({1: 1, 0: 1})  # q + 1
         assert hp(9) == 10
 
     def test_trivial_identity_polynomial(self):
-        alg = cyclic_generic_algebra(2, (1, 1), escalation=None)
+        alg = cyclic_generic_algebra(2, (1, 1))
         lab = alg.labeler
         from hallbases.cyclic import Multisegment
         full = lab.of_multisegment(Multisegment.segment(2, 1, 2))
         zero = lab.of_multisegment(Multisegment.zero(2))
-        hp = alg.fit_hall_polynomial(full, zero, full, (0, 0), (1, 1))
+        hp = alg.fit_hall_polynomial(full, zero, full, (0, 0), (1, 1), primes=(2, 3, 4), verify=5)
         assert hp.poly == LaurentPoly.one()
+
+
+class TestFieldLadder:
+    def test_plain_shapes_take_prime_powers(self):
+        for shape in (builtin_quiver("a1"), KRON, cyclic_shape(2)):
+            assert field_ladder(shape)[:9] == (2, 3, 4, 5, 7, 8, 9, 11, 13)
+            assert field_ladder(shape)[-1] == 256
+
+    def test_valued_shapes_take_primes_only(self):
+        ladder = field_ladder(builtin_quiver("c2tilde-folded"))
+        assert ladder[:6] == (2, 3, 5, 7, 11, 13) and ladder[-1] == 251
+        assert all(all(p % k for k in range(2, p)) for p in ladder)
+
+    def test_a1_widens_to_the_degree(self):
+        # [4 choose 1]_q has degree 3 and [4 choose 2]_q degree 4, each equal to
+        # its bound: the fit widens once and twice, and reads GF(7), GF(8) only then
+        alg = GenericHallAlgebra(builtin_quiver("a1"), (4,), A1Labeler(), synthesizer=synth_a1,
+                                 budget=16)
+        for dims in ((1,), (2,), (3,), (4,)):
+            alg.labels_of_dim(dims)
+        assert sorted(alg.catalogs) == [2, 3, 4, 5]
+        table = alg.mult_table((1,), (3,))
+        assert table[(("A1", (1,)), ("A1", (3,)))] == {
+            ("A1", (4,)): qpoly_to_v(LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1}))}
+        assert sorted(alg.catalogs) == [2, 3, 4, 5, 7]
+        table = alg.mult_table((2,), (2,))
+        assert table[(("A1", (2,)), ("A1", (2,)))] == {
+            ("A1", (4,)): qpoly_to_v(LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1}))}
+        assert sorted(alg.catalogs) == [2, 3, 4, 5, 7, 8]
+
+    def test_widening_stops_at_the_bound(self):
+        ladder = field_ladder(KRON)
+        read = []
+
+        def values(q):
+            read.append(q)
+            return {"k": q ** 5}
+
+        with pytest.raises(FitError):
+            fit_on_ladder(ladder, values, lambda key: 3)
+        assert read == list(ladder[:5])  # ladder[bound + 1] = GF(7) is the last field read
+
+    def test_degree_over_the_bound_is_refused(self):
+        with pytest.raises(OracleError, match="over its bound 1"):
+            fit_on_ladder(field_ladder(KRON), lambda q: {"k": q * q}, lambda key: 1)
+
+    def test_a_key_new_at_a_wider_field_is_fitted_there(self):
+        # "b" is absent (0) over GF(2..5), so only the widening for "a" sees it
+        def values(q):
+            return {"a": q ** 3, "b": 1} if q == 7 else {"a": q ** 3}
+
+        with pytest.raises(FitError, match=r"\[2, 3, 4, 5\] gives 0 at q=7, oracle says 1"):
+            fit_on_ladder(field_ladder(KRON), values, lambda key: 3 if key == "a" else 0)

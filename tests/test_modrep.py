@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hallbases import modrep
 from hallbases.cartan import Arrow, ValuedQuiver, builtin_quiver, euler_form
-from hallbases.cyclic import Multisegment, cyclic_generic_algebra, cyclic_shape, synth_cyclic
+from hallbases.cyclic import CyclicCanonicalBasis, Multisegment, cyclic_shape, synth_cyclic
 from hallbases.modrep import (
     GF,
     BudgetError,
@@ -73,17 +73,30 @@ class TestGF:
         # multiplication by g on F4 over F2 in basis 1, g
         assert F4.mult_matrix(2) == ((0, 1), (1, 1))
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+    # 32, 81 and 121 have no defining polynomial on record: GF finds one
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 32, 81, 121])
     def test_field_of_order(self, q):
         F = field_of_order(q)
         assert F.q == q and F.p ** F.deg == q
         for a in range(1, q):
             assert F.mul(a, F.inv(a)) == 1
 
-    @pytest.mark.parametrize("q", [0, 1, 6, 12, 32, 257])
+    @pytest.mark.parametrize("q", [0, 1, 6, 12, 257])
     def test_field_of_order_refused(self, q):
         with pytest.raises(ValueError):
             field_of_order(q)
+
+    def test_recorded_polynomial_kept(self):
+        # GF(8) keeps x^3 + x + 1, although the search would list x^3 + x^2 + 1 first
+        F8, x = field(2, 3), 2
+        assert F8.mul(x, F8.mul(x, x)) == F8.add(x, 1)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_composite_base_refused(self, p):
+        # Z/4 is no field: 2 * 2 = 0 there
+        with pytest.raises(ValueError, match="not a prime"):
+            field(p)
+        assert field_of_order(4) is F4
 
 
 @pytest.fixture(scope="module")
@@ -400,11 +413,12 @@ class TestNilpotentMassCheck:
             IsoClassCatalog(cyclic_shape(2), F, [dims], synthesizer=_dropping_one_indec(dims))
 
     def test_cyclic_algebra_certifies_the_same_slices(self):
+        # no fit of the (2, 3) basis widens, so GF(7) is never read
         slices = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1),
                   (1, 3), (2, 2), (2, 3)]
-        alg = cyclic_generic_algebra(2, (2, 3))
+        alg = CyclicCanonicalBasis(2, (2, 3)).alg
         assert {q: cat.mass_checked for q, cat in alg.catalogs.items()} == {
-            2: slices, 3: slices[:11], 4: slices[:11], 5: slices[:10], 7: slices[:10]}
+            2: slices, 3: slices[:11], 4: slices[:11], 5: slices[:10]}
 
 
 class TestAcyclicMassCheck:
