@@ -21,7 +21,7 @@ kron = builtin_quiver("kronecker")
 F2 = field(2)
 
 print("== the Kronecker catalog at (1,1) over F_2 ==")
-cat = IsoClassCatalog(kron, F2, [(2, 2)], budget=16)
+cat = IsoClassCatalog(kron, F2, [(2, 2)])
 for c in cat.classes_of_dim((1, 1)):
     print("  class %d: indec=%s defect=%s |Aut|=%d" % (c.cid, c.indec, c.defect, c.aut))
 print("that is S1+S2 plus |P^1(F_2)| = 3 homogeneous regulars")
@@ -48,9 +48,9 @@ for q in (2, 3, 4, 5):
 print()
 print("== tubes of the affine quivers ==")
 print("Kronecker over F_3: tube ranks", [t["rank"] for t in
-      IsoClassCatalog(kron, field(3), [(1, 1)], budget=16).tube_structure()])
+      IsoClassCatalog(kron, field(3), [(1, 1)]).tube_structure()])
 a2t = builtin_quiver("a2tilde")
-cat3 = IsoClassCatalog(a2t, F2, [(1, 1, 1)], budget=16)
+cat3 = IsoClassCatalog(a2t, F2, [(1, 1, 1)])
 tubes = cat3.tube_structure()
 for t in tubes:
     dims = [cat3.classes[c].dims for c in t["simples"]]
@@ -58,7 +58,7 @@ for t in tubes:
 
 print()
 print("== synthesized catalogs reach dimensions brute force cannot ==")
-big = IsoClassCatalog(kron, F2, [(4, 5)], synthesizer=synth_kronecker, budget=40)
+big = IsoClassCatalog(kron, F2, [(4, 5)], synthesizer=synth_kronecker)
 ind = [c for c in big.classes_of_dim((4, 5)) if c.indec]
 print("classes at (4,5): %d, indecomposables: %d (the preprojective P_4)"
       % (len(big.classes_of_dim((4, 5))), len(ind)))

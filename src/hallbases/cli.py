@@ -35,8 +35,8 @@ from .cyclic import (
 from .hall import FitError, GenericHallAlgebra, HallContext
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
-from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1, synth_kronecker
-from .pbwbasis import CONTEXT_CAPS, get_context
+from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1
+from .pbwbasis import CONTEXT_CAPS, CONTEXT_SYNTHS, get_context
 
 
 class RunConfig:
@@ -133,7 +133,7 @@ class _A1Labeler:
 def _a1_algebra(config, top):
     """The generic Hall algebra of A1 up to dimension top."""
     return GenericHallAlgebra(builtin_quiver("a1"), (top,), _A1Labeler(), synthesizer=synth_a1,
-                              budget=16, cache_dir=config.cache_dir)
+                              cache_dir=config.cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +155,9 @@ def cmd_roots(config, window):
     except OutsideWindowError as exc:
         raise SystemExit("--window %d: %s" % (window, exc))
     if affine:
-        synth = synth_kronecker if config.ctx == "kronecker" else None
         try:
             catalog = IsoClassCatalog(shape, field(2), sorted(betas.values()),
-                                      synthesizer=synth, budget=30,
+                                      synthesizer=CONTEXT_SYNTHS.get(config.ctx),
                                       cache_dir=config.cache_dir)
         except Exception as exc:  # resource refusal is reported, not hidden
             rows.append({"warning": "no catalog: %s" % exc})
@@ -186,12 +185,11 @@ def cmd_roots(config, window):
 def _suite_serre(config):
     shape = config.shape()
     dims = _serre_dims(shape)
-    synth = synth_kronecker if config.ctx == "kronecker" else None
     results = []
     ok = True
     for q in (2, 3):
-        cat = IsoClassCatalog(shape, field(q), dims, synthesizer=synth,
-                              budget=30, cache_dir=config.cache_dir)
+        cat = IsoClassCatalog(shape, field(q), dims, synthesizer=CONTEXT_SYNTHS.get(config.ctx),
+                              cache_dir=config.cache_dir)
         hc = HallContext(cat)
         for i in shape.vertices:
             for j in shape.vertices:
@@ -317,32 +315,20 @@ def _suite_hallpoly(config):
 
 
 def cmd_verify(config, suite, rank, bound):
-    suites = []
+    suites = [suite]
     if suite == "all":
         suites = ["serre", "eta", "hallpoly"]
         if config.ctx in CONTEXT_CAPS:
             suites += ["orthogonality", "triangularity", "kashiwara"]
-    else:
-        suites = [suite]
     if "eta" in suites:
         _check_cyclic_rank(rank)
+    runners = {"serre": _suite_serre, "orthogonality": _suite_orthogonality,
+               "triangularity": _suite_triangularity, "kashiwara": _suite_kashiwara,
+               "hallpoly": _suite_hallpoly, "eta": lambda c: _suite_eta(c, rank, bound)}
     reports = []
     failed = False
     for s in suites:
-        if s == "serre":
-            rep, bad = _suite_serre(config)
-        elif s == "orthogonality":
-            rep, bad = _suite_orthogonality(config)
-        elif s == "triangularity":
-            rep, bad = _suite_triangularity(config)
-        elif s == "eta":
-            rep, bad = _suite_eta(config, rank, bound)
-        elif s == "kashiwara":
-            rep, bad = _suite_kashiwara(config)
-        elif s == "hallpoly":
-            rep, bad = _suite_hallpoly(config)
-        else:
-            raise SystemExit("unknown suite %r" % s)
+        rep, bad = runners[s](config)
         reports.append(rep)
         failed = failed or bad
     return emit(config, {"command": "verify",

@@ -382,14 +382,10 @@ class CyclicLabeler:
         return ("Pi", tuple(sorted(pi.entries.items())))
 
 
-#: cyclic catalogs refuse a cap with q^(total dimension) > 2^CYCLIC_BUDGET
-CYCLIC_BUDGET = 40
-
-
 def cyclic_generic_algebra(r, cap, cache_dir=None):
     """The generic Hall algebra of nilpotent K_r representations up to cap."""
     return GenericHallAlgebra(cyclic_shape(r), cap, CyclicLabeler(r), synthesizer=synth_cyclic,
-                              budget=CYCLIC_BUDGET, cache_dir=cache_dir)
+                              cache_dir=cache_dir)
 
 
 class CyclicCanonicalBasis:

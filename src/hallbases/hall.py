@@ -25,14 +25,15 @@ from fractions import Fraction
 from .cartan import euler_form, gradings_below
 from .laurent import LaurentPoly, RationalV
 from .modrep import (
-    DEFAULT_BUDGET,
     MAX_FIELD_ORDER,
     IsoClassCatalog,
     OracleError,
     check_budget,
+    check_search,
     direct_sum,
     field_of_order,
     prime_power,
+    scan_candidates,
     simple_module,
 )
 
@@ -343,16 +344,15 @@ class GenericHallAlgebra:
     built the first time a fit reads q (catalog).  The constructor checks
     the budgets of the fields of a first fit and one widening, so an
     over-budget cap is refused before any catalog is built; a field read
-    later checks its own budget first.
+    later checks its own budgets first: BUDGET on the cap and SEARCH_BUDGET
+    on the scan of the cap, the largest scan.
     """
 
-    def __init__(self, shape, cap, labeler, synthesizer=None, budget=DEFAULT_BUDGET,
-                 cache_dir=None):
+    def __init__(self, shape, cap, labeler, synthesizer=None, cache_dir=None):
         self.shape = shape
         self.cap = tuple(cap)
         self.labeler = labeler
         self.synthesizer = synthesizer
-        self.budget = budget
         self.cache_dir = cache_dir
         self.ladder = field_ladder(shape)
         self.catalogs = {}           # q -> IsoClassCatalog, built on first read
@@ -367,7 +367,10 @@ class GenericHallAlgebra:
 
     def _check_budgets(self, qs):
         for q in qs:
-            check_budget(self.shape, field_of_order(q), self.cap, self.budget)
+            F = field_of_order(q)
+            check_budget(self.shape, F, self.cap)
+            check_search(scan_candidates(self.shape, F, self.cap),
+                         "a submodule scan of %s over GF(%d)" % (self.cap, q))
 
     def catalog(self, q):
         """The catalog over GF(q), built the first time it is read."""
@@ -375,7 +378,7 @@ class GenericHallAlgebra:
             self._check_budgets([q])
             self.catalogs[q] = IsoClassCatalog(self.shape, field_of_order(q), [self.cap],
                                                synthesizer=self.synthesizer,
-                                               budget=self.budget, cache_dir=self.cache_dir)
+                                               cache_dir=self.cache_dir)
         return self.catalogs[q]
 
     # -- labels ------------------------------------------------------------

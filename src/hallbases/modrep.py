@@ -36,8 +36,11 @@ from fractions import Fraction
 from .cartan import euler_form, gradings_below, multisets
 from .laurent import row_reduce
 
-#: default resource bound: refuse when q^(total module dimension) > 2^budget
-DEFAULT_BUDGET = 8
+#: every catalog slice over GF(q) has q^(total module dimension) <= 2^BUDGET
+BUDGET = 30
+
+#: one exhaustive search in one module (a scan, an isomorphism search) tries <= 2^SEARCH_BUDGET
+SEARCH_BUDGET = 21
 
 #: orbit enumeration and the nilpotent mass check walk or count at most
 #: 2^STATE_BUDGET arrow-map tuples of a slice
@@ -56,15 +59,30 @@ IRREDUCIBLE = {
 
 
 class BudgetError(RuntimeError):
-    """An enumeration request exceeded the configured resource budget."""
+    """An enumeration request exceeded one of the fixed resource budgets."""
 
 
-def check_budget(shape, F, dims, budget):
-    """Raise BudgetError when q^(total dimension of dims) exceeds 2^budget."""
+def check_budget(shape, F, dims):
+    """Raise BudgetError when q^(total dimension of dims) exceeds 2^BUDGET."""
     total_dim = sum(shape.d[i] * dims[shape.index[i]] for i in shape.vertices)
-    if F.q ** total_dim > 2 ** budget:
+    if F.q ** total_dim > 2 ** BUDGET:
         raise BudgetError("dimension vector %s over GF(%d) exceeds budget 2^%d"
-                          % (tuple(dims), F.q, budget))
+                          % (tuple(dims), F.q, BUDGET))
+
+
+def check_search(count, what):
+    """Raise BudgetError when one exhaustive search tries over 2^SEARCH_BUDGET candidates."""
+    if count > 2 ** SEARCH_BUDGET:
+        raise BudgetError("%s tries %d candidates, exceeds budget 2^%d"
+                          % (what, count, SEARCH_BUDGET))
+
+
+def check_walk(shape, F, dims):
+    """Raise BudgetError when orbit enumeration of dims walks over 2^STATE_BUDGET states."""
+    n_states = _state_count(shape, F, dims)
+    if n_states > 2 ** STATE_BUDGET:
+        raise BudgetError("orbit enumeration of %s over GF(%d) walks %d states, over 2^%d"
+                          % (dims, F.q, n_states, STATE_BUDGET))
 
 
 class OracleError(RuntimeError):
@@ -570,15 +588,14 @@ def ext_dim(M, N):
     return e
 
 
-def _isomorphisms(M, basis, what, log2_bound):
+def _isomorphisms(M, basis, what):
     """The invertible linear combinations of a basis of Hom(M, N), dim N = dim M.
 
     Yields the coefficient tuples, enumerating all q^len(basis) combinations;
-    raises BudgetError when there are more than 2^log2_bound of them.
+    raises BudgetError when there are more than 2^SEARCH_BUDGET of them.
     """
     shape, F = M.shape, M.F
-    if F.q ** len(basis) > 2 ** log2_bound:
-        raise BudgetError("%s space q^%d too large" % (what, len(basis)))
+    check_search(F.q ** len(basis), "%s over GF(%d)" % (what, F.q))
     for coeffs in itertools.product(range(F.q), repeat=len(basis)):
         for i in shape.vertices:
             n = shape.d[i] * M.dims[shape.index[i]]
@@ -599,12 +616,12 @@ def is_isomorphic(M, N):
     basis = hom_space(M, N)
     if len(basis) != hom_dim(N, M):
         return False
-    return next(_isomorphisms(M, basis, "isomorphism search", 22), None) is not None
+    return next(_isomorphisms(M, basis, "isomorphism search"), None) is not None
 
 
 def aut_order_brute(M):
     """|Aut M| by enumerating the endomorphism space (small modules only)."""
-    return sum(1 for _ in _isomorphisms(M, hom_space(M, M), "automorphism count", 20))
+    return sum(1 for _ in _isomorphisms(M, hom_space(M, M), "automorphism count"))
 
 
 # -- submodules, subquotients ------------------------------------------------
@@ -761,6 +778,21 @@ def sub_quotient(module, sub):
             FiniteModule._trusted(shape, F, quo_dims, quo_maps))
 
 
+def scan_candidates(shape, F, dims):
+    """How many subspace tuples submodule_tuples can try on a module of dims, at most.
+
+    That is prod_i G(n_i) at Q = q^(d_i), where G(n) = sum_k [n choose k]_Q
+    counts the subspaces of D_i^n and obeys G(n+1) = 2 G(n) + (Q^n - 1) G(n-1).
+    """
+    total = 1
+    for i in shape.vertices:
+        Q, prev, cur = F.q ** shape.d[i], 0, 1
+        for n in range(dims[shape.index[i]]):
+            prev, cur = cur, 2 * cur + (Q ** n - 1) * prev
+        total *= cur
+    return total
+
+
 def submodule_tuples(module):
     """All arrow-stable tuples of D_i-subspaces of the module.
 
@@ -827,10 +859,7 @@ def _arrow_shapes(shape, dims):
 
 
 def _state_count(shape, F, dims):
-    total = 0
-    for r, c in _arrow_shapes(shape, dims).values():
-        total += r * c
-    return F.q ** total
+    return F.q ** sum(r * c for r, c in _arrow_shapes(shape, dims).values())
 
 
 def _iter_states(shape, F, dims):
@@ -1226,8 +1255,7 @@ class IsoClassCatalog:
     probes_by_dim is empty right after construction.
     """
 
-    def __init__(self, shape, F, dims_list, synthesizer=None, budget=DEFAULT_BUDGET,
-                 cache_dir=None):
+    def __init__(self, shape, F, dims_list, synthesizer=None, cache_dir=None):
         self.shape = shape
         self.F = F
         self.dims_list = _dims_closure(dims_list)
@@ -1249,7 +1277,7 @@ class IsoClassCatalog:
                 if is_affine(datum):
                     self.delta = min_delta(datum)
         if not (cache_dir and self._load_cache()):
-            self._build(synthesizer, budget)
+            self._build(synthesizer)
             if cache_dir:
                 self._save_cache()
         self._certify_distinct()
@@ -1263,13 +1291,11 @@ class IsoClassCatalog:
             out *= gl_order(self.F.q ** self.shape.d[i], dims[ii])
         return out
 
-    def _build(self, synthesizer, budget):
+    def _build(self, synthesizer):
         for dims in self.dims_list:
-            check_budget(self.shape, self.F, dims, budget)
-            n_states = _state_count(self.shape, self.F, dims)
-            if synthesizer is None and n_states > 2 ** STATE_BUDGET:
-                raise BudgetError("orbit enumeration of %s over GF(%d) walks %d states, over 2^%d"
-                                  % (dims, self.F.q, n_states, STATE_BUDGET))
+            check_budget(self.shape, self.F, dims)
+            if synthesizer is None:
+                check_walk(self.shape, self.F, dims)
         for dims in self.dims_list:
             start = len(self.classes)
             if synthesizer is not None:
@@ -1794,11 +1820,12 @@ def _key_from_json(key):
 # module-level spec operations (catalog-free, for small direct use)
 # ---------------------------------------------------------------------------
 
-def enumerate_modules(shape, F, dims, budget=DEFAULT_BUDGET):
+def enumerate_modules(shape, F, dims):
     """One representative per isomorphism class of the given dimension vector."""
-    check_budget(shape, F, dims, budget)
-    return [FiniteModule(shape, F, tuple(dims), maps)
-            for maps, _ in enumerate_bfs(shape, F, tuple(dims))]
+    dims = tuple(dims)
+    check_budget(shape, F, dims)
+    check_walk(shape, F, dims)
+    return [FiniteModule(shape, F, dims, maps) for maps, _ in enumerate_bfs(shape, F, dims)]
 
 
 def hall_number(L, M, N):

@@ -294,7 +294,7 @@ class CompositionContext:
         self.seq = admissible_of(shape)
         self.labeler = AffineLabeler(shape, self.seq)
         self.alg = GenericHallAlgebra(shape, self.cap, self.labeler, synthesizer=synthesizer,
-                                      budget=30, cache_dir=cache_dir)
+                                      cache_dir=cache_dir)
         max_m = min((c // d for c, d in zip(self.cap, self.delta)), default=0)
         self.symmetric = SymmetricLayer(self.alg, self.delta, max_m) if max_m >= 0 else None
         self.tube_dims = self.labeler.tube_simple_dims(self.alg.catalog(self.alg.ladder[0]))
@@ -674,19 +674,16 @@ CONTEXT_CAPS = {
     "a2tilde": (1, 1, 1),
 }
 
+#: the synthesizers of the contexts that have one; the others enumerate orbits
+CONTEXT_SYNTHS = {"kronecker": synth_kronecker}
+
 
 def get_context(name, cache_dir=None):
     key = (name, cache_dir)
-    if key in _CONTEXTS:
-        return _CONTEXTS[key]
-    if name == "kronecker":
-        ctx = CompositionContext("kronecker", builtin_quiver("kronecker"),
-                                 CONTEXT_CAPS[name], synthesizer=synth_kronecker,
-                                 cache_dir=cache_dir)
-    elif name == "a2tilde":
-        ctx = CompositionContext("a2tilde", builtin_quiver("a2tilde"),
-                                 CONTEXT_CAPS[name], cache_dir=cache_dir)
-    else:
-        raise ValueError("no composition context named %r" % (name,))
-    _CONTEXTS[key] = ctx
-    return ctx
+    if key not in _CONTEXTS:
+        if name not in CONTEXT_CAPS:
+            raise ValueError("no composition context named %r" % (name,))
+        _CONTEXTS[key] = CompositionContext(name, builtin_quiver(name), CONTEXT_CAPS[name],
+                                            synthesizer=CONTEXT_SYNTHS.get(name),
+                                            cache_dir=cache_dir)
+    return _CONTEXTS[key]

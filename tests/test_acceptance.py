@@ -62,7 +62,7 @@ def test_01_quantum_serre_relations():
                 d[shape.index[j]] = 1
                 dims.append(tuple(d))
         for q in (2, 3):
-            cat = IsoClassCatalog(shape, field(q), dims, synthesizer=synth, budget=30)
+            cat = IsoClassCatalog(shape, field(q), dims, synthesizer=synth)
             hc = HallContext(cat)
             for i in shape.vertices:
                 for j in shape.vertices:
@@ -87,7 +87,7 @@ def test_02_hall_polynomial_fitting():
         def label_of(self, catalog, cid):
             return ("A1", catalog.classes[cid].dims)
 
-    alg1 = GenericHallAlgebra(a1, (2,), A1Labeler(), synthesizer=synth_a1, budget=16)
+    alg1 = GenericHallAlgebra(a1, (2,), A1Labeler(), synthesizer=synth_a1)
     hp1 = alg1.fit_hall_polynomial(("A1", (2,)), ("A1", (1,)), ("A1", (1,)),
                                    (1,), (1,), primes=(2, 3, 4, 5), verify=7)
     ok = ok and hp1.poly == LaurentPoly({1: 1, 0: 1})
@@ -216,7 +216,7 @@ def test_08_root_module_correspondence():
         betas = {t: seq.beta(t) for t in range(-4, 5)}
         synth = synth_kronecker if name == "kronecker" else None
         cat = IsoClassCatalog(shape, field(2), sorted(set(betas.values())),
-                              synthesizer=synth, budget=40)
+                              synthesizer=synth)
         mods = {}
         for t, b in betas.items():
             indecs = [c for c in cat.classes_of_dim(b) if c.indec]
@@ -277,7 +277,7 @@ def test_10_inner_product_normalization():
         def label_of(self, catalog, cid):
             return ("D", catalog.classes[cid].dims)
 
-    algf = GenericHallAlgebra(c2f, (1, 1), DimsLabeler(), budget=16)
+    algf = GenericHallAlgebra(c2f, (1, 1), DimsLabeler())
     for v in c2f.vertices:
         ok = ok and _check_simple_inner(algf, v, c2f.d[v])
     ok = ok and 4 not in algf.ladder and set(algf.catalogs) <= set(algf.ladder)

@@ -141,6 +141,7 @@ class TestRefusals:
         (("verify", "--suite", "eta", "--rank", "1"), "--rank 1"),
         (("verify", "--suite", "all", "--ctx", "a2tilde", "--rank", "1"), "--rank 1"),
         (("roots", "--ctx", "kronecker", "--window", "100"), "--window 100"),
+        (("cyclic-canonical", "--rank", "2", "--dim", "4,4"), "exceeds budget"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -152,6 +153,7 @@ class TestRefusals:
     @pytest.mark.parametrize("argv", [
         ("hall-poly", "--ctx", "a1", "--triple", "9/5/4"),
         ("cyclic-canonical", "--rank", "2", "--dim", "9,9"),
+        ("cyclic-canonical", "--rank", "2", "--dim", "4,4"),
     ])
     def test_no_catalog_before_budget_refusal(self, tmp_path, monkeypatch, argv):
         def build(self, shape, F, *args, **kwargs):

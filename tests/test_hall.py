@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from fractions import Fraction
@@ -18,9 +19,12 @@ from hallbases.hall import (
 )
 from hallbases.laurent import LaurentPoly, RationalV, expand_at_infinity
 from hallbases.modrep import (
+    BudgetError,
     IsoClassCatalog,
     OracleError,
     field,
+    field_of_order,
+    scan_candidates,
     simple_module,
     synth_a1,
     synth_kronecker,
@@ -33,7 +37,7 @@ F2 = field(2)
 
 @pytest.fixture(scope="module")
 def a2_ctx():
-    return HallContext(IsoClassCatalog(A2, F2, [(2, 2)], budget=16))
+    return HallContext(IsoClassCatalog(A2, F2, [(2, 2)]))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +84,7 @@ class TestPerFieldMult:
 
     def test_associativity_exhaustive_small(self):
         # all triples of classes with total F_q-dimension <= 5 over F_2
-        cat = IsoClassCatalog(A2, F2, [(3, 2), (2, 3)], budget=16)
+        cat = IsoClassCatalog(A2, F2, [(3, 2), (2, 3)])
         ctx = HallContext(cat)
         cids = [c.cid for c in cat.classes if 0 < sum(c.dims) <= 3]
         checked = 0
@@ -105,7 +109,7 @@ class TestSerrePerField:
     @pytest.mark.parametrize("q", [2, 3])
     def test_kronecker(self, q):
         cat = IsoClassCatalog(KRON, field(q), [(3, 1), (1, 3)],
-                              synthesizer=synth_kronecker, budget=24)
+                              synthesizer=synth_kronecker)
         hc = HallContext(cat)
         for i, j in (("1", "2"), ("2", "1")):
             assert hc.serre_sum(i, j).vanishes_at_field()
@@ -113,7 +117,7 @@ class TestSerrePerField:
     @pytest.mark.parametrize("q", [2, 3])
     def test_folded_c2(self, q):
         C2F = builtin_quiver("c2tilde-folded")
-        cat = IsoClassCatalog(C2F, field(q), [(3, 1), (1, 3)], budget=24)
+        cat = IsoClassCatalog(C2F, field(q), [(3, 1), (1, 3)])
         hc = HallContext(cat)
         a, b = C2F.vertices
         assert hc.serre_sum(a, b).vanishes_at_field()
@@ -121,7 +125,7 @@ class TestSerrePerField:
 
     def test_nonzero_before_reduction(self):
         # the Serre sum is NOT identically zero in v before v^2 = q
-        cat = IsoClassCatalog(A2, F2, [(2, 1), (1, 2)], budget=16)
+        cat = IsoClassCatalog(A2, F2, [(2, 1), (1, 2)])
         hc = HallContext(cat)
         s = hc.serre_sum("1", "2")
         assert not s.is_zero()
@@ -263,8 +267,7 @@ class TestHallPolynomials:
         assert hp0.poly.is_zero()
 
     def test_a1_lines(self):
-        alg = GenericHallAlgebra(builtin_quiver("a1"), (2,), A1Labeler(), synthesizer=synth_a1,
-                                 budget=16)
+        alg = GenericHallAlgebra(builtin_quiver("a1"), (2,), A1Labeler(), synthesizer=synth_a1)
         hp = alg.fit_hall_polynomial(("A1", (2,)), ("A1", (1,)), ("A1", (1,)),
                                      (1,), (1,), primes=(2, 3, 4, 5), verify=7)
         assert hp.poly == LaurentPoly({1: 1, 0: 1})  # q + 1
@@ -294,8 +297,7 @@ class TestFieldLadder:
     def test_a1_widens_to_the_degree(self):
         # [4 choose 1]_q has degree 3 and [4 choose 2]_q degree 4, each equal to
         # its bound: the fit widens once and twice, and reads GF(7), GF(8) only then
-        alg = GenericHallAlgebra(builtin_quiver("a1"), (4,), A1Labeler(), synthesizer=synth_a1,
-                                 budget=16)
+        alg = GenericHallAlgebra(builtin_quiver("a1"), (4,), A1Labeler(), synthesizer=synth_a1)
         for dims in ((1,), (2,), (3,), (4,)):
             alg.labels_of_dim(dims)
         assert sorted(alg.catalogs) == [2, 3, 4, 5]
@@ -331,3 +333,35 @@ class TestFieldLadder:
 
         with pytest.raises(FitError, match=r"\[2, 3, 4, 5\] gives 0 at q=7, oracle says 1"):
             fit_on_ladder(field_ladder(KRON), values, lambda key: 3 if key == "a" else 0)
+
+
+class TestBudgets:
+    """Budgets are closed-form arithmetic: checking a field builds no catalog."""
+
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        def build(self, shape, F, *args, **kwargs):
+            raise AssertionError("GF(%d) catalog built by a budget check" % F.q)
+
+        monkeypatch.setattr(IsoClassCatalog, "__init__", build)
+
+    def test_cyclic_frontier_admitted(self):
+        # the constructors check GF(2), ..., GF(7); (3, 4) also reads GF(8)
+        alg = cyclic_generic_algebra(2, (3, 4))
+        assert alg.ladder[5] == 8
+        alg._check_budgets([8])
+        cyclic_generic_algebra(3, (3, 3, 3))
+        assert scan_candidates(cyclic_shape(2), field_of_order(8), (3, 4)) == 875716
+        assert scan_candidates(cyclic_shape(3), field(7), (3, 3, 3)) == 1560896
+
+    @pytest.mark.parametrize("cap, count", [((4, 4), 13337104), ((2, 5), 2857040)])
+    def test_cyclic_scan_over_budget_refused(self, cap, count):
+        with pytest.raises(BudgetError, match=r"scan of %s over GF\(7\) tries %d candidates, "
+                                              r"exceeds budget 2\^21" % (re.escape(str(cap)), count)):
+            cyclic_generic_algebra(2, cap)
+
+    def test_a1_boundary(self):
+        # q^6 at q = 7 is only 2^16.8, but one scan of (6,) over GF(5) tries 3 583 232 tuples
+        GenericHallAlgebra(builtin_quiver("a1"), (5,), A1Labeler(), synthesizer=synth_a1)
+        with pytest.raises(BudgetError, match=r"\(6,\) over GF\(5\) tries 3583232 candidates"):
+            GenericHallAlgebra(builtin_quiver("a1"), (6,), A1Labeler(), synthesizer=synth_a1)

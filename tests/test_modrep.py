@@ -39,6 +39,7 @@ from hallbases.modrep import (
     m_mul,
     m_rank,
     rref,
+    scan_candidates,
     simple_module,
     sub_quotient,
     submodule_tuples,
@@ -101,7 +102,7 @@ class TestGF:
 
 @pytest.fixture(scope="module")
 def kron_cat():
-    return IsoClassCatalog(KRON, F2, [(2, 2)], budget=16)
+    return IsoClassCatalog(KRON, F2, [(2, 2)])
 
 
 class TestEnumerate:
@@ -118,20 +119,26 @@ class TestEnumerate:
         for F in (F2, F3):
             assert len(enumerate_modules(KRON, F, (1, 1))) == 1 + (F.q + 1)
 
-    def test_budget_refused(self):
-        with pytest.raises(BudgetError):
-            enumerate_modules(KRON, F3, (3, 3), budget=8)
+    def test_budget_refused(self, monkeypatch):
+        # 3^18 states, over STATE_BUDGET: refused before any orbit is walked
+        def walk(*args):
+            raise AssertionError("orbits walked before the state-budget refusal")
+
+        monkeypatch.setattr(modrep, "enumerate_bfs", walk)
+        with pytest.raises(BudgetError, match=r"walks 387420489 states, over 2\^17"):
+            enumerate_modules(KRON, F3, (3, 3))
 
     def test_budget_checked_before_any_slice_is_built(self):
+        # 9^10 > 2^BUDGET at (5, 5) only; every smaller slice would pass
         def synth(shape, F, dims):
             raise AssertionError("slice %s built before the budget refusal" % (dims,))
-        with pytest.raises(BudgetError, match=r"\(5, 5\) over GF\(2\)"):
-            IsoClassCatalog(cyclic_shape(2), F2, [(5, 5)], synthesizer=synth, budget=9)
+        with pytest.raises(BudgetError, match=r"\(5, 5\) over GF\(9\)"):
+            IsoClassCatalog(cyclic_shape(2), field_of_order(9), [(5, 5)], synthesizer=synth)
 
     def test_synthesis_matches_bfs(self):
         for F in (F2, F3):
-            bfs = IsoClassCatalog(KRON, F, [(2, 2)], budget=16)
-            syn = IsoClassCatalog(KRON, F, [(2, 2)], synthesizer=synth_kronecker, budget=16)
+            bfs = IsoClassCatalog(KRON, F, [(2, 2)])
+            syn = IsoClassCatalog(KRON, F, [(2, 2)], synthesizer=synth_kronecker)
             for dims in bfs.by_dim:
                 assert len(bfs.by_dim[dims]) == len(syn.by_dim[dims])
 
@@ -172,7 +179,7 @@ class TestHallNumbers:
 
     def test_a1_lines_in_plane(self):
         for F in (F2, F3, F4):
-            cat = IsoClassCatalog(A1, F, [(2,)], synthesizer=synth_a1, budget=16)
+            cat = IsoClassCatalog(A1, F, [(2,)], synthesizer=synth_a1)
             s = cat.by_dim[(1,)][0]
             ss = cat.by_dim[(2,)][0]
             assert cat.hall_number(ss, s, s) == F.q + 1
@@ -215,7 +222,7 @@ class TestDecompose:
     def test_regular_2delta_split(self):
         # two distinct points of P^1 give a dim (2,2) module splitting into
         # two dim (1,1) regulars
-        cat = IsoClassCatalog(KRON, F2, [(2, 2)], budget=16)
+        cat = IsoClassCatalog(KRON, F2, [(2, 2)])
         regs = [c for c in cat.classes_of_dim((1, 1)) if c.indec and c.defect == "reg"]
         M = direct_sum(regs[0].module, regs[1].module)
         dec = cat.decompose(M)
@@ -240,13 +247,13 @@ class TestDefect:
 class TestTubes:
     def test_kronecker_all_homogeneous(self):
         for F in (F2, F3):
-            cat = IsoClassCatalog(KRON, F, [(1, 1)], budget=16)
+            cat = IsoClassCatalog(KRON, F, [(1, 1)])
             tubes = cat.tube_structure()
             assert all(t["rank"] == 1 for t in tubes)
             assert len(tubes) == F.q + 1
 
     def test_a2tilde_rank2_tube(self):
-        cat = IsoClassCatalog(A2T, F2, [(1, 1, 1)], budget=16)
+        cat = IsoClassCatalog(A2T, F2, [(1, 1, 1)])
         tubes = cat.tube_structure()
         assert tubes[0]["rank"] == 2
         dims = sorted(cat.classes[c].dims for c in tubes[0]["simples"])
@@ -273,10 +280,10 @@ class TestSubQuotient:
 class TestCaching:
     def test_cache_roundtrip_byte_identical(self, tmp_path):
         d = str(tmp_path)
-        cat1 = IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=d, budget=16)
+        cat1 = IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=d)
         cat1.scan_dim((1, 1))
         files1 = {f: open(tmp_path / f, "rb").read() for f in sorted(p.name for p in tmp_path.iterdir())}
-        cat2 = IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=d, budget=16)
+        cat2 = IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=d)
         cat2.scan_dim((1, 1))
         files2 = {f: open(tmp_path / f, "rb").read() for f in sorted(p.name for p in tmp_path.iterdir())}
         assert files1 == files2
@@ -425,13 +432,12 @@ class TestAcyclicMassCheck:
     # 7^8 states at (2, 2), over STATE_BUDGET: an acyclic count is q^N anyway
 
     def test_every_slice_certified(self):
-        cat = IsoClassCatalog(KRON, field(7), [(2, 2)], synthesizer=synth_kronecker,
-                              budget=16)
+        cat = IsoClassCatalog(KRON, field(7), [(2, 2)], synthesizer=synth_kronecker)
         assert len(cat.dims_list) == 9 and cat.mass_checked == cat.dims_list
 
     def test_dropped_class_fails_the_mass_check(self):
         with pytest.raises(OracleError, match=r"mass check failed at \(2, 2\) over GF\(7\)"):
-            IsoClassCatalog(KRON, field(7), [(2, 2)], budget=16,
+            IsoClassCatalog(KRON, field(7), [(2, 2)],
                             synthesizer=_dropping_one_indec((2, 2), synth_kronecker))
 
 
@@ -489,7 +495,7 @@ class TestSliceDecompositions:
     ])
     def test_matches_product_oracle(self, shape, cap, F, indecs):
         synth = synth_kronecker if shape is KRON else synth_cyclic
-        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth, budget=40)
+        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
         for dims in cat.dims_list:
             assert _catalog_decompositions(cat, dims) == _oracle_decompositions(indecs, dims), dims
 
@@ -502,7 +508,7 @@ class TestSliceDecompositions:
             return real(shape, F, key)
 
         monkeypatch.setattr(modrep, "kronecker_indec", counting)
-        cat = IsoClassCatalog(KRON, F3, [(3, 3)], synthesizer=synth_kronecker, budget=40)
+        cat = IsoClassCatalog(KRON, F3, [(3, 3)], synthesizer=synth_kronecker)
         assert len(built) == len(cat.indec_ids) == len(set(built))
         assert set(built) == {cat.classes[cid].synth_key for cid in cat.indec_ids}
 
@@ -1040,6 +1046,25 @@ class TestSharedFrames:
         spaces = {(shape.d[i], dims[shape.index[i]]) for i in shape.vertices}
         assert len(made) == sum(len(list(all_subspaces(field(F.p, F.deg * d), n)))
                                 for d, n in spaces)
+
+
+class TestScanCandidates:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_closed_form_counts_the_subspaces(self, q):
+        F = field_of_order(q)
+        for n in range(5):
+            assert scan_candidates(A1, F, (n,)) == len(list(all_subspaces(F, n)))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_valued_vertex_counts_over_its_division_ring(self, q):
+        # the vertex 1+3 of c2tilde-folded has d = 2, so D = GF(q^2)
+        D = field_of_order(q * q)
+        for n in range(4):
+            assert scan_candidates(C2F, field(q), (n, 0)) == len(list(all_subspaces(D, n)))
+
+    def test_product_over_vertices(self):
+        assert (scan_candidates(KRON, F3, (2, 3))
+                == scan_candidates(A1, F3, (2,)) * scan_candidates(A1, F3, (3,)))
 
 
 class TestDirectSum:
