@@ -456,9 +456,15 @@ def _add_common(p, fit_fields=False):
     p.add_argument("--out", help="write the JSON report to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other bad input: one line on stderr, exit 1."""
+
+    def error(self, message):
+        self.exit(1, "%s: %s\n" % (self.prog, message))
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="hallbases",
-                                     description="exact affine composition-algebra bases")
+    parser = _Parser(prog="hallbases", description="exact affine composition-algebra bases")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="real-root table with catalog matching")

@@ -35,6 +35,7 @@ from .modrep import (
     prime_power,
     scan_candidates,
     simple_module,
+    total_dim,
 )
 
 
@@ -194,7 +195,7 @@ class HallContext:
     def angle(self, cid):
         """<M> = v^(-dim_k M + dim_k End M) [M]."""
         info = self.catalog.classes[cid]
-        dim_k = info.module.dim_k()
+        dim_k = total_dim(self.shape, info.dims)
         return self.basis_elt(cid, LaurentPoly.v_power(-dim_k + info.end))
 
     def u(self, vertex):
@@ -240,7 +241,7 @@ class HallContext:
             if cy is None:
                 continue
             info = self.catalog.classes[cid]
-            dim_k = info.module.dim_k()
+            dim_k = total_dim(self.shape, info.dims)
             # ([M],[M]) = v^(2 dim_k M) / a_M
             w = RationalV(LaurentPoly.v_power(2 * dim_k, Fraction(1, info.aut)))
             total = total + RationalV(cx * cy) * w
@@ -415,11 +416,10 @@ class GenericHallAlgebra:
                               % (dims, base, labels))
         for label in labels:
             infos = [cat.classes[cid] for cid, l in mapping.items() if l == label]
-            facts = {"end": infos[0].end, "dim_k": infos[0].module.dim_k(),
+            facts = {"end": infos[0].end, "dim_k": total_dim(self.shape, infos[0].dims),
                      "aut": self._aut_poly_from(cat, infos[0])}
             if (self._label_facts.setdefault(label, facts) != facts
-                    or any((i.end, i.module.dim_k()) != (facts["end"], facts["dim_k"])
-                           for i in infos)):
+                    or any(i.end != facts["end"] for i in infos)):
                 raise OracleError("label %r has field-dependent End, dim_k or Aut structure"
                                   % (label,))
             if any(qpoly_eval(facts["aut"], q) != i.aut for i in infos):

@@ -419,8 +419,7 @@ class FiniteModule:
 
     def dim_k(self):
         """Total dimension over the base field."""
-        return sum(self.shape.d[i] * self.dims[self.shape.index[i]]
-                   for i in self.shape.vertices)
+        return total_dim(self.shape, self.dims)
 
     def vertex_field(self, i):
         d = self.shape.d[i]
@@ -428,6 +427,11 @@ class FiniteModule:
 
     def __repr__(self):
         return "FiniteModule(dim=%s over GF(%d))" % (self.dims, self.F.q)
+
+
+def total_dim(shape, dims):
+    """Total dimension over the base field of a module of dimension vector dims."""
+    return sum(shape.d[i] * dims[shape.index[i]] for i in shape.vertices)
 
 
 def simple_module(shape, F, vertex):
@@ -1217,12 +1221,12 @@ def synth_kronecker(shape, F, dims):
 # ---------------------------------------------------------------------------
 
 class ClassInfo:
-    __slots__ = ("cid", "module", "dims", "indec", "decomposition", "synth_key",
+    __slots__ = ("cid", "_module", "dims", "indec", "decomposition", "synth_key",
                  "end", "aut", "res", "defect")
 
     def __init__(self, cid, module, dims):
         self.cid = cid
-        self.module = module
+        self._module = module         # a FiniteModule, or (summands, shape, F) of a sum
         self.dims = dims
         self.indec = False
         self.decomposition = ()       # tuple of (indec cid, mult)
@@ -1231,6 +1235,14 @@ class ClassInfo:
         self.aut = None               # |Aut|
         self.res = None               # residue degree of End/rad, indecs only
         self.defect = None            # 'pp' | 'reg' | 'pi' for indecs, affine shapes
+
+    @property
+    def module(self):
+        """The representative; a recorded direct sum is formed on first read."""
+        if not isinstance(self._module, FiniteModule):
+            summands, shape, F = self._module
+            self._module = direct_sum(*summands, shape=shape, F=F)
+        return self._module
 
 
 def _dims_closure(requested):
@@ -1309,7 +1321,7 @@ class IsoClassCatalog:
         """Every class of dims: a multiset of cataloged or new indecomposables.
 
         Classes come in repr order of their decomposition by synthesizer key,
-        summands in repr-of-key order; a sum reuses its summands' modules.
+        summands in repr-of-key order; a sum keeps them to form on first read.
         """
         items = [(self.classes[cid].synth_key, cid, self.classes[cid].module)
                  for cid in self._indecs_within(dims)]
@@ -1323,10 +1335,10 @@ class IsoClassCatalog:
         for _, chosen in named:
             if len(chosen) == 1 and chosen[0][0][1] is None:
                 key, _, M = chosen[0][0]
-                self._add_class(M, None, key)
+                self._add_class(M, dims, None, key)
             else:
-                summands = [item[2] for item, m in chosen for _ in range(m)]
-                self._add_class(direct_sum(*summands, shape=self.shape, F=self.F),
+                summands = tuple(item[2] for item, m in chosen for _ in range(m))
+                self._add_class((summands, self.shape, self.F), dims,
                                 tuple(sorted((item[1], m) for item, m in chosen)))
 
     def _build_dim_bfs(self, dims):
@@ -1335,16 +1347,16 @@ class IsoClassCatalog:
         reps.sort(key=lambda ro: tuple(ro[0][h.id] for h in shape.arrows))
         for maps, orbit_size in reps:
             M = FiniteModule(shape, F, dims, maps)
-            info = self._add_class(M, self._solve_decomposition(M))
+            info = self._add_class(M, dims, self._solve_decomposition(M))
             g = self._group_order(dims)
             if g % info.aut or g // info.aut != orbit_size:
                 raise OracleError(
                     "orbit size %d does not match |G|/|Aut| for class %d"
                     % (orbit_size, info.cid))
 
-    def _add_class(self, module, decomposition, synth_key=None):
+    def _add_class(self, module, dims, decomposition, synth_key=None):
         """Append the class of module; decomposition None makes it a new indecomposable."""
-        info = ClassInfo(len(self.classes), module, module.dims)
+        info = ClassInfo(len(self.classes), module, dims)
         if decomposition is None:
             info.indec = True
             info.synth_key = synth_key
@@ -1458,7 +1470,8 @@ class IsoClassCatalog:
         decompositions into indecomposables agree.  So it suffices that the
         decompositions of each slice are pairwise distinct and that Hom
         profiles separate the indecomposables of each slice (indecomposables
-        of different slices differ in dimension).
+        of different slices differ in dimension).  A slice's own come first
+        as candidates, since X = Y forces dim Hom(X, Y) = end X.
         """
         for dims, cids in self.by_dim.items():
             decs = {self.classes[cid].decomposition for cid in cids}
@@ -1466,20 +1479,20 @@ class IsoClassCatalog:
                 raise OracleError("two classes at %s share a decomposition" % (dims,))
             indecs = [cid for cid in cids if self.classes[cid].indec]
             if len(indecs) > 1:
-                self._separate(indecs, dims)
+                self._separate(indecs, dims,
+                               indecs + [p for p in self.indec_ids if p not in indecs])
 
-    def _separate(self, cids, dims):
+    def _separate(self, cids, dims, candidates):
         """Probes whose Hom profiles tell the classes cids apart.
 
-        Candidates are taken in indec_ids order and kept only when they split
-        a group of classes whose profiles still collide; each kept probe
-        extends every profile by one entry.  Returns (probes, {cid: profile})
-        and raises OracleError when the candidates run out first.
+        Candidates are taken in order and kept only when they split a group
+        of classes whose profiles still collide; each kept probe extends
+        every profile by one entry.  Raises OracleError when the candidates
+        run out first, which their order does not change.
         """
-        profiles = {cid: () for cid in cids}
         groups = [list(cids)]
         probes = []
-        for p in self.indec_ids:
+        for p in candidates:
             if not groups:
                 break
             parts = []
@@ -1491,12 +1504,10 @@ class IsoClassCatalog:
             if all(len(by_entry) == 1 for by_entry in parts):
                 continue
             probes.append(p)
-            for cid in cids:
-                profiles[cid] += (self._class_profile_entry(cid, p),)
             groups = [g for by_entry in parts for g in by_entry.values() if len(g) > 1]
         if groups:
             raise OracleError("profiles do not separate the classes at %s" % (dims,))
-        return probes, profiles
+        return probes
 
     def _class_profile_entry(self, cid, probe_cid):
         """dim Hom(probe, class) via additivity over the decomposition."""
@@ -1504,9 +1515,6 @@ class IsoClassCatalog:
                    for icid, m in self.classes[cid].decomposition)
 
     # -- queries ----------------------------------------------------------
-
-    def class_at(self, cid):
-        return self.classes[cid]
 
     def classes_of_dim(self, dims):
         return [self.classes[cid] for cid in self.by_dim.get(tuple(dims), ())]
@@ -1529,9 +1537,10 @@ class IsoClassCatalog:
         if key in self._classify_cache:
             return self._classify_cache[key]
         if dims not in self.probes_by_dim:
-            probes, profiles = self._separate(cids, dims)
+            probes = self._separate(cids, dims, self.indec_ids)
             self.probes_by_dim[dims] = probes
-            self._class_by_profile[dims] = {prof: cid for cid, prof in profiles.items()}
+            self._class_by_profile[dims] = {
+                tuple(self._class_profile_entry(cid, p) for p in probes): cid for cid in cids}
         prof = tuple(hom_dim(self.classes[p].module, module)
                      for p in self.probes_by_dim[dims])
         match = self._class_by_profile[dims].get(prof)

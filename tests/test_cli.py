@@ -179,6 +179,8 @@ class TestRefusals:
         ("roots", "--window", "-2"),
         ("verify", "--suite", "eta", "--rank", "1"),
         ("roots", "--ctx", "kronecker", "--window", "61"),
+        ("roots", "--window", "x"),
+        ("verify", "--suite", "bogus"),
     ])
     def test_bad_input_exit_status(self, tmp_path, argv):
         bad_quiver = tmp_path / "q.txt"
@@ -235,7 +237,7 @@ class TestRemovedOptions:
     def test_rejected_by_the_parser(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, *argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hallbases import modrep
-from hallbases.cartan import Arrow, ValuedQuiver, builtin_quiver, euler_form
+from hallbases.cartan import Arrow, ValuedQuiver, admissible_of, builtin_quiver, euler_form
 from hallbases.cyclic import CyclicCanonicalBasis, Multisegment, cyclic_shape, synth_cyclic
 from hallbases.modrep import (
     GF,
@@ -364,16 +364,21 @@ class TestBuildCertificate:
     def no_mass_check(self, monkeypatch):
         monkeypatch.setattr(IsoClassCatalog, "_mass_check", lambda self, dims: None)
 
-    def test_indecomposable_cataloged_twice(self):
-        def extra(shape, F, dims):
-            if dims != (1, 1):
+    # at (2, 2) the slice's own indecomposables are the first candidates
+    @pytest.mark.parametrize("planted", [("reg", (0, 1), 1), ("reg", (1, 1, 1), 1)],
+                             ids=["slice-1-1", "slice-2-2"])
+    def test_indecomposable_cataloged_twice(self, planted):
+        dims = kronecker_indec(KRON, F2, planted).dims
+
+        def extra(shape, F, d):
+            if d != dims:
                 return []
-            return [(("regdup", (0, 1), 1), kronecker_indec(shape, F, ("reg", (0, 1), 1)))]
+            return [(("regdup",) + planted[1:], kronecker_indec(shape, F, planted))]
         with pytest.raises(OracleError, match="do not separate"):
-            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=_planted(extra))
+            IsoClassCatalog(KRON, F2, [dims], synthesizer=_planted(extra))
 
     def test_decomposition_cataloged_twice(self, tmp_path):
-        # the catalog forms every sum once, so the duplicate is planted in
+        # the catalog records every sum once, so the duplicate is planted in
         # its cache file, which a later construction loads and certifies
         cat = IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=synth_kronecker,
                               cache_dir=str(tmp_path))
@@ -558,6 +563,45 @@ class TestLazyClassification:
             profiles = {tuple(hom_dim(cat.classes[p].module, c.module) for p in probes)
                         for c in cat.classes_of_dim(dims)}
             assert len(profiles) == len(cat.by_dim[dims])
+
+    # classify takes candidates in indec_ids order, whatever order the
+    # distinctness certificate tries them in
+    @pytest.mark.parametrize("name, pinned", [
+        ("kronecker-q3", {(1, 1): [2, 5, 6, 7], (1, 2): [2, 5, 6, 7, 8],
+                          (2, 1): [2, 5, 6, 7], (2, 2): [2, 5, 6, 7, 8, 34, 42]}),
+        ("a2tilde-q2", {(0, 1, 1): [2], (1, 0, 1): [3], (1, 1, 0): [3],
+                        (1, 1, 1): [2, 3, 7, 9, 13]}),
+    ])
+    def test_probes_pinned(self, name, pinned):
+        cat = LAZY_CATALOGS[name]()
+        for cids in cat.by_dim.values():
+            cat.classify(cat.classes[cids[0]].module)
+        assert cat.probes_by_dim == pinned
+
+
+class TestSumsOnFirstRead:
+    def test_build_forms_no_sum(self, monkeypatch):
+        formed = []
+        real = modrep.direct_sum
+
+        def counting(*modules, **kwargs):
+            formed.append(len(modules))
+            return real(*modules, **kwargs)
+        monkeypatch.setattr(modrep, "direct_sum", counting)
+        betas = admissible_of(KRON).betas(5)
+        cat = IsoClassCatalog(KRON, F2, sorted(betas.values()), synthesizer=synth_kronecker)
+        assert formed == []
+        sums = [info for info in cat.classes if not info.indec]
+        for info in sums:
+            assert info.module.dims == info.dims
+            assert info.module is info.module
+        assert len(formed) == len(sums)
+        # classifying all 2 382 sums takes ~10 s; the first and last sum of
+        # every slice cover each slice's probes and both ends of its order
+        for cids in cat.by_dim.values():
+            slice_sums = [cid for cid in cids if not cat.classes[cid].indec]
+            for cid in slice_sums[:1] + slice_sums[-1:]:
+                assert cat.classify(cat.classes[cid].module) == cid
 
 
 def _fail(*args, **kwargs):
