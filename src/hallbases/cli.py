@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cartan import (
@@ -35,7 +36,7 @@ from .cyclic import (
 from .hall import FitError, GenericHallAlgebra, HallContext
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
-from .modrep import BudgetError, IsoClassCatalog, field, field_of_order, synth_a1
+from .modrep import BudgetError, IsoClassCatalog, OracleError, field, field_of_order, synth_a1
 from .pbwbasis import CONTEXT_CAPS, CONTEXT_SYNTHS, get_context
 
 
@@ -159,7 +160,7 @@ def cmd_roots(config, window):
             catalog = IsoClassCatalog(shape, field(2), sorted(betas.values()),
                                       synthesizer=CONTEXT_SYNTHS.get(config.ctx),
                                       cache_dir=config.cache_dir)
-        except Exception as exc:  # resource refusal is reported, not hidden
+        except BudgetError as exc:  # resource refusal is reported, not hidden
             rows.append({"warning": "no catalog: %s" % exc})
     for t, b in sorted(betas.items()):
         row = {"t": t, "beta": list(b), "vertex": str(seq.vertex(t))}
@@ -503,6 +504,9 @@ def main(argv=None):
             _ctx_shape(config.ctx)
         except ValueError as exc:
             raise SystemExit("--ctx %s: %s" % (config.ctx, exc))
+    cache_dir = config.cache_dir
+    if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        raise SystemExit("--cache-dir %s: not a directory" % cache_dir)
     for q in config.primes + (config.verify_prime,):
         try:
             field_of_order(q)
@@ -523,6 +527,9 @@ def main(argv=None):
         raise SystemExit("refused, over budget: %s" % exc)
     except FitError as exc:
         sys.stderr.write("refused, fit not verified: %s\n" % exc)
+        return 2
+    except OracleError as exc:
+        sys.stderr.write("check failed: %s\n" % exc)
         return 2
     raise SystemExit("unknown command")
 

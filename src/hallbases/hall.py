@@ -484,7 +484,7 @@ class GenericHallAlgebra:
 
         Every realization L of l must give the same counts.
         """
-        scan = self.catalog(q).scan_dim(target)
+        scan = self.catalog(q).scan_dim(target, dims2)
         lmap_t = self._label_map(q, target)
         lmap_1 = self._label_map(q, dims1)
         lmap_2 = self._label_map(q, dims2)
@@ -492,11 +492,7 @@ class GenericHallAlgebra:
         for l_cid, counts in scan.items():
             bucket = {}
             for (m_cid, n_cid), g in counts.items():
-                m_label = lmap_1.get(m_cid)
-                n_label = lmap_2.get(n_cid)
-                if m_label is None or n_label is None:
-                    continue
-                k = (m_label, n_label)
+                k = (lmap_1[m_cid], lmap_2[n_cid])
                 bucket[k] = bucket.get(k, 0) + g
             if per_label.setdefault(lmap_t[l_cid], bucket) != bucket:
                 raise OracleError("structure constants differ between realizations of %r"

@@ -27,10 +27,12 @@ classes of a slice, its first classification raises OracleError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import tempfile
+from bisect import bisect_left
 from fractions import Fraction
 
 from .cartan import euler_form, gradings_below, multisets
@@ -500,30 +502,40 @@ def _hom_rows(M, N):
         Di = M.vertex_field(i)
         # g^c has the code p^c for c < d (base-p digits are coefficients)
         P[i] = [Di.mult_matrix(Di.p ** c) for c in range(d)] if d > 1 else [((1,),)]
-        into = [h for h in shape.arrows if h.tgt == i]
-        out = [h for h in shape.arrows if h.src == i]
-        for a in range(n_N):
+        into, out = _arrow_ends(shape)[i]
+        # each band is built once and written into every row that holds it:
+        # P_c M_h into rows (a, b, c) for all a, -N_h P_c into them for all b
+        block = [[0] * n_eq for _ in range(n_N * n_M * d)]
+        for h in into:
+            width = h.m * M.dims[shape.index[h.src]]
             for b in range(n_M):
-                for Pc in P[i]:
-                    row = [0] * n_eq
-                    for h in into:
-                        width = h.m * M.dims[shape.index[h.src]]
+                band = M.maps[h.id][b * d:(b + 1) * d]
+                for c, Pc in enumerate(P[i]):
+                    vals = sum(m_mul(F, Pc, band) if d > 1 else band, ())
+                    for a in range(n_N):
                         at = start[h.id] + a * d * width
-                        band = M.maps[h.id][b * d:(b + 1) * d]
-                        for vals in (m_mul(F, Pc, band) if d > 1 else band):
-                            row[at:at + width] = vals
-                            at += width
-                    for h in out:
-                        width = h.m * n_M
-                        for u in range(h.m // d):
-                            col = u * d * n_N + a * d
-                            band = [r[col:col + d] for r in N.maps[h.id]]
-                            at = start[h.id] + u * d * n_M + b * d
-                            for vals in (m_mul(F, band, Pc) if d > 1 else band):
-                                row[at:at + d] = [neg[x] for x in vals]
-                                at += width
-                    rows.append(row)
+                        block[(a * n_M + b) * d + c][at:at + d * width] = vals
+        for h in out:
+            width = h.m * n_M
+            for u in range(h.m // d):
+                for a in range(n_N):
+                    band = [r[(u * n_N + a) * d:(u * n_N + a + 1) * d] for r in N.maps[h.id]]
+                    for c, Pc in enumerate(P[i]):
+                        vals = m_mul(F, band, Pc) if d > 1 else band
+                        for e in range(d):
+                            col = [neg[v[e]] for v in vals]
+                            for b in range(n_M):
+                                at = start[h.id] + u * d * n_M + b * d + e
+                                block[(a * n_M + b) * d + c][at:at + width * len(col):width] = col
+        rows += block
     return P, rows
+
+
+@functools.cache
+def _arrow_ends(shape):
+    """{vertex: (the arrows into it, the arrows out of it)}, once per shape."""
+    return {i: ([h for h in shape.arrows if h.tgt == i], [h for h in shape.arrows if h.src == i])
+            for i in shape.vertices}
 
 
 def hom_space(M, N):
@@ -673,20 +685,23 @@ _FRAMES = {}
 
 
 def _vertex_frames(F, d, n):
-    """(subspaces, frames, containing) of D_i^n, D_i = F_{q^d}, built once per process.
+    """(subspaces, frames, containing, spans) of D_i^n, D_i = F_{q^d}, built once per process.
 
     subspaces lists every D_i-subspace in all_subspaces order and frames[k]
     is _frame of subspaces[k]; both depend only on the field and the size, so
     every module that has this vertex space shares them.  containing memoizes,
     by the reduced echelon form of a set of base-field vectors, the indices k
-    in ascending order whose subspace contains them.
+    in ascending order whose subspace contains them.  The subspaces come by
+    ascending dimension, and spans[w] is the index range of those of dimension w.
     """
     key = (F.p, F.deg, d, n)
     table = _FRAMES.get(key)
     if table is None:
         Di = F if d == 1 else field(F.p, F.deg * d)
         subs = list(all_subspaces(Di, n))
-        table = _FRAMES[key] = (subs, [_frame(F, Di, d, n, rows) for rows in subs], {})
+        spans = [range(bisect_left(subs, w, key=len), bisect_left(subs, w + 1, key=len))
+                 for w in range(n + 1)]
+        table = _FRAMES[key] = (subs, [_frame(F, Di, d, n, rows) for rows in subs], {}, spans)
     return table
 
 
@@ -699,15 +714,15 @@ def _inside(F, frame, vectors):
     return not any(map(any, _mul_t(F, from_basis[w:], vectors)))
 
 
-def _containing(F, table, vectors):
-    """Indices, ascending, of the subspaces of a _vertex_frames table that contain the vectors."""
-    _, frames, memo = table
+def _containing(F, table, vectors, span):
+    """Indices in span, ascending, of the table's subspaces that contain the vectors."""
+    _, frames, memo, _ = table
     echelon = rref(F, vectors)[0]
     found = memo.get(echelon)
     if found is None:
         found = memo[echelon] = [k for k, frame in enumerate(frames)
                                  if _inside(F, frame, echelon)]
-    return found
+    return found[bisect_left(found, span.start):bisect_left(found, span.stop)]
 
 
 def _images(module, h, frame):
@@ -797,18 +812,21 @@ def scan_candidates(shape, F, dims):
     return total
 
 
-def submodule_tuples(module):
-    """All arrow-stable tuples of D_i-subspaces of the module.
+def submodule_tuples(module, sub=None):
+    """All arrow-stable tuples of D_i-subspaces of the module, or those of dimension sub.
 
     The tuples grow vertex by vertex in shape order and come out in
-    lexicographic order over the per-vertex lists of all_subspaces.  The
-    subspaces and frames of a vertex space come from the table that all
-    modules share (_vertex_frames).  The arrows into vertex t from earlier
-    vertices force the images of the chosen W_s into W_t, so only the
-    subspaces that contain those images are tried (_containing).  An arrow
-    back to an earlier vertex, or a loop, is checked once W at its source is
-    chosen.  Each (arrow, source subspace) pair gets its images once, and a
-    SubspaceTuple is built only for an arrow-stable tuple.
+    lexicographic order over the per-vertex lists of all_subspaces.  With
+    sub, vertex j tries only its subspaces of dimension sub[j], one span of
+    its list, so the tuples are those of the full scan with dims == sub, in
+    the same order.  The subspaces and frames of a vertex space come from
+    the table that all modules share (_vertex_frames).  The arrows into
+    vertex t from earlier vertices force the images of the chosen W_s into
+    W_t, so only the subspaces that contain those images are tried
+    (_containing).  An arrow back to an earlier vertex, or a loop, is checked
+    once W at its source is chosen.  Each (arrow, source subspace) pair gets
+    its images once, and a SubspaceTuple is built only for an arrow-stable
+    tuple.
     """
     shape, F = module.shape, module.F
     verts = shape.vertices
@@ -818,6 +836,7 @@ def submodule_tuples(module):
                for j in range(len(verts))]
     closing = [[h for h in shape.arrows if at[h.src] == j and at[h.tgt] <= j]
                for j in range(len(verts))]
+    spans = [range(len(t[0])) if sub is None else t[3][sub[j]] for j, t in enumerate(tables)]
     images = {h.id: {} for h in shape.arrows}
     picks = [0] * len(verts)
 
@@ -839,9 +858,9 @@ def submodule_tuples(module):
             return
         table = tables[j]
         if forcing[j]:
-            cands = _containing(F, table, [v for h in forcing[j] for v in image(h)[0]])
+            cands = _containing(F, table, [v for h in forcing[j] for v in image(h)[0]], spans[j])
         else:
-            cands = range(len(table[0]))
+            cands = spans[j]
         for k in cands:
             picks[j] = k
             if all(_inside(F, frame(h.tgt), image(h)[0]) for h in closing[j]):
@@ -1567,27 +1586,44 @@ class IsoClassCatalog:
 
     # -- submodule scans and Hall numbers ----------------------------------
 
-    def scan_dim(self, dims):
-        """For every class L of this dimension: counts of (quotient, sub) ids."""
-        dims = tuple(dims)
-        if dims in self._scan_cache:
-            return self._scan_cache[dims]
-        loaded = self._load_scan(dims) if self.cache_dir else None
-        if loaded is not None:
-            self._scan_cache[dims] = loaded
-            return loaded
+    def scan_dim(self, dims, sub=None):
+        """For every class L of this dimension: counts of (quotient, sub) ids.
+
+        With sub, only the submodules of dimension sub count.  A split at one
+        vertex (N = S_i^a, a divided power) filters the full scan if that is in
+        memory or on file, else scans only its own submodules and keeps the
+        counts in memory.  Any other split filters the full scan; a filtered
+        scan is not kept.
+        """
+        dims, sub = tuple(dims), None if sub is None else tuple(sub)
+        key = dims if sub is None else (dims, sub)
+        if key in self._scan_cache:
+            return self._scan_cache[key]
+        if sub is None:
+            out = self._load_scan(dims) if self.cache_dir else None
+            if out is None:
+                out = self._scan(dims)
+                if self.cache_dir:
+                    self._save_scan(dims, out)
+        elif (sum(map(bool, sub)) == 1 and dims not in self._scan_cache
+              and not (self.cache_dir and os.path.exists(self._scan_path(dims)))):
+            out = self._scan(dims, sub)
+        else:
+            return {cid: {k: g for k, g in counts.items() if self.classes[k[1]].dims == sub}
+                    for cid, counts in self.scan_dim(dims).items()}
+        self._scan_cache[key] = out
+        return out
+
+    def _scan(self, dims, sub=None):
         out = {}
         for cid in self.by_dim[dims]:
             L = self.classes[cid].module
             counts = {}
-            for st in submodule_tuples(L):
+            for st in submodule_tuples(L, sub):
                 S, Q = sub_quotient(L, st)
                 key = (self.classify(Q), self.classify(S))
                 counts[key] = counts.get(key, 0) + 1
             out[cid] = counts
-        self._scan_cache[dims] = out
-        if self.cache_dir:
-            self._save_scan(dims, out)
         return out
 
     def hall_number(self, l_cid, m_cid, n_cid):
@@ -1597,7 +1633,7 @@ class IsoClassCatalog:
         N = self.classes[n_cid]
         if tuple(a + b for a, b in zip(M.dims, N.dims)) != L.dims:
             raise ValueError("dim L must equal dim M + dim N")
-        return self.scan_dim(L.dims).get(l_cid, {}).get((m_cid, n_cid), 0)
+        return self.scan_dim(L.dims, N.dims).get(l_cid, {}).get((m_cid, n_cid), 0)
 
     # -- tubes --------------------------------------------------------------
 
@@ -1842,9 +1878,7 @@ def hall_number(L, M, N):
     if tuple(a + b for a, b in zip(M.dims, N.dims)) != L.dims:
         raise ValueError("dim L must equal dim M + dim N")
     count = 0
-    for st in submodule_tuples(L):
-        if st.dims != N.dims:
-            continue
+    for st in submodule_tuples(L, N.dims):
         S, Q = sub_quotient(L, st)
         if is_isomorphic(S, N) and is_isomorphic(Q, M):
             count += 1

@@ -181,6 +181,7 @@ class TestRefusals:
         ("roots", "--ctx", "kronecker", "--window", "61"),
         ("roots", "--window", "x"),
         ("verify", "--suite", "bogus"),
+        ("cyclic-canonical", "--rank", "2", "--dim", "1,1", "--cache-dir", "{bad_quiver}"),
     ])
     def test_bad_input_exit_status(self, tmp_path, argv):
         bad_quiver = tmp_path / "q.txt"
@@ -214,6 +215,19 @@ class TestRefusals:
         assert doc["table"][0] == {"warning": "no catalog: orbit enumeration of (2, 3, 3) "
                                               "over GF(2) walks 2097152 states, over 2^17"}
         assert len(doc["table"]) == 12
+
+    def test_failed_certificate_exit_status(self, tmp_path, monkeypatch, capsys):
+        # a failed mass check is a failed identity, not a missing catalog
+        def fail(self, dims):
+            raise modrep.OracleError("planted mass check failure at %s" % (dims,))
+
+        monkeypatch.setattr(IsoClassCatalog, "_mass_check", fail)
+        code = main(["roots", "--ctx", "kronecker", "--window", "2",
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "planted" in err and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
 
 def _run_cli(*argv):
@@ -271,14 +285,30 @@ class TestGoldenReports:
         assert out.read_bytes() == want.read_bytes()
 
 
-def _cache_digest(tmp_path, runs, pattern="*"):
+def _cache_digest(tmp_path, monkeypatch, runs, pattern="*"):
     """One sha256 over the cache files of the runs: their names, with the
-    catalog key masked, and their contents."""
+    catalog key masked, and their contents.
+
+    These runs multiply only by divided powers, whose scans are kept in
+    memory, so each run writes no scan file; after it, the full scan of
+    every slice it read is written, as every product used to write it.
+    """
     lines = []
+    scan = IsoClassCatalog.scan_dim
     for label, argv in runs:
+        read = []
+
+        def recorded(cat, dims, sub=None):
+            read.append((cat, dims))
+            return scan(cat, dims, sub)
+
+        monkeypatch.setattr(IsoClassCatalog, "scan_dim", recorded)
         cache = tmp_path / label
         assert main(list(argv) + ["--cache-dir", str(cache),
                                   "--out", str(tmp_path / (label + ".json"))]) == 0
+        assert not list(cache.glob("scan_*.json"))
+        for cat, dims in read:
+            scan(cat, dims)
         for path in cache.glob(pattern):
             lines.append("%s/%s %s" % (label, re.sub(r"_[0-9a-f]{24}", "_KEY", path.name),
                                        hashlib.sha256(path.read_bytes()).hexdigest()))
@@ -288,7 +318,7 @@ def _cache_digest(tmp_path, runs, pattern="*"):
 CYCLIC_23 = ("cyclic", ("cyclic-canonical", "--rank", "2", "--dim", "2,3"))
 
 
-def test_cache_files_pinned(tmp_path):
+def test_cache_files_pinned(tmp_path, monkeypatch):
     """The cache files of two benchmark commands, byte for byte, by one digest.
 
     The class order of every slice fixes the class ids and so every cache
@@ -298,19 +328,28 @@ def test_cache_files_pinned(tmp_path):
     ones: no fit of these commands reads GF(7) any more.
     """
     runs = (("roots", ("roots", "--ctx", "kronecker", "--window", "6")), CYCLIC_23)
-    assert _cache_digest(tmp_path, runs) == (
+    assert _cache_digest(tmp_path, monkeypatch, runs) == (
         "a8e251411d8983f3b94c45963af34643313cf559169cffaaeb146decf3053bbb")
 
 
-def test_scan_files_pinned(tmp_path):
+def test_scan_files_pinned(tmp_path, monkeypatch):
     """Every submodule count of cyclic-canonical --rank 2 --dim 2,3, by one digest.
 
     The scan files hold the counts of (quotient, sub) classes per class;
     the digest was taken before the scan grew its tuples vertex by vertex,
     and the GF(7) files were left out of it once no fit read GF(7).
     """
-    assert _cache_digest(tmp_path, (CYCLIC_23,), "scan_*.json") == (
+    assert _cache_digest(tmp_path, monkeypatch, (CYCLIC_23,), "scan_*.json") == (
         "262bf2c7b047aafd563bab2de00ae5777b15fbd58e5a9589cc1b1f20e1bc1916")
+
+
+def test_cyclic_33_report_pinned(tmp_path):
+    """The report of cyclic-canonical --rank 2 --dim 3,3, by its digest from
+    before its products by divided powers scanned only their own submodules."""
+    out = tmp_path / "out.json"
+    assert main(["cyclic-canonical", "--rank", "2", "--dim", "3,3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "35a0dfd0ccbd1d34340cc1390f6820048d1072c8d8aff1a4dee33c6cb0ca9559")
 
 
 def test_e_basis_reports_pinned(tmp_path):

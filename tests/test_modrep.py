@@ -1092,6 +1092,68 @@ class TestSharedFrames:
                                 for d, n in spaces)
 
 
+class TestSplitScan:
+    @pytest.mark.parametrize("name", ["kronecker", "a2tilde", "cyclic:2", "cyclic:3",
+                                      "c2tilde-folded"])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_tuples_of_one_split_in_full_scan_order(self, name, q):
+        shape, F = _shape_of(name), field(q)
+        rng = random.Random("%s/%d" % (name, q))
+        for M in _random_modules(shape, F, rng, 6):
+            full = [(W.dims, tuple(W.rows[i] for i in shape.vertices))
+                    for W in submodule_tuples(M)]
+            for sub in itertools.product(*(range(n + 1) for n in M.dims)):
+                assert [tuple(W.rows[i] for i in shape.vertices)
+                        for W in submodule_tuples(M, sub)] == [
+                    rows for dims, rows in full if dims == sub], (M.maps, sub)
+
+    @staticmethod
+    def _catalog(name, q, dims, cache_dir=None):
+        synth = {"kronecker": synth_kronecker, "cyclic:2": synth_cyclic}.get(name)
+        return IsoClassCatalog(_shape_of(name), field(q), [dims], synthesizer=synth,
+                               cache_dir=cache_dir)
+
+    @staticmethod
+    def _filtered(cat, dims, sub):
+        return {cid: {k: g for k, g in counts.items() if cat.classes[k[1]].dims == sub}
+                for cid, counts in cat.scan_dim(dims).items()}
+
+    @pytest.mark.parametrize("name, q, dims", [("kronecker", 3, (2, 2)), ("cyclic:2", 2, (2, 3)),
+                                               ("a2tilde", 2, (1, 1, 1))],
+                             ids=["kronecker", "cyclic:2", "a2tilde"])
+    def test_one_vertex_split_is_the_filtered_full_scan(self, name, q, dims):
+        cat = self._catalog(name, q, dims)
+        splits = [tuple(a if j == i else 0 for j in range(len(dims)))
+                  for i, n in enumerate(dims) for a in range(1, n + 1)]
+        # scanned on their own: no full scan is in memory yet
+        own = {sub: cat.scan_dim(dims, sub) for sub in splits}
+        assert dims not in cat._scan_cache
+        for sub in splits:
+            assert own[sub] == self._filtered(cat, dims, sub), sub
+        # every other split filters the full scan
+        for sub in itertools.product(*(range(n + 1) for n in dims)):
+            assert cat.scan_dim(dims, sub) == self._filtered(cat, dims, sub), sub
+
+    def test_one_vertex_split_reads_the_full_scan_file(self, tmp_path, monkeypatch):
+        dims, sub = (2, 3), (0, 2)
+        cat = self._catalog("cyclic:2", 2, dims, str(tmp_path))
+        own = cat.scan_dim(dims, sub)
+        assert not list(tmp_path.glob("scan_*.json"))
+        cat.scan_dim(dims)
+        assert len(list(tmp_path.glob("scan_*.json"))) == 1
+        calls = Counter()
+        scan = modrep.submodule_tuples
+
+        def counted(*args):
+            calls["scan"] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(modrep, "submodule_tuples", counted)
+        warm = self._catalog("cyclic:2", 2, dims, str(tmp_path))
+        assert warm.scan_dim(dims, sub) == own
+        assert not calls
+
+
 class TestScanCandidates:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_closed_form_counts_the_subspaces(self, q):
