@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import le
+from operator import le, sub
 
 
 class Arrow:
@@ -259,26 +259,56 @@ def multisets(weights, bound, exact=True):
     multiplicity 0.  The order is descending lexicographic in mults: item 0
     outermost, largest multiplicity first.  Nothing is built up front, so a
     caller holds one multiset at a time.
+
+    The walk branches only on the items given a positive multiplicity, each
+    after the one chosen before it; choosing no further item comes last.  The
+    branches of a state (first item still open, rest) are listed once and
+    kept.  With exact=True a branch is listed only when the items after it
+    can fill its rest exactly, which a memoised table answers, so every
+    branch taken ends in at least one multiset.
     """
     weights = [tuple(w) for w in weights]
-    mults = [0] * len(weights)
-
-    def walk(items, rest):
-        # items: the indices still to choose whose weight fits in rest
-        if not items:
-            if not (exact and any(rest)):
-                yield tuple(mults), rest
-            return
-        k, later = items[0], items[1:]
-        w = weights[k]
-        for m in range(min(r // x for r, x in zip(rest, w) if x), -1, -1):
-            left = tuple(r - m * x for r, x in zip(rest, w))
-            mults[k] = m
-            yield from walk([j for j in later if all(map(le, weights[j], left))], left)
-        mults[k] = 0
-
     bound = tuple(bound)
-    return walk([k for k, w in enumerate(weights) if any(w) and all(map(le, w, bound))], bound)
+    mults = [0] * len(weights)
+    base = [k for k, w in enumerate(weights) if any(w) and all(map(le, w, bound))]
+    fills, branches = {}, {}
+
+    def fill(j, rest):
+        # can some multiset of the items base[j:] weigh exactly rest?
+        if (j, rest) not in fills:
+            if not any(rest) or j == len(base):
+                fills[j, rest] = not any(rest)
+            else:
+                w = weights[base[j]]
+                fills[j, rest] = fill(j + 1, rest) or (
+                    all(map(le, w, rest)) and fill(j, tuple(map(sub, rest, w))))
+        return fills[j, rest]
+
+    def branch(j, rest):
+        # (item, multiplicity, rest left, next open position) for walk(j, rest)
+        if (j, rest) not in branches:
+            out = []
+            for at in range(j, len(base)):
+                if exact and not fill(at, rest):
+                    break
+                w = weights[base[at]]
+                for m in range(min(r // x for r, x in zip(rest, w) if x), 0, -1):
+                    left = tuple(r - m * x for r, x in zip(rest, w))
+                    if not exact or fill(at + 1, left):
+                        out.append((base[at], m, left, at + 1))
+            branches[j, rest] = out
+        return branches[j, rest]
+
+    def walk(j, rest):
+        # every multiset of the items base[j:] within rest
+        for k, m, left, nxt in branch(j, rest):
+            mults[k] = m
+            yield from walk(nxt, left)
+            mults[k] = 0
+        if not (exact and any(rest)):
+            yield tuple(mults), rest
+
+    return walk(0, bound)
 
 
 def reflect(datum, i, x):

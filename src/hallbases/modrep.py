@@ -246,14 +246,8 @@ def gl_order(q, n):
 # matrices over a GF, stored as tuples of tuples of element codes
 # ---------------------------------------------------------------------------
 
-def m_zero(r, c):
-    return tuple((0,) * c for _ in range(r))
-
 def m_id(F, n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-def m_add(F, A, B):
-    return tuple(tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 def m_mul(F, A, B):
     return _mul_t(F, A, m_transpose(B))
@@ -275,9 +269,6 @@ def _mul_t(F, A, Bt):
         out.append(tuple(row))
     return tuple(out)
 
-def m_scale(F, c, A):
-    return tuple(tuple(F.mul(c, a) for a in row) for row in A)
-
 def m_transpose(A):
     if not A:
         return ()
@@ -285,49 +276,76 @@ def m_transpose(A):
 
 
 def _eliminate(F, A, reduced):
-    """The GF(q) elimination: (echelon rows, pivot columns), zero rows dropped.
+    """The GF(q) elimination: {pivot column: sparse row}, one per unit of rank.
 
-    Each pivot column is cleared below its pivot by table lookups; the
-    pivots stay unscaled.  With reduced, each pivot is scaled to 1 and its
-    column is cleared above as well, which gives the reduced echelon form.
+    A pivot row is its list of (column, value) entries, its leftmost entry
+    1 at the pivot column.  Each row of A is swept left to right as a dense
+    list: an entry at a pivot column is cleared by that pivot's entries
+    alone, and the first entry at a column without a pivot makes the row,
+    scaled, the pivot row of that column.  The pivot rows form an echelon
+    form, so their count is the rank.  With reduced, each pivot row is then
+    swept clear of the later pivot columns too, right to left, which gives
+    the reduced echelon form.
     """
-    rows = [row for row in A if any(row)]
     mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                break
-        else:
-            continue
-        piv = rows[k]
-        if reduced:
-            unit = mul[inv[piv[c]]]
-            piv = [unit[x] for x in piv]
-        rows[k] = rows[r]
-        rows[r] = piv
-        pivots.append(c)
-        scale = inv[piv[c]]
-        for k in range(0 if reduced else r + 1, len(rows)):
-            row = rows[k]
-            if row[c] and k != r:
-                factor = mul[neg[mul[row[c]][scale]]]
-                rows[k] = [add[a][factor[b]] for a, b in zip(row, piv)]
-        if len(pivots) == len(rows):
+    pivots = {}
+    ncols = len(A[0]) if A else 0
+
+    def sweep(row, start, full):
+        # clear the pivot columns of row from start on; return the first
+        # column holding an entry and no pivot, or sweep them all when full
+        for c in range(start, ncols):
+            x = row[c]
+            if x:
+                piv = pivots.get(c)
+                if piv is None:
+                    if not full:
+                        return c
+                    continue
+                factor = mul[neg[x]]
+                for k, v in piv:
+                    row[k] = add[row[k]][factor[v]]
+        return None
+
+    for dense in A:
+        if len(pivots) == ncols:
             break
-    return rows[:len(pivots)], pivots
+        row = list(dense)
+        c = sweep(row, 0, False)
+        if c is not None:
+            unit = mul[inv[row[c]]]
+            pivots[c] = [(k, unit[row[k]]) for k in range(c, ncols) if row[k]]
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            if any(k in pivots for k, _ in pivots[c][1:]):
+                row = [0] * ncols
+                for k, v in pivots[c]:
+                    row[k] = v
+                sweep(row, c + 1, True)
+                pivots[c] = [(k, row[k]) for k in range(c, ncols) if row[k]]
+    return pivots
 
 
 def rref(F, A):
-    """Reduced row echelon form of A without its zero rows: (R, pivot_columns)."""
-    rows, pivots = _eliminate(F, A, True)
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    """Reduced row echelon form of A without its zero rows: (R, pivot_columns).
+
+    Only the returned rows are made dense.
+    """
+    pivots = _eliminate(F, A, True)
+    cols = tuple(sorted(pivots))
+    ncols = len(A[0]) if A else 0
+    rows = []
+    for c in cols:
+        row = [0] * ncols
+        for k, v in pivots[c]:
+            row[k] = v
+        rows.append(tuple(row))
+    return tuple(rows), cols
 
 
 def m_rank(F, A):
-    """Rank of A by forward elimination: no normalisation, no back-substitution."""
-    return len(_eliminate(F, A, False)[1])
+    """Rank of A: the number of pivots of forward elimination, no back-substitution."""
+    return len(_eliminate(F, A, False))
 
 
 def kernel_basis(F, A, ncols):
@@ -487,7 +505,8 @@ def _hom_rows(M, N):
     entries row by row.  An arrow into i sees P_c M_h[b-th block of rows] in
     row block a; an arrow out of i sees -N_h[:, a-th block of columns of
     block u] P_c in column block (u, b).  Returns (P, rows) with
-    P[i] = [P_0, ..., P_{d_i - 1}].
+    P[i] = [P_0, ..., P_{d_i - 1}] for every vertex i with unknowns; a vertex
+    where n_N n_M = 0 has none and is skipped.
     """
     shape, F = M.shape, M.F
     neg = F._neg
@@ -499,6 +518,8 @@ def _hom_rows(M, N):
     for i in shape.vertices:
         d = shape.d[i]
         n_N, n_M = N.dims[shape.index[i]], M.dims[shape.index[i]]
+        if not n_N * n_M:
+            continue
         Di = M.vertex_field(i)
         # g^c has the code p^c for c < d (base-p digits are coefficients)
         P[i] = [Di.mult_matrix(Di.p ** c) for c in range(d)] if d > 1 else [((1,),)]
@@ -607,22 +628,43 @@ def ext_dim(M, N):
 def _isomorphisms(M, basis, what):
     """The invertible linear combinations of a basis of Hom(M, N), dim N = dim M.
 
-    Yields the coefficient tuples, enumerating all q^len(basis) combinations;
-    raises BudgetError when there are more than 2^SEARCH_BUDGET of them.
+    Yields the coefficient tuples, enumerating all q^len(basis) combinations
+    in the order of itertools.product; raises BudgetError when there are more
+    than 2^SEARCH_BUDGET of them.  The walk is depth first over the
+    coefficients and carries the partial sum c_0 b_0 + ... + c_{j-1} b_{j-1}
+    of every vertex matrix, flattened into one row, so each step adds one
+    scaled basis element.  Every combination is tested for full rank at each
+    vertex in shape order.
     """
     shape, F = M.shape, M.F
     check_search(F.q ** len(basis), "%s over GF(%d)" % (what, F.q))
-    for coeffs in itertools.product(range(F.q), repeat=len(basis)):
-        for i in shape.vertices:
-            n = shape.d[i] * M.dims[shape.index[i]]
-            mat = m_zero(n, n)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    mat = m_add(F, mat, m_scale(F, c, b[i]))
-            if m_rank(F, mat) != n:
-                break
-        else:
-            yield coeffs
+    mul, add = F._mul, F._add
+    blocks, width = [], 0
+    for i in shape.vertices:
+        n = shape.d[i] * M.dims[shape.index[i]]
+        blocks.append((width, n))
+        width += n * n
+    # terms[j][c]: c times basis element j, flattened like the partial sums
+    terms = []
+    for b in basis:
+        flat = [x for i in shape.vertices for row in b[i] for x in row]
+        terms.append([[mul[c][x] for x in flat] for c in range(F.q)])
+    coeffs = [0] * len(basis)
+
+    def invertible(flat):
+        return all(m_rank(F, [flat[at + r * n:at + (r + 1) * n] for r in range(n)]) == n
+                   for at, n in blocks)
+
+    def walk(j, partial):
+        if j == len(terms):
+            if invertible(partial):
+                yield tuple(coeffs)
+            return
+        for c, term in enumerate(terms[j]):
+            coeffs[j] = c
+            yield from walk(j + 1, [add[x][y] for x, y in zip(partial, term)] if c else partial)
+
+    yield from walk(0, [0] * width)
 
 
 def is_isomorphic(M, N):

@@ -284,6 +284,28 @@ class TestMultisets:
             want = _multisets_oracle(weights, bound, exact)
             assert list(multisets(weights, bound, exact)) == want
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("ncomp", [2, 3])
+    def test_unit_weights_first_and_last(self, exact, ncomp):
+        # a slice lists a simple first (S_1 of a Kronecker slice), so the
+        # items in between can leave a rest that only the last one fills
+        rng = random.Random(1000 * ncomp + exact)
+        cases = 0
+        while cases < 40:
+            units = [tuple(int(c == a) for c in range(ncomp)) for a in range(ncomp)]
+            middle = [tuple(rng.randint(0, 3) for _ in range(ncomp))
+                      for _ in range(rng.randint(4, 7))]
+            weights = [rng.choice(units)] + middle + [rng.choice(units)]
+            bound = tuple(rng.randint(0, 4) for _ in range(ncomp))
+            size = 1
+            for w in weights:
+                size *= 1 + min((b // x for b, x in zip(bound, w) if x), default=0)
+            if size > 20000:
+                continue
+            cases += 1
+            want = _multisets_oracle(weights, bound, exact)
+            assert list(multisets(weights, bound, exact)) == want
+
     def test_zero_weight_gets_multiplicity_zero(self):
         assert list(multisets([(0, 0), (1, 0)], (2, 0))) == [((0, 2), (0, 0))]
         assert list(multisets([(0,)], (3,), exact=False)) == [((0,), (3,))]

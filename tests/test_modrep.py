@@ -298,7 +298,7 @@ class TestDualRouteCounting:
         # through the automorphism-group route instead of subspace listing
         import itertools as it
 
-        from hallbases.modrep import SubspaceTuple, hom_space, m_scale, m_add, m_rank, rref
+        from hallbases.modrep import SubspaceTuple, hom_space, m_rank, rref
 
         F = F2
         scan = kron_cat.scan_dim((1, 1))
@@ -314,8 +314,10 @@ class TestDualRouteCounting:
                         acc = None
                         for c, b in zip(coeffs, basis):
                             if c:
-                                term = m_scale(F, c, b[v])
-                                acc = term if acc is None else m_add(F, acc, term)
+                                term = [[F.mul(c, x) for x in row] for row in b[v]]
+                                acc = term if acc is None else [
+                                    [F.add(x, y) for x, y in zip(ra, rb)]
+                                    for ra, rb in zip(acc, term)]
                         if acc is None:
                             rows = N.dims[KRON.index[v]]
                             cols = L.dims[KRON.index[v]]
@@ -910,6 +912,32 @@ class TestKernelOracle:
         assert m_rank(F, A) == want
 
 
+EXTENSION_FIELDS = (field(2, 2), field(2, 3), field(3, 2))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix over GF(4), GF(8) or GF(9) with at most 4 columns whose
+    entries are zero two times in three, as in the Hom systems."""
+    F = draw(st.sampled_from(EXTENSION_FIELDS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    entries = st.sampled_from((0,) * (2 * (F.q - 1)) + tuple(range(1, F.q)))
+    return F, cols, tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+
+class TestExtensionFieldRank:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_kernel_count_matches_rank(self, case):
+        F, ncols, A = case
+        zeros = [[0]] * len(A)
+        kernel = sum(_product(F, A, [[x] for x in vec], len(A), ncols, 1) == zeros
+                     for vec in itertools.product(range(F.q), repeat=ncols))
+        rank = m_rank(F, A)
+        assert kernel == F.q ** (ncols - rank)
+        assert len(rref(F, A)[1]) == rank
+
+
 class TestValuedVertices:
     def test_refused_over_a_prime_power(self):
         with pytest.raises(ValueError, match="prime base field"):
@@ -1195,3 +1223,67 @@ class TestDirectSum:
     def test_no_summands(self):
         Z = direct_sum(shape=C2F, F=F3)
         assert Z.dims == (0, 0) and all(m == () for m in Z.maps.values())
+
+
+# -- an oracle for the isomorphism search that does not share its arithmetic
+
+def _invertible_by_kernel(F, mat):
+    """No nonzero vector is killed by the square matrix mat (brute force)."""
+    n = len(mat)
+    return not any(any(v) and _product(F, mat, [[x] for x in v], n, n, 1) == [[0]] * n
+                   for v in itertools.product(range(F.q), repeat=n))
+
+
+def _naive_isomorphisms(M, basis):
+    """The coefficient tuples of itertools.product whose combination of basis
+    is invertible at every vertex."""
+    shape, F = M.shape, M.F
+    out = []
+    for coeffs in itertools.product(range(F.q), repeat=len(basis)):
+        for i in shape.vertices:
+            n = shape.d[i] * M.dims[shape.index[i]]
+            mat = [[0] * n for _ in range(n)]
+            for c, b in zip(coeffs, basis):
+                mat = [[F.add(x, F.mul(c, y)) for x, y in zip(row, brow)]
+                       for row, brow in zip(mat, b[i])]
+            if not _invertible_by_kernel(F, mat):
+                break
+        else:
+            out.append(coeffs)
+    return out
+
+
+class TestIsomorphismOracle:
+    @pytest.mark.parametrize("name, q", [
+        ("kronecker", 2), ("kronecker", 3), ("kronecker", 4), ("a2tilde", 2), ("a2tilde", 4),
+        ("c2tilde-folded", 2), ("c2tilde-folded", 3)])
+    def test_matches_the_filtered_product(self, name, q):
+        shape, F = _shape_of(name), field_of_order(q)
+        rng = random.Random("iso-%s-%d" % (name, q))
+        checked = 0
+        for M in _random_modules(shape, F, rng, 40):
+            basis = hom_space(M, M)
+            if F.q ** len(basis) > 256:
+                continue
+            want = _naive_isomorphisms(M, basis)
+            assert list(modrep._isomorphisms(M, basis, "test")) == want
+            assert aut_order_brute(M) == len(want)
+            checked += 1
+            if all(shape.d[i] == 1 for i in shape.vertices):
+                assert is_isomorphic(M, _base_change(M, rng))
+        assert checked >= 10
+
+    def test_is_isomorphic_on_the_decompose_pairs(self, kron_cat):
+        s1, s2 = simple_module(KRON, F2, "1"), simple_module(KRON, F2, "2")
+        regs = [c for c in kron_cat.classes_of_dim((1, 1)) if c.indec and c.defect == "reg"]
+        for M in (direct_sum(s1, s2), direct_sum(regs[0].module, regs[1].module)):
+            cid = kron_cat.classify(M)
+            for c in kron_cat.classes_of_dim(M.dims):
+                assert is_isomorphic(M, c.module) == (c.cid == cid)
+        assert not is_isomorphic(s1, s2)
+
+    def test_vertices_without_unknowns_are_skipped(self):
+        S1, S2 = simple_module(C2F, F3, "1+3"), simple_module(C2F, F3, "2")
+        P, rows = modrep._hom_rows(S1, direct_sum(S1, S2))
+        assert set(P) == {"1+3"} and len(rows) == 2
+        assert hom_dim(S1, direct_sum(S1, S2)) == len(hom_space(S1, direct_sum(S1, S2))) == 2
