@@ -212,9 +212,6 @@ class CartanDatum:
         return sum(x[a] * self.D[a] * self.C[a][b] * y[b]
                    for a in range(self.n) for b in range(self.n))
 
-    def d_of(self, i):
-        return self.D[self.pos[i]]
-
 
 def cartan_of(vq):
     """The Cartan datum of a valued quiver: C_ij = -sum m_h / d_i, D = diag(d)."""

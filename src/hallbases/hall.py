@@ -47,19 +47,25 @@ def lagrange_fit(points):
     """The interpolating polynomial in q through {q: value}, as a LaurentPoly.
 
     The variable of the returned polynomial is q (exponent = q-degree).
+    Newton's divided differences run on scalar Fractions, and the Newton
+    form is expanded once at the end.
     """
     pts = sorted(points.items())
-    result = LaurentPoly.zero()
-    for qi, vi in pts:
-        num = LaurentPoly.const(vi)
-        den = Fraction(1)
-        for qj, _ in pts:
-            if qj == qi:
-                continue
-            num = num * (LaurentPoly({1: 1}) - LaurentPoly.const(qj))
-            den *= Fraction(qi - qj)
-        result = result + num * LaurentPoly.const(Fraction(1) / den)
-    return result
+    xs = [q for q, _ in pts]
+    dd = [Fraction(value) for _, value in pts]
+    n = len(dd)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    # Horner on the Newton form; coeffs[k] is the coefficient of q^k
+    coeffs = dd[-1:]
+    for i in range(n - 2, -1, -1):
+        shifted = [0] + coeffs
+        for k, c in enumerate(coeffs):
+            shifted[k] -= xs[i] * c
+        shifted[0] += dd[i]
+        coeffs = shifted
+    return LaurentPoly(dict(enumerate(coeffs)))
 
 
 def qpoly_eval(p, q):

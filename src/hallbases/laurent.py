@@ -1,18 +1,41 @@
 """Exact Laurent polynomials and rational functions in a single variable v.
 
 Everything downstream (Hall numbers, basis transitions, inner products) is a
-statement about elements of Q[v,v^-1] or Q(v), so coefficients are
-``fractions.Fraction`` throughout and no floating point is ever used.
+statement about elements of Q[v,v^-1] or Q(v), so every coefficient is an
+exact rational and no floating point is ever used.
 
 A Laurent polynomial is stored as a dict {exponent: coefficient} with no zero
-coefficients.  Rational functions keep a reduced numerator/denominator pair
-with the denominator normalized to be an ordinary polynomial (valuation 0)
-whose top coefficient is 1, so equality is plain structural equality.
+coefficients.  A coefficient is a Python ``int`` when it is integral and a
+``fractions.Fraction`` with denominator > 1 otherwise; every constructor and
+operation returns that form, so most work stays in machine-fast integer
+arithmetic.  ``int`` and ``Fraction`` compare, hash and print alike, so the
+form is invisible to callers.  Rational functions keep a reduced
+numerator/denominator pair with the denominator normalized to be an ordinary
+polynomial (valuation 0) whose top coefficient is 1, so equality is plain
+structural equality.  The gcd that reduces them is a primitive
+pseudo-remainder sequence over Z (Brown, "On Euclid's algorithm and the
+computation of polynomial greatest common divisors", JACM 1971).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _canonical(c):
+    """c (an int or a Fraction) as an int when integral, else unchanged."""
+    if c.__class__ is not int and c.denominator == 1:
+        return int(c.numerator)
+    return c
+
+
+def _div(a, b):
+    """a / b for rational a and b != 0, exactly and in canonical form."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canonical(Fraction(a) / b)
 
 
 class LaurentPoly:
@@ -24,10 +47,10 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
                 if c:
-                    d[int(e)] = c
+                    d[int(e)] = _canonical(c)
         self.coeffs = d
 
     # -- constructors -------------------------------------------------
@@ -42,11 +65,11 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        return LaurentPoly({0: Fraction(c)})
+        return LaurentPoly({0: c})
 
     @staticmethod
     def v_power(e, c=1):
-        return LaurentPoly({int(e): Fraction(c)})
+        return LaurentPoly({int(e): c})
 
     # -- ring structure -----------------------------------------------
 
@@ -60,7 +83,7 @@ class LaurentPoly:
             else:
                 s += c
                 if s:
-                    d[e] = s
+                    d[e] = _canonical(s)
                 else:
                     del d[e]
         out = LaurentPoly.__new__(LaurentPoly)
@@ -95,6 +118,9 @@ class LaurentPoly:
                         d[e] = s
                     else:
                         del d[e]
+        for e, c in d.items():
+            if c.__class__ is not int:
+                d[e] = _canonical(c)
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = d
         return out
@@ -114,10 +140,10 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(other)
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -140,7 +166,7 @@ class LaurentPoly:
         return min(self.coeffs) if self.coeffs else None
 
     def __getitem__(self, e):
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
     def is_bar_symmetric(self):
         return self == self.bar()
@@ -235,7 +261,8 @@ def _divmod_laurent(a, b):
     """Division with remainder after clearing v-valuations.
 
     Shifts both operands to ordinary polynomials, does schoolbook division,
-    and shifts back, so v^-3 / v^-1 etc. work as expected.
+    and shifts back, so v^-3 / v^-1 etc. work as expected.  A quotient term
+    is an int whenever the division is exact over Z.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -252,7 +279,7 @@ def _divmod_laurent(a, b):
         da = max(A)
         if da < db:
             break
-        f = A[da] / lead
+        f = _div(A[da], lead)
         Q[da - db] = f
         for e, c in B.items():
             e += da - db
@@ -270,18 +297,88 @@ def _divmod_laurent(a, b):
     return quot, rem
 
 
+def _primitive_row(p):
+    """p / v^val(p) scaled to a primitive integer polynomial with a positive
+    top coefficient: its coefficients as ints, top degree first."""
+    c = p.coeffs
+    lo = min(c)
+    row = [0] * (max(c) - lo + 1)
+    den = lcm(*(x.denominator for x in c.values() if x.__class__ is not int))
+    for e, x in c.items():
+        row[e - lo] = x * den if x.__class__ is int else x.numerator * (den // x.denominator)
+    row.reverse()
+    return _primitive(row)
+
+
+def _primitive(row):
+    """An integer row (top degree first, top entry nonzero) divided by its
+    content, with the sign that makes the top entry positive."""
+    g = gcd(*row)
+    if row[0] < 0:
+        g = -g
+    return [x // g for x in row] if g != 1 else row
+
+
+def _prem_primitive(a, b):
+    """Primitive part of a pseudo-remainder of a by b, both integer rows, top
+    degree first, b's top coefficient positive and b(0) != 0.
+
+    Each step scales a by the least integer that makes b's top coefficient
+    divide a's, so the result is a nonzero integer multiple of the remainder
+    over Q.  Trailing zeros (factors v, which never divide gcd(a, b) since
+    b(0) != 0) are stripped; [] means a zero remainder.
+    """
+    a = list(a)
+    lb = b[0]
+    nb = len(b)
+    for i in range(len(a) - nb + 1):
+        c = a[i]
+        if not c:
+            continue
+        g = gcd(c, lb)
+        s, t = lb // g, c // g
+        if s != 1:
+            for j in range(i + 1, len(a)):
+                a[j] *= s
+        for j in range(1, nb):
+            a[i + j] -= t * b[j]
+    r = a[len(a) - nb + 1:]
+    while r and not r[-1]:
+        r.pop()
+    k = 0
+    while k < len(r) and not r[k]:
+        k += 1
+    return _primitive(r[k:]) if k < len(r) else []
+
+
 def poly_gcd(a, b):
-    """Monic gcd of two Laurent polynomials (v-power factors are discarded)."""
-    a = a.shift(-a.valuation()) if not a.is_zero() else a
-    b = b.shift(-b.valuation()) if not b.is_zero() else b
-    while not b.is_zero():
-        _, r = _divmod_laurent(a, b)
-        a, b = b, r
-        if not b.is_zero():
-            b = b.shift(-b.valuation())
+    """Monic gcd of two Laurent polynomials (v-power factors are discarded).
+
+    Both operands are cleared of denominators and v-powers, and a primitive
+    pseudo-remainder sequence runs over Z with contents removed by math.gcd.
+    By Gauss's lemma its last nonzero term is the gcd over Q up to a unit;
+    it is made monic at the end.
+    """
     if a.is_zero():
-        return LaurentPoly.one()
-    return a.divexact(LaurentPoly.const(a.coeffs[a.degree()]))
+        a, b = b, a
+    if a.is_zero():
+        return _ONE
+    a = _primitive_row(a)
+    if not b.is_zero():
+        b = _primitive_row(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, _prem_primitive(a, b)
+            if not b:
+                break
+        else:
+            return _ONE
+    top = len(a) - 1
+    lead = a[0]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.coeffs = {top - i: _div(x, lead) for i, x in enumerate(a) if x}
+    return out
 
 
 class RationalV:
@@ -321,10 +418,6 @@ class RationalV:
             num = num * inv
         self.num = num
         self.den = den
-
-    @staticmethod
-    def from_poly(p):
-        return RationalV(p)
 
     def is_zero(self):
         return self.num.is_zero()

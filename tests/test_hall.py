@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -50,6 +51,26 @@ class TestFitting:
     def test_lagrange(self):
         poly = lagrange_fit({2: 3, 3: 4, 4: 5})
         assert poly == LaurentPoly({1: 1, 0: 1})  # q + 1
+
+    def test_newton_form_equals_lagrange_sum(self):
+        # the interpolant is unique: the Newton form equals the Lagrange sum
+        rng = random.Random(11)
+        q = LaurentPoly({1: 1})
+        for _ in range(60):
+            xs = rng.sample([2, 3, 4, 5, 7, 8, 9, 11, 13], rng.randint(1, 5))
+            pts = {x: rng.choice([rng.randint(-50, 50), Fraction(rng.randint(-9, 9), 4)])
+                   for x in xs}
+            want = LaurentPoly.zero()
+            for xi, yi in pts.items():
+                term = LaurentPoly.const(Fraction(yi))
+                for xj in pts:
+                    if xj != xi:
+                        term = term * (q - xj) * LaurentPoly.const(Fraction(1, xi - xj))
+                want = want + term
+            got = lagrange_fit(pts)
+            assert got == want
+            assert all(qpoly_eval(got, x) == y for x, y in pts.items())
+        assert lagrange_fit({}) == LaurentPoly.zero()
 
     def test_fit_and_verify_passes(self):
         vals = {q: q * q + 1 for q in (2, 3, 4, 5)}

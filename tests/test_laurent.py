@@ -1,3 +1,6 @@
+import functools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from hallbases.laurent import (
     LaurentPoly,
     RationalV,
+    _divmod_laurent,
     bar,
     expand_at_infinity,
     gauss_binom,
@@ -33,6 +37,22 @@ class TestBasics:
     def test_zero_coeffs_dropped(self):
         p = L({2: 1, 0: 0, -1: 3})
         assert set(p.coeffs) == {2, -1}
+
+    @pytest.mark.parametrize("c", [0.1, 2.0, 1j, complex(1, 0)])
+    def test_inexact_coefficient_rejected(self, c):
+        # a float or complex would smuggle a rounded binary value into exact arithmetic
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            L({0: c})
+        with pytest.raises(TypeError):
+            LaurentPoly.const(c)
+
+    def test_coefficients_canonical(self):
+        p = L({1: Fraction(4, 2), 0: Fraction(1, 2), -1: True})
+        assert [type(p.coeffs[e]) for e in (1, 0, -1)] == [int, Fraction, int]
+        assert type((p * 2).coeffs[0]) is int
+        assert type((p + L({0: Fraction(1, 2)})).coeffs[0]) is int
+        assert type(L({0: Fraction(3)}).divexact(L({0: 3})).coeffs[0]) is int
+        assert L({0: 1}).divexact(L({0: 3})).coeffs == {0: Fraction(1, 3)}
 
     def test_add_mul_commute(self):
         p = L({1: 1, -2: 3})
@@ -417,9 +437,12 @@ def _sym_coeffs(expr):
 
 
 def _check_stored(p, want):
-    """p holds exactly the coefficients want, as Fractions, none zero, in canonical text."""
+    """p holds exactly the coefficients want in canonical form (an int when
+    integral, else a Fraction with denominator > 1; never zero, never a
+    float), in canonical text."""
     assert p.coeffs == want
-    assert all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
+    assert all(c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+               for c in p.coeffs.values())
     text = " + ".join("%s*v^%d" % (want[e], e) for e in sorted(want, reverse=True))
     assert str(p) == (text or "0")
 
@@ -461,6 +484,7 @@ class TestKernelAgainstSympy:
         a, b = f * h, g * h
         want = sympy.gcd(_strip(a), _strip(b)).monic()
         _check_stored(poly_gcd(a, b), _sym_coeffs(want.as_expr()))
+        assert poly_gcd(a, b) == _euclid_gcd(a, b)
 
     @given(q_poly_st, q_poly_st, q_poly_st, q_poly_st)
     @settings(max_examples=60, deadline=None)
@@ -498,3 +522,91 @@ class TestKernelAgainstSympy:
             assert got.is_polynomial() and got.num == want
             assert got == RationalV(want, LaurentPoly.one())
             assert str(got) == str(want)
+
+
+def _euclid_gcd(a, b):
+    """The Euclidean algorithm over Q that poly_gcd replaced, kept as an oracle."""
+    a = a.shift(-a.valuation()) if not a.is_zero() else a
+    b = b.shift(-b.valuation()) if not b.is_zero() else b
+    while not b.is_zero():
+        _, r = _divmod_laurent(a, b)
+        a, b = b, r
+        if not b.is_zero():
+            b = b.shift(-b.valuation())
+    if a.is_zero():
+        return LaurentPoly.one()
+    return a.divexact(LaurentPoly.const(a.coeffs[a.degree()]))
+
+
+gcd_factor_st = st.sampled_from([
+    L({1: 1, 0: -1}), L({1: -2, 0: 3}), L({2: 1, 0: 1}), L({1: Fraction(1, 2), 0: 2}),
+    L({2: -3, 1: 1, 0: Fraction(-2, 3)}), L({3: 4, 0: -6}), V(1), V(-2), L({0: -6}),
+    L({0: Fraction(2, 3)})])
+gcd_operand_st = st.lists(gcd_factor_st, max_size=4).map(
+    lambda fs: functools.reduce(operator.mul, fs, LaurentPoly.one()))
+
+
+class TestPolyGcdOracle:
+    """poly_gcd (a primitive remainder sequence over Z) against Euclid over Q
+    and sympy, on non-primitive integer contents, negative leading
+    coefficients, Fraction coefficients, v-power factors and zero operands."""
+
+    @staticmethod
+    def check(a, b):
+        got = poly_gcd(a, b)
+        assert got == _euclid_gcd(a, b)
+        if a.is_zero() and b.is_zero():
+            assert got == LaurentPoly.one()
+        else:
+            want = sympy.gcd(*(_strip(x) if x else sympy.Poly(0, _v) for x in (a, b))).monic()
+            _check_stored(got, _sym_coeffs(want.as_expr()))
+
+    @given(gcd_operand_st, gcd_operand_st, gcd_operand_st)
+    @settings(max_examples=80, deadline=None)
+    def test_against_euclid_and_sympy(self, f, g, h):
+        self.check(f * h, g * h)
+        self.check(g * h, f * h)
+
+    def test_cases(self):
+        zero = LaurentPoly.zero()
+        six = L({2: 6, 1: 6, 0: -12})  # 6 (v + 2)(v - 1)
+        cases = [
+            (six, L({1: -4, 0: 4})),  # contents 6 and 4, negative top coefficient
+            (six.shift(-3), L({2: -2, 0: 2}).shift(5)),  # v-power factors
+            (L({1: Fraction(1, 2), 0: -Fraction(1, 2)}), L({2: Fraction(3, 4), 0: Fraction(-3, 4)})),
+            (six, zero), (zero, L({1: -3, 0: 6}).shift(-2)), (zero, zero),
+            (six, L({0: -5})), (V(3), V(-1)),
+        ]
+        for a, b in cases:
+            self.check(a, b)
+        assert poly_gcd(six, L({1: -4, 0: 4})) == L({1: 1, 0: -1})
+        assert poly_gcd(zero, L({1: -3, 0: 6}).shift(-2)) == L({1: 1, 0: -2})
+        assert poly_gcd(six, L({0: -5})) == LaurentPoly.one()
+
+
+def _dense_system(rng, n):
+    """A dense n x n system over Q(v), every entry a two-term Laurent
+    polynomial, with a target b = A x."""
+    def entry():
+        e1, e2 = rng.sample(range(-2, 3), 2)
+        return RationalV(L({e1: rng.choice([1, -1, 2, -3]), e2: rng.choice([1, -1, 2])}))
+    A = [[entry() for _ in range(n)] for _ in range(n)]
+    x = [entry() for _ in range(n)]
+    target = {key_names[r]: y for r, y in enumerate(_mat_vec(A, x)) if y}
+    columns = [{key_names[r]: A[r][c] for r in range(n)} for c in range(n)]
+    return A, columns, target, x
+
+
+class TestDenseElimination:
+    """Dense Q(v) systems, where every pivot step reduces every entry by a gcd."""
+
+    @pytest.mark.parametrize("n, seed", [(4, 1), (4, 2), (5, 3)])
+    def test_span_solver_matches_one_shot(self, n, seed):
+        A, columns, target, x = _dense_system(random.Random(seed), n)
+        # these seeds give full rank, so the one-shot solution is the x that b was built from
+        assert _one_shot(A, target) == (x, True)
+        solver = SpanSolver(columns)
+        assert solver.solve(target) == (x, True)
+        outside = dict(target, z=RationalV(V(1)))
+        assert _one_shot(A, outside) == ([], False)
+        assert solver.solve(outside) == ([], False)
