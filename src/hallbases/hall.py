@@ -1,19 +1,27 @@
-"""Twisted Ringel-Hall algebras: per-field layer and the generic layer.
+"""Twisted Ringel-Hall algebras: one element class over two coefficient rings.
 
-Per-field elements keep v as a formal symbol while Hall numbers are the
-field's integers; identities that depend on v_k = sqrt(q) (quantum Serre,
-divided-power arithmetic) are checked exactly by reduction modulo v^2 - q.
+A HallElement is a graded combination of basis keys of its algebra, and
+its product reads the algebra's structure constants (mult_table) and twists
+by v^<d1, d2>.  Both layers share the element, the product and the
+divided powers u_i^(a), monomials and quantum Serre sums built on it.
 
-The generic layer works in field-independent coordinates: isomorphism
-classes are grouped into labels (decomposition types; homogeneous regular
-points are recorded only by degree and partition), and every structure
-constant and label count is a polynomial in q.  Each is fitted by Lagrange
-interpolation on the shape's field ladder (field_ladder): through the first
-three fields, verified at the fourth, and widened one field at a time while
-a verification fails and the width stays within Riedtmann's degree bound
-plus one.  A verified fit of degree over the bound is an OracleError.  The
-catalog over a field is built the first time a fit reads that field.  With
-q = v^2 substituted, all basis-level statements (bar invariance, almost
+The per-field layer (HallContext) has class ids over one finite field as
+keys and LaurentPoly coefficients: v stays a formal symbol while Hall
+numbers are the field's integers, so identities that depend on
+v_k = sqrt(q) (quantum Serre, divided-power arithmetic) are checked
+exactly by reduction modulo v^2 - q.
+
+The generic layer (GenericHallAlgebra) has RationalV coefficients and
+field-independent keys: isomorphism classes are grouped into labels
+(decomposition types; homogeneous regular points are recorded only by
+degree and partition), and every structure constant and label count is a
+polynomial in q.  Each is fitted by Lagrange interpolation on the shape's
+field ladder (field_ladder): through the first three fields, verified at
+the fourth, and widened one field at a time while a verification fails
+and the width stays within Riedtmann's degree bound plus one.  A verified
+fit of degree over the bound is an OracleError.  The catalog over a field
+is built the first time a fit reads that field.  With q = v^2
+substituted, all basis-level statements (bar invariance, almost
 orthogonality, lattice membership) become exact statements in Q(v).
 """
 
@@ -22,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .cartan import euler_form, gradings_below
+from .cartan import cartan_of, euler_form, gradings_below
 from .laurent import LaurentPoly, RationalV
 from .modrep import (
     MAX_FIELD_ORDER,
@@ -174,46 +182,177 @@ class HallPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# elements and the operations both layers share
+# ---------------------------------------------------------------------------
+
+class HallElement:
+    """A graded element of a Hall algebra, in the basis keys of alg.
+
+    The keys are class ids over one field (HallContext) or labels
+    (GenericHallAlgebra); alg.scalar coerces the coefficients into its ring.
+    """
+
+    __slots__ = ("alg", "grading", "coeffs")
+
+    def __init__(self, alg, grading, coeffs):
+        self.alg = alg
+        scalar = alg.scalar
+        self.coeffs = {}
+        for key, c in coeffs.items():
+            c = scalar(c)
+            if not c.is_zero():
+                self.coeffs[key] = c
+        self.grading = grading if self.coeffs else None
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        if self.grading != other.grading:
+            raise ValueError("cannot add elements of different gradings")
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out[key] + c if key in out else c
+        return HallElement(self.alg, self.grading, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = self.alg.scalar(c)
+        return HallElement(self.alg, self.grading, {k: x * c for k, x in self.coeffs.items()})
+
+    def __mul__(self, other):
+        """Twisted product: the constants of alg.mult_table times v^<d1, d2>."""
+        alg = self.alg
+        if other.alg is not alg:
+            raise ValueError("cannot multiply elements of different Hall algebras")
+        if self.is_zero() or other.is_zero():
+            return alg.zero_elt()
+        table = alg.mult_table(self.grading, other.grading)
+        target = tuple(a + b for a, b in zip(self.grading, other.grading))
+        tw = alg.scalar(LaurentPoly.v_power(euler_form(alg.shape, self.grading, other.grading)))
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                targets = table.get((k1, k2))
+                if not targets:
+                    continue
+                f = c1 * c2 * tw
+                for k, c in targets.items():
+                    term = f * c
+                    out[k] = out[k] + term if k in out else term
+        return HallElement(alg, target, out)
+
+    def coefficient(self, key):
+        return self.coeffs.get(key, self.alg.scalar(0))
+
+    def __repr__(self):
+        if self.is_zero():
+            return "HallElement(0)"
+        body = "; ".join("%r: %s" % (k, c) for k, c in sorted(self.coeffs.items(),
+                                                              key=lambda kv: repr(kv[0])))
+        return "HallElement(%s | %s)" % (self.grading, body)
+
+
+class _HallAlgebra:
+    """The operations the per-field and the generic Hall algebra share.
+
+    A subclass provides shape, scalar (coercion into its coefficient ring),
+    unit, mult_table(dims1, dims2) = {(k1, k2): {k: constant}} and the hooks
+    _simple(vertex), key_of_module(module) and angle_elt(dims, key).
+    """
+
+    def zero_elt(self):
+        return HallElement(self, None, {})
+
+    def label_elt(self, dims, key, coeff=None):
+        return HallElement(self, tuple(dims), {key: 1 if coeff is None else coeff})
+
+    def u(self, vertex):
+        s = self._simple(vertex)
+        return self.label_elt(s.dims, self.key_of_module(s))
+
+    def divided_u(self, vertex, a):
+        """u_i^(a) = <S_i^(+a)> = v_i^(a(a-1)) [S_i^(+a)] (over one field: under v^2 = q)."""
+        if a == 0:
+            return self.unit()
+        M = direct_sum(*[self._simple(vertex)] * a)
+        return self.angle_elt(M.dims, self.key_of_module(M))
+
+    def monomial_elt(self, word):
+        """Evaluate a word of divided powers ((vertex, power), ...)."""
+        out = self.unit()
+        for vertex, a in word:
+            out = out * self.divided_u(vertex, a)
+        return out
+
+    def serre_sum(self, i, j):
+        """sum_p (-1)^p u_i^(p) u_j u_i^(p') over p + p' = 1 - C_ij."""
+        datum = cartan_of(self.shape)
+        n = 1 - datum.C[datum.pos[i]][datum.pos[j]]
+        total = self.zero_elt()
+        uj = self.u(j)
+        for p in range(n + 1):
+            term = self.divided_u(i, p) * uj * self.divided_u(i, n - p)
+            if p % 2:
+                term = term.scale(-1)
+            total = total + term
+        return total
+
+
+# ---------------------------------------------------------------------------
 # per-field layer
 # ---------------------------------------------------------------------------
 
-class HallContext:
-    """The twisted Hall algebra of one catalog over one finite field."""
+class HallContext(_HallAlgebra):
+    """The twisted Hall algebra of one catalog over one finite field.
+
+    Its keys are class ids and its coefficients LaurentPolys in a formal v.
+    """
 
     def __init__(self, catalog):
         self.catalog = catalog
         self.shape = catalog.shape
         self.F = catalog.F
 
-    def zero_elt(self):
-        return HallElement(self, None, {})
+    @staticmethod
+    def scalar(c):
+        return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
 
     def unit(self):
-        zero_cid = self.catalog.by_dim[tuple(0 for _ in self.shape.vertices)][0]
-        return HallElement(self, self.catalog.classes[zero_cid].dims,
-                           {zero_cid: LaurentPoly.one()})
+        dims0 = tuple(0 for _ in self.shape.vertices)
+        return self.label_elt(dims0, self.catalog.by_dim[dims0][0])
 
-    def basis_elt(self, cid, coeff=None):
-        info = self.catalog.classes[cid]
-        return HallElement(self, info.dims,
-                           {cid: coeff if coeff is not None else LaurentPoly.one()})
-
-    def angle(self, cid):
+    def angle_elt(self, dims, cid):
         """<M> = v^(-dim_k M + dim_k End M) [M]."""
         info = self.catalog.classes[cid]
-        dim_k = total_dim(self.shape, info.dims)
-        return self.basis_elt(cid, LaurentPoly.v_power(-dim_k + info.end))
+        return self.label_elt(dims, cid,
+                              LaurentPoly.v_power(-total_dim(self.shape, dims) + info.end))
 
-    def u(self, vertex):
-        s = simple_module(self.shape, self.F, vertex)
-        return self.basis_elt(self.catalog.classify(s))
+    def key_of_module(self, module):
+        return self.catalog.classify(module)
 
-    def divided_u(self, vertex, a):
-        """u_i^(a) = <S_i^a> (valid under v^2 = q)."""
-        if a == 0:
-            return self.unit()
-        M = direct_sum(*[simple_module(self.shape, self.F, vertex)] * a)
-        return self.angle(self.catalog.classify(M))
+    def _simple(self, vertex):
+        return simple_module(self.shape, self.F, vertex)
+
+    def mult_table(self, dims1, dims2):
+        """{(cid_M, cid_N): {cid_L: g^L_{MN}}} from the scan of the split dims1 + dims2."""
+        target = tuple(a + b for a, b in zip(dims1, dims2))
+        table = {}
+        for l_cid, counts in self.catalog.scan_dim(target, dims2).items():
+            for pair, g in counts.items():
+                table.setdefault(pair, {})[l_cid] = g
+        return table
+
+    def vanishes_at_field(self, x):
+        """True iff x is 0 under v = sqrt(q): each coefficient is 0 modulo v^2 - q."""
+        q = self.F.q
+        return all(c.subs_v_squared(q) == (0, 0) for c in x.coeffs.values())
 
     def coproduct(self, x):
         """Green's coproduct r([L]) with a_M a_N / a_L factors.
@@ -236,115 +375,12 @@ class HallContext:
                 out[key] = out.get(key, LaurentPoly.zero()) + term
         return {k: p for k, p in out.items() if not p.is_zero()}
 
-    def inner(self, x, y):
-        """Per-field numeric inner product: (<M>,<N>) = d_MN v^(2 end)/a_M.
-
-        Exact cross-check value; the generic layer computes the symbolic one.
-        """
-        total = RationalV(0)
-        for cid, cx in x.coeffs.items():
-            cy = y.coeffs.get(cid)
-            if cy is None:
-                continue
-            info = self.catalog.classes[cid]
-            dim_k = total_dim(self.shape, info.dims)
-            # ([M],[M]) = v^(2 dim_k M) / a_M
-            w = RationalV(LaurentPoly.v_power(2 * dim_k, Fraction(1, info.aut)))
-            total = total + RationalV(cx * cy) * w
-        return total
-
-    def serre_sum(self, i, j):
-        """sum_p (-1)^p u_i^(p) u_j u_i^(p') over p + p' = 1 - C_ij."""
-        from .cartan import cartan_of
-        datum = cartan_of(self.shape)
-        n = 1 - datum.C[datum.pos[i]][datum.pos[j]]
-        total = self.zero_elt()
-        uj = self.u(j)
-        for p in range(n + 1):
-            term = self.divided_u(i, p) * uj * self.divided_u(i, n - p)
-            if p % 2:
-                term = term.scale(LaurentPoly.const(-1))
-            total = total + term
-        return total
-
-
-class HallElement:
-    """A graded element of a per-field Hall algebra in iso-class coordinates."""
-
-    __slots__ = ("ctx", "grading", "coeffs")
-
-    def __init__(self, ctx, grading, coeffs):
-        self.ctx = ctx
-        self.coeffs = {cid: c for cid, c in coeffs.items() if not c.is_zero()}
-        self.grading = grading if self.coeffs else None
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if self.grading != other.grading:
-            raise ValueError("cannot add elements of different gradings")
-        out = dict(self.coeffs)
-        for cid, c in other.coeffs.items():
-            out[cid] = out.get(cid, LaurentPoly.zero()) + c
-        return HallElement(self.ctx, self.grading, out)
-
-    def __sub__(self, other):
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def scale(self, poly):
-        return HallElement(self.ctx, self.grading,
-                           {cid: c * poly for cid, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        """Twisted product via the catalog's submodule scans."""
-        if self.is_zero() or other.is_zero():
-            return self.ctx.zero_elt()
-        if self.ctx is not other.ctx:
-            raise ValueError("context mismatch in Hall product")
-        ctx = self.ctx
-        cat = ctx.catalog
-        target = tuple(a + b for a, b in zip(self.grading, other.grading))
-        tw = LaurentPoly.v_power(euler_form(ctx.shape, self.grading, other.grading))
-        scan = cat.scan_dim(target)
-        out = {}
-        for l_cid in cat.by_dim[target]:
-            counts = scan[l_cid]
-            acc = LaurentPoly.zero()
-            for m_cid, cm in self.coeffs.items():
-                for n_cid, cn in other.coeffs.items():
-                    g = counts.get((m_cid, n_cid))
-                    if g:
-                        acc = acc + cm * cn * LaurentPoly.const(g)
-            if not acc.is_zero():
-                out[l_cid] = acc * tw
-        return HallElement(ctx, target, out)
-
-    def reduce_mod_field(self):
-        """Coefficients reduced modulo v^2 - q, as (c0, c1) pairs."""
-        q = self.ctx.F.q
-        return {cid: c.subs_v_squared(q) for cid, c in self.coeffs.items()}
-
-    def vanishes_at_field(self):
-        """True iff the element is 0 under the identification v = sqrt(q)."""
-        return all(pair == (0, 0) for pair in self.reduce_mod_field().values())
-
-    def __repr__(self):
-        if self.is_zero():
-            return "HallElement(0)"
-        body = ", ".join("[%d]: %s" % (cid, c) for cid, c in sorted(self.coeffs.items()))
-        return "HallElement(%s | %s)" % (self.grading, body)
-
 
 # ---------------------------------------------------------------------------
 # generic layer
 # ---------------------------------------------------------------------------
 
-class GenericHallAlgebra:
+class GenericHallAlgebra(_HallAlgebra):
     """Field-independent Hall algebra of shape up to cap, in label coordinates.
 
     labeler assigns labels common to all fields.  The catalog over GF(q) is
@@ -352,7 +388,8 @@ class GenericHallAlgebra:
     the budgets of the fields of a first fit and one widening, so an
     over-budget cap is refused before any catalog is built; a field read
     later checks its own budgets first: BUDGET on the cap and SEARCH_BUDGET
-    on the scan of the cap, the largest scan.
+    on the scan of the cap, the largest scan.  Its keys are labels and its
+    coefficients RationalVs.
     """
 
     def __init__(self, shape, cap, labeler, synthesizer=None, cache_dir=None):
@@ -545,26 +582,24 @@ class GenericHallAlgebra:
 
     # -- elements --------------------------------------------------------
 
-    def zero_elt(self):
-        return LabelElement(self, None, {})
+    @staticmethod
+    def scalar(c):
+        return c if isinstance(c, RationalV) else RationalV(c)
 
     def unit(self):
         dims0 = tuple(0 for _ in self.shape.vertices)
-        label0 = self.labels_of_dim(dims0)[0]
-        return LabelElement(self, dims0, {label0: RationalV(1)})
+        return HallElement(self, dims0, {self.labels_of_dim(dims0)[0]: 1})
 
     def label_elt(self, dims, label, coeff=None):
         self.labels_of_dim(dims)
-        return LabelElement(self, tuple(dims),
-                            {label: coeff if coeff is not None else RationalV(1)})
+        return super().label_elt(dims, label, coeff)
 
     def angle_elt(self, dims, label):
         self.labels_of_dim(dims)
         data = self.label_data(label)
-        return self.label_elt(dims, label,
-                              RationalV(LaurentPoly.v_power(-data["dim_k"] + data["end"])))
+        return self.label_elt(dims, label, LaurentPoly.v_power(-data["dim_k"] + data["end"]))
 
-    def label_of_module(self, module):
+    def key_of_module(self, module):
         cid = self.catalog(module.F.q).classify(module)
         self.labels_of_dim(module.dims)
         return self._label_map(module.F.q, module.dims)[cid]
@@ -572,24 +607,6 @@ class GenericHallAlgebra:
     def _simple(self, vertex):
         """S_vertex over the first field of the ladder."""
         return simple_module(self.shape, self.catalog(self.ladder[0]).F, vertex)
-
-    def u(self, vertex):
-        s = self._simple(vertex)
-        return self.label_elt(s.dims, self.label_of_module(s))
-
-    def divided_u(self, vertex, a):
-        """u_i^(a) = <S_i^(+a)> = v_i^(a(a-1)) [S_i^(+a)]."""
-        if a == 0:
-            return self.unit()
-        M = direct_sum(*[self._simple(vertex)] * a)
-        return self.angle_elt(M.dims, self.label_of_module(M))
-
-    def monomial_elt(self, word):
-        """Evaluate a word of divided powers ((vertex, power), ...)."""
-        out = self.unit()
-        for vertex, a in word:
-            out = out * self.divided_u(vertex, a)
-        return out
 
     def inner(self, x, y):
         """Symbolic bilinear form; zero between different gradings."""
@@ -615,14 +632,14 @@ class GenericHallAlgebra:
         rest = tuple(a - b for a, b in zip(x.grading, e_i))
         if any(c < 0 for c in rest):
             return self.zero_elt()
-        s_label = self.label_of_module(self._simple(vertex))
+        s_label = self.key_of_module(self._simple(vertex))
         table = self.coproduct_table(x.grading)
         out = {}
         for label, cx in x.coeffs.items():
             for (l1, l2), val in table[label].items():
                 if l1 == s_label and self._label_data[l2]["dims"] == rest:
                     out[l2] = out.get(l2, RationalV(0)) + cx * val
-        return LabelElement(self, rest, out)
+        return HallElement(self, rest, out)
 
     def coproduct(self, x):
         """Full Green coproduct as {(label1, label2): RationalV}."""
@@ -632,19 +649,6 @@ class GenericHallAlgebra:
             for pair, val in table[label].items():
                 out[pair] = out.get(pair, RationalV(0)) + cx * val
         return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def serre_sum(self, i, j):
-        from .cartan import cartan_of
-        datum = cartan_of(self.shape)
-        n = 1 - datum.C[datum.pos[i]][datum.pos[j]]
-        total = self.zero_elt()
-        uj = self.u(j)
-        for p in range(n + 1):
-            term = self.divided_u(i, p) * uj * self.divided_u(i, n - p)
-            if p % 2:
-                term = term.scale(RationalV(-1))
-            total = total + term
-        return total
 
     # -- Hall polynomial fitting -----------------------------------------
 
@@ -666,74 +670,6 @@ class GenericHallAlgebra:
             values[q] = self.catalog(q).hall_number(l_cid, m_cid, n_cid)
         poly = fit_and_verify(values, primes, verify)
         return HallPolynomial(poly, (l_label, m_label, n_label), primes, verify)
-
-
-class LabelElement:
-    """A graded element of the generic Hall algebra in label coordinates."""
-
-    __slots__ = ("alg", "grading", "coeffs")
-
-    def __init__(self, alg, grading, coeffs):
-        self.alg = alg
-        self.coeffs = {}
-        for label, c in coeffs.items():
-            if not isinstance(c, RationalV):
-                c = RationalV(c)
-            if not c.is_zero():
-                self.coeffs[label] = c
-        self.grading = grading if self.coeffs else None
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if self.grading != other.grading:
-            raise ValueError("cannot add elements of different gradings")
-        out = dict(self.coeffs)
-        for label, c in other.coeffs.items():
-            out[label] = out.get(label, RationalV(0)) + c
-        return LabelElement(self.alg, self.grading, out)
-
-    def __sub__(self, other):
-        return self + other.scale(RationalV(-1))
-
-    def scale(self, c):
-        if not isinstance(c, RationalV):
-            c = RationalV(c)
-        return LabelElement(self.alg, self.grading,
-                            {l: x * c for l, x in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return self.alg.zero_elt()
-        alg = self.alg
-        table = alg.mult_table(self.grading, other.grading)
-        target = tuple(a + b for a, b in zip(self.grading, other.grading))
-        tw = RationalV(LaurentPoly.v_power(euler_form(alg.shape, self.grading, other.grading)))
-        out = {}
-        for l1, c1 in self.coeffs.items():
-            for l2, c2 in other.coeffs.items():
-                targets = table.get((l1, l2))
-                if not targets:
-                    continue
-                f = c1 * c2 * tw
-                for tl, cpoly in targets.items():
-                    out[tl] = out.get(tl, RationalV(0)) + f * RationalV(cpoly)
-        return LabelElement(alg, target, out)
-
-    def coefficient(self, label):
-        return self.coeffs.get(label, RationalV(0))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "LabelElement(0)"
-        body = "; ".join("%r: %s" % (l, c) for l, c in sorted(self.coeffs.items(),
-                                                              key=lambda kv: repr(kv[0])))
-        return "LabelElement(%s | %s)" % (self.grading, body)
 
 
 # ---------------------------------------------------------------------------

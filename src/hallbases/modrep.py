@@ -1907,14 +1907,6 @@ def _key_from_json(key):
 # module-level spec operations (catalog-free, for small direct use)
 # ---------------------------------------------------------------------------
 
-def enumerate_modules(shape, F, dims):
-    """One representative per isomorphism class of the given dimension vector."""
-    dims = tuple(dims)
-    check_budget(shape, F, dims)
-    check_walk(shape, F, dims)
-    return [FiniteModule(shape, F, dims, maps) for maps, _ in enumerate_bfs(shape, F, dims)]
-
-
 def hall_number(L, M, N):
     """g^L_{MN} by exhaustive submodule enumeration and isomorphism tests."""
     if tuple(a + b for a, b in zip(M.dims, N.dims)) != L.dims:

@@ -16,7 +16,6 @@ from .cyclic import Multisegment, leq_G, word_of
 from .hall import (
     GenericHallAlgebra,
     apply_bar,
-    eliminate,
     expand_in,
     linear_extension,
     triangular_bases,
@@ -522,19 +521,6 @@ class CompositionContext:
         image = apply_bar(data["C"][a], data["bar_E"])
         return image == data["C"][a]
 
-    def monomial_to_C(self, nu, a):
-        """Coefficients h with m^omega(a) = C(a) + sum h C(a'), all in A'."""
-        data = self.basis_of_grading(nu)
-        order = data["aperiodic"]
-        residual, out = eliminate(data["mono_E"][a], reversed(order[: order.index(a) + 1]),
-                                  data["C"])
-        if residual:
-            raise OracleError("monomial did not reduce to the C basis")
-        for a2, c in out.items():
-            if not c.is_polynomial():
-                raise OracleError("C-transition coefficient at %s not in A'" % (a2,))
-        return out
-
     # -- inner products -------------------------------------------------------
 
     def inner_N(self, a1, a2):
@@ -655,11 +641,6 @@ class SpanSolver:
             elif s:
                 return [], False
         return out, True
-
-
-def solve_in_span(columns, target):
-    """Solve sum x_j col_j = target over Q(v); returns (coeffs, consistent)."""
-    return SpanSolver(columns).solve(target)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from .cartan import multisets
-from .hall import LabelElement
+from .hall import HallElement
 from .laurent import LaurentPoly, RationalV
 
 
@@ -251,7 +251,7 @@ def H_element(alg, delta, m):
     for label in homogeneous_labels(alg, dims):
         data = alg.label_data(label)
         coeffs[label] = RationalV(LaurentPoly.v_power(-data["dim_k"]))
-    return LabelElement(alg, dims, coeffs)
+    return HallElement(alg, dims, coeffs)
 
 
 class SymmetricLayer:

@@ -67,7 +67,7 @@ def test_01_quantum_serre_relations():
             for i in shape.vertices:
                 for j in shape.vertices:
                     if i != j:
-                        ok = ok and hc.serre_sum(i, j).vanishes_at_field()
+                        ok = ok and hc.vanishes_at_field(hc.serre_sum(i, j))
     report(1, "quantum Serre relations, Kronecker and folded C2, F2 and F3 (exact zero)", ok)
 
 

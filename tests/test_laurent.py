@@ -23,7 +23,7 @@ from hallbases.laurent import (
     row_reduce,
 )
 from hallbases.modrep import OracleError
-from hallbases.pbwbasis import SpanSolver, solve_in_span
+from hallbases.pbwbasis import SpanSolver
 
 
 def L(d):
@@ -306,12 +306,13 @@ class TestRowReduce:
         b_bad = [y + int(r == bump) for r, y in enumerate(b)]
         if _sympy_rank(A) < n:
             with pytest.raises(OracleError):
-                solve_in_span(columns, dict(enumerate(b)))
+                SpanSolver(columns)
             return
-        x, ok = solve_in_span(columns, dict(enumerate(b)))
+        solver = SpanSolver(columns)
+        x, ok = solver.solve(dict(enumerate(b)))
         assert ok and x == [_zero(A) + c for c in x0]
         consistent = _sympy_rank([row + [y] for row, y in zip(A, b_bad)]) == n
-        x, ok = solve_in_span(columns, dict(enumerate(b_bad)))
+        x, ok = solver.solve(dict(enumerate(b_bad)))
         assert ok == consistent
         assert _mat_vec(A, x) == b_bad if ok else x == []
 
@@ -406,7 +407,6 @@ class TestSpanSolver:
         solver = SpanSolver(columns)
         got = solver.solve(target)
         assert got == want
-        assert solve_in_span(columns, target) == want
         if got[1]:
             assert _mat_vec(A, got[0]) == [target.get(k, RationalV(0))
                                             for k in key_names[:len(A)]]

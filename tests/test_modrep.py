@@ -24,7 +24,6 @@ from hallbases.modrep import (
     aut_order_brute,
     direct_sum,
     end_dim,
-    enumerate_modules,
     ext_dim,
     field,
     field_of_order,
@@ -106,27 +105,30 @@ def kron_cat():
 
 
 class TestEnumerate:
+    # catalogs without a synthesizer enumerate orbits
     def test_a1_dim2_single_class(self):
-        mods = enumerate_modules(A1, F2, (2,))
-        assert len(mods) == 1
+        assert len(IsoClassCatalog(A1, F2, [(2,)]).by_dim[(2,)]) == 1
 
     def test_a2_dim11_two_classes(self):
         for F in (F2, F3):
-            assert len(enumerate_modules(A2, F, (1, 1))) == 2
+            assert len(IsoClassCatalog(A2, F, [(1, 1)]).by_dim[(1, 1)]) == 2
 
     def test_kronecker_dim11_projective_line(self):
         # S1 + S2 plus |P^1(F_q)| regular classes
         for F in (F2, F3):
-            assert len(enumerate_modules(KRON, F, (1, 1))) == 1 + (F.q + 1)
+            assert len(IsoClassCatalog(KRON, F, [(1, 1)]).by_dim[(1, 1)]) == 1 + (F.q + 1)
 
     def test_budget_refused(self, monkeypatch):
-        # 3^18 states, over STATE_BUDGET: refused before any orbit is walked
+        # 3^18 states at (3, 3), over STATE_BUDGET; the catalog checks every
+        # slice of the cap, (2, 3) first, before any orbit is walked
         def walk(*args):
             raise AssertionError("orbits walked before the state-budget refusal")
 
-        monkeypatch.setattr(modrep, "enumerate_bfs", walk)
         with pytest.raises(BudgetError, match=r"walks 387420489 states, over 2\^17"):
-            enumerate_modules(KRON, F3, (3, 3))
+            modrep.check_walk(KRON, F3, (3, 3))
+        monkeypatch.setattr(modrep, "enumerate_bfs", walk)
+        with pytest.raises(BudgetError, match=r"\(2, 3\) over GF\(3\) walks 531441 states"):
+            IsoClassCatalog(KRON, F3, [(3, 3)])
 
     def test_budget_checked_before_any_slice_is_built(self):
         # 9^10 > 2^BUDGET at (5, 5) only; every smaller slice would pass
