@@ -341,8 +341,16 @@ class HallContext(_HallAlgebra):
         return simple_module(self.shape, self.F, vertex)
 
     def mult_table(self, dims1, dims2):
-        """{(cid_M, cid_N): {cid_L: g^L_{MN}}} from the scan of the split dims1 + dims2."""
+        """{(cid_M, cid_N): {cid_L: g^L_{MN}}} from the scan of the split dims1 + dims2.
+
+        A factor of dimension 0 is the unit, g^L_{L,0} = g^L_{0,L} = 1, so
+        its table needs no scan.
+        """
         target = tuple(a + b for a, b in zip(dims1, dims2))
+        if not any(dims1) or not any(dims2):
+            zero = self.catalog.by_dim[tuple(0 for _ in target)][0]
+            return {(l_cid, zero) if any(dims1) else (zero, l_cid): {l_cid: 1}
+                    for l_cid in self.catalog.by_dim[target]}
         table = {}
         for l_cid, counts in self.catalog.scan_dim(target, dims2).items():
             for pair, g in counts.items():

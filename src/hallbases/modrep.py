@@ -20,9 +20,11 @@ Classification of arbitrary modules against a catalog goes through
 Hom-dimension profiles against a probe set of indecomposables.  Probes are
 chosen lazily, on the first classification in a slice, and only where the
 slice has two or more classes; a slice that is never classified costs
-nothing.  By Auslander's theorem, Hom profiles against all indecomposables
-determine a module; if the catalog's indecomposables do not separate the
-classes of a slice, its first classification raises OracleError.
+nothing.  Each probe's Hom equations are built once per slice (HomSystem),
+so a profile entry is one substitution and one sweep.  By Auslander's
+theorem, Hom profiles against all indecomposables determine a module; if
+the catalog's indecomposables do not separate the classes of a slice, its
+first classification raises OracleError.
 """
 
 from __future__ import annotations
@@ -36,6 +38,32 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .cartan import euler_form, gradings_below, multisets
+# the fields and the GF(q) matrix kernel live in gf; modrep re-exports them
+from .gf import (  # noqa: F401
+    GF,
+    IRREDUCIBLE,
+    MAX_FIELD_ORDER,
+    _eliminate,
+    _m_inv,
+    _mul_t,
+    all_subspaces,
+    companion,
+    field,
+    field_of_order,
+    gl_order,
+    kernel_basis,
+    m_id,
+    m_mul,
+    m_rank,
+    m_transpose,
+    monic_irreducibles,
+    poly_mul_gf,
+    poly_pow_gf,
+    poly_rem_gf,
+    prime_power,
+    rref,
+    subspaces,
+)
 from .laurent import row_reduce
 
 #: every catalog slice over GF(q) has q^(total module dimension) <= 2^BUDGET
@@ -47,17 +75,6 @@ SEARCH_BUDGET = 21
 #: orbit enumeration and the nilpotent mass check walk or count at most
 #: 2^STATE_BUDGET arrow-map tuples of a slice
 STATE_BUDGET = 17
-
-#: documented fixed defining polynomials, low-degree coefficients first
-IRREDUCIBLE = {
-    (2, 2): (1, 1, 1),        # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
-    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
-    (3, 2): (1, 0, 1),        # x^2 + 1
-    (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
-    (5, 2): (2, 0, 1),        # x^2 + 2
-    (7, 2): (1, 0, 1),        # x^2 + 1
-}
 
 
 class BudgetError(RuntimeError):
@@ -89,308 +106,6 @@ def check_walk(shape, F, dims):
 
 class OracleError(RuntimeError):
     """An internal consistency check of the oracle failed."""
-
-
-# ---------------------------------------------------------------------------
-# finite fields, elements encoded as integers 0..q-1 (base-p digit vectors)
-# ---------------------------------------------------------------------------
-
-class GF:
-    """The finite field F_{p^deg} with a fixed defining polynomial.
-
-    The polynomial is the one on record in IRREDUCIBLE, or else the first
-    monic irreducible of degree deg that monic_irreducibles lists.
-
-    Elements are integers whose base-p digits are the polynomial coefficients,
-    so 0 and 1 are the additive and multiplicative units and, for deg > 1,
-    the integer p encodes the generator x.
-    """
-
-    def __init__(self, p, deg=1):
-        self.p = p
-        self.deg = deg
-        self.q = p ** deg
-        if deg == 1:
-            self._red = None
-        else:
-            self._red = IRREDUCIBLE.get((p, deg)) or monic_irreducibles(field(p), deg)[deg][0]
-        self._mul = [[self._mul_slow(a, b) for b in range(self.q)] for a in range(self.q)]
-        self._add = [[self._add_slow(a, b) for b in range(self.q)] for a in range(self.q)]
-        self._neg = [self._neg_slow(a) for a in range(self.q)]
-        self._inv = [0] * self.q
-        for a in range(1, self.q):
-            for b in range(1, self.q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-
-    def coords(self, a):
-        out = []
-        for _ in range(self.deg):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_coords(self, cs):
-        a = 0
-        for c in reversed(cs):
-            a = a * self.p + (c % self.p)
-        return a
-
-    def _add_slow(self, a, b):
-        ca, cb = self.coords(a), self.coords(b)
-        return self.from_coords(tuple((x + y) % self.p for x, y in zip(ca, cb)))
-
-    def _neg_slow(self, a):
-        return self.from_coords(tuple((-x) % self.p for x in self.coords(a)))
-
-    def _mul_slow(self, a, b):
-        if self.deg == 1:
-            return (a * b) % self.p
-        ca, cb = self.coords(a), self.coords(b)
-        prod = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the defining polynomial (monic)
-        red = self._red
-        for k in range(len(prod) - 1, self.deg - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(self.deg):
-                    prod[k - self.deg + j] = (prod[k - self.deg + j] - c * red[j]) % self.p
-        return self.from_coords(tuple(prod[: self.deg]))
-
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
-        return self._inv[a]
-
-    def mult_matrix(self, a):
-        """deg x deg matrix over F_p of multiplication by a, basis 1, x, ..."""
-        cols = []
-        col_elt = a
-        gen = self.p if self.deg > 1 else 1
-        for _ in range(self.deg):
-            cols.append(self.coords(col_elt))
-            col_elt = self.mul(col_elt, gen)
-        return tuple(tuple(cols[j][i] for j in range(self.deg)) for i in range(self.deg))
-
-    def __repr__(self):
-        return "GF(%d)" % self.q if self.deg == 1 else "GF(%d^%d)" % (self.p, self.deg)
-
-
-_FIELDS = {}
-
-
-def field(p, deg=1):
-    """GF(p^deg) for a prime p; ValueError for a composite p."""
-    key = (p, deg)
-    if key not in _FIELDS:
-        if prime_power(p) != (p, 1):
-            raise ValueError("GF(%d^%d): %d is not a prime" % (p, deg, p))
-        _FIELDS[key] = GF(p, deg)
-    return _FIELDS[key]
-
-
-#: GF tabulates all q*q sums and products up front, so larger q is refused
-MAX_FIELD_ORDER = 256
-
-
-def prime_power(q):
-    """(p, deg) with p prime and p^deg = q, or None when q is no prime power.
-
-    q is split by its smallest prime factor p.
-    """
-    if q < 2:
-        return None
-    p = next(p for p in range(2, q + 1) if q % p == 0)
-    deg = 0
-    while q % p ** (deg + 1) == 0:
-        deg += 1
-    return (p, deg) if p ** deg == q else None
-
-
-def field_of_order(q):
-    """GF(q) for a prime power q; ValueError for any other q."""
-    if not 2 <= q <= MAX_FIELD_ORDER:
-        raise ValueError("q = %d is outside 2..%d" % (q, MAX_FIELD_ORDER))
-    if prime_power(q) is None:
-        raise ValueError("q = %d is not a prime power" % q)
-    return field(*prime_power(q))
-
-
-def gl_order(q, n):
-    """|GL_n(F_q)|."""
-    out = 1
-    for j in range(n):
-        out *= q ** n - q ** j
-    return out
-
-
-# ---------------------------------------------------------------------------
-# matrices over a GF, stored as tuples of tuples of element codes
-# ---------------------------------------------------------------------------
-
-def m_id(F, n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-def m_mul(F, A, B):
-    return _mul_t(F, A, m_transpose(B))
-
-
-def _mul_t(F, A, Bt):
-    """A times the transpose of Bt: entry (r, c) is row r of A dot row c of Bt."""
-    mul = F._mul
-    add = F._add
-    out = []
-    for ra in A:
-        row = []
-        for cb in Bt:
-            s = 0
-            for a, b in zip(ra, cb):
-                if a and b:
-                    s = add[s][mul[a][b]]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-def m_transpose(A):
-    if not A:
-        return ()
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
-def _eliminate(F, A, reduced):
-    """The GF(q) elimination: {pivot column: sparse row}, one per unit of rank.
-
-    A pivot row is its list of (column, value) entries, its leftmost entry
-    1 at the pivot column.  Each row of A is swept left to right as a dense
-    list: an entry at a pivot column is cleared by that pivot's entries
-    alone, and the first entry at a column without a pivot makes the row,
-    scaled, the pivot row of that column.  The pivot rows form an echelon
-    form, so their count is the rank.  With reduced, each pivot row is then
-    swept clear of the later pivot columns too, right to left, which gives
-    the reduced echelon form.
-    """
-    mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
-    pivots = {}
-    ncols = len(A[0]) if A else 0
-
-    def sweep(row, start, full):
-        # clear the pivot columns of row from start on; return the first
-        # column holding an entry and no pivot, or sweep them all when full
-        for c in range(start, ncols):
-            x = row[c]
-            if x:
-                piv = pivots.get(c)
-                if piv is None:
-                    if not full:
-                        return c
-                    continue
-                factor = mul[neg[x]]
-                for k, v in piv:
-                    row[k] = add[row[k]][factor[v]]
-        return None
-
-    for dense in A:
-        if len(pivots) == ncols:
-            break
-        row = list(dense)
-        c = sweep(row, 0, False)
-        if c is not None:
-            unit = mul[inv[row[c]]]
-            pivots[c] = [(k, unit[row[k]]) for k in range(c, ncols) if row[k]]
-    if reduced:
-        for c in sorted(pivots, reverse=True):
-            if any(k in pivots for k, _ in pivots[c][1:]):
-                row = [0] * ncols
-                for k, v in pivots[c]:
-                    row[k] = v
-                sweep(row, c + 1, True)
-                pivots[c] = [(k, row[k]) for k in range(c, ncols) if row[k]]
-    return pivots
-
-
-def rref(F, A):
-    """Reduced row echelon form of A without its zero rows: (R, pivot_columns).
-
-    Only the returned rows are made dense.
-    """
-    pivots = _eliminate(F, A, True)
-    cols = tuple(sorted(pivots))
-    ncols = len(A[0]) if A else 0
-    rows = []
-    for c in cols:
-        row = [0] * ncols
-        for k, v in pivots[c]:
-            row[k] = v
-        rows.append(tuple(row))
-    return tuple(rows), cols
-
-
-def m_rank(F, A):
-    """Rank of A: the number of pivots of forward elimination, no back-substitution."""
-    return len(_eliminate(F, A, False))
-
-
-def kernel_basis(F, A, ncols):
-    """Basis of the right kernel {x : A x = 0} of A with ncols columns, as rows.
-
-    A matrix without rows does not carry its column count; its kernel is
-    all of F^ncols.
-    """
-    R, pivots = rref(F, A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(R[r][fc])
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
-def subspaces(F, n, k):
-    """All k-dimensional subspaces of F^n as reduced-echelon basis rows."""
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    for pivots in itertools.combinations(range(n), k):
-        free_slots = []
-        for i in range(k):
-            for c in range(pivots[i] + 1, n):
-                if c not in pivots:
-                    free_slots.append((i, c))
-        for vals in itertools.product(range(F.q), repeat=len(free_slots)):
-            rows = [[0] * n for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = 1
-            for (i, c), v in zip(free_slots, vals):
-                rows[i][c] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def all_subspaces(F, n):
-    for k in range(n + 1):
-        yield from subspaces(F, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -495,61 +210,128 @@ def direct_sum(*modules, shape=None, F=None):
 
 # -- Hom spaces -------------------------------------------------------------
 
-def _hom_rows(M, N):
-    """The linear equations of Hom(M, N), one row per unknown.
+class HomSystem:
+    """The linear equations of Hom(M, N) for every N of dimension vector dims.
 
     Unknown (i, a, b, c) is the block P_c = mult_matrix(g^c), g the generator
     of D_i, at D_i-entry (a, b) of f_i; unknowns run over the vertices in
-    shape order, then a, b, c.  Its row is its image under
-    f -> (f_t M_h - N_h (I (x) f_s))_h, arrows in shape order, each arrow's
-    entries row by row.  An arrow into i sees P_c M_h[b-th block of rows] in
-    row block a; an arrow out of i sees -N_h[:, a-th block of columns of
-    block u] P_c in column block (u, b).  Returns (P, rows) with
-    P[i] = [P_0, ..., P_{d_i - 1}] for every vertex i with unknowns; a vertex
-    where n_N n_M = 0 has none and is skipped.
+    shape order, then a, b, c, and a vertex where n_N n_M = 0 has none.  The
+    row of an unknown is its image under f -> (N_h (I (x) f_s) - f_t M_h)_h,
+    arrows in shape order, each arrow's entries row by row.  An arrow into i
+    puts -P_c M_h[b-th block of rows] in row block a, which depends on M
+    alone.  An arrow out of i puts column e of N_h[:, a-th block of columns
+    of block u] P_c, which is a column of N_h (I (x) P_c), in column block
+    (u, b, e).
+
+    The system is built once per (M, dims): every row's M part, and for each
+    entry of N the place it goes.  The rows that hold no entry of N (those
+    of vertices whose arrows out end at zero spaces of N) are eliminated
+    once, on the first dim.  dim(N) writes N into the other rows and sweeps
+    copies of only them against those pivots; rows(N) copies every row.
+    P[i] = [P_0, ..., P_{d_i - 1}] for every vertex i with unknowns.
     """
-    shape, F = M.shape, M.F
-    neg = F._neg
-    start, n_eq = {}, 0
-    for h in shape.arrows:
-        start[h.id] = n_eq
-        n_eq += len(N.maps[h.id]) * h.m * M.dims[shape.index[h.src]]
-    P, rows = {}, []
-    for i in shape.vertices:
-        d = shape.d[i]
-        n_N, n_M = N.dims[shape.index[i]], M.dims[shape.index[i]]
-        if not n_N * n_M:
-            continue
-        Di = M.vertex_field(i)
-        # g^c has the code p^c for c < d (base-p digits are coefficients)
-        P[i] = [Di.mult_matrix(Di.p ** c) for c in range(d)] if d > 1 else [((1,),)]
-        into, out = _arrow_ends(shape)[i]
-        # each band is built once and written into every row that holds it:
-        # P_c M_h into rows (a, b, c) for all a, -N_h P_c into them for all b
-        block = [[0] * n_eq for _ in range(n_N * n_M * d)]
-        for h in into:
-            width = h.m * M.dims[shape.index[h.src]]
-            for b in range(n_M):
-                band = M.maps[h.id][b * d:(b + 1) * d]
-                for c, Pc in enumerate(P[i]):
-                    vals = sum(m_mul(F, Pc, band) if d > 1 else band, ())
-                    for a in range(n_N):
-                        at = start[h.id] + a * d * width
-                        block[(a * n_M + b) * d + c][at:at + d * width] = vals
-        for h in out:
-            width = h.m * n_M
-            for u in range(h.m // d):
-                for a in range(n_N):
-                    band = [r[(u * n_N + a) * d:(u * n_N + a + 1) * d] for r in N.maps[h.id]]
-                    for c, Pc in enumerate(P[i]):
-                        vals = m_mul(F, band, Pc) if d > 1 else band
-                        for e in range(d):
-                            col = [neg[v[e]] for v in vals]
-                            for b in range(n_M):
-                                at = start[h.id] + u * d * n_M + b * d + e
-                                block[(a * n_M + b) * d + c][at:at + width * len(col):width] = col
-        rows += block
-    return P, rows
+
+    def __init__(self, M, dims):
+        shape, F = M.shape, M.F
+        at_vertex, d_of, maps, neg = shape.index, shape.d, M.maps, F._neg
+        self.F, self.dims = F, tuple(dims)
+        start, n_eq = {}, 0
+        for h in shape.arrows:
+            start[h.id] = n_eq
+            n_eq += d_of[h.tgt] * dims[at_vertex[h.tgt]] * h.m * M.dims[at_vertex[h.src]]
+        self.P = {}
+        self._rows = []       # every row, unknowns in order; _fill writes N into them
+        self._sink = []       # the rows that hold no entry of N
+        self._seed = None     # their forward pivots, from the first dim
+        self._live_rows = []  # the other rows
+        # (row, places) for each of them; a place (k, at, stop, stride) puts
+        # column k of N, as _fill reads them, at row[at:stop:stride]
+        self._live = []
+        # the columns of N that _fill reads, one (arrow, c) after another:
+        # (arrow id, the transposed block diagonal of P_c, or None for d = 1)
+        self._columns = []
+        ends = _arrow_ends(shape)
+        n_columns = 0
+        for i in shape.vertices:
+            d = d_of[i]
+            n_N, n_M = dims[at_vertex[i]], M.dims[at_vertex[i]]
+            if not n_N * n_M:
+                continue
+            if d > 1:
+                Di = M.vertex_field(i)
+                # g^c has the code p^c for c < d (base-p digits are coefficients)
+                P = self.P[i] = [Di.mult_matrix(Di.p ** c) for c in range(d)]
+            else:
+                P = self.P[i] = [((1,),)]
+            into, out = ends[i]
+            # each band is built once and written into every row that holds it
+            block = [[0] * n_eq for _ in range(n_N * n_M * d)]
+            for h in into:
+                width = h.m * M.dims[at_vertex[h.src]]
+                for b in range(n_M):
+                    for c, Pc in enumerate(P):
+                        band = (sum(m_mul(F, Pc, maps[h.id][b * d:(b + 1) * d]), ()) if d > 1
+                                else maps[h.id][b])
+                        vals = [neg[x] for x in band]
+                        for a in range(n_N):
+                            at = start[h.id] + a * d * width
+                            block[(a * n_M + b) * d + c][at:at + d * width] = vals
+            out = [(h, length) for h in out if (length := d_of[h.tgt] * dims[at_vertex[h.tgt]])]
+            self._rows += block
+            if not out:
+                self._sink += block
+                continue
+            places = [[] for _ in block]
+            for h, length in out:
+                width = h.m * n_M
+                span = width * length
+                for c, Pc in enumerate(P):
+                    self._columns.append(
+                        (h.id, _block_diag(F, m_transpose(Pc), h.m * n_N // d) if d > 1 else None))
+                    for u in range(h.m // d):
+                        for a in range(n_N):
+                            for e in range(d):
+                                k = n_columns + (u * n_N + a) * d + e
+                                at = start[h.id] + u * d * n_M + e
+                                # the rows (a, b, c) for b = 0, 1, ...
+                                for row_places in places[a * n_M * d + c:(a + 1) * n_M * d:d]:
+                                    row_places.append((k, at, at + span, width))
+                                    at += d
+                    n_columns += h.m * n_N
+            self._live += zip(block, places)
+            self._live_rows += block
+        self.n_unknowns = len(self._rows)
+
+    def _fill(self, N):
+        """Write the entries of N into the rows that hold them.
+
+        The rows are written in place: every call writes every entry of N
+        anew, and the M parts are never written.  Callers copy the rows.
+        """
+        if N.dims != self.dims:
+            raise ValueError("this Hom system is for dimension vector %s, not %s"
+                             % (self.dims, N.dims))
+        cols = []
+        for hid, blocks_t in self._columns:
+            # the columns of N_h (I (x) P_c), as rows: (I (x) P_c)^T N_h^T
+            mat = N.maps[hid]
+            cols += zip(*mat) if blocks_t is None else _mul_t(self.F, blocks_t, mat)
+        for row, places in self._live:
+            for k, at, stop, stride in places:
+                row[at:stop:stride] = cols[k]
+
+    def rows(self, N):
+        """The equations of Hom(M, N), one row per unknown, unknowns in order."""
+        self._fill(N)
+        return [row[:] for row in self._rows]
+
+    def dim(self, N):
+        """dim_k Hom(M, N): unknowns minus the equations' rank."""
+        if self._seed is None:
+            self._seed = _eliminate(self.F, self._sink, False)
+        self._fill(N)
+        # _eliminate sweeps copies of the rows
+        return self.n_unknowns - len(_eliminate(self.F, self._live_rows, False, self._seed))
 
 
 @functools.cache
@@ -567,7 +349,8 @@ def hom_space(M, N):
     """
     shape, F = M.shape, M.F
     add, mul = F._add, F._mul
-    P, rows = _hom_rows(M, N)
+    system = HomSystem(M, N.dims)
+    rows = system.rows(N)
     sols = kernel_basis(F, m_transpose(rows), len(rows))
     out = []
     for vec in sols:
@@ -579,7 +362,7 @@ def hom_space(M, N):
             mat = [[0] * (d * n_M) for _ in range(d * n_N)]
             for a in range(n_N):
                 for b in range(n_M):
-                    for Pc in P[i]:
+                    for Pc in system.P[i]:
                         coef = next(coefs)
                         if coef:
                             for r in range(d):
@@ -605,12 +388,11 @@ def _block_diag(F, mat, blocks):
 
 
 def hom_dim(M, N):
-    """dim_k Hom(M, N) over the base field: unknowns minus the equations' rank.
+    """dim_k Hom(M, N) over the base field, from the equations' rank.
 
     No basis is built; hom_space does that for callers that need the maps.
     """
-    _, rows = _hom_rows(M, N)
-    return len(rows) - m_rank(M.F, rows)
+    return HomSystem(M, N.dims).dim(N)
 
 
 def end_dim(M):
@@ -1069,14 +851,6 @@ def _fp_form(F, Di, d, mat):
     return tuple(tuple(row) for row in out)
 
 
-def _m_inv(F, A):
-    n = len(A)
-    aug = tuple(tuple(A[i]) + tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    R, piv = rref(F, aug)
-    if list(piv) != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return tuple(tuple(R[i][n:]) for i in range(n))
-
 
 def enumerate_bfs(shape, F, dims):
     """Orbit representatives by exhaustive breadth-first search.
@@ -1145,71 +919,6 @@ def enumerate_bfs(shape, F, dims):
         raise OracleError("BFS orbits do not partition the state space")
     return reps
 
-
-# -- polynomial helpers over GF (for Kronecker regular families) -------------
-
-def poly_mul_gf(F, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return tuple(out)
-
-
-def poly_pow_gf(F, a, n):
-    out = (1,)
-    for _ in range(n):
-        out = poly_mul_gf(F, out, a)
-    return out
-
-
-def poly_rem_gf(F, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = F.inv(b[-1])
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if not a[da]:
-            a.pop()
-            continue
-        f = F.mul(a[da], inv)
-        for j in range(db + 1):
-            a[da - db + j] = F.sub(a[da - db + j], F.mul(f, b[j]))
-        while a and not a[-1]:
-            a.pop()
-    return tuple(a)
-
-
-def monic_irreducibles(F, max_deg):
-    """All monic irreducible polynomials of degree 1..max_deg, low coeffs first."""
-    by_deg = {d: [] for d in range(1, max_deg + 1)}
-    for d in range(1, max_deg + 1):
-        for tail in itertools.product(range(F.q), repeat=d):
-            p = tuple(tail) + (1,)
-            irred = True
-            for dd in range(1, d // 2 + 1):
-                for g in by_deg[dd]:
-                    if not poly_rem_gf(F, p, g):
-                        irred = False
-                        break
-                if not irred:
-                    break
-            if irred:
-                by_deg[d].append(p)
-    return by_deg
-
-
-def companion(F, p):
-    """Companion matrix of a monic polynomial."""
-    n = len(p) - 1
-    out = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        out[i][i - 1] = 1
-    for i in range(n):
-        out[i][n - 1] = F.neg(p[i])
-    return tuple(tuple(r) for r in out)
 
 
 # -- synthesizers: the indecomposables of one dimension vector, [(key, module)]
@@ -1339,6 +1048,7 @@ class IsoClassCatalog:
         self._classify_cache = {}
         self._scan_cache = {}
         self.probes_by_dim = {}
+        self._hom_systems = {}
         self._class_by_profile = {}
         self.mass_checked = []
         self.cache_dir = cache_dir
@@ -1585,8 +1295,8 @@ class IsoClassCatalog:
 
         A slice with several classes gets its probes on its first
         classification: indecomposables whose Hom profiles separate the
-        classes of the slice (see _separate).  The module's profile against
-        them names its class.
+        classes of the slice (see _separate), and one Hom system per probe
+        for the slice.  The module's profile against them names its class.
         """
         dims = module.dims
         if dims not in self.by_dim:
@@ -1600,10 +1310,10 @@ class IsoClassCatalog:
         if dims not in self.probes_by_dim:
             probes = self._separate(cids, dims, self.indec_ids)
             self.probes_by_dim[dims] = probes
+            self._hom_systems[dims] = [HomSystem(self.classes[p].module, dims) for p in probes]
             self._class_by_profile[dims] = {
                 tuple(self._class_profile_entry(cid, p) for p in probes): cid for cid in cids}
-        prof = tuple(hom_dim(self.classes[p].module, module)
-                     for p in self.probes_by_dim[dims])
+        prof = tuple(system.dim(module) for system in self._hom_systems[dims])
         match = self._class_by_profile[dims].get(prof)
         if match is None:
             raise OracleError("module of dims %s matches no catalog class" % (dims,))

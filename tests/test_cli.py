@@ -352,6 +352,19 @@ def test_cyclic_33_report_pinned(tmp_path):
         "35a0dfd0ccbd1d34340cc1390f6820048d1072c8d8aff1a4dee33c6cb0ca9559")
 
 
+def test_serre_suite_writes_only_catalogs(tmp_path):
+    """verify --suite serre reads no full scan: a product by the unit needs
+    none and a product by a divided power scans only its own submodules, so
+    the cache holds the two catalogs alone.  The report digest is that of
+    the report from before unit products skipped their scans."""
+    out, cache = tmp_path / "out.json", tmp_path / "cache"
+    assert main(["verify", "--suite", "serre", "--ctx", "kronecker",
+                 "--cache-dir", str(cache), "--out", str(out)]) == 0
+    assert sorted(path.name.split("_")[0] for path in cache.iterdir()) == ["cat", "cat"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "34a8d692db5346518d28a66d5ff793e236ef9654daf01d14280086389a3101a5")
+
+
 def test_e_basis_reports_pinned(tmp_path):
     """The E-basis reports of both contexts, byte for byte, by one digest.
 

@@ -17,6 +17,7 @@ from hallbases.modrep import (
     GF,
     BudgetError,
     FiniteModule,
+    HomSystem,
     IsoClassCatalog,
     OracleError,
     SubspaceTuple,
@@ -582,6 +583,22 @@ class TestLazyClassification:
             cat.classify(cat.classes[cids[0]].module)
         assert cat.probes_by_dim == pinned
 
+    def test_hom_systems_kept_per_probe_and_slice(self):
+        # the first classification in a slice builds one system per probe,
+        # and every later one reads the same systems
+        cat = LAZY_CATALOGS["kronecker-q3"]()
+        rng = random.Random("systems")
+        passes = []
+        for _ in range(2):
+            for c in cat.classes:
+                assert cat.classify(_base_change(c.module, rng)) == c.cid
+            passes.append({dims: list(systems) for dims, systems in cat._hom_systems.items()})
+        first, second = passes
+        assert {dims: len(systems) for dims, systems in first.items()} == {
+            dims: len(probes) for dims, probes in cat.probes_by_dim.items()}
+        assert first.keys() == second.keys()
+        assert all(a is b for dims in first for a, b in zip(first[dims], second[dims]))
+
 
 class TestSumsOnFirstRead:
     def test_build_forms_no_sum(self, monkeypatch):
@@ -738,29 +755,48 @@ def gf_matrices(draw):
     return F, tuple(tuple(row) for row in A)
 
 
+# a valued shape (a valued vertex is a source), one with a vertex that has
+# arrows in and out, and one with an oriented cycle and no sink; the maps
+# drawn on the cycle need not be nilpotent, which Hom does not need
+HOM_SHAPES = (KRON, C2F, A2T, cyclic_shape(3))
+
+
+def _draw_module(draw, shape, F, dims=None):
+    """A random module of shape over F, of dims or of random dims up to 2."""
+    if dims is None:
+        dims = tuple(draw(st.integers(0, 2)) for _ in shape.vertices)
+    maps = {}
+    for h in shape.arrows:
+        r = shape.d[h.tgt] * dims[shape.index[h.tgt]]
+        c = h.m * dims[shape.index[h.src]]
+        maps[h.id] = tuple(tuple(draw(st.lists(st.integers(0, F.q - 1),
+                                               min_size=c, max_size=c)))
+                           for _ in range(r))
+    if shape is C2F and F.deg > 1:
+        # valued vertices are refused over a non-prime base field
+        with pytest.raises(ValueError, match="prime base field"):
+            FiniteModule(shape, F, dims, maps)
+        reject()
+    return FiniteModule(shape, F, dims, maps)
+
+
 @st.composite
 def module_pairs(draw, fields=FIELDS):
     """Two random modules of one small shape over one field."""
-    shape = draw(st.sampled_from((KRON, C2F)))
+    shape = draw(st.sampled_from(HOM_SHAPES))
     F = draw(st.sampled_from(fields))
+    return _draw_module(draw, shape, F), _draw_module(draw, shape, F)
 
-    def module():
-        dims = tuple(draw(st.integers(0, 2)) for _ in shape.vertices)
-        maps = {}
-        for h in shape.arrows:
-            r = shape.d[h.tgt] * dims[shape.index[h.tgt]]
-            c = h.m * dims[shape.index[h.src]]
-            maps[h.id] = tuple(tuple(draw(st.lists(st.integers(0, F.q - 1),
-                                                   min_size=c, max_size=c)))
-                               for _ in range(r))
-        if shape is C2F and F.deg > 1:
-            # valued vertices are refused over a non-prime base field
-            with pytest.raises(ValueError, match="prime base field"):
-                FiniteModule(shape, F, dims, maps)
-            reject()
-        return FiniteModule(shape, F, dims, maps)
 
-    return module(), module()
+@st.composite
+def module_families(draw):
+    """A random module M and 2 to 6 random modules of one dimension vector."""
+    shape = draw(st.sampled_from(HOM_SHAPES))
+    F = draw(st.sampled_from(FIELDS))
+    M = _draw_module(draw, shape, F)
+    first = _draw_module(draw, shape, F)
+    return M, [first] + [_draw_module(draw, shape, F, first.dims)
+                         for _ in range(draw(st.integers(1, 5)))]
 
 
 class TestKernelProperties:
@@ -775,6 +811,21 @@ class TestKernelProperties:
     def test_hom_dim_matches_hom_space(self, pair):
         M, N = pair
         assert hom_dim(M, N) == len(hom_space(M, N))
+
+    @settings(max_examples=100, deadline=None)
+    @given(module_families())
+    def test_one_system_serves_every_module_of_its_dims(self, family):
+        # no pivot of one call reaches the next: each dim equals a fresh count
+        M, Ns = family
+        system = HomSystem(M, Ns[0].dims)
+        want = [len(hom_space(M, N)) for N in Ns]
+        assert [system.dim(N) for N in Ns + Ns[:1]] == want + want[:1]
+        assert all(system.rows(N) == HomSystem(M, N.dims).rows(N) for N in Ns)
+
+    def test_system_refuses_other_dims(self):
+        S1, S2 = simple_module(KRON, F2, "1"), simple_module(KRON, F2, "2")
+        with pytest.raises(ValueError, match="dimension vector"):
+            HomSystem(S1, S1.dims).dim(S2)
 
 
 # -- an oracle for Hom and the GF(q) kernel that does not share their code ---
@@ -1286,6 +1337,7 @@ class TestIsomorphismOracle:
 
     def test_vertices_without_unknowns_are_skipped(self):
         S1, S2 = simple_module(C2F, F3, "1+3"), simple_module(C2F, F3, "2")
-        P, rows = modrep._hom_rows(S1, direct_sum(S1, S2))
-        assert set(P) == {"1+3"} and len(rows) == 2
-        assert hom_dim(S1, direct_sum(S1, S2)) == len(hom_space(S1, direct_sum(S1, S2))) == 2
+        N = direct_sum(S1, S2)
+        system = HomSystem(S1, N.dims)
+        assert set(system.P) == {"1+3"} and system.n_unknowns == len(system.rows(N)) == 2
+        assert hom_dim(S1, N) == len(hom_space(S1, N)) == 2
