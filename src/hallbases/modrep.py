@@ -38,10 +38,9 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .cartan import euler_form, gradings_below, multisets
-# the fields and the GF(q) matrix kernel live in gf; modrep re-exports them
+# the fields and the GF(q) matrix kernel live in gf; modrep re-exports what its callers import
 from .gf import (  # noqa: F401
     GF,
-    IRREDUCIBLE,
     MAX_FIELD_ORDER,
     _eliminate,
     _m_inv,
@@ -57,9 +56,7 @@ from .gf import (  # noqa: F401
     m_rank,
     m_transpose,
     monic_irreducibles,
-    poly_mul_gf,
     poly_pow_gf,
-    poly_rem_gf,
     prime_power,
     rref,
     subspaces,
@@ -741,11 +738,7 @@ def _is_nilpotent_state(shape, F, dims, maps):
         h = by_src[cur]
         comp = m_mul(F, maps[h.id], comp) if comp else ()
         cur = h.tgt
-    total = sum(dims)
-    power = comp
-    for _ in range(max(total.bit_length(), 1)):
-        power = m_mul(F, power, power)
-    return not any(any(row) for row in power)
+    return _is_nilpotent(F, comp)
 
 
 def _is_nilpotent(F, C):
@@ -851,7 +844,6 @@ def _fp_form(F, Di, d, mat):
     return tuple(tuple(row) for row in out)
 
 
-
 def enumerate_bfs(shape, F, dims):
     """Orbit representatives by exhaustive breadth-first search.
 
@@ -918,7 +910,6 @@ def enumerate_bfs(shape, F, dims):
     if len(visited) != n_states:
         raise OracleError("BFS orbits do not partition the state space")
     return reps
-
 
 
 # -- synthesizers: the indecomposables of one dimension vector, [(key, module)]
@@ -1050,6 +1041,7 @@ class IsoClassCatalog:
         self.probes_by_dim = {}
         self._hom_systems = {}
         self._class_by_profile = {}
+        self._tubes = None            # tube_structure, on first use
         self.mass_checked = []
         self.cache_dir = cache_dir
         self.delta = None
@@ -1170,11 +1162,20 @@ class IsoClassCatalog:
 
     def _pair(self, p_cid, x_cid):
         """dim Hom(indec p, indec x), cached."""
-        key = (p_cid, x_cid)
-        if key not in self._pair_hom:
-            self._pair_hom[key] = hom_dim(self.classes[p_cid].module,
-                                          self.classes[x_cid].module)
-        return self._pair_hom[key]
+        if (p_cid, x_cid) not in self._pair_hom:
+            self._fill_pairs([(p_cid, x_cid)])
+        return self._pair_hom[(p_cid, x_cid)]
+
+    def _fill_pairs(self, pairs):
+        """Cache dim Hom(p, x) of the new pairs: one Hom system per (p, dim x), not kept."""
+        todo = {}
+        for p, x in pairs:
+            if (p, x) not in self._pair_hom:
+                todo.setdefault((p, self.classes[x].dims), {})[x] = None
+        for (p, dims), xs in todo.items():
+            system = HomSystem(self.classes[p].module, dims)
+            for x in xs:
+                self._pair_hom[(p, x)] = system.dim(self.classes[x].module)
 
     def _finish_indec(self, info):
         info.end = end_dim(info.module)
@@ -1266,6 +1267,8 @@ class IsoClassCatalog:
         for p in candidates:
             if not groups:
                 break
+            self._fill_pairs([(p, icid) for group in groups for cid in group
+                              for icid, _ in self.classes[cid].decomposition])
             parts = []
             for group in groups:
                 by_entry = {}
@@ -1392,27 +1395,21 @@ class IsoClassCatalog:
     def regular_indec_ids(self):
         return [cid for cid in self.indec_ids if self.classes[cid].defect == "reg"]
 
-    def is_regular_class(self, cid):
-        return all(self.classes[icid].defect == "reg"
-                   for icid, _ in self.classes[cid].decomposition)
-
     def regular_simple_ids(self):
-        """Regular indecomposables with no proper nonzero regular submodule."""
-        out = []
-        for cid in self.regular_indec_ids():
-            R = self.classes[cid].module
-            simple = True
-            for st in submodule_tuples(R):
-                k = sum(st.dims)
-                if k == 0 or st.dims == R.dims:
-                    continue
-                S, _ = sub_quotient(R, st)
-                if self.is_regular_class(self.classify(S)):
-                    simple = False
-                    break
-            if simple:
-                out.append(cid)
-        return out
+        """Regular indecomposables with no proper nonzero regular submodule.
+
+        Regular modules form an exact abelian subcategory (Dlab & Ringel,
+        Mem. AMS 173, 1976; Ringel, LNM 1099, 1984), so the image of a map
+        between them is regular: R is regular simple iff Hom(X, R) = 0 for
+        every regular indecomposable X with dim X <= dim R componentwise and
+        dim X != dim R.  Fills the regular x regular Hom block (_fill_pairs).
+        """
+        regs = self.regular_indec_ids()
+        self._fill_pairs([(x, r) for x in regs for r in regs])
+        dims = {cid: self.classes[cid].dims for cid in regs}
+        return [r for r in regs if not any(
+            self._pair(x, r) for x in regs
+            if dims[x] != dims[r] and all(a <= b for a, b in zip(dims[x], dims[r])))]
 
     def tube_structure(self):
         """Tubes: tau-orbits of regular simples, nonhomogeneous ones first.
@@ -1420,20 +1417,27 @@ class IsoClassCatalog:
         tau X is detected as the unique regular simple Y with Ext^1(X, Y)
         nonzero (the almost split sequence ending at X), cross-checked on
         trivially valued shapes against the Coxeter transformation.
+        dim Ext^1(X, Y) = dim Hom(X, Y) - <dim X, dim Y> (hereditary; Dlab &
+        Ringel, as above) reads the regular Hom block.  Computed once.
         """
+        if self._tubes is not None:
+            return self._tubes
         simples = self.regular_simple_ids()
         tau = {}
         for cid in simples:
-            X = self.classes[cid].module
-            targets = [oth for oth in simples
-                       if ext_dim(X, self.classes[oth].module) > 0]
+            ext = [self._pair(cid, oth) - euler_form(self.shape, self.classes[cid].dims,
+                                                     self.classes[oth].dims) for oth in simples]
+            if min(ext) < 0:
+                raise OracleError("negative Ext dimension; Euler identity violated")
+            targets = [oth for oth, e in zip(simples, ext) if e]
             if len(targets) != 1:
                 raise OracleError("AR translate of class %d is not unique" % cid)
             tau[cid] = targets[0]
         cox = self._coxeter_matrix()
         if cox is not None:
             for cid, tcid in tau.items():
-                predicted = _apply_int_matrix(cox, self.classes[cid].dims)
+                predicted = tuple(sum(c * x for c, x in zip(row, self.classes[cid].dims))
+                                  for row in cox)
                 if predicted != self.classes[tcid].dims:
                     raise OracleError("tau contradicts the Coxeter transformation")
         seen = set()
@@ -1453,6 +1457,7 @@ class IsoClassCatalog:
             tubes.append({"rank": len(orbit), "simples": orbit})
         tubes.sort(key=lambda t: (-t["rank"],
                                   tuple(sorted(self.classes[c].dims for c in t["simples"]))))
+        self._tubes = tubes
         return tubes
 
     def _coxeter_matrix(self):
@@ -1594,11 +1599,6 @@ def _write_once(path, payload):
 
 def _unit(n, a):
     return tuple(1 if i == a else 0 for i in range(n))
-
-
-def _apply_int_matrix(mat, vec):
-    n = len(vec)
-    return tuple(sum(mat[a][b] * vec[b] for b in range(n)) for a in range(n))
 
 
 def _key_to_json(key):

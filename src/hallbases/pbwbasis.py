@@ -44,12 +44,13 @@ class AffineLabeler:
         self.beta_pi = {}
         for t, beta in seq.betas(LABEL_WINDOW).items():
             (self.beta_pp if t <= 0 else self.beta_pi)[beta] = t
-        self._tube_cache = {}
+        self._tube_cache = {}  # catalog -> its _tube_data; one labeler may meet several
 
     def _tube_data(self, catalog):
-        q = catalog.F.q
-        if q in self._tube_cache:
-            return self._tube_cache[q]
+        """(anchored simples of each nonhomogeneous tube, {member cid: (tube, top, length)},
+        homogeneous regular indecomposables), read off the catalog's regular Hom block."""
+        if catalog in self._tube_cache:
+            return self._tube_cache[catalog]
         tubes = [t for t in catalog.tube_structure() if t["rank"] >= 2]
         # field-independent rotation anchor: start each tube at the simple
         # with the lexicographically smallest dimension vector
@@ -85,15 +86,16 @@ class AffineLabeler:
                 if l is None:
                     raise OracleError("tube member has inconsistent dimensions")
                 members[cid] = (ti, i + 1, l)
-        self._tube_cache[q] = (anchored, members)
-        return self._tube_cache[q]
+        homogeneous = [cid for cid in catalog.regular_indec_ids() if cid not in members]
+        self._tube_cache[catalog] = (anchored, members, homogeneous)
+        return self._tube_cache[catalog]
 
     def tube_simple_dims(self, catalog):
-        anchored, _ = self._tube_data(catalog)
+        anchored = self._tube_data(catalog)[0]
         return [[catalog.classes[c].dims for c in simples] for simples in anchored]
 
     def label_of(self, catalog, cid):
-        anchored, members = self._tube_data(catalog)
+        anchored, members, _ = self._tube_data(catalog)
         info = catalog.classes[cid]
         pp = {}
         pi = {}
@@ -139,9 +141,8 @@ class AffineLabeler:
         entries = {}
         for g in groups:
             # the point degree is the minimal delta-multiple in the same tube
-            cands = [icid for icid in catalog.regular_indec_ids()
-                     if icid not in self._tube_data(catalog)[1]
-                     and catalog._pair(icid, g[0][0]) > 0]
+            cands = [icid for icid in self._tube_data(catalog)[2]
+                     if catalog._pair(icid, g[0][0]) > 0]
             degs = []
             for icid in cands:
                 dims = catalog.classes[icid].dims

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import os
 from collections import Counter
 import random
 import re
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -46,6 +48,7 @@ from hallbases.modrep import (
     synth_a1,
     synth_kronecker,
 )
+from hallbases.pbwbasis import AffineLabeler
 
 KRON = builtin_quiver("kronecker")
 A1 = builtin_quiver("a1")
@@ -247,7 +250,46 @@ class TestDefect:
         assert kron_cat.defect_class(pp.cid) == "preprojective"
 
 
+def _scan_regular_simples(cat):
+    """The regular simples by their definition: regular indecomposables with
+    no proper nonzero regular submodule, found by scanning every submodule."""
+    def regular(cid):
+        return all(cat.classes[i].defect == "reg" for i, _ in cat.classes[cid].decomposition)
+
+    return [cid for cid in cat.regular_indec_ids()
+            if not any(any(st.dims) and st.dims != cat.classes[cid].dims
+                       and regular(cat.classify(sub_quotient(cat.classes[cid].module, st)[0]))
+                       for st in submodule_tuples(cat.classes[cid].module))]
+
+
 class TestTubes:
+    # the Hom-vanishing rule against the scan: (q + 1) simples at delta and,
+    # for the Kronecker quiver, (q^2 - q) / 2 more at 2 delta
+    @pytest.mark.parametrize("shape, q, cap, count", [
+        pytest.param(KRON, 2, (2, 2), 4, id="kronecker-q2"),
+        pytest.param(KRON, 3, (2, 2), 7, id="kronecker-q3"),
+        pytest.param(KRON, 4, (2, 2), 11, id="kronecker-q4"),
+        pytest.param(KRON, 5, (2, 2), 16, id="kronecker-q5"),
+        pytest.param(A2T, 2, (1, 1, 1), 4, id="a2tilde-q2"),
+        pytest.param(A2T, 3, (1, 1, 1), 5, id="a2tilde-q3"),
+    ])
+    def test_regular_simples_match_scan(self, shape, q, cap, count):
+        synth = synth_kronecker if shape is KRON else None
+        cat = IsoClassCatalog(shape, field_of_order(q), [cap], synthesizer=synth)
+        simples = cat.regular_simple_ids()
+        assert simples == _scan_regular_simples(cat)
+        assert len(simples) == count
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_kronecker_past_delta(self, q):
+        # the points of degree 2 appear at 2 delta, each a rank-1 tube
+        cat = IsoClassCatalog(KRON, field_of_order(q), [(2, 2)], synthesizer=synth_kronecker)
+        tubes = cat.tube_structure()
+        assert all(t["rank"] == 1 for t in tubes)
+        assert len(tubes) == (q + 1) + (q * q - q) // 2
+        assert sum(cat.classes[t["simples"][0]].dims == (2, 2) for t in tubes) == (q * q - q) // 2
+        assert cat.tube_structure() is tubes
+
     def test_kronecker_all_homogeneous(self):
         for F in (F2, F3):
             cat = IsoClassCatalog(KRON, F, [(1, 1)])
@@ -262,6 +304,61 @@ class TestTubes:
         dims = sorted(cat.classes[c].dims for c in tubes[0]["simples"])
         assert dims == [(0, 1, 0), (1, 0, 1)]
         assert sum(1 for t in tubes if t["rank"] == 1) == 2  # q+1-1 homogeneous
+
+
+PAIR_CATALOGS = {
+    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(2, 2)], synthesizer=synth_kronecker),
+    "a2tilde-q2": lambda: IsoClassCatalog(A2T, F2, [(1, 1, 1)]),
+    # a valued source vertex: the d > 1 columns of a Hom system
+    "c2tilde-folded-q3": lambda: IsoClassCatalog(C2F, F3, [(2, 1), (1, 3)]),
+    "cyclic3-q2": lambda: IsoClassCatalog(cyclic_shape(3), F2, [(1, 1, 2), (2, 1, 1)],
+                                          synthesizer=synth_cyclic),
+}
+
+
+def _record_systems(monkeypatch):
+    """Weak references to every HomSystem built from now on in modrep."""
+    built = []
+
+    class Recorded(HomSystem):
+        def __init__(self, M, dims):
+            super().__init__(M, dims)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(modrep, "HomSystem", Recorded)
+    return built
+
+
+class TestPairBlock:
+    @pytest.mark.parametrize("name", sorted(PAIR_CATALOGS))
+    def test_batched_fill_matches_hom_dim(self, name, monkeypatch):
+        cat = PAIR_CATALOGS[name]()
+        ids = cat.indec_ids
+        for dims, cids in cat.by_dim.items():
+            if len(cids) > 1:
+                cat.classify(cat.classes[cids[0]].module)
+        kept = {dims: list(systems) for dims, systems in cat._hom_systems.items()}
+        built = _record_systems(monkeypatch)
+        cat._pair_hom.clear()
+        cat._fill_pairs([(p, x) for p in ids for x in ids])
+        # one system per (source, target dims), none kept past the batch
+        assert len(built) == len({(p, cat.classes[x].dims) for p in ids for x in ids})
+        gc.collect()
+        assert all(ref() is None for ref in built)
+        assert cat._hom_systems == kept
+        monkeypatch.undo()
+        assert cat._pair_hom == {(p, x): hom_dim(cat.classes[p].module, cat.classes[x].module)
+                                 for p in ids for x in ids}
+
+    def test_labeling_builds_one_system_per_regular_and_dims(self, monkeypatch):
+        cat = IsoClassCatalog(KRON, field(5), [(2, 2)], synthesizer=synth_kronecker)
+        regs = cat.regular_indec_ids()
+        assert (len(regs), len({cat.classes[r].dims for r in regs})) == (22, 2)
+        labeler = AffineLabeler(KRON, admissible_of(KRON))
+        built = _record_systems(monkeypatch)
+        for cid in range(len(cat.classes)):
+            labeler.label_of(cat, cid)
+        assert 0 < len(built) <= 22 * 2
 
 
 class TestSubQuotient:

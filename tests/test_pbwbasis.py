@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from hallbases.cartan import admissible_of, builtin_quiver
 from hallbases.hall import eliminate
 from hallbases.laurent import LaurentPoly, RationalV, in_lattice
-from hallbases.modrep import OracleError
+from hallbases.modrep import IsoClassCatalog, OracleError, field
 from hallbases.pbwbasis import (
+    AffineLabeler,
     GenericElement,
     PbwIndex,
     _lex_geq_minus,
@@ -62,6 +64,24 @@ class TestIndices:
             PbwIndex(cminus=((1, 1),))  # positive t in c_-
         with pytest.raises(ValueError):
             PbwIndex(cplus=((0, 1),))  # nonpositive t in c_+
+
+
+class TestLabeler:
+    def test_one_labeler_two_catalogs_over_one_field(self):
+        # tube data belongs to a catalog, not to a field: after labeling the
+        # cap (1,1,1), one labeler labels the cap (1,1,2) over the same field
+        # as a new labeler does
+        shape = builtin_quiver("a2tilde")
+        small = IsoClassCatalog(shape, field(2), [(1, 1, 1)])
+        big = IsoClassCatalog(shape, field(2), [(1, 1, 2)])
+        shared = AffineLabeler(shape, admissible_of(shape))
+        for cid in range(len(small.classes)):
+            shared.label_of(small, cid)
+        fresh = AffineLabeler(shape, admissible_of(shape))
+        assert len(big.classes) == 33
+        assert ([shared.label_of(big, cid) for cid in range(33)]
+                == [fresh.label_of(big, cid) for cid in range(33)])
+        assert [t["simples"] for t in big.tube_structure() if t["rank"] > 1] == [[2, 8]]
 
 
 class TestOrder:
