@@ -250,12 +250,13 @@ def gradings_below(cap):
 def multisets(weights, bound, exact=True):
     """Every multiset of weighted items whose total weight fits in bound.
 
-    Yields (mults, rest): mults[k] is the multiplicity of item k and
-    rest = bound - sum_k mults[k] * weights[k], componentwise >= 0.  With
-    exact=True only rest == 0 is yielded.  An item of weight zero always has
-    multiplicity 0.  The order is descending lexicographic in mults: item 0
-    outermost, largest multiplicity first.  Nothing is built up front, so a
-    caller holds one multiset at a time.
+    Yields (chosen, rest): chosen is the tuple of (k, m) pairs, ascending in
+    the item index k, of the items k given a multiplicity m > 0, and
+    rest = bound - sum m * weights[k] over chosen, componentwise >= 0.  With
+    exact=True only rest == 0 is yielded.  An item of weight zero is never
+    chosen.  The order is descending lexicographic in the multiplicity
+    vector: item 0 outermost, largest multiplicity first.  Nothing is built
+    up front, so a caller holds one multiset at a time.
 
     The walk branches only on the items given a positive multiplicity, each
     after the one chosen before it; choosing no further item comes last.  The
@@ -266,7 +267,7 @@ def multisets(weights, bound, exact=True):
     """
     weights = [tuple(w) for w in weights]
     bound = tuple(bound)
-    mults = [0] * len(weights)
+    chosen = []
     base = [k for k, w in enumerate(weights) if any(w) and all(map(le, w, bound))]
     fills, branches = {}, {}
 
@@ -299,11 +300,11 @@ def multisets(weights, bound, exact=True):
     def walk(j, rest):
         # every multiset of the items base[j:] within rest
         for k, m, left, nxt in branch(j, rest):
-            mults[k] = m
+            chosen.append((k, m))
             yield from walk(nxt, left)
-            mults[k] = 0
+            chosen.pop()
         if not (exact and any(rest)):
-            yield tuple(mults), rest
+            yield tuple(chosen), rest
 
     return walk(0, bound)
 

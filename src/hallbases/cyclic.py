@@ -270,8 +270,8 @@ def multisegments_of_dim(r, dims):
     """All multisegments of the cyclic quiver K_r with the given dim vector."""
     segs = [((i, l), Multisegment.segment(r, i, l).dim_vector())
             for i in range(1, r + 1) for l in range(1, sum(dims) + 1)]
-    return [Multisegment(r, {seg: m for (seg, _), m in zip(segs, mults) if m})
-            for mults, _ in multisets([d for _, d in segs], dims)]
+    return [Multisegment(r, {segs[k][0]: m for k, m in chosen})
+            for chosen, _ in multisets([d for _, d in segs], dims)]
 
 
 # ---------------------------------------------------------------------------

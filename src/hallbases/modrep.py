@@ -36,6 +36,7 @@ import os
 import tempfile
 from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 from .cartan import euler_form, gradings_below, multisets
 # the fields and the GF(q) matrix kernel live in gf; modrep re-exports what its callers import
@@ -80,8 +81,7 @@ class BudgetError(RuntimeError):
 
 def check_budget(shape, F, dims):
     """Raise BudgetError when q^(total dimension of dims) exceeds 2^BUDGET."""
-    total_dim = sum(shape.d[i] * dims[shape.index[i]] for i in shape.vertices)
-    if F.q ** total_dim > 2 ** BUDGET:
+    if F.q ** total_dim(shape, dims) > 2 ** BUDGET:
         raise BudgetError("dimension vector %s over GF(%d) exceeds budget 2^%d"
                           % (tuple(dims), F.q, BUDGET))
 
@@ -129,13 +129,10 @@ class FiniteModule:
         self.maps = {h.id: tuple(tuple(int(x) for x in row) for row in maps[h.id])
                      for h in shape.arrows}
         self._key = None
-        for h in shape.arrows:
-            s, t = shape.index[h.src], shape.index[h.tgt]
-            rows = shape.d[h.tgt] * self.dims[t]
-            cols = h.m * self.dims[s]
-            mat = self.maps[h.id]
+        for hid, (rows, cols) in _arrow_shapes(shape, self.dims).items():
+            mat = self.maps[hid]
             if len(mat) != rows or (rows and len(mat[0]) != cols):
-                raise ValueError("map of arrow %r has the wrong shape" % (h.id,))
+                raise ValueError("map of arrow %r has the wrong shape" % (hid,))
 
     @classmethod
     def _trusted(cls, shape, F, dims, maps):
@@ -167,15 +164,9 @@ def total_dim(shape, dims):
 
 
 def simple_module(shape, F, vertex):
-    dims = [0] * len(shape.vertices)
-    dims[shape.index[vertex]] = 1
-    maps = {}
-    for h in shape.arrows:
-        s, t = shape.index[h.src], shape.index[h.tgt]
-        rows = shape.d[h.tgt] * dims[t]
-        cols = h.m * dims[s]
-        maps[h.id] = tuple((0,) * cols for _ in range(rows))
-    return FiniteModule(shape, F, dims, maps)
+    dims = _unit(len(shape.vertices), shape.index[vertex])
+    sizes = _arrow_shapes(shape, dims)
+    return FiniteModule(shape, F, dims, {hid: ((0,) * c,) * r for hid, (r, c) in sizes.items()})
 
 
 def direct_sum(*modules, shape=None, F=None):
@@ -799,20 +790,16 @@ def _nilpotent_point_count(shape, F, dims):
 
 def _gl_generators(Di, n):
     """Small generating set of GL_n(D_i): transvections and one scaling."""
-    gens = []
+    def identity_but(a, b, x):
+        return tuple(tuple(x if (i, j) == (a, b) else int(i == j) for j in range(n))
+                     for i in range(n))
+
     if n == 0:
-        return gens
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-                g[a][b] = 1
-                gens.append(tuple(tuple(r) for r in g))
+        return []
+    gens = [identity_but(a, b, 1) for a in range(n) for b in range(n) if a != b]
     prim = _primitive_element(Di)
     if prim != 1:
-        g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        g[0][0] = prim
-        gens.append(tuple(tuple(r) for r in g))
+        gens.append(identity_but(0, 0, prim))
     return gens
 
 
@@ -925,18 +912,14 @@ def kronecker_indec(shape, F, key):
     """Representative of a Kronecker indecomposable from its family key."""
     a_id, b_id = shape.arrows[0].id, shape.arrows[1].id
     kind = key[0]
-    if kind == "pp":
+    if kind in ("pp", "pi"):
         n = key[1]
-        dims = (n, n + 1)
         A = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n + 1))
         B = tuple(tuple(1 if i == j + 1 else 0 for j in range(n)) for i in range(n + 1))
-        return FiniteModule(shape, F, dims, {a_id: A, b_id: B})
-    if kind == "pi":
-        n = key[1]
-        dims = (n + 1, n)
-        A = tuple(tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n))
-        B = tuple(tuple(1 if i + 1 == j else 0 for j in range(n + 1)) for i in range(n))
-        return FiniteModule(shape, F, dims, {a_id: A, b_id: B})
+        if kind == "pp":
+            return FiniteModule(shape, F, (n, n + 1), {a_id: A, b_id: B})
+        # the preinjective of (n + 1, n) has the transposed maps
+        return FiniteModule(shape, F, (n + 1, n), {a_id: m_transpose(A), b_id: m_transpose(B)})
     if kind == "reg":
         p, ell = key[1], key[2]
         n = (len(p) - 1) * ell
@@ -1004,6 +987,10 @@ class ClassInfo:
             summands, shape, F = self._module
             self._module = direct_sum(*summands, shape=shape, F=F)
         return self._module
+
+
+#: the ClassInfo fields a cache file holds as they are
+_STORED_AS_IS = ("indec", "end", "aut", "res", "defect")
 
 
 def _dims_closure(requested):
@@ -1085,40 +1072,67 @@ class IsoClassCatalog:
 
         Classes come in repr order of their decomposition by synthesizer key,
         summands in repr-of-key order; a sum keeps them to form on first read.
+        A name joins one repr per item; dim End of a sum, sum m m' dim Hom(X, X'),
+        reads a table of the slice's items that _pair fills on first use.
         """
-        items = [(self.classes[cid].synth_key, cid, self.classes[cid].module)
+        items = [(repr(self.classes[cid].synth_key), cid, self.classes[cid].module, None)
                  for cid in self._indecs_within(dims)]
-        items += [(key, None, M) for key, M in synthesizer(self.shape, self.F, dims)]
-        items.sort(key=lambda item: repr(item[0]))
-        named = []
-        for mults, _ in multisets([M.dims for _, _, M in items], dims):
-            chosen = [(item, m) for item, m in zip(items, mults) if m]
-            named.append((repr(tuple((item[0], m) for item, m in chosen)), chosen))
-        named.sort(key=lambda nc: nc[0])
+        items += [(repr(key), None, M, key) for key, M in synthesizer(self.shape, self.F, dims)]
+        items.sort(key=itemgetter(0))
+        named = [("(%s%s)" % (", ".join("(%s, %d)" % (items[k][0], m) for k, m in chosen),
+                              "," if len(chosen) == 1 else ""), chosen)
+                 for chosen, _ in multisets([item[2].dims for item in items], dims)]
+        named.sort(key=itemgetter(0))
+        hom = [[None] * len(items) for _ in items]
         for _, chosen in named:
-            if len(chosen) == 1 and chosen[0][0][1] is None:
-                key, _, M = chosen[0][0]
+            if len(chosen) == 1 and items[chosen[0][0]][1] is None:
+                _, _, M, key = items[chosen[0][0]]
                 self._add_class(M, dims, None, key)
-            else:
-                summands = tuple(item[2] for item, m in chosen for _ in range(m))
-                self._add_class((summands, self.shape, self.F), dims,
-                                tuple(sorted((item[1], m) for item, m in chosen)))
+                continue
+            end = 0
+            for k, m in chosen:
+                row = hom[k]
+                for k2, m2 in chosen:
+                    if row[k2] is None:
+                        row[k2] = self._pair(items[k][1], items[k2][1])
+                    end += m * m2 * row[k2]
+            summands = tuple(items[k][2] for k, m in chosen for _ in range(m))
+            self._add_class((summands, self.shape, self.F), dims,
+                            tuple(sorted((items[k][1], m) for k, m in chosen)), end=end)
 
     def _build_dim_bfs(self, dims):
         shape, F = self.shape, self.F
         reps = enumerate_bfs(shape, F, dims)
         reps.sort(key=lambda ro: tuple(ro[0][h.id] for h in shape.arrows))
+        systems, own = {}, []
+
+        def meet():
+            # one Hom system per known indec p for the slice: it gives every
+            # orbit representative's profile and p's pairs with the slice's own indecs
+            for p in self.indec_ids:
+                if p not in systems:
+                    systems[p] = HomSystem(self.classes[p].module, dims)
+                self._pair_hom.update({(p, c): systems[p].dim(self.classes[c].module)
+                                       for c in own if (p, c) not in self._pair_hom})
+
         for maps, orbit_size in reps:
+            meet()
             M = FiniteModule(shape, F, dims, maps)
-            info = self._add_class(M, dims, self._solve_decomposition(M))
+            dec = self._solve_decomposition(M, systems)
+            end = None if dec is None else sum(m * n * self._pair(a, b)
+                                               for a, m in dec for b, n in dec)
+            info = self._add_class(M, dims, dec, end=end)
+            if dec is None:
+                own.append(info.cid)
             g = self._group_order(dims)
             if g % info.aut or g // info.aut != orbit_size:
                 raise OracleError(
                     "orbit size %d does not match |G|/|Aut| for class %d"
                     % (orbit_size, info.cid))
+        meet()
 
-    def _add_class(self, module, dims, decomposition, synth_key=None):
-        """Append the class of module; decomposition None makes it a new indecomposable."""
+    def _add_class(self, module, dims, decomposition, synth_key=None, end=None):
+        """Append the class of module: a new indecomposable for decomposition None, else a sum."""
         info = ClassInfo(len(self.classes), module, dims)
         if decomposition is None:
             info.indec = True
@@ -1128,31 +1142,32 @@ class IsoClassCatalog:
             self._finish_indec(info)
         else:
             info.decomposition = decomposition
-            self._finish_decomposable(info)
+            self._finish_decomposable(info, end)
         self.classes.append(info)
         return info
 
-    def _solve_decomposition(self, M):
+    def _solve_decomposition(self, M, systems):
         """Unique expression of M as a sum of already known indecs, or None.
 
         Homomorphism dimensions are additive in the target, so the profile of
         M against every known indec pins the multiplicities; the solver
-        enumerates all solutions and insists on uniqueness.
+        enumerates all solutions and insists on uniqueness.  systems[p] is
+        the Hom system of indec p for the slice of M.
         """
         if all(x == 0 for x in M.dims):
             return ()
         cands = self._indecs_within(M.dims)
         if not cands:
             return None
-        profile = [hom_dim(self.classes[p].module, M) for p in self.indec_ids]
+        profile = [systems[p].dim(M) for p in self.indec_ids]
         solutions = []
-        for mults, _ in multisets([self.classes[cid].dims for cid in cands], M.dims):
-            vec = {cid: m for cid, m in zip(cands, mults) if m}
-            if all(sum(m * self._pair(p, cid) for cid, m in vec.items()) == profile[p_idx]
-                   for p_idx, p in enumerate(self.indec_ids)):
+        for chosen, _ in multisets([self.classes[cid].dims for cid in cands], M.dims):
+            if all(sum(m * self._pair(p, cands[k]) for k, m in chosen) == want
+                   for p, want in zip(self.indec_ids, profile)):
                 if solutions:
                     raise OracleError("decomposition of a module is not determined by profiles")
-                solutions.append(tuple(sorted(vec.items())))
+                # cands ascend like indec_ids, so the pairs ascend in class id
+                solutions.append(tuple((cands[k], m) for k, m in chosen))
         return solutions[0] if solutions else None
 
     def _indecs_within(self, dims):
@@ -1161,9 +1176,10 @@ class IsoClassCatalog:
                 if all(x <= y for x, y in zip(self.classes[cid].dims, dims))]
 
     def _pair(self, p_cid, x_cid):
-        """dim Hom(indec p, indec x), cached."""
+        """dim Hom(indec p, indec x), cached; a miss fills p against every indec of x's slice."""
         if (p_cid, x_cid) not in self._pair_hom:
-            self._fill_pairs([(p_cid, x_cid)])
+            self._fill_pairs([(p_cid, x) for x in self.by_dim[self.classes[x_cid].dims]
+                              if self.classes[x].indec])
         return self._pair_hom[(p_cid, x_cid)]
 
     def _fill_pairs(self, pairs):
@@ -1178,8 +1194,10 @@ class IsoClassCatalog:
                 self._pair_hom[(p, x)] = system.dim(self.classes[x].module)
 
     def _finish_indec(self, info):
-        info.end = end_dim(info.module)
-        info.aut = aut_order_brute(info.module)
+        """dim End and |Aut| from one basis of End, then the residue degree of End/rad."""
+        basis = hom_space(info.module, info.module)
+        info.end = len(basis)
+        info.aut = sum(1 for _ in _isomorphisms(info.module, basis, "automorphism count"))
         q = self.F.q
         res = None
         for r in range(1, info.end + 1):
@@ -1194,20 +1212,15 @@ class IsoClassCatalog:
             dfc = euler_form(self.shape, self.delta, info.dims)
             info.defect = "pp" if dfc < 0 else ("pi" if dfc > 0 else "reg")
 
-    def _finish_decomposable(self, info):
+    def _finish_decomposable(self, info, end):
+        """|Aut| of a sum with dim End end: prod |GL_m(q^r)| q^(end - sum m^2 r) over summands."""
         q = self.F.q
-        end = 0
-        for cid1, m1 in info.decomposition:
-            for cid2, m2 in info.decomposition:
-                end += m1 * m2 * self._pair(cid1, cid2)
         info.end = end
         aut = 1
         sq_sum = 0
         for cid, m in info.decomposition:
             r = self.classes[cid].res
-            Q = q ** r
-            for j in range(m):
-                aut *= Q ** m - Q ** j
+            aut *= gl_order(q ** r, m)
             sq_sum += m * m * r
         info.aut = aut * q ** (end - sq_sum)
 
@@ -1503,18 +1516,13 @@ class IsoClassCatalog:
         payload = {
             "schema": 1,
             "classes": [
-                {
-                    "dims": list(c.dims),
-                    "maps": {h.id: [list(r) for r in c.module.maps[h.id]]
-                             for h in self.shape.arrows},
-                    "indec": c.indec,
-                    "decomposition": [list(x) for x in c.decomposition],
-                    "synth_key": _key_to_json(c.synth_key),
-                    "end": c.end,
-                    "aut": c.aut,
-                    "res": c.res,
-                    "defect": c.defect,
-                } for c in self.classes
+                dict({slot: getattr(c, slot) for slot in _STORED_AS_IS},
+                     dims=list(c.dims),
+                     maps={h.id: [list(r) for r in c.module.maps[h.id]]
+                           for h in self.shape.arrows},
+                     decomposition=[list(x) for x in c.decomposition],
+                     synth_key=_key_to_json(c.synth_key))
+                for c in self.classes
             ],
             "by_dim": {",".join(map(str, k)): v for k, v in self.by_dim.items()},
             "mass_checked": [list(d) for d in self.mass_checked],
@@ -1532,13 +1540,10 @@ class IsoClassCatalog:
             maps = {hid: tuple(tuple(r) for r in rows) for hid, rows in c["maps"].items()}
             M = FiniteModule(self.shape, self.F, dims, maps)
             info = ClassInfo(n, M, dims)
-            info.indec = c["indec"]
+            for slot in _STORED_AS_IS:
+                setattr(info, slot, c[slot])
             info.decomposition = tuple(tuple(x) for x in c["decomposition"])
             info.synth_key = _key_from_json(c["synth_key"])
-            info.end = c["end"]
-            info.aut = c["aut"]
-            info.res = c["res"]
-            info.defect = c["defect"]
             self.classes.append(info)
             if info.indec:
                 self.indec_ids.append(n)
@@ -1570,11 +1575,8 @@ class IsoClassCatalog:
             return None
         with open(path) as fh:
             payload = json.loads(fh.read())
-        out = {}
-        for cid, counts in payload.items():
-            out[int(cid)] = {tuple(int(x) for x in k.split(",")): v
-                             for k, v in counts.items()}
-        return out
+        return {int(cid): {tuple(int(x) for x in k.split(",")): v for k, v in counts.items()}
+                for cid, counts in payload.items()}
 
 
 def _write_once(path, payload):
@@ -1602,15 +1604,11 @@ def _unit(n, a):
 
 
 def _key_to_json(key):
-    if key is None:
-        return None
-    return [list(x) if isinstance(x, tuple) else x for x in key]
+    return None if key is None else [list(x) if isinstance(x, tuple) else x for x in key]
 
 
 def _key_from_json(key):
-    if key is None:
-        return None
-    return tuple(tuple(x) if isinstance(x, list) else x for x in key)
+    return None if key is None else tuple(tuple(x) if isinstance(x, list) else x for x in key)
 
 
 # ---------------------------------------------------------------------------

@@ -571,8 +571,8 @@ def _fitting(items, bound):
     Returns (((label, mult), ...) over the nonzero multiplicities, bound - dim sum)
     pairs, in the order of cartan.multisets.
     """
-    return [(tuple((label, m) for (label, _), m in zip(items, mults) if m), rest)
-            for mults, rest in multisets([d for _, d in items], bound, exact=False)]
+    return [(tuple((items[k][0], m) for k, m in chosen), rest)
+            for chosen, rest in multisets([d for _, d in items], bound, exact=False)]
 
 
 def _delta_multiple(dims, delta):

@@ -32,8 +32,8 @@ def check_partition(lam):
 def partitions_of(n):
     """All partitions of n, in descending lexicographic order."""
     parts = range(n, 0, -1)
-    return [tuple(p for p, m in zip(parts, mults) for _ in range(m))
-            for mults, _ in multisets([(p,) for p in parts], (n,))]
+    return [tuple(parts[k] for k, m in chosen for _ in range(m))
+            for chosen, _ in multisets([(p,) for p in parts], (n,))]
 
 
 def lex_less(lam, mu):

@@ -5,6 +5,7 @@ import os
 from collections import Counter
 import random
 import re
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -359,6 +360,68 @@ class TestPairBlock:
         for cid in range(len(cat.classes)):
             labeler.label_of(cat, cid)
         assert 0 < len(built) <= 22 * 2
+
+
+def _record_callers(monkeypatch):
+    """(names of the functions on the stack, source key, target dims) of every HomSystem built."""
+    built = []
+
+    class Recorded(HomSystem):
+        def __init__(self, M, dims):
+            super().__init__(M, dims)
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            built.append((names, M.key(), tuple(dims)))
+
+    monkeypatch.setattr(modrep, "HomSystem", Recorded)
+    return built
+
+
+class TestCatalogBuild:
+    @pytest.mark.parametrize("shape, F, cap, synth", [
+        pytest.param(KRON, F2, (2, 3), synth_kronecker, id="kronecker-q2"),
+        pytest.param(KRON, F3, (2, 3), synth_kronecker, id="kronecker-q3"),
+        pytest.param(A2T, F2, (1, 1, 1), None, id="a2tilde-q2"),
+    ])
+    def test_sums_match_brute_end_and_aut(self, shape, F, cap, synth):
+        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
+        sums = [info for info in cat.classes if not info.indec]
+        assert sums
+        for info in sums:
+            assert info.end == end_dim(info.module), info.cid
+            # 3^13 combinations at S1^2 + S2^3 over GF(3): about 20 s of brute
+            # force, so that one semisimple class is checked by |GL_2| |GL_3|
+            if F.q ** info.end > 3 ** 10:
+                assert F.q == 3 and info.dims == (2, 3)
+                assert all(sum(cat.classes[c].dims) == 1 for c, _ in info.decomposition)
+                assert info.aut == modrep.gl_order(3, 2) * modrep.gl_order(3, 3)
+            else:
+                assert info.aut == aut_order_brute(info.module), info.cid
+
+    @pytest.mark.parametrize("shape, F, cap, synth", [
+        pytest.param(KRON, F3, (2, 3), synth_kronecker, id="kronecker-q3"),
+        pytest.param(A2T, F2, (1, 1, 1), None, id="a2tilde-q2"),
+    ])
+    def test_one_system_per_new_indecomposable(self, shape, F, cap, synth, monkeypatch):
+        built = _record_callers(monkeypatch)
+        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
+        ends = [(key, dims) for names, key, dims in built if "_finish_indec" in names]
+        assert len(ends) == len(cat.indec_ids)
+        assert ends == [(cat.classes[c].module.key(), cat.classes[c].dims)
+                        for c in cat.indec_ids]
+
+    def test_orbit_slices_build_one_system_per_indecomposable_and_dims(self, monkeypatch):
+        # profiles, pairs with a slice's own indecomposables, and pair misses
+        # of earlier slices share one system per (indecomposable, dims)
+        built = _record_callers(monkeypatch)
+        cat = IsoClassCatalog(A2T, F2, [(1, 1, 1)])
+        solving = [(key, dims) for names, key, dims in built
+                   if "_build_dim_bfs" in names and "_finish_indec" not in names]
+        assert any("_solve_decomposition" in names for names, _, _ in built)
+        assert len(set(solving)) == len(solving)
+        assert len(solving) <= len(cat.indec_ids) * len(cat.dims_list)
 
 
 class TestSubQuotient:
