@@ -407,6 +407,10 @@ class OutsideWindowError(ValueError):
     """beta_t was asked for so far out that the sequence was never checked there."""
 
 
+#: AdmissibleSequence checks the periodic extension on this many periods each side
+CHECK_WINDOW_PERIODS = 3
+
+
 class AdmissibleSequence:
     """The doubly infinite periodic extension of a total sink ordering.
 
@@ -416,7 +420,7 @@ class AdmissibleSequence:
     finite window.
     """
 
-    def __init__(self, vq, base_order, check_window_periods=3):
+    def __init__(self, vq, base_order):
         self.vq = vq
         self.base_order = tuple(base_order)
         if sorted(self.base_order, key=str) != sorted(vq.vertices, key=str):
@@ -428,13 +432,13 @@ class AdmissibleSequence:
             g = g.reverse_at(i)
         # positive side: the periodic extension must be an admissible source sequence
         g = vq
-        for t in range(1, len(self.base_order) * check_window_periods + 1):
+        for t in range(1, len(self.base_order) * CHECK_WINDOW_PERIODS + 1):
             i = self.vertex(t)
             if i in {h.tgt for h in g.arrows}:
                 raise ValueError("%r is not a source at step %d of the positive side" % (i, t))
             g = g.reverse_at(i)
         self.datum = cartan_of(vq)
-        self._window = check_window_periods * len(self.base_order)
+        self._window = CHECK_WINDOW_PERIODS * len(self.base_order)
         # For finite type the doubly infinite word is never reduced, so the
         # window check must not run: beta raises lazily when roots run out,
         # which is what root listings rely on to terminate.

@@ -187,7 +187,7 @@ class AdmissibleTriple:
         return self.shift(self.string_decompose(coords), 1)
 
 
-def check_lattice_stability(triple, nu, include_phi=True):
+def check_lattice_stability(triple, nu):
     """Kashiwara operators preserve the crystal lattice on the slice.
 
     For each N(a) of the slice, the N-coordinates of etilde(N(a)) (and of
@@ -197,7 +197,7 @@ def check_lattice_stability(triple, nu, include_phi=True):
     ctx = triple.ctx
     failures = []
     target = tuple(p + e for p, e in zip(nu, triple.e_i))
-    raise_too = include_phi and all(t <= c for t, c in zip(target, ctx.cap))
+    raise_too = all(t <= c for t, c in zip(target, ctx.cap))
     for a in ctx.indices_of_grading(nu):
         strings = triple.string_decompose({a: RationalV(1)})
         images = [("etilde", triple.shift(strings, -1))]

@@ -7,12 +7,17 @@ M_h (x) V_{s(h)} -> V_{t(h)}, stored as a base-field matrix of shape
 representation.
 
 Catalogs list exactly one representative per isomorphism class of each
-requested dimension vector.  Completeness is certified exactly, never
-assumed: breadth-first orbit enumeration partitions the whole representation
-space, and synthesized catalogs (known indecomposable families) must pass
-the mass formula sum |G|/|Aut M| = |rep space|: on every slice of an acyclic
-shape, and on the nilpotent slices small enough to count.  The build also certifies, in Krull-Schmidt form, that the
-classes of every dimension slice are pairwise non-isomorphic: their
+requested dimension vector.  Every slice is built one way: a synthesizer
+lists the indecomposables of the dimension vector and the catalog forms
+every direct sum of them.  A shape without a synthesizer of known families
+uses breadth-first orbit enumeration as one, keeping the orbit
+representatives whose endomorphism ring is local.  Completeness is certified
+exactly, never assumed: a slice must pass the mass formula
+sum |G|/|Aut M| = |rep space| on every acyclic shape, and on the nilpotent
+slices small enough to count.  An orbit-enumerated slice must also partition
+the whole representation space, with orbit sizes |G|/|Aut| of its classes.
+The build also certifies, in Krull-Schmidt form, that the classes of every
+dimension slice are pairwise non-isomorphic: their
 decompositions into indecomposables are pairwise distinct, and Hom-dimension
 profiles separate the indecomposables of each slice.
 
@@ -993,6 +998,24 @@ class ClassInfo:
 _STORED_AS_IS = ("indec", "end", "aut", "res", "defect")
 
 
+def _residue_degree(q, e, aut):
+    """r with End M / rad = F_{q^r} when End M, of dimension e over F_q, is local; else None.
+
+    For End M / rad = prod_i M_{n_i}(F_{q^{k_i}}), |Aut M| is q^(dim rad)
+    prod_i |GL_{n_i}(q^{k_i})|, and |GL_n(Q)| = Q^(n(n-1)/2) prod_{j<=n} (Q^j - 1).
+    So aut = q^(e - s) prod_j (q^{a_j} - 1) with s = sum_j a_j, and e - s is
+    its q-adic valuation.  Two or more factors q^a - 1 multiply to less than
+    q^s - 1, so aut = (q^r - 1) q^(e - r) with r = s exactly when End M / rad
+    is the one field F_{q^r}, that is, when End M is local.
+    """
+    k = 0
+    while aut and aut % q == 0:
+        aut //= q
+        k += 1
+    r = e - k
+    return r if 1 <= r <= e and aut == q ** r - 1 else None
+
+
 def _dims_closure(requested):
     seen = {t for dims in requested for t in gradings_below(dims)}
     return sorted(seen, key=lambda t: (sum(t), t))
@@ -1001,14 +1024,16 @@ def _dims_closure(requested):
 class IsoClassCatalog:
     """One representative per isomorphism class for a set of dimension vectors.
 
-    Built either by exhaustive orbit enumeration or from a synthesizer of
-    known families; in both cases the exact mass formula
+    Every slice comes from a synthesizer, which lists its indecomposables;
+    the catalog forms the direct sums.  Without a synthesizer of known
+    families, exhaustive orbit enumeration is the synthesizer
+    (_orbit_indecs).  The exact mass formula
     sum |G| / |Aut M| = |representation space| certifies completeness on
     every dimension vector of an acyclic shape and on every nilpotent one
-    small enough to count (and orbit enumeration certifies it
-    unconditionally).  Construction, from a build or a cache,
-    certifies that no two classes of a slice are isomorphic (see
-    _certify_distinct) and raises OracleError otherwise.  A catalog read
+    small enough to count; an orbit-enumerated slice must also have the
+    walked orbit sizes |G| / |Aut| of its classes.  Construction, from a
+    build or a cache, certifies that no two classes of a slice are
+    isomorphic (see _certify_distinct) and raises OracleError otherwise.  A catalog read
     from a cache is mass-checked again, slice by slice, and must certify
     exactly the slices the file lists as checked.  The probes that
     classify uses are chosen per slice on its first classification, so
@@ -1016,6 +1041,10 @@ class IsoClassCatalog:
     """
 
     def __init__(self, shape, F, dims_list, synthesizer=None, cache_dir=None):
+        for dims in dims_list:
+            if len(dims) != len(shape.vertices) or min(dims, default=0) < 0:
+                raise ValueError("dimension vector %s is not %d nonnegative entries, "
+                                 "one per vertex" % (tuple(dims), len(shape.vertices)))
         self.shape = shape
         self.F = F
         self.dims_list = _dims_closure(dims_list)
@@ -1030,6 +1059,7 @@ class IsoClassCatalog:
         self._class_by_profile = {}
         self._tubes = None            # tube_structure, on first use
         self.mass_checked = []
+        self._orbit_sizes = {}        # dims -> sorted orbit sizes, for orbit-enumerated slices
         self.cache_dir = cache_dir
         self.delta = None
         if not getattr(shape, "nilpotent", False):
@@ -1060,12 +1090,29 @@ class IsoClassCatalog:
                 check_walk(self.shape, self.F, dims)
         for dims in self.dims_list:
             start = len(self.classes)
-            if synthesizer is not None:
-                self._build_dim_synth(dims, synthesizer)
-            else:
-                self._build_dim_bfs(dims)
+            self._build_dim_synth(dims, synthesizer or self._orbit_indecs)
             self.by_dim[dims] = list(range(start, len(self.classes)))
             self._mass_check(dims)
+
+    def _orbit_indecs(self, shape, F, dims):
+        """The indecomposables of dims by orbit enumeration, a synthesizer.
+
+        An orbit representative M is kept when End M is local, which
+        _residue_degree decides from |Aut M| = |G| / orbit size and
+        dim End M.  Its key is its tuple of arrow maps, the minimal state of
+        its orbit; the flat tuple of their entries would be () for every
+        simple.  The sorted orbit sizes are kept for _mass_check, which
+        matches them against |G| / |Aut| of the classes.
+        """
+        g = self._group_order(dims)
+        reps = enumerate_bfs(shape, F, dims)
+        self._orbit_sizes[dims] = sorted(size for _, size in reps)
+        out = []
+        for maps, size in reps:
+            M = FiniteModule(shape, F, dims, maps)
+            if _residue_degree(F.q, hom_dim(M, M), g // size) is not None:
+                out.append((M.key()[1], M))
+        return out
 
     def _build_dim_synth(self, dims, synthesizer):
         """Every class of dims: a multiset of cataloged or new indecomposables.
@@ -1075,8 +1122,10 @@ class IsoClassCatalog:
         A name joins one repr per item; dim End of a sum, sum m m' dim Hom(X, X'),
         reads a table of the slice's items that _pair fills on first use.
         """
-        items = [(repr(self.classes[cid].synth_key), cid, self.classes[cid].module, None)
-                 for cid in self._indecs_within(dims)]
+        # the cataloged indecomposables whose dimension vectors fit in dims
+        items = [(repr(info.synth_key), info.cid, info.module, None)
+                 for info in (self.classes[cid] for cid in self.indec_ids)
+                 if all(x <= y for x, y in zip(info.dims, dims))]
         items += [(repr(key), None, M, key) for key, M in synthesizer(self.shape, self.F, dims)]
         items.sort(key=itemgetter(0))
         named = [("(%s%s)" % (", ".join("(%s, %d)" % (items[k][0], m) for k, m in chosen),
@@ -1100,37 +1149,6 @@ class IsoClassCatalog:
             self._add_class((summands, self.shape, self.F), dims,
                             tuple(sorted((items[k][1], m) for k, m in chosen)), end=end)
 
-    def _build_dim_bfs(self, dims):
-        shape, F = self.shape, self.F
-        reps = enumerate_bfs(shape, F, dims)
-        reps.sort(key=lambda ro: tuple(ro[0][h.id] for h in shape.arrows))
-        systems, own = {}, []
-
-        def meet():
-            # one Hom system per known indec p for the slice: it gives every
-            # orbit representative's profile and p's pairs with the slice's own indecs
-            for p in self.indec_ids:
-                if p not in systems:
-                    systems[p] = HomSystem(self.classes[p].module, dims)
-                self._pair_hom.update({(p, c): systems[p].dim(self.classes[c].module)
-                                       for c in own if (p, c) not in self._pair_hom})
-
-        for maps, orbit_size in reps:
-            meet()
-            M = FiniteModule(shape, F, dims, maps)
-            dec = self._solve_decomposition(M, systems)
-            end = None if dec is None else sum(m * n * self._pair(a, b)
-                                               for a, m in dec for b, n in dec)
-            info = self._add_class(M, dims, dec, end=end)
-            if dec is None:
-                own.append(info.cid)
-            g = self._group_order(dims)
-            if g % info.aut or g // info.aut != orbit_size:
-                raise OracleError(
-                    "orbit size %d does not match |G|/|Aut| for class %d"
-                    % (orbit_size, info.cid))
-        meet()
-
     def _add_class(self, module, dims, decomposition, synth_key=None, end=None):
         """Append the class of module: a new indecomposable for decomposition None, else a sum."""
         info = ClassInfo(len(self.classes), module, dims)
@@ -1145,35 +1163,6 @@ class IsoClassCatalog:
             self._finish_decomposable(info, end)
         self.classes.append(info)
         return info
-
-    def _solve_decomposition(self, M, systems):
-        """Unique expression of M as a sum of already known indecs, or None.
-
-        Homomorphism dimensions are additive in the target, so the profile of
-        M against every known indec pins the multiplicities; the solver
-        enumerates all solutions and insists on uniqueness.  systems[p] is
-        the Hom system of indec p for the slice of M.
-        """
-        if all(x == 0 for x in M.dims):
-            return ()
-        cands = self._indecs_within(M.dims)
-        if not cands:
-            return None
-        profile = [systems[p].dim(M) for p in self.indec_ids]
-        solutions = []
-        for chosen, _ in multisets([self.classes[cid].dims for cid in cands], M.dims):
-            if all(sum(m * self._pair(p, cands[k]) for k, m in chosen) == want
-                   for p, want in zip(self.indec_ids, profile)):
-                if solutions:
-                    raise OracleError("decomposition of a module is not determined by profiles")
-                # cands ascend like indec_ids, so the pairs ascend in class id
-                solutions.append(tuple((cands[k], m) for k, m in chosen))
-        return solutions[0] if solutions else None
-
-    def _indecs_within(self, dims):
-        """The cataloged indecomposables whose dimension vectors fit in dims."""
-        return [cid for cid in self.indec_ids
-                if all(x <= y for x, y in zip(self.classes[cid].dims, dims))]
 
     def _pair(self, p_cid, x_cid):
         """dim Hom(indec p, indec x), cached; a miss fills p against every indec of x's slice."""
@@ -1198,16 +1187,9 @@ class IsoClassCatalog:
         basis = hom_space(info.module, info.module)
         info.end = len(basis)
         info.aut = sum(1 for _ in _isomorphisms(info.module, basis, "automorphism count"))
-        q = self.F.q
-        res = None
-        for r in range(1, info.end + 1):
-            if info.end - r >= 0 and (q ** r - 1) * q ** (info.end - r) == info.aut:
-                if res is not None:
-                    raise OracleError("residue degree of a local ring is ambiguous")
-                res = r
-        if res is None:
+        info.res = _residue_degree(self.F.q, info.end, info.aut)
+        if info.res is None:
             raise OracleError("class %d is not local; indec detection failed" % info.cid)
-        info.res = res
         if self.delta is not None:
             dfc = euler_form(self.shape, self.delta, info.dims)
             info.defect = "pp" if dfc < 0 else ("pi" if dfc > 0 else "reg")
@@ -1236,16 +1218,20 @@ class IsoClassCatalog:
                 return
             n_states = _nilpotent_point_count(self.shape, self.F, dims)
         g = self._group_order(dims)
-        total = 0
+        orbits = []
         for cid in self.by_dim[dims]:
             aut = self.classes[cid].aut
             if g % aut:
                 raise OracleError("|Aut| does not divide |G| at class %d" % cid)
-            total += g // aut
-        if total != n_states:
+            orbits.append(g // aut)
+        walked = self._orbit_sizes.get(dims)
+        if walked is not None and walked != sorted(orbits):
+            raise OracleError("orbit sizes at %s over GF(%d) are not |G|/|Aut| of its classes"
+                              % (dims, self.F.q))
+        if sum(orbits) != n_states:
             raise OracleError(
                 "mass check failed at %s over GF(%d): %d orbits counted vs %d states"
-                % (dims, self.F.q, total, n_states))
+                % (dims, self.F.q, sum(orbits), n_states))
         self.mass_checked.append(dims)
 
     def _certify_distinct(self):
@@ -1499,7 +1485,7 @@ class IsoClassCatalog:
 
     def _cache_key(self):
         import hashlib
-        blob = "%s|%d|%s|v4" % (self.shape.key(), self.F.q,
+        blob = "%s|%d|%s|v5" % (self.shape.key(), self.F.q,
                                 ";".join(map(str, self.dims_list)))
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
@@ -1604,11 +1590,12 @@ def _unit(n, a):
 
 
 def _key_to_json(key):
-    return None if key is None else [list(x) if isinstance(x, tuple) else x for x in key]
+    return list(map(_key_to_json, key)) if isinstance(key, tuple) else key
 
 
 def _key_from_json(key):
-    return None if key is None else tuple(tuple(x) if isinstance(x, list) else x for x in key)
+    """A synthesizer key from its JSON form: every list, at any depth, back to a tuple."""
+    return tuple(map(_key_from_json, key)) if isinstance(key, list) else key
 
 
 # ---------------------------------------------------------------------------

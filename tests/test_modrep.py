@@ -150,6 +150,19 @@ class TestEnumerate:
                 assert len(bfs.by_dim[dims]) == len(syn.by_dim[dims])
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1,), (1, -1)])
+    @pytest.mark.parametrize("synthesized", [False, True], ids=["orbits", "synthesized"])
+    def test_bad_dimension_vector_refused(self, dims, synthesized, monkeypatch):
+        def build(*args):
+            raise AssertionError("a slice was built before the refusal")
+
+        monkeypatch.setattr(modrep, "enumerate_bfs", build)
+        with pytest.raises(ValueError, match="one per vertex") as exc:
+            IsoClassCatalog(KRON, F2, [(1, 1), dims], synthesizer=build if synthesized else None)
+        assert "\n" not in str(exc.value)
+
+
 class TestHomEnd:
     def test_simple_end(self):
         for g, F in ((KRON, F2), (A2T, F3)):
@@ -412,16 +425,46 @@ class TestCatalogBuild:
         assert ends == [(cat.classes[c].module.key(), cat.classes[c].dims)
                         for c in cat.indec_ids]
 
-    def test_orbit_slices_build_one_system_per_indecomposable_and_dims(self, monkeypatch):
-        # profiles, pairs with a slice's own indecomposables, and pair misses
-        # of earlier slices share one system per (indecomposable, dims)
+    def test_orbit_indecs_build_one_system_per_orbit_representative(self, monkeypatch):
+        # the locality test reads dim End of every representative, decomposable
+        # or not, from one Hom system of its own
         built = _record_callers(monkeypatch)
         cat = IsoClassCatalog(A2T, F2, [(1, 1, 1)])
-        solving = [(key, dims) for names, key, dims in built
-                   if "_build_dim_bfs" in names and "_finish_indec" not in names]
-        assert any("_solve_decomposition" in names for names, _, _ in built)
-        assert len(set(solving)) == len(solving)
-        assert len(solving) <= len(cat.indec_ids) * len(cat.dims_list)
+        walked = [(key, dims) for names, key, dims in built if "_orbit_indecs" in names]
+        reps = [((dims, tuple(maps[h.id] for h in A2T.arrows)), dims) for dims in cat.dims_list
+                for maps, _ in modrep.enumerate_bfs(A2T, F2, dims)]
+        assert walked == reps
+        assert len(reps) > len(cat.indec_ids)
+
+    @pytest.mark.parametrize("shape, F, cap, synth", [
+        pytest.param(KRON, F2, (2, 2), synth_kronecker, id="kronecker-q2"),
+        pytest.param(KRON, F3, (2, 2), synth_kronecker, id="kronecker-q3"),
+        pytest.param(A2T, F2, (1, 1, 1), None, id="a2tilde-q2"),
+    ])
+    def test_residue_degree_of_the_walked_aut(self, shape, F, cap, synth):
+        # r with (q^r - 1) q^(e - r) = |Aut| on every indecomposable, None on every sum
+        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
+        for info in cat.classes:
+            aut, e = aut_order_brute(info.module), end_dim(info.module)
+            r = modrep._residue_degree(F.q, e, aut)
+            if info.indec:
+                assert r == info.res and (F.q ** r - 1) * F.q ** (e - r) == aut, info.cid
+            else:
+                assert r is None, info.cid
+
+    def test_planted_aut_fails_the_orbit_size_check(self, monkeypatch):
+        # |Aut| of the regular (1, 1) indecomposables doubled to |G| = 4 over
+        # GF(3): the walked orbit sizes are no longer |G| / |Aut| of the classes
+        finish = IsoClassCatalog._finish_indec
+
+        def planted(self, info):
+            finish(self, info)
+            if info.dims == (1, 1):
+                info.aut *= 2
+
+        monkeypatch.setattr(IsoClassCatalog, "_finish_indec", planted)
+        with pytest.raises(OracleError, match=r"orbit sizes at \(1, 1\) over GF\(3\)"):
+            IsoClassCatalog(KRON, F3, [(1, 1)])
 
 
 class TestSubQuotient:
@@ -452,6 +495,8 @@ class TestCaching:
         assert files1 == files2
         assert len(cat2.classes) == len(cat1.classes)
         assert [c.aut for c in cat2.classes] == [c.aut for c in cat1.classes]
+        # an orbit indecomposable's key is its tuple of arrow maps, nested tuples
+        assert [c.synth_key for c in cat2.classes] == [c.synth_key for c in cat1.classes]
 
 
 class TestDualRouteCounting:
@@ -883,7 +928,7 @@ class TestCacheLoad:
         # key (class order of before) is never loaded
         import hashlib
         cat = self._build(tmp_path / "new")
-        blob = "%s|%d|%s|v3" % (KRON.key(), 2, ";".join(map(str, cat.dims_list)))
+        blob = "%s|%d|%s|v4" % (KRON.key(), 2, ";".join(map(str, cat.dims_list)))
         old = tmp_path / ("cat_%s.json" % hashlib.sha256(blob.encode()).hexdigest()[:24])
         old.write_text("not a catalog")
         rebuilt = self._build(tmp_path)
