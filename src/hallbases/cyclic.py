@@ -15,6 +15,8 @@ round-trip contract diamond_word(word_of(pi)) == pi.
 
 from __future__ import annotations
 
+import functools
+
 from .cartan import Arrow, gradings_below, multisets
 from .hall import GenericHallAlgebra, apply_bar, expand_in, linear_extension, triangular_bases
 from .laurent import LaurentPoly, RationalV
@@ -313,46 +315,62 @@ def synth_cyclic(shape, F, dims):
             for i, seg in segments if seg.dim_vector() == tuple(dims)]
 
 
-_HOM_MEMO = {}
-
-
-def hom_dim_ms(pi1, pi2):
-    """dim Hom(M(pi1), M(pi2)), oracle-computed over F2 and asserted over F3.
+@functools.cache
+def _segment_hom(r, s1, s2):
+    """dim Hom([i1;l1), [i2;l2)) on K_r, oracle-computed over F2 and asserted over F3.
 
     The value is field independent; computing it over two fields and
     demanding agreement is the cross-check that guards the whole
-    multisegment layer.
+    multisegment layer.  It is memoized per (r, segment, segment), so each
+    segment module is built once per field and each pair is checked once.
     """
-    key = (pi1.key(), pi2.key())
-    if key in _HOM_MEMO:
-        return _HOM_MEMO[key]
-    shape = cyclic_shape(pi1.r)
     vals = []
     for q in (2, 3):
-        F = field(q)
-        vals.append(hom_dim(build_module(shape, F, pi1), build_module(shape, F, pi2)))
+        vals.append(hom_dim(_segment_module(r, q, s1), _segment_module(r, q, s2)))
     if vals[0] != vals[1]:
-        raise OracleError("Hom dimension between %s and %s is field dependent"
-                          % (pi1, pi2))
-    _HOM_MEMO[key] = vals[0]
+        raise OracleError("Hom dimension between [%d;%d) and [%d;%d) is field dependent"
+                          % (s1 + s2))
     return vals[0]
+
+
+@functools.cache
+def _segment_module(r, q, s):
+    """The uniserial module of the segment s = (i, l) on K_r over GF(q), built once."""
+    return build_module(cyclic_shape(r), field(q), Multisegment.segment(r, *s))
+
+
+def hom_dim_ms(pi1, pi2):
+    """dim Hom(M(pi1), M(pi2)), a sum over the segments of both multisegments.
+
+    Hom is additive in each argument, so this is
+    sum pi1_s1 pi2_s2 dim Hom(s1, s2) over the segment pairs, each read off
+    _segment_hom, which computes it over F2 and F3 and demands agreement.
+    """
+    if pi1.r != pi2.r:
+        raise ValueError("rank mismatch")
+    return sum(m1 * m2 * _segment_hom(pi1.r, s1, s2)
+               for s1, m1 in pi1.entries.items() for s2, m2 in pi2.entries.items())
+
+
+@functools.cache
+def _hom_profile(pi):
+    """(dim Hom(sigma, pi) for the test segments sigma = [i;l), l <= the boxes of pi)."""
+    return tuple(hom_dim_ms(Multisegment.segment(pi.r, i, l), pi)
+                 for i in range(1, pi.r + 1) for l in range(1, max(pi.total_boxes(), 1) + 1))
 
 
 def leq_G(pi1, pi2):
     """The degeneration order: pi1 <=_G pi2 iff same dimension vector and
-    dim Hom(sigma, pi1) >= dim Hom(sigma, pi2) for all test segments sigma."""
+    dim Hom(sigma, pi1) >= dim Hom(sigma, pi2) for all test segments sigma.
+
+    Equal dimension vectors give equal box counts, so both profiles run over
+    the same segments sigma; each multisegment's profile is computed once.
+    """
     if pi1.r != pi2.r:
         raise ValueError("rank mismatch")
     if pi1.dim_vector() != pi2.dim_vector():
         return False
-    r = pi1.r
-    max_l = max(pi1.total_boxes(), 1)
-    for i in range(1, r + 1):
-        for l in range(1, max_l + 1):
-            sigma = Multisegment.segment(r, i, l)
-            if hom_dim_ms(sigma, pi1) < hom_dim_ms(sigma, pi2):
-                return False
-    return True
+    return all(a >= b for a, b in zip(_hom_profile(pi1), _hom_profile(pi2)))
 
 
 # ---------------------------------------------------------------------------

@@ -502,14 +502,17 @@ _FRAMES = {}
 
 
 def _vertex_frames(F, d, n):
-    """(subspaces, frames, containing, spans) of D_i^n, D_i = F_{q^d}, built once per process.
+    """(subspaces, frames, containing, spans, killed) of D_i^n, D_i = F_{q^d}, once per process.
 
     subspaces lists every D_i-subspace in all_subspaces order and frames[k]
     is _frame of subspaces[k]; both depend only on the field and the size, so
-    every module that has this vertex space shares them.  containing memoizes,
-    by the reduced echelon form of a set of base-field vectors, the indices k
-    in ascending order whose subspace contains them.  The subspaces come by
-    ascending dimension, and spans[w] is the index range of those of dimension w.
+    every module that has this vertex space shares them.  The subspaces come
+    by ascending dimension, and spans[w] is the index range of those of
+    dimension w.  containing memoizes, by the reduced echelon form of a set
+    of base-field vectors and an index range (all of them, or a span), the
+    indices k of the range in ascending order whose subspace contains the
+    vectors; killed memoizes, the same way for a set of base-field
+    functionals, those on whose subspace the functionals all vanish.
     """
     key = (F.p, F.deg, d, n)
     table = _FRAMES.get(key)
@@ -518,7 +521,8 @@ def _vertex_frames(F, d, n):
         subs = list(all_subspaces(Di, n))
         spans = [range(bisect_left(subs, w, key=len), bisect_left(subs, w + 1, key=len))
                  for w in range(n + 1)]
-        table = _FRAMES[key] = (subs, [_frame(F, Di, d, n, rows) for rows in subs], {}, spans)
+        table = _FRAMES[key] = (subs, [_frame(F, Di, d, n, rows) for rows in subs], {}, spans,
+                                {})
     return table
 
 
@@ -531,15 +535,40 @@ def _inside(F, frame, vectors):
     return not any(map(any, _mul_t(F, from_basis[w:], vectors)))
 
 
+def _vanish(F, frame, functionals):
+    """Whether the base-field functionals vanish on the subspace of the frame.
+
+    They do iff they vanish on its first w adapted basis vectors.
+    """
+    w, to_basis, _ = frame
+    return not any(map(any, _mul_t(F, functionals, to_basis[:w])))
+
+
 def _containing(F, table, vectors, span):
     """Indices in span, ascending, of the table's subspaces that contain the vectors."""
-    _, frames, memo, _ = table
-    echelon = rref(F, vectors)[0]
-    found = memo.get(echelon)
+    _, frames, memo, _, _ = table
+    key = (rref(F, vectors)[0], span)
+    found = memo.get(key)
     if found is None:
-        found = memo[echelon] = [k for k, frame in enumerate(frames)
-                                 if _inside(F, frame, echelon)]
-    return found[bisect_left(found, span.start):bisect_left(found, span.stop)]
+        found = memo[key] = [k for k in span if _inside(F, frames[k], key[0])]
+    return found
+
+
+def _killed(F, table, functionals, span):
+    """Indices in span, ascending, of the table's subspaces on which the functionals vanish."""
+    _, frames, _, _, memo = table
+    key = (rref(F, functionals)[0], span)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = [k for k in span if _vanish(F, frames[k], key[0])]
+    return found
+
+
+def _meet(a, b):
+    """The common entries of two ascending sequences, ascending."""
+    if len(a) > len(b):
+        a, b = b, a
+    return [k for k in a if (at := bisect_left(b, k)) < len(b) and b[at] == k]
 
 
 def _images(module, h, frame):
@@ -637,13 +666,16 @@ def submodule_tuples(module, sub=None):
     sub, vertex j tries only its subspaces of dimension sub[j], one span of
     its list, so the tuples are those of the full scan with dims == sub, in
     the same order.  The subspaces and frames of a vertex space come from
-    the table that all modules share (_vertex_frames).  The arrows into
-    vertex t from earlier vertices force the images of the chosen W_s into
-    W_t, so only the subspaces that contain those images are tried
-    (_containing).  An arrow back to an earlier vertex, or a loop, is checked
-    once W at its source is chosen.  Each (arrow, source subspace) pair gets
-    its images once, and a SubspaceTuple is built only for an arrow-stable
-    tuple.
+    the table that all modules share (_vertex_frames).  Vertex j tries only
+    the subspaces that every arrow between it and an earlier vertex allows:
+    an arrow s -> j forces the images of the chosen W_s into W_j, so W_j
+    must contain them (_containing), and an arrow h: j -> t back to an
+    earlier vertex confines W_j to the preimage M_h^{-1}(W_t), the common
+    zeros of the rows from_t[w_t:] M_h, block by block (_killed).  Both
+    index lists are ascending, so their meet keeps the order.  A loop is
+    checked for each candidate.  Each (arrow, source subspace) pair gets its
+    images once and each (back arrow, target subspace) pair its preimage
+    once, and a SubspaceTuple is built only for an arrow-stable tuple.
     """
     shape, F = module.shape, module.F
     verts = shape.vertices
@@ -651,10 +683,13 @@ def submodule_tuples(module, sub=None):
     tables = [_vertex_frames(F, shape.d[i], module.dims[at[i]]) for i in verts]
     forcing = [[h for h in shape.arrows if at[h.tgt] == j and at[h.src] < j]
                for j in range(len(verts))]
-    closing = [[h for h in shape.arrows if at[h.src] == j and at[h.tgt] <= j]
-               for j in range(len(verts))]
+    back = [[h for h in shape.arrows if at[h.src] == j and at[h.tgt] < j]
+            for j in range(len(verts))]
+    loops = [[h for h in shape.arrows if at[h.src] == at[h.tgt] == j]
+             for j in range(len(verts))]
     spans = [range(len(t[0])) if sub is None else t[3][sub[j]] for j, t in enumerate(tables)]
     images = {h.id: {} for h in shape.arrows}
+    preimages = {h.id: {} for hs in back for h in hs}
     picks = [0] * len(verts)
 
     def frame(i):
@@ -667,20 +702,35 @@ def submodule_tuples(module, sub=None):
             got = images[h.id][k] = _images(module, h, frame(h.src))
         return got
 
+    def preimage(h):
+        k = picks[at[h.tgt]]
+        got = preimages[h.id].get(k)
+        if got is None:
+            w, _, from_t = frame(h.tgt)
+            s = at[h.src]
+            n = shape.d[h.src] * module.dims[s]
+            rows = m_mul(F, from_t[w:], module.maps[h.id])
+            got = preimages[h.id][k] = _killed(
+                F, tables[s], [row[u * n:(u + 1) * n] for u in range(h.m // shape.d[h.src])
+                               for row in rows], spans[s])
+        return got
+
     def grow(j):
         if j == len(verts):
             yield SubspaceTuple(module, {i: tables[at[i]][0][picks[at[i]]] for i in verts},
                                 {i: frame(i) for i in verts},
                                 {h.id: image(h) for h in shape.arrows})
             return
-        table = tables[j]
         if forcing[j]:
-            cands = _containing(F, table, [v for h in forcing[j] for v in image(h)[0]], spans[j])
+            cands = _containing(F, tables[j], [v for h in forcing[j] for v in image(h)[0]],
+                                spans[j])
         else:
             cands = spans[j]
+        for h in back[j]:
+            cands = _meet(cands, preimage(h))
         for k in cands:
             picks[j] = k
-            if all(_inside(F, frame(h.tgt), image(h)[0]) for h in closing[j]):
+            if all(_inside(F, frame(h.tgt), image(h)[0]) for h in loops[j]):
                 yield from grow(j + 1)
 
     yield from grow(0)
@@ -994,6 +1044,9 @@ class ClassInfo:
         return self._module
 
 
+#: the position of each defect class in the order pp < reg < pi
+_DEFECT_RANK = {"pp": 0, "reg": 1, "pi": 2}
+
 #: the ClassInfo fields a cache file holds as they are
 _STORED_AS_IS = ("indec", "end", "aut", "res", "defect")
 
@@ -1172,11 +1225,28 @@ class IsoClassCatalog:
         return self._pair_hom[(p_cid, x_cid)]
 
     def _fill_pairs(self, pairs):
-        """Cache dim Hom(p, x) of the new pairs: one Hom system per (p, dim x), not kept."""
+        """Cache dim Hom(p, x) of the new pairs: one Hom system per (p, dim x), not kept.
+
+        On an affine shape a pair that is not regular x regular needs none.
+        For indecomposables X, Y in the order pp < reg < pi, Hom(X, Y) = 0
+        when Y comes first and Ext^1(X, Y) = D Hom(Y, tau X) = 0 when X comes
+        first; within the directed pp or pi component one of the two
+        vanishes.  So dim Hom(p, x) is the Euler form <p, x> when p comes
+        first, max(<p, x>, 0) when both lie in pp or both in pi, and 0 when
+        x comes first.
+        """
         todo = {}
         for p, x in pairs:
-            if (p, x) not in self._pair_hom:
-                todo.setdefault((p, self.classes[x].dims), {})[x] = None
+            if (p, x) in self._pair_hom:
+                continue
+            a, b = self.classes[p], self.classes[x]
+            if self.delta is None or a.defect == b.defect == "reg":
+                todo.setdefault((p, b.dims), {})[x] = None
+            elif _DEFECT_RANK[a.defect] > _DEFECT_RANK[b.defect]:
+                self._pair_hom[(p, x)] = 0
+            else:
+                e = euler_form(self.shape, a.dims, b.dims)
+                self._pair_hom[(p, x)] = e if a.defect != b.defect else max(e, 0)
         for (p, dims), xs in todo.items():
             system = HomSystem(self.classes[p].module, dims)
             for x in xs:

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallbases.cyclic import (
     CyclicCanonicalBasis,
@@ -16,11 +18,36 @@ from hallbases.cyclic import (
     parse_multisegment,
     word_of,
 )
-from hallbases.modrep import field, hall_number
+from hallbases.modrep import OracleError, field, hall_number, hom_dim
 
 
 def seg(r, i, l, m=1):
     return Multisegment.segment(r, i, l, m)
+
+
+def whole_module_hom(pi1, pi2):
+    """dim Hom(M(pi1), M(pi2)) from the two whole modules, over F2 and asserted over F3."""
+    shape = cyclic_shape(pi1.r)
+    vals = {hom_dim(build_module(shape, field(q), pi1), build_module(shape, field(q), pi2))
+            for q in (2, 3)}
+    if len(vals) != 1:
+        raise OracleError("Hom dimension between %s and %s is field dependent" % (pi1, pi2))
+    return vals.pop()
+
+
+@st.composite
+def multisegments(draw, r, max_boxes=6):
+    """Multisegments of rank r with at most max_boxes boxes, sums included."""
+    entries, boxes = {}, 0
+    for _ in range(draw(st.integers(0, 3))):
+        l = draw(st.integers(1, 4))
+        m = draw(st.integers(1, 2))
+        if boxes + l * m > max_boxes:
+            break
+        key = (draw(st.integers(1, r)), l)
+        entries[key] = entries.get(key, 0) + m
+        boxes += l * m
+    return Multisegment(r, entries)
 
 
 def aperiodic_upto(r, max_boxes):
@@ -146,6 +173,30 @@ class TestHomOrder:
 
     def test_different_dims_incomparable(self):
         assert not leq_G(seg(2, 1, 1), seg(2, 2, 1))
+
+    def test_rank_mismatch_refused(self):
+        # the rank-3 segment is not a module of K_2
+        with pytest.raises(ValueError, match="rank mismatch"):
+            hom_dim_ms(seg(2, 1, 2), seg(3, 3, 1))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            leq_G(seg(2, 1, 2), seg(3, 3, 1))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_segment_sums_equal_the_whole_module_oracle(self, r, data):
+        pi1 = data.draw(multisegments(r))
+        pi2 = data.draw(multisegments(r))
+        assert hom_dim_ms(pi1, pi2) == whole_module_hom(pi1, pi2)
+
+    @pytest.mark.parametrize("r, dims", [(2, (2, 3)), (2, (3, 3)), (3, (2, 1, 2))])
+    def test_order_equals_the_whole_module_comparison(self, r, dims):
+        pis = multisegments_of_dim(r, dims)
+        tests = [seg(r, i, l) for i in range(1, r + 1) for l in range(1, sum(dims) + 1)]
+        hom = {(sigma, pi): whole_module_hom(sigma, pi) for sigma in tests for pi in pis}
+        for pi1, pi2 in itertools.product(pis, repeat=2):
+            assert leq_G(pi1, pi2) == all(hom[(sigma, pi1)] >= hom[(sigma, pi2)]
+                                          for sigma in tests), (pi1, pi2)
 
 
 class TestEta:

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from hallbases import modrep
 from hallbases.cartan import Arrow, ValuedQuiver, admissible_of, builtin_quiver, euler_form
-from hallbases.cyclic import CyclicCanonicalBasis, Multisegment, cyclic_shape, synth_cyclic
+from hallbases.cyclic import (
+    CyclicCanonicalBasis,
+    Multisegment,
+    build_module,
+    cyclic_shape,
+    multisegments_of_dim,
+    synth_cyclic,
+)
 from hallbases.modrep import (
     GF,
     BudgetError,
@@ -355,8 +362,11 @@ class TestPairBlock:
         built = _record_systems(monkeypatch)
         cat._pair_hom.clear()
         cat._fill_pairs([(p, x) for p in ids for x in ids])
-        # one system per (source, target dims), none kept past the batch
-        assert len(built) == len({(p, cat.classes[x].dims) for p in ids for x in ids})
+        # one system per (source, target dims) of the pairs that the Euler form
+        # does not give (see TestEulerHom), none kept past the batch
+        assert len(built) == len({(p, cat.classes[x].dims) for p in ids for x in ids
+                                  if cat.delta is None
+                                  or cat.classes[p].defect == cat.classes[x].defect == "reg"})
         gc.collect()
         assert all(ref() is None for ref in built)
         assert cat._hom_systems == kept
@@ -373,6 +383,36 @@ class TestPairBlock:
         for cid in range(len(cat.classes)):
             labeler.label_of(cat, cid)
         assert 0 < len(built) <= 22 * 2
+
+
+EULER_CATALOGS = {
+    "kronecker-window7-q2": lambda: IsoClassCatalog(
+        KRON, F2, sorted(admissible_of(KRON).betas(7).values()), synthesizer=synth_kronecker),
+    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(3, 3)], synthesizer=synth_kronecker),
+    "kronecker-q4": lambda: IsoClassCatalog(KRON, field_of_order(4), [(2, 3), (3, 2)],
+                                            synthesizer=synth_kronecker),
+    "a2tilde-q2": lambda: IsoClassCatalog(A2T, F2, [(1, 1, 2), (2, 1, 1), (1, 2, 1)]),
+    "a2tilde-q3": lambda: IsoClassCatalog(A2T, F3, [(1, 1, 1)]),
+}
+
+
+class TestEulerHom:
+    @pytest.mark.parametrize("name", sorted(EULER_CATALOGS))
+    def test_pairs_off_the_euler_form_match_hom_dim(self, name, monkeypatch):
+        """dim Hom of indecomposables not both regular is read off the Euler form."""
+        cat = EULER_CATALOGS[name]()
+        ids = cat.indec_ids
+        built = _record_systems(monkeypatch)
+        cat._pair_hom.clear()
+        cat._fill_pairs([(p, x) for p in ids for x in ids])
+        monkeypatch.undo()
+        defects = Counter((cat.classes[p].defect, cat.classes[x].defect) for p in ids for x in ids)
+        # every order of defect classes occurs, and only regular pairs build systems
+        assert set(defects) == {(a, b) for a in ("pp", "reg", "pi") for b in ("pp", "reg", "pi")}
+        assert len(built) == len({(p, cat.classes[x].dims) for p in ids for x in ids
+                                  if cat.classes[p].defect == cat.classes[x].defect == "reg"})
+        assert cat._pair_hom == {(p, x): hom_dim(cat.classes[p].module, cat.classes[x].module)
+                                 for p in ids for x in ids}
 
 
 def _record_callers(monkeypatch):
@@ -1217,11 +1257,19 @@ class TestStability:
 
 # an unvalued vertex into a valued one: M_h (x) V_s has m_h / d_s = 2 blocks
 TWO_BLOCKS = ValuedQuiver(("1", "2"), {"1": 1, "2": 2}, (Arrow("a", "1", "2", 2),))
+#: arrows back to the first vertex, which confine the candidates at the second:
+#: from a valued vertex in one block of M_h (x) V_2, and into one in two blocks
+BACK_SHAPES = {
+    "back-one-block": ValuedQuiver(("1", "2"), {"1": 1, "2": 2}, (Arrow("a", "2", "1", 2),)),
+    "back-two-blocks": ValuedQuiver(("1", "2"), {"1": 2, "2": 1}, (Arrow("a", "2", "1", 2),)),
+}
 
 
 def _shape_of(name):
     if name == "two-blocks":
         return TWO_BLOCKS
+    if name in BACK_SHAPES:
+        return BACK_SHAPES[name]
     if name.startswith("cyclic:"):
         # the arrow r -> 1 closes back to the first vertex only at the last one
         return cyclic_shape(int(name[len("cyclic:"):]))
@@ -1307,9 +1355,9 @@ class TestSubmoduleOracle:
     @pytest.mark.parametrize("q, name", [
         (q, name) for q in (2, 3, 4, 5)
         for name in ("a2tilde", "c2tilde-folded", "cyclic:2", "cyclic:3", "kronecker",
-                     "two-blocks")
+                     "two-blocks", *BACK_SHAPES)
         # valued vertices need a prime base field
-        if not (q == 4 and name in ("c2tilde-folded", "two-blocks"))])
+        if not (q == 4 and name in ("c2tilde-folded", "two-blocks", *BACK_SHAPES))])
     def test_every_subspace_tuple(self, q, name):
         shape, F = _shape_of(name), field_of_order(q)
         stable = rejected = 0
@@ -1351,6 +1399,33 @@ class TestSubmoduleOracle:
         assert stable and rejected
 
 
+def _stable_tuples(M, sub=None):
+    """Every tuple of D_i-subspaces (of dimension sub) that is_submodule accepts, in order."""
+    shape = M.shape
+    spaces = [list(all_subspaces(M.vertex_field(i), M.dims[shape.index[i]]))
+              for i in shape.vertices]
+    return [combo for combo in itertools.product(*spaces)
+            if (sub is None or tuple(map(len, combo)) == sub)
+            and is_submodule(M, SubspaceTuple(M, dict(zip(shape.vertices, combo))))]
+
+
+class TestBackArrowScan:
+    @pytest.mark.parametrize("r, q, dims", [(2, 2, (2, 3)), (2, 3, (2, 2)), (3, 2, (2, 1, 2)),
+                                            (3, 3, (1, 2, 1))])
+    def test_cyclic_sums(self, r, q, dims):
+        """The arrow r -> 1 confines W_r; the tuples stay those of the brute-force filter."""
+        shape, F = cyclic_shape(r), field(q)
+        sums = [pi for pi in multisegments_of_dim(r, dims) if sum(pi.entries.values()) > 1]
+        splits = [tuple(a if j == i else 0 for j in range(r))
+                  for i, n in enumerate(dims) for a in range(1, n + 1)]
+        assert sums
+        for pi in sums:
+            M = build_module(shape, F, pi)
+            for sub in [None] + splits:
+                assert [tuple(W.rows[i] for i in shape.vertices)
+                        for W in submodule_tuples(M, sub)] == _stable_tuples(M, sub), (pi, sub)
+
+
 class TestSharedFrames:
     @pytest.mark.parametrize("name, q, dims", [("cyclic:2", 3, (2, 2)), ("kronecker", 2, (2, 2)),
                                                ("c2tilde-folded", 3, (1, 2))],
@@ -1380,7 +1455,7 @@ class TestSharedFrames:
 
 class TestSplitScan:
     @pytest.mark.parametrize("name", ["kronecker", "a2tilde", "cyclic:2", "cyclic:3",
-                                      "c2tilde-folded"])
+                                      "c2tilde-folded", *BACK_SHAPES])
     @pytest.mark.parametrize("q", [2, 3])
     def test_tuples_of_one_split_in_full_scan_order(self, name, q):
         shape, F = _shape_of(name), field(q)
