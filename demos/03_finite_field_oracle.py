@@ -14,7 +14,6 @@ from hallbases.modrep import (
     hall_number,
     hom_dim,
     simple_module,
-    synth_kronecker,
 )
 
 kron = builtin_quiver("kronecker")
@@ -58,7 +57,7 @@ for t in tubes:
 
 print()
 print("== synthesized catalogs reach dimensions brute force cannot ==")
-big = IsoClassCatalog(kron, F2, [(4, 5)], synthesizer=synth_kronecker)
+big = IsoClassCatalog(kron, F2, [(4, 5)])
 ind = [c for c in big.classes_of_dim((4, 5)) if c.indec]
 print("classes at (4,5): %d, indecomposables: %d (the preprojective P_4)"
       % (len(big.classes_of_dim((4, 5))), len(ind)))

@@ -24,7 +24,6 @@ from .cartan import (
 )
 from .cyclic import (
     CyclicCanonicalBasis,
-    Multisegment,
     cyclic_generic_algebra,
     cyclic_shape,
     diamond_step,
@@ -36,8 +35,8 @@ from .cyclic import (
 from .hall import FitError, GenericHallAlgebra, HallContext
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
-from .modrep import BudgetError, IsoClassCatalog, OracleError, field, field_of_order, synth_a1
-from .pbwbasis import CONTEXT_CAPS, CONTEXT_SYNTHS, get_context
+from .modrep import BudgetError, IsoClassCatalog, OracleError, field, field_of_order
+from .pbwbasis import CONTEXT_CAPS, get_context
 
 
 class RunConfig:
@@ -131,12 +130,6 @@ class _A1Labeler:
         return ("A1", catalog.classes[cid].dims)
 
 
-def _a1_algebra(config, top):
-    """The generic Hall algebra of A1 up to dimension top."""
-    return GenericHallAlgebra(builtin_quiver("a1"), (top,), _A1Labeler(), synthesizer=synth_a1,
-                              cache_dir=config.cache_dir)
-
-
 # ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
@@ -158,7 +151,6 @@ def cmd_roots(config, window):
     if affine:
         try:
             catalog = IsoClassCatalog(shape, field(2), sorted(betas.values()),
-                                      synthesizer=CONTEXT_SYNTHS.get(config.ctx),
                                       cache_dir=config.cache_dir)
         except BudgetError as exc:  # resource refusal is reported, not hidden
             rows.append({"warning": "no catalog: %s" % exc})
@@ -189,8 +181,7 @@ def _suite_serre(config):
     results = []
     ok = True
     for q in (2, 3):
-        cat = IsoClassCatalog(shape, field(q), dims, synthesizer=CONTEXT_SYNTHS.get(config.ctx),
-                              cache_dir=config.cache_dir)
+        cat = IsoClassCatalog(shape, field(q), dims, cache_dir=config.cache_dir)
         hc = HallContext(cat)
         for i in shape.vertices:
             for j in shape.vertices:
@@ -214,19 +205,24 @@ def _suite_orthogonality(config):
     return {"suite": "orthogonality", "pass": ok, "slices": results}, not ok
 
 
+def _slice_checks(ctx, nu):
+    """The entry of grading nu: its index counts and both bar checks, and whether they passed."""
+    data = ctx.basis_of_grading(nu)
+    entry = {"indices": len(data["indices"]), "aperiodic": len(data["aperiodic"]),
+             "bar_involution": ctx.check_bar_involution(nu),
+             "C_bar_invariant": all(ctx.check_C_bar_invariant(nu, a) for a in data["aperiodic"])}
+    return entry, entry["bar_involution"] and entry["C_bar_invariant"]
+
+
 def _suite_triangularity(config):
     cap = _basis_cap(config)
     ctx = get_context(config.ctx, cache_dir=config.cache_dir)
     results = []
     ok = True
     for nu in gradings_below(cap):
-        data = ctx.basis_of_grading(nu)
-        bar_ok = ctx.check_bar_involution(nu)
-        c_ok = all(ctx.check_C_bar_invariant(nu, a) for a in data["aperiodic"])
-        ok = ok and bar_ok and c_ok
-        results.append({"grading": list(nu), "indices": len(data["indices"]),
-                        "aperiodic": len(data["aperiodic"]),
-                        "bar_involution": bar_ok, "C_bar_invariant": c_ok})
+        entry, passed = _slice_checks(ctx, nu)
+        ok = ok and passed
+        results.append(dict(entry, grading=list(nu)))
     return {"suite": "triangularity", "pass": ok, "slices": results}, not ok
 
 
@@ -292,27 +288,15 @@ def _suite_kashiwara(config):
 
 def _suite_hallpoly(config):
     checks = []
-    ok = True
-    primes, verify = config.primes, config.verify_prime
-    alg = cyclic_generic_algebra(2, (1, 1), cache_dir=config.cache_dir)
-    lab = alg.labeler
-    hp = alg.fit_hall_polynomial(
-        lab.of_multisegment(Multisegment.segment(2, 1, 2)),
-        lab.of_multisegment(Multisegment.segment(2, 1, 1)),
-        lab.of_multisegment(Multisegment.segment(2, 2, 1)),
-        (1, 0), (0, 1), primes=primes, verify=verify)
-    good = [str(c) for c in hp.coefficients()] == ["1"]
-    ok = ok and good
-    checks.append({"triple": "g^{[1;2)}_{S1,S2} (cyclic r=2)",
-                   "poly": [str(c) for c in hp.coefficients()], "pass": good})
-    hp1 = _a1_algebra(config, 2).fit_hall_polynomial(
-        ("A1", (2,)), ("A1", (1,)), ("A1", (1,)), (1,), (1,), primes=primes, verify=verify)
-    good1 = [str(c) for c in hp1.coefficients()] == ["1", "1"]
-    ok = ok and good1
-    checks.append({"triple": "g^{S+S}_{S,S} (A1)",
-                   "poly": [str(c) for c in hp1.coefficients()], "pass": good1})
+    # (report name, context, hall-poly --triple, expected coefficients)
+    for name, ctx, triple, want in (
+            ("g^{[1;2)}_{S1,S2} (cyclic r=2)", "cyclic:2", "1:2 x1 / 1:1 x1 / 2:1 x1", ["1"]),
+            ("g^{S+S}_{S,S} (A1)", "a1", "2/1/1", ["1", "1"])):
+        poly = [str(c) for c in _fit_triple(config, ctx, triple).coefficients()]
+        checks.append({"triple": name, "poly": poly, "pass": poly == want})
+    ok = all(check["pass"] for check in checks)
     return {"suite": "hallpoly", "pass": ok, "checks": checks,
-            "primes": list(primes), "verified_at": verify}, not ok
+            "primes": list(config.primes), "verified_at": config.verify_prime}, not ok
 
 
 def cmd_verify(config, suite, rank, bound):
@@ -346,17 +330,13 @@ def cmd_comp_basis(config, which):
     slices = {}
     failed = False
     for nu in gradings_below(cap):
-        data = ctx.basis_of_grading(nu)
-        order = data["aperiodic"]
-        entry = {}
         if which == "report":
-            entry = {"indices": len(data["indices"]), "aperiodic": len(order),
-                     "bar_involution": ctx.check_bar_involution(nu),
-                     "C_bar_invariant": all(ctx.check_C_bar_invariant(nu, a)
-                                            for a in order)}
-            failed = failed or not entry["bar_involution"] or not entry["C_bar_invariant"]
+            entry, passed = _slice_checks(ctx, nu)
+            failed = failed or not passed
         else:
-            for a in order:
+            entry = {}
+            data = ctx.basis_of_grading(nu)
+            for a in data["aperiodic"]:
                 if which == "N":
                     coords = {a: RationalV(1)}
                 elif which == "E":
@@ -396,10 +376,11 @@ def cmd_cyclic_canonical(config, rank, dim):
                          "dim": list(cap), "emit": "B", "basis": out}, failed)
 
 
-def cmd_hall_poly(config, triple_spec):
+def _fit_triple(config, ctx, triple_spec):
+    """The Hall polynomial of a --triple text in ctx (a1 or cyclic:<r>), fitted and verified."""
     primes, verify = config.primes, config.verify_prime
-    if config.ctx and config.ctx.startswith("cyclic:"):
-        r = int(config.ctx.split(":")[1])
+    if ctx and ctx.startswith("cyclic:"):
+        r = int(ctx.split(":")[1])
         parts = [p.strip() for p in triple_spec.split("/")]
         if len(parts) != 3:
             raise SystemExit("--triple needs 'L / M / N' multisegment texts")
@@ -416,26 +397,26 @@ def cmd_hall_poly(config, triple_spec):
                              % triple_spec)
         cap = tuple(max(d[k] for d in dims) for k in range(r))
         alg = cyclic_generic_algebra(r, cap, cache_dir=config.cache_dir)
-        lab = alg.labeler
-        hp = alg.fit_hall_polynomial(lab.of_multisegment(pis[0]),
-                                     lab.of_multisegment(pis[1]),
-                                     lab.of_multisegment(pis[2]),
-                                     dims[1], dims[2], primes=primes, verify=verify)
-    elif config.ctx == "a1":
+        labels = [alg.labeler.of_multisegment(pi) for pi in pis]
+        return alg.fit_hall_polynomial(*labels, dims[1], dims[2], primes=primes, verify=verify)
+    if ctx == "a1":
         try:
             dims = [int(x) for x in triple_spec.split("/")]
         except ValueError:
             dims = []
         if len(dims) != 3 or dims[0] != dims[1] + dims[2]:
             raise SystemExit("--triple needs 'l / m / n' with l = m + n")
-        hp = _a1_algebra(config, dims[0]).fit_hall_polynomial(
-            ("A1", (dims[0],)), ("A1", (dims[1],)), ("A1", (dims[2],)), (dims[1],), (dims[2],),
-            primes=primes, verify=verify)
-    else:
-        raise SystemExit("hall-poly supports --ctx a1 or --ctx cyclic:<r>")
-    return emit(config, {"command": "hall-poly",
-                         "poly": [str(c) for c in hp.coefficients()],
-                         "primes": list(primes), "verified_at": verify,
+        alg = GenericHallAlgebra(builtin_quiver("a1"), (dims[0],), _A1Labeler(),
+                                 cache_dir=config.cache_dir)
+        return alg.fit_hall_polynomial(*[("A1", (d,)) for d in dims], (dims[1],), (dims[2],),
+                                       primes=primes, verify=verify)
+    raise SystemExit("hall-poly supports --ctx a1 or --ctx cyclic:<r>")
+
+
+def cmd_hall_poly(config, triple_spec):
+    hp = _fit_triple(config, config.ctx, triple_spec)
+    return emit(config, {"command": "hall-poly", "poly": [str(c) for c in hp.coefficients()],
+                         "primes": list(config.primes), "verified_at": config.verify_prime,
                          "verified": True})
 
 
@@ -443,13 +424,16 @@ def cmd_hall_poly(config, triple_spec):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, fit_fields=False):
-    """The shared options; fit_fields adds the explicit fields of hall-poly and hallpoly."""
-    p.add_argument("--ctx", help="built-in context name (kronecker, a2tilde, "
-                                 "c2tilde-folded, cyclic:<r>, a1)")
-    p.add_argument("--quiver", help="path to a quiver description file")
-    p.add_argument("--cap", help="grading cap a,b[,c...]")
-    if fit_fields:
+def _add_common(p, *names):
+    """The shared options p reads, of ctx, quiver, cap and fields; then --cache-dir and --out."""
+    if "ctx" in names:
+        p.add_argument("--ctx", help="built-in context name (kronecker, a2tilde, "
+                                     "c2tilde-folded, cyclic:<r>, a1)")
+    if "quiver" in names:
+        p.add_argument("--quiver", help="path to a quiver description file")
+    if "cap" in names:
+        p.add_argument("--cap", help="grading cap a,b[,c...]")
+    if "fields" in names:
         p.add_argument("--primes", help="fit field orders q (prime powers), e.g. 2,3,4,5")
         p.add_argument("--verify-prime", "--verify", dest="verify_prime", type=int,
                        help="held-out verification field order q")
@@ -469,11 +453,11 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="real-root table with catalog matching")
-    _add_common(p)
+    _add_common(p, "ctx", "quiver")
     p.add_argument("--window", type=int, default=3)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p, fit_fields=True)
+    _add_common(p, "ctx", "quiver", "cap", "fields")
     p.add_argument("--suite", required=True,
                    choices=["serre", "orthogonality", "triangularity", "eta",
                             "kashiwara", "hallpoly", "all"])
@@ -481,7 +465,7 @@ def main(argv=None):
     p.add_argument("--bound", type=int, default=5)
 
     p = sub.add_parser("comp-basis", help="composition-algebra basis tables")
-    _add_common(p)
+    _add_common(p, "ctx", "cap")
     p.add_argument("--emit", default="C", choices=["N", "E", "C", "report"])
 
     p = sub.add_parser("cyclic-canonical", help="cyclic-quiver canonical basis")
@@ -490,7 +474,7 @@ def main(argv=None):
     p.add_argument("--dim", help="dimension cap, e.g. 2,2")
 
     p = sub.add_parser("hall-poly", help="fit and verify one Hall polynomial")
-    _add_common(p, fit_fields=True)
+    _add_common(p, "ctx", "fields")
     p.add_argument("--triple", required=True,
                    help="'L / M / N' multisegments (cyclic) or dims (a1)")
 

@@ -402,8 +402,7 @@ class CyclicLabeler:
 
 def cyclic_generic_algebra(r, cap, cache_dir=None):
     """The generic Hall algebra of nilpotent K_r representations up to cap."""
-    return GenericHallAlgebra(cyclic_shape(r), cap, CyclicLabeler(r), synthesizer=synth_cyclic,
-                              cache_dir=cache_dir)
+    return GenericHallAlgebra(cyclic_shape(r), cap, CyclicLabeler(r), cache_dir=cache_dir)
 
 
 class CyclicCanonicalBasis:

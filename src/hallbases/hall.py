@@ -392,7 +392,8 @@ class GenericHallAlgebra(_HallAlgebra):
     """Field-independent Hall algebra of shape up to cap, in label coordinates.
 
     labeler assigns labels common to all fields.  The catalog over GF(q) is
-    built the first time a fit reads q (catalog).  The constructor checks
+    built the first time a fit reads q (catalog), by the synthesizer the
+    shape decides (modrep.synthesizer_of).  The constructor checks
     the budgets of the fields of a first fit and one widening, so an
     over-budget cap is refused before any catalog is built; a field read
     later checks its own budgets first: BUDGET on the cap and SEARCH_BUDGET
@@ -400,11 +401,10 @@ class GenericHallAlgebra(_HallAlgebra):
     coefficients RationalVs.
     """
 
-    def __init__(self, shape, cap, labeler, synthesizer=None, cache_dir=None):
+    def __init__(self, shape, cap, labeler, cache_dir=None):
         self.shape = shape
         self.cap = tuple(cap)
         self.labeler = labeler
-        self.synthesizer = synthesizer
         self.cache_dir = cache_dir
         self.ladder = field_ladder(shape)
         self.catalogs = {}           # q -> IsoClassCatalog, built on first read
@@ -429,7 +429,6 @@ class GenericHallAlgebra(_HallAlgebra):
         if q not in self.catalogs:
             self._check_budgets([q])
             self.catalogs[q] = IsoClassCatalog(self.shape, field_of_order(q), [self.cap],
-                                               synthesizer=self.synthesizer,
                                                cache_dir=self.cache_dir)
         return self.catalogs[q]
 

@@ -9,9 +9,9 @@ representation.
 Catalogs list exactly one representative per isomorphism class of each
 requested dimension vector.  Every slice is built one way: a synthesizer
 lists the indecomposables of the dimension vector and the catalog forms
-every direct sum of them.  A shape without a synthesizer of known families
-uses breadth-first orbit enumeration as one, keeping the orbit
-representatives whose endomorphism ring is local.  Completeness is certified
+every direct sum of them.  The shape decides the synthesizer (synthesizer_of):
+the A1, Kronecker or nilpotent cyclic families, else orbit enumeration, which
+keeps the orbit representatives whose End is local.  Completeness is certified
 exactly, never assumed: a slice must pass the mass formula
 sum |G|/|Aut M| = |rep space| on every acyclic shape, and on the nilpotent
 slices small enough to count.  An orbit-enumerated slice must also partition
@@ -1015,6 +1015,23 @@ def synth_kronecker(shape, F, dims):
     return [(key, kronecker_indec(shape, F, key)) for key in kronecker_indec_keys(F, dims)]
 
 
+def synthesizer_of(shape):
+    """The synthesizer of shape's known families; None means orbit enumeration.
+
+    Cyclic (nilpotent) shapes get segments, one vertex without arrows its
+    simple, and two trivially valued vertices with exactly two arrows, both
+    first -> second with m = 1, the Kronecker families.
+    """
+    if getattr(shape, "nilpotent", False):
+        from .cyclic import synth_cyclic
+        return synth_cyclic
+    arrows = [(h.src, h.tgt, h.m, shape.d[h.src], shape.d[h.tgt]) for h in shape.arrows]
+    if len(shape.vertices) == 1 and not arrows:
+        return synth_a1
+    # (source, target, m, d_source, d_target): two arrows first -> second, all trivial
+    return synth_kronecker if arrows == [shape.vertices + (1, 1, 1)] * 2 else None
+
+
 # ---------------------------------------------------------------------------
 # catalogs
 # ---------------------------------------------------------------------------
@@ -1077,10 +1094,10 @@ def _dims_closure(requested):
 class IsoClassCatalog:
     """One representative per isomorphism class for a set of dimension vectors.
 
-    Every slice comes from a synthesizer, which lists its indecomposables;
-    the catalog forms the direct sums.  Without a synthesizer of known
-    families, exhaustive orbit enumeration is the synthesizer
-    (_orbit_indecs).  The exact mass formula
+    Every slice comes from the synthesizer the shape decides (synthesizer_of),
+    which lists its indecomposables; the catalog forms the direct sums.  Without
+    known families, orbit enumeration is the synthesizer (_orbit_indecs).
+    The exact mass formula
     sum |G| / |Aut M| = |representation space| certifies completeness on
     every dimension vector of an acyclic shape and on every nilpotent one
     small enough to count; an orbit-enumerated slice must also have the
@@ -1093,7 +1110,7 @@ class IsoClassCatalog:
     probes_by_dim is empty right after construction.
     """
 
-    def __init__(self, shape, F, dims_list, synthesizer=None, cache_dir=None):
+    def __init__(self, shape, F, dims_list, cache_dir=None):
         for dims in dims_list:
             if len(dims) != len(shape.vertices) or min(dims, default=0) < 0:
                 raise ValueError("dimension vector %s is not %d nonnegative entries, "
@@ -1122,7 +1139,7 @@ class IsoClassCatalog:
                 if is_affine(datum):
                     self.delta = min_delta(datum)
         if not (cache_dir and self._load_cache()):
-            self._build(synthesizer)
+            self._build()
             if cache_dir:
                 self._save_cache()
         self._certify_distinct()
@@ -1136,7 +1153,8 @@ class IsoClassCatalog:
             out *= gl_order(self.F.q ** self.shape.d[i], dims[ii])
         return out
 
-    def _build(self, synthesizer):
+    def _build(self):
+        synthesizer = synthesizer_of(self.shape)
         for dims in self.dims_list:
             check_budget(self.shape, self.F, dims)
             if synthesizer is None:
@@ -1555,7 +1573,7 @@ class IsoClassCatalog:
 
     def _cache_key(self):
         import hashlib
-        blob = "%s|%d|%s|v5" % (self.shape.key(), self.F.q,
+        blob = "%s|%d|%s|v6" % (self.shape.key(), self.F.q,
                                 ";".join(map(str, self.dims_list)))
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 

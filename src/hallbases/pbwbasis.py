@@ -21,7 +21,7 @@ from .hall import (
     triangular_bases,
 )
 from .laurent import RationalV, in_lattice, row_reduce
-from .modrep import OracleError, synth_kronecker
+from .modrep import OracleError
 from .symfun import SymmetricLayer, check_partition, partitions_of
 
 
@@ -281,9 +281,12 @@ def prec(a, b, ranks):
 # ---------------------------------------------------------------------------
 
 class CompositionContext:
-    """Everything needed to compute bases of H^0 for one affine valued quiver."""
+    """Everything needed to compute bases of H^0 for one affine valued quiver.
 
-    def __init__(self, name, shape, cap, synthesizer=None, cache_dir=None):
+    The shape alone decides how its catalogs are built (modrep.synthesizer_of).
+    """
+
+    def __init__(self, name, shape, cap, cache_dir=None):
         self.name = name
         self.shape = shape
         self.cap = tuple(cap)
@@ -293,8 +296,7 @@ class CompositionContext:
         self.delta = min_delta(self.datum)
         self.seq = admissible_of(shape)
         self.labeler = AffineLabeler(shape, self.seq)
-        self.alg = GenericHallAlgebra(shape, self.cap, self.labeler, synthesizer=synthesizer,
-                                      cache_dir=cache_dir)
+        self.alg = GenericHallAlgebra(shape, self.cap, self.labeler, cache_dir=cache_dir)
         max_m = min((c // d for c, d in zip(self.cap, self.delta)), default=0)
         self.symmetric = SymmetricLayer(self.alg, self.delta, max_m) if max_m >= 0 else None
         self.tube_dims = self.labeler.tube_simple_dims(self.alg.catalog(self.alg.ladder[0]))
@@ -656,9 +658,6 @@ CONTEXT_CAPS = {
     "a2tilde": (1, 1, 1),
 }
 
-#: the synthesizers of the contexts that have one; the others enumerate orbits
-CONTEXT_SYNTHS = {"kronecker": synth_kronecker}
-
 
 def get_context(name, cache_dir=None):
     key = (name, cache_dir)
@@ -666,6 +665,5 @@ def get_context(name, cache_dir=None):
         if name not in CONTEXT_CAPS:
             raise ValueError("no composition context named %r" % (name,))
         _CONTEXTS[key] = CompositionContext(name, builtin_quiver(name), CONTEXT_CAPS[name],
-                                            synthesizer=CONTEXT_SYNTHS.get(name),
                                             cache_dir=cache_dir)
     return _CONTEXTS[key]

@@ -29,7 +29,7 @@ from hallbases.kashiwara import (
     verify_sink_identity,
 )
 from hallbases.laurent import LaurentPoly, RationalV, expand_at_infinity, in_lattice
-from hallbases.modrep import IsoClassCatalog, ext_dim, field, hom_dim, synth_a1, synth_kronecker
+from hallbases.modrep import IsoClassCatalog, ext_dim, field, hom_dim
 from hallbases.pbwbasis import get_context
 from hallbases.symfun import kostka
 
@@ -48,7 +48,6 @@ def test_01_quantum_serre_relations():
     ok = True
     for name in ("kronecker", "c2tilde-folded"):
         shape = builtin_quiver(name)
-        synth = synth_kronecker if name == "kronecker" else None
         dims = []
         from hallbases.cartan import cartan_of
         datum = cartan_of(shape)
@@ -62,7 +61,7 @@ def test_01_quantum_serre_relations():
                 d[shape.index[j]] = 1
                 dims.append(tuple(d))
         for q in (2, 3):
-            cat = IsoClassCatalog(shape, field(q), dims, synthesizer=synth)
+            cat = IsoClassCatalog(shape, field(q), dims)
             hc = HallContext(cat)
             for i in shape.vertices:
                 for j in shape.vertices:
@@ -87,7 +86,7 @@ def test_02_hall_polynomial_fitting():
         def label_of(self, catalog, cid):
             return ("A1", catalog.classes[cid].dims)
 
-    alg1 = GenericHallAlgebra(a1, (2,), A1Labeler(), synthesizer=synth_a1)
+    alg1 = GenericHallAlgebra(a1, (2,), A1Labeler())
     hp1 = alg1.fit_hall_polynomial(("A1", (2,)), ("A1", (1,)), ("A1", (1,)),
                                    (1,), (1,), primes=(2, 3, 4, 5), verify=7)
     ok = ok and hp1.poly == LaurentPoly({1: 1, 0: 1})
@@ -214,9 +213,7 @@ def test_08_root_module_correspondence():
         from hallbases.cartan import admissible_of
         seq = admissible_of(shape)
         betas = {t: seq.beta(t) for t in range(-4, 5)}
-        synth = synth_kronecker if name == "kronecker" else None
-        cat = IsoClassCatalog(shape, field(2), sorted(set(betas.values())),
-                              synthesizer=synth)
+        cat = IsoClassCatalog(shape, field(2), sorted(set(betas.values())))
         mods = {}
         for t, b in betas.items():
             indecs = [c for c in cat.classes_of_dim(b) if c.indec]

@@ -205,7 +205,7 @@ class TestRefusals:
         assert "fit through" in proc.stderr
 
     def test_orbit_enumeration_refused_up_front(self, tmp_path, monkeypatch):
-        # a2tilde has no synthesizer; its slice (2,3,3) has 2^21 states
+        # a2tilde has no known families; its slice (2,3,3) has 2^21 states
         def walk(*args):
             raise AssertionError("a slice was enumerated before the state-budget refusal")
 
@@ -252,6 +252,70 @@ class TestRemovedOptions:
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, *argv)
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("roots", "--ctx", "kronecker", "--cap", "1,1"),
+        ("comp-basis", "--ctx", "kronecker", "--cap", "1,1", "--quiver", "nowhere.txt"),
+        ("cyclic-canonical", "--rank", "2", "--dim", "1,1", "--quiver", "nowhere.txt"),
+        ("cyclic-canonical", "--rank", "2", "--dim", "1,1", "--cap", "1,1"),
+        ("cyclic-canonical", "--rank", "2", "--dim", "1,1", "--ctx", "cyclic:2"),
+        ("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--quiver", "nowhere.txt"),
+        ("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--cap", "2"),
+    ], ids=["roots-cap", "comp-basis-quiver", "cyclic-canonical-quiver", "cyclic-canonical-cap",
+            "cyclic-canonical-ctx", "hall-poly-quiver", "hall-poly-cap"])
+    def test_unread_option_rejected(self, tmp_path, capsys, argv):
+        # a subcommand registers only the options it reads
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert len(err.splitlines()) == 1 and "unrecognized arguments: %s" % argv[-2] in err
+
+    def test_verify_reads_every_shared_option(self, tmp_path):
+        # the serre suite reads --quiver, the basis suites --cap, hallpoly the fields
+        qf = tmp_path / "kron.txt"
+        qf.write_text(KRONECKER_FILE)
+        code, doc = run(tmp_path, "verify", "--suite", "serre", "--quiver", str(qf))
+        assert code == 0 and doc == run(tmp_path, "verify", "--suite", "serre",
+                                        "--ctx", "kronecker")[1]
+        code, doc = run(tmp_path, "verify", "--suite", "triangularity", "--ctx", "kronecker",
+                        "--cap", "1,1")
+        assert code == 0 and len(doc["suites"][0]["slices"]) == 4
+        code, doc = run(tmp_path, "verify", "--suite", "hallpoly", "--primes", "2,3,4,5",
+                        "--verify-prime", "8")
+        assert code == 0 and doc["suites"][0]["verified_at"] == 8
+
+
+#: the Kronecker quiver spelled out as builtin_quiver("kronecker") has it
+KRONECKER_FILE = "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"
+
+
+class TestShapeDecidesSynthesizer:
+    """A --quiver file of the Kronecker quiver is cataloged as --ctx kronecker is."""
+
+    def test_kronecker_file_matches_the_golden_report(self, tmp_path):
+        qf = tmp_path / "kron.txt"
+        qf.write_text(KRONECKER_FILE)
+        out = tmp_path / "out.json"
+        assert main(["roots", "--quiver", str(qf), "--window", "6", "--out", str(out)]) == 0
+        want = REPO / "perfbench" / "golden" / "roots_kronecker_w6.json"
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_one_cache_file_with_family_keys(self, tmp_path):
+        qf = tmp_path / "kron.txt"
+        qf.write_text(KRONECKER_FILE)
+        cache = tmp_path / "cache"
+        reports = []
+        for source in (("--quiver", str(qf)), ("--ctx", "kronecker")):
+            out = tmp_path / ("%s.json" % source[0][2:])
+            assert main(["roots", *source, "--window", "2", "--cache-dir", str(cache),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        [path] = cache.glob("cat_*.json")
+        keys = [c["synth_key"] for c in json.loads(path.read_text())["classes"] if c["indec"]]
+        # family keys such as ["pp", n] and ["reg", p, l], not tuples of arrow maps
+        assert keys and {key[0] for key in keys} == {"pp", "reg", "reginf", "pi"}
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from hallbases.cartan import builtin_quiver, cartan_of, gradings_below
-from hallbases.cyclic import cyclic_generic_algebra, cyclic_shape, synth_cyclic
+from hallbases.cyclic import cyclic_generic_algebra, cyclic_shape
 from hallbases.hall import (
     FitError,
     GenericHallAlgebra,
@@ -28,8 +28,6 @@ from hallbases.modrep import (
     field_of_order,
     scan_candidates,
     simple_module,
-    synth_a1,
-    synth_kronecker,
 )
 
 A2 = builtin_quiver("a2")
@@ -136,8 +134,7 @@ def _class_name(cat, cid):
 class TestSerrePerField:
     @pytest.mark.parametrize("q", [2, 3])
     def test_kronecker(self, q):
-        cat = IsoClassCatalog(KRON, field(q), [(3, 1), (1, 3)],
-                              synthesizer=synth_kronecker)
+        cat = IsoClassCatalog(KRON, field(q), [(3, 1), (1, 3)])
         hc = HallContext(cat)
         for i, j in (("1", "2"), ("2", "1")):
             assert hc.vanishes_at_field(hc.serre_sum(i, j))
@@ -165,13 +162,13 @@ class TestSerrePerField:
         # one; a class is named by its summands, not by its id, so the digest
         # does not depend on class order.  It is that of the sums from before
         # orbit enumeration became a synthesizer of indecomposables
-        cases = [(KRON, [(3, 1), (1, 3)], synth_kronecker),
-                 (builtin_quiver("c2tilde-folded"), [(3, 1), (1, 3)], None),
-                 (cyclic_shape(3), list(itertools.permutations((2, 1, 0))), synth_cyclic)]
+        cases = [(KRON, [(3, 1), (1, 3)]),
+                 (builtin_quiver("c2tilde-folded"), [(3, 1), (1, 3)]),
+                 (cyclic_shape(3), list(itertools.permutations((2, 1, 0))))]
         digest = hashlib.sha256()
-        for shape, dims, synth in cases:
+        for shape, dims in cases:
             for q in (2, 3):
-                hc = HallContext(IsoClassCatalog(shape, field(q), dims, synthesizer=synth))
+                hc = HallContext(IsoClassCatalog(shape, field(q), dims))
                 cat = hc.catalog
                 for i, j in itertools.permutations(shape.vertices, 2):
                     s = hc.serre_sum(i, j)
@@ -362,7 +359,7 @@ class TestHallPolynomials:
         assert hp0.poly.is_zero()
 
     def test_a1_lines(self):
-        alg = GenericHallAlgebra(builtin_quiver("a1"), (2,), A1Labeler(), synthesizer=synth_a1)
+        alg = GenericHallAlgebra(builtin_quiver("a1"), (2,), A1Labeler())
         hp = alg.fit_hall_polynomial(("A1", (2,)), ("A1", (1,)), ("A1", (1,)),
                                      (1,), (1,), primes=(2, 3, 4, 5), verify=7)
         assert hp.poly == LaurentPoly({1: 1, 0: 1})  # q + 1
@@ -392,7 +389,7 @@ class TestFieldLadder:
     def test_a1_widens_to_the_degree(self):
         # [4 choose 1]_q has degree 3 and [4 choose 2]_q degree 4, each equal to
         # its bound: the fit widens once and twice, and reads GF(7), GF(8) only then
-        alg = GenericHallAlgebra(builtin_quiver("a1"), (4,), A1Labeler(), synthesizer=synth_a1)
+        alg = GenericHallAlgebra(builtin_quiver("a1"), (4,), A1Labeler())
         for dims in ((1,), (2,), (3,), (4,)):
             alg.labels_of_dim(dims)
         assert sorted(alg.catalogs) == [2, 3, 4, 5]
@@ -457,6 +454,6 @@ class TestBudgets:
 
     def test_a1_boundary(self):
         # q^6 at q = 7 is only 2^16.8, but one scan of (6,) over GF(5) tries 3 583 232 tuples
-        GenericHallAlgebra(builtin_quiver("a1"), (5,), A1Labeler(), synthesizer=synth_a1)
+        GenericHallAlgebra(builtin_quiver("a1"), (5,), A1Labeler())
         with pytest.raises(BudgetError, match=r"\(6,\) over GF\(5\) tries 3583232 candidates"):
-            GenericHallAlgebra(builtin_quiver("a1"), (6,), A1Labeler(), synthesizer=synth_a1)
+            GenericHallAlgebra(builtin_quiver("a1"), (6,), A1Labeler())

@@ -14,7 +14,14 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hallbases import modrep
-from hallbases.cartan import Arrow, ValuedQuiver, admissible_of, builtin_quiver, euler_form
+from hallbases.cartan import (
+    Arrow,
+    ValuedQuiver,
+    admissible_of,
+    builtin_quiver,
+    euler_form,
+    parse_quiver,
+)
 from hallbases.cyclic import (
     CyclicCanonicalBasis,
     Multisegment,
@@ -68,6 +75,11 @@ F3 = field(3)
 F4 = field(2, 2)
 
 
+def _synthesize_with(monkeypatch, synth):
+    """From now on every shape's catalog is built by synth; None enumerates orbits."""
+    monkeypatch.setattr(modrep, "synthesizer_of", lambda shape: synth)
+
+
 class TestGF:
     def test_prime_field(self):
         assert F3.add(2, 2) == 1
@@ -117,16 +129,18 @@ def kron_cat():
 
 
 class TestEnumerate:
-    # catalogs without a synthesizer enumerate orbits
-    def test_a1_dim2_single_class(self):
+    # orbit enumeration; shapes with known families are routed to it by _synthesize_with
+    def test_a1_dim2_single_class(self, monkeypatch):
+        _synthesize_with(monkeypatch, None)
         assert len(IsoClassCatalog(A1, F2, [(2,)]).by_dim[(2,)]) == 1
 
     def test_a2_dim11_two_classes(self):
         for F in (F2, F3):
             assert len(IsoClassCatalog(A2, F, [(1, 1)]).by_dim[(1, 1)]) == 2
 
-    def test_kronecker_dim11_projective_line(self):
+    def test_kronecker_dim11_projective_line(self, monkeypatch):
         # S1 + S2 plus |P^1(F_q)| regular classes
+        _synthesize_with(monkeypatch, None)
         for F in (F2, F3):
             assert len(IsoClassCatalog(KRON, F, [(1, 1)]).by_dim[(1, 1)]) == 1 + (F.q + 1)
 
@@ -139,22 +153,52 @@ class TestEnumerate:
         with pytest.raises(BudgetError, match=r"walks 387420489 states, over 2\^17"):
             modrep.check_walk(KRON, F3, (3, 3))
         monkeypatch.setattr(modrep, "enumerate_bfs", walk)
+        _synthesize_with(monkeypatch, None)
         with pytest.raises(BudgetError, match=r"\(2, 3\) over GF\(3\) walks 531441 states"):
             IsoClassCatalog(KRON, F3, [(3, 3)])
 
-    def test_budget_checked_before_any_slice_is_built(self):
+    def test_budget_checked_before_any_slice_is_built(self, monkeypatch):
         # 9^10 > 2^BUDGET at (5, 5) only; every smaller slice would pass
         def synth(shape, F, dims):
             raise AssertionError("slice %s built before the budget refusal" % (dims,))
+        _synthesize_with(monkeypatch, synth)
         with pytest.raises(BudgetError, match=r"\(5, 5\) over GF\(9\)"):
-            IsoClassCatalog(cyclic_shape(2), field_of_order(9), [(5, 5)], synthesizer=synth)
+            IsoClassCatalog(cyclic_shape(2), field_of_order(9), [(5, 5)])
 
-    def test_synthesis_matches_bfs(self):
+    def test_synthesis_matches_bfs(self, monkeypatch):
         for F in (F2, F3):
-            bfs = IsoClassCatalog(KRON, F, [(2, 2)])
-            syn = IsoClassCatalog(KRON, F, [(2, 2)], synthesizer=synth_kronecker)
+            with monkeypatch.context() as m:
+                _synthesize_with(m, None)
+                bfs = IsoClassCatalog(KRON, F, [(2, 2)])
+            syn = IsoClassCatalog(KRON, F, [(2, 2)])
+            # the two routes: walked orbits, and the Kronecker families
+            assert bfs._orbit_sizes and not syn._orbit_sizes
             for dims in bfs.by_dim:
                 assert len(bfs.by_dim[dims]) == len(syn.by_dim[dims])
+
+
+class TestSynthesizerOf:
+    """The shape alone picks its synthesizer; None means orbit enumeration."""
+
+    @pytest.mark.parametrize("shape, synth", [
+        pytest.param(KRON, synth_kronecker, id="kronecker"),
+        pytest.param(A1, synth_a1, id="a1"),
+        pytest.param(cyclic_shape(2), synth_cyclic, id="cyclic:2"),
+        pytest.param(cyclic_shape(3), synth_cyclic, id="cyclic:3"),
+        pytest.param(A2, None, id="a2"),
+        pytest.param(A2T, None, id="a2tilde"),
+        pytest.param(C2F, None, id="c2tilde-folded"),
+        # the Kronecker quiver spelled out as a file, as builtin_quiver has it
+        pytest.param(parse_quiver("vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\n"),
+                     synth_kronecker, id="kronecker-file"),
+        # dimension vectors are read in vertex order: target first is no Kronecker
+        pytest.param(parse_quiver("vertex 2\nvertex 1\narrow a 1 2\narrow b 1 2\n"),
+                     None, id="kronecker-file-target-first"),
+        pytest.param(parse_quiver("vertex 1\nvertex 2\narrow a 1 2 m=2\n"),
+                     None, id="one-arrow-m2-file"),
+    ])
+    def test_table(self, shape, synth):
+        assert modrep.synthesizer_of(shape) is synth
 
 
 class TestInputChecks:
@@ -165,8 +209,9 @@ class TestInputChecks:
             raise AssertionError("a slice was built before the refusal")
 
         monkeypatch.setattr(modrep, "enumerate_bfs", build)
+        _synthesize_with(monkeypatch, build if synthesized else None)
         with pytest.raises(ValueError, match="one per vertex") as exc:
-            IsoClassCatalog(KRON, F2, [(1, 1), dims], synthesizer=build if synthesized else None)
+            IsoClassCatalog(KRON, F2, [(1, 1), dims])
         assert "\n" not in str(exc.value)
 
 
@@ -206,7 +251,7 @@ class TestHallNumbers:
 
     def test_a1_lines_in_plane(self):
         for F in (F2, F3, F4):
-            cat = IsoClassCatalog(A1, F, [(2,)], synthesizer=synth_a1)
+            cat = IsoClassCatalog(A1, F, [(2,)])
             s = cat.by_dim[(1,)][0]
             ss = cat.by_dim[(2,)][0]
             assert cat.hall_number(ss, s, s) == F.q + 1
@@ -295,8 +340,7 @@ class TestTubes:
         pytest.param(A2T, 3, (1, 1, 1), 5, id="a2tilde-q3"),
     ])
     def test_regular_simples_match_scan(self, shape, q, cap, count):
-        synth = synth_kronecker if shape is KRON else None
-        cat = IsoClassCatalog(shape, field_of_order(q), [cap], synthesizer=synth)
+        cat = IsoClassCatalog(shape, field_of_order(q), [cap])
         simples = cat.regular_simple_ids()
         assert simples == _scan_regular_simples(cat)
         assert len(simples) == count
@@ -304,7 +348,7 @@ class TestTubes:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_kronecker_past_delta(self, q):
         # the points of degree 2 appear at 2 delta, each a rank-1 tube
-        cat = IsoClassCatalog(KRON, field_of_order(q), [(2, 2)], synthesizer=synth_kronecker)
+        cat = IsoClassCatalog(KRON, field_of_order(q), [(2, 2)])
         tubes = cat.tube_structure()
         assert all(t["rank"] == 1 for t in tubes)
         assert len(tubes) == (q + 1) + (q * q - q) // 2
@@ -328,12 +372,11 @@ class TestTubes:
 
 
 PAIR_CATALOGS = {
-    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(2, 2)], synthesizer=synth_kronecker),
+    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(2, 2)]),
     "a2tilde-q2": lambda: IsoClassCatalog(A2T, F2, [(1, 1, 1)]),
     # a valued source vertex: the d > 1 columns of a Hom system
     "c2tilde-folded-q3": lambda: IsoClassCatalog(C2F, F3, [(2, 1), (1, 3)]),
-    "cyclic3-q2": lambda: IsoClassCatalog(cyclic_shape(3), F2, [(1, 1, 2), (2, 1, 1)],
-                                          synthesizer=synth_cyclic),
+    "cyclic3-q2": lambda: IsoClassCatalog(cyclic_shape(3), F2, [(1, 1, 2), (2, 1, 1)]),
 }
 
 
@@ -375,7 +418,7 @@ class TestPairBlock:
                                  for p in ids for x in ids}
 
     def test_labeling_builds_one_system_per_regular_and_dims(self, monkeypatch):
-        cat = IsoClassCatalog(KRON, field(5), [(2, 2)], synthesizer=synth_kronecker)
+        cat = IsoClassCatalog(KRON, field(5), [(2, 2)])
         regs = cat.regular_indec_ids()
         assert (len(regs), len({cat.classes[r].dims for r in regs})) == (22, 2)
         labeler = AffineLabeler(KRON, admissible_of(KRON))
@@ -387,10 +430,9 @@ class TestPairBlock:
 
 EULER_CATALOGS = {
     "kronecker-window7-q2": lambda: IsoClassCatalog(
-        KRON, F2, sorted(admissible_of(KRON).betas(7).values()), synthesizer=synth_kronecker),
-    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(3, 3)], synthesizer=synth_kronecker),
-    "kronecker-q4": lambda: IsoClassCatalog(KRON, field_of_order(4), [(2, 3), (3, 2)],
-                                            synthesizer=synth_kronecker),
+        KRON, F2, sorted(admissible_of(KRON).betas(7).values())),
+    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(3, 3)]),
+    "kronecker-q4": lambda: IsoClassCatalog(KRON, field_of_order(4), [(2, 3), (3, 2)]),
     "a2tilde-q2": lambda: IsoClassCatalog(A2T, F2, [(1, 1, 2), (2, 1, 1), (1, 2, 1)]),
     "a2tilde-q3": lambda: IsoClassCatalog(A2T, F3, [(1, 1, 1)]),
 }
@@ -433,13 +475,13 @@ def _record_callers(monkeypatch):
 
 
 class TestCatalogBuild:
-    @pytest.mark.parametrize("shape, F, cap, synth", [
-        pytest.param(KRON, F2, (2, 3), synth_kronecker, id="kronecker-q2"),
-        pytest.param(KRON, F3, (2, 3), synth_kronecker, id="kronecker-q3"),
-        pytest.param(A2T, F2, (1, 1, 1), None, id="a2tilde-q2"),
+    @pytest.mark.parametrize("shape, F, cap", [
+        pytest.param(KRON, F2, (2, 3), id="kronecker-q2"),
+        pytest.param(KRON, F3, (2, 3), id="kronecker-q3"),
+        pytest.param(A2T, F2, (1, 1, 1), id="a2tilde-q2"),
     ])
-    def test_sums_match_brute_end_and_aut(self, shape, F, cap, synth):
-        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
+    def test_sums_match_brute_end_and_aut(self, shape, F, cap):
+        cat = IsoClassCatalog(shape, F, [cap])
         sums = [info for info in cat.classes if not info.indec]
         assert sums
         for info in sums:
@@ -453,13 +495,13 @@ class TestCatalogBuild:
             else:
                 assert info.aut == aut_order_brute(info.module), info.cid
 
-    @pytest.mark.parametrize("shape, F, cap, synth", [
-        pytest.param(KRON, F3, (2, 3), synth_kronecker, id="kronecker-q3"),
-        pytest.param(A2T, F2, (1, 1, 1), None, id="a2tilde-q2"),
+    @pytest.mark.parametrize("shape, F, cap", [
+        pytest.param(KRON, F3, (2, 3), id="kronecker-q3"),
+        pytest.param(A2T, F2, (1, 1, 1), id="a2tilde-q2"),
     ])
-    def test_one_system_per_new_indecomposable(self, shape, F, cap, synth, monkeypatch):
+    def test_one_system_per_new_indecomposable(self, shape, F, cap, monkeypatch):
         built = _record_callers(monkeypatch)
-        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
+        cat = IsoClassCatalog(shape, F, [cap])
         ends = [(key, dims) for names, key, dims in built if "_finish_indec" in names]
         assert len(ends) == len(cat.indec_ids)
         assert ends == [(cat.classes[c].module.key(), cat.classes[c].dims)
@@ -476,14 +518,14 @@ class TestCatalogBuild:
         assert walked == reps
         assert len(reps) > len(cat.indec_ids)
 
-    @pytest.mark.parametrize("shape, F, cap, synth", [
-        pytest.param(KRON, F2, (2, 2), synth_kronecker, id="kronecker-q2"),
-        pytest.param(KRON, F3, (2, 2), synth_kronecker, id="kronecker-q3"),
-        pytest.param(A2T, F2, (1, 1, 1), None, id="a2tilde-q2"),
+    @pytest.mark.parametrize("shape, F, cap", [
+        pytest.param(KRON, F2, (2, 2), id="kronecker-q2"),
+        pytest.param(KRON, F3, (2, 2), id="kronecker-q3"),
+        pytest.param(A2T, F2, (1, 1, 1), id="a2tilde-q2"),
     ])
-    def test_residue_degree_of_the_walked_aut(self, shape, F, cap, synth):
+    def test_residue_degree_of_the_walked_aut(self, shape, F, cap):
         # r with (q^r - 1) q^(e - r) = |Aut| on every indecomposable, None on every sum
-        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
+        cat = IsoClassCatalog(shape, F, [cap])
         for info in cat.classes:
             aut, e = aut_order_brute(info.module), end_dim(info.module)
             r = modrep._residue_degree(F.q, e, aut)
@@ -503,6 +545,7 @@ class TestCatalogBuild:
                 info.aut *= 2
 
         monkeypatch.setattr(IsoClassCatalog, "_finish_indec", planted)
+        _synthesize_with(monkeypatch, None)
         with pytest.raises(OracleError, match=r"orbit sizes at \(1, 1\) over GF\(3\)"):
             IsoClassCatalog(KRON, F3, [(1, 1)])
 
@@ -524,7 +567,8 @@ class TestSubQuotient:
 
 
 class TestCaching:
-    def test_cache_roundtrip_byte_identical(self, tmp_path):
+    def test_cache_roundtrip_byte_identical(self, tmp_path, monkeypatch):
+        _synthesize_with(monkeypatch, None)
         d = str(tmp_path)
         cat1 = IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=d)
         cat1.scan_dim((1, 1))
@@ -617,21 +661,21 @@ class TestBuildCertificate:
     # at (2, 2) the slice's own indecomposables are the first candidates
     @pytest.mark.parametrize("planted", [("reg", (0, 1), 1), ("reg", (1, 1, 1), 1)],
                              ids=["slice-1-1", "slice-2-2"])
-    def test_indecomposable_cataloged_twice(self, planted):
+    def test_indecomposable_cataloged_twice(self, planted, monkeypatch):
         dims = kronecker_indec(KRON, F2, planted).dims
 
         def extra(shape, F, d):
             if d != dims:
                 return []
             return [(("regdup",) + planted[1:], kronecker_indec(shape, F, planted))]
+        _synthesize_with(monkeypatch, _planted(extra))
         with pytest.raises(OracleError, match="do not separate"):
-            IsoClassCatalog(KRON, F2, [dims], synthesizer=_planted(extra))
+            IsoClassCatalog(KRON, F2, [dims])
 
     def test_decomposition_cataloged_twice(self, tmp_path):
         # the catalog records every sum once, so the duplicate is planted in
         # its cache file, which a later construction loads and certifies
-        cat = IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=synth_kronecker,
-                              cache_dir=str(tmp_path))
+        cat = IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=str(tmp_path))
         path = cat._cat_path()
         with open(path) as fh:
             payload = json.load(fh)
@@ -642,8 +686,7 @@ class TestBuildCertificate:
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(OracleError, match="share a decomposition"):
-            IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=synth_kronecker,
-                            cache_dir=str(tmp_path))
+            IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=str(tmp_path))
 
 
 def _dropping_one_indec(drop_dims, synthesizer=synth_cyclic):
@@ -670,9 +713,10 @@ class TestNilpotentMassCheck:
 
     @pytest.mark.parametrize("dims", [(1, 1), (1, 2), (2, 2)])
     @pytest.mark.parametrize("F", [F2, F3])
-    def test_dropped_class_fails_the_mass_check(self, F, dims):
+    def test_dropped_class_fails_the_mass_check(self, F, dims, monkeypatch):
+        _synthesize_with(monkeypatch, _dropping_one_indec(dims))
         with pytest.raises(OracleError, match="mass check failed at %s" % re.escape(str(dims))):
-            IsoClassCatalog(cyclic_shape(2), F, [dims], synthesizer=_dropping_one_indec(dims))
+            IsoClassCatalog(cyclic_shape(2), F, [dims])
 
     def test_cyclic_algebra_certifies_the_same_slices(self):
         # no fit of the (2, 3) basis widens, so GF(7) is never read
@@ -687,13 +731,13 @@ class TestAcyclicMassCheck:
     # 7^8 states at (2, 2), over STATE_BUDGET: an acyclic count is q^N anyway
 
     def test_every_slice_certified(self):
-        cat = IsoClassCatalog(KRON, field(7), [(2, 2)], synthesizer=synth_kronecker)
+        cat = IsoClassCatalog(KRON, field(7), [(2, 2)])
         assert len(cat.dims_list) == 9 and cat.mass_checked == cat.dims_list
 
-    def test_dropped_class_fails_the_mass_check(self):
+    def test_dropped_class_fails_the_mass_check(self, monkeypatch):
+        _synthesize_with(monkeypatch, _dropping_one_indec((2, 2), synth_kronecker))
         with pytest.raises(OracleError, match=r"mass check failed at \(2, 2\) over GF\(7\)"):
-            IsoClassCatalog(KRON, field(7), [(2, 2)],
-                            synthesizer=_dropping_one_indec((2, 2), synth_kronecker))
+            IsoClassCatalog(KRON, field(7), [(2, 2)])
 
 
 def _oracle_decompositions(indecs, dims):
@@ -749,8 +793,7 @@ class TestSliceDecompositions:
         pytest.param(cyclic_shape(3), (2, 2, 2), F3, _cyclic_indecs(3, (2, 2, 2)), id="cyclic3"),
     ])
     def test_matches_product_oracle(self, shape, cap, F, indecs):
-        synth = synth_kronecker if shape is KRON else synth_cyclic
-        cat = IsoClassCatalog(shape, F, [cap], synthesizer=synth)
+        cat = IsoClassCatalog(shape, F, [cap])
         for dims in cat.dims_list:
             assert _catalog_decompositions(cat, dims) == _oracle_decompositions(indecs, dims), dims
 
@@ -763,7 +806,7 @@ class TestSliceDecompositions:
             return real(shape, F, key)
 
         monkeypatch.setattr(modrep, "kronecker_indec", counting)
-        cat = IsoClassCatalog(KRON, F3, [(3, 3)], synthesizer=synth_kronecker)
+        cat = IsoClassCatalog(KRON, F3, [(3, 3)])
         assert len(built) == len(cat.indec_ids) == len(set(built))
         assert set(built) == {cat.classes[cid].synth_key for cid in cat.indec_ids}
 
@@ -790,11 +833,10 @@ def _base_change(M, rng):
 
 
 LAZY_CATALOGS = {
-    "kronecker-q2": lambda: IsoClassCatalog(KRON, F2, [(2, 2)], synthesizer=synth_kronecker),
-    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(2, 2)], synthesizer=synth_kronecker),
+    "kronecker-q2": lambda: IsoClassCatalog(KRON, F2, [(2, 2)]),
+    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(2, 2)]),
     "a2tilde-q2": lambda: IsoClassCatalog(A2T, F2, [(1, 1, 1)]),
-    "cyclic2-q2": lambda: IsoClassCatalog(cyclic_shape(2), F2, [(2, 2)],
-                                          synthesizer=synth_cyclic),
+    "cyclic2-q2": lambda: IsoClassCatalog(cyclic_shape(2), F2, [(2, 2)]),
 }
 
 
@@ -855,7 +897,7 @@ class TestSumsOnFirstRead:
             return real(*modules, **kwargs)
         monkeypatch.setattr(modrep, "direct_sum", counting)
         betas = admissible_of(KRON).betas(5)
-        cat = IsoClassCatalog(KRON, F2, sorted(betas.values()), synthesizer=synth_kronecker)
+        cat = IsoClassCatalog(KRON, F2, sorted(betas.values()))
         assert formed == []
         sums = [info for info in cat.classes if not info.indec]
         for info in sums:
@@ -880,8 +922,7 @@ class TestCacheWrites:
         cache = tmp_path / "cache"
 
         def build():
-            return IsoClassCatalog(KRON, F2, [(1, 1)], synthesizer=synth_kronecker,
-                                   cache_dir=str(cache))
+            return IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=str(cache))
 
         with monkeypatch.context() as m:
             m.setattr(modrep, "json", broken_json)
@@ -909,8 +950,7 @@ class TestCacheLoad:
 
     @staticmethod
     def _build(cache):
-        return IsoClassCatalog(KRON, F2, [(1, 2)], synthesizer=synth_kronecker,
-                               cache_dir=str(cache))
+        return IsoClassCatalog(KRON, F2, [(1, 2)], cache_dir=str(cache))
 
     @staticmethod
     def _rewrite(path, edit):
@@ -1433,8 +1473,7 @@ class TestSharedFrames:
     def test_frame_once_per_subspace(self, monkeypatch, name, q, dims):
         """One frame per (base field, D_i, n_i, subspace) across all classes of a slice."""
         shape, F = _shape_of(name), field(q)
-        synth = {"cyclic:2": synth_cyclic, "kronecker": synth_kronecker}.get(name)
-        cat = IsoClassCatalog(shape, F, [dims], synthesizer=synth)
+        cat = IsoClassCatalog(shape, F, [dims])
         monkeypatch.setattr(modrep, "_FRAMES", {})
         made = Counter()
         frame = modrep._frame
@@ -1470,9 +1509,7 @@ class TestSplitScan:
 
     @staticmethod
     def _catalog(name, q, dims, cache_dir=None):
-        synth = {"kronecker": synth_kronecker, "cyclic:2": synth_cyclic}.get(name)
-        return IsoClassCatalog(_shape_of(name), field(q), [dims], synthesizer=synth,
-                               cache_dir=cache_dir)
+        return IsoClassCatalog(_shape_of(name), field(q), [dims], cache_dir=cache_dir)
 
     @staticmethod
     def _filtered(cat, dims, sub):
