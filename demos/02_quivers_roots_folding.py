@@ -6,8 +6,8 @@
 
 from hallbases.cartan import (
     Arrow,
-    Quiver,
     QuiverAutomorphism,
+    ValuedQuiver,
     admissible_of,
     builtin_quiver,
     cartan_of,
@@ -20,7 +20,8 @@ from hallbases.cartan import (
 )
 
 print("== folding A3 to C2 ==")
-a3 = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
+a3 = ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
+                  (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
 swap = QuiverAutomorphism(a3, {"1": "3", "3": "1", "2": "2"}, {"a": "b", "b": "a"})
 c2 = fold(a3, swap)
 print("vertices:", c2.vertices, " d =", c2.d)

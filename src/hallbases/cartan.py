@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from operator import le, sub
 
 
@@ -23,26 +24,6 @@ class Arrow:
 
     def __repr__(self):
         return "Arrow(%r, %r -> %r, m=%d)" % (self.id, self.src, self.tgt, self.m)
-
-
-class Quiver:
-    """A finite quiver without loops or oriented cycles."""
-
-    def __init__(self, vertices, arrows):
-        self.vertices = tuple(vertices)
-        self.arrows = tuple(Arrow(a, s, t) if not isinstance(a, Arrow) else a
-                            for (a, s, t) in arrows) if arrows and not isinstance(arrows[0], Arrow) \
-            else tuple(arrows)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
-        for h in self.arrows:
-            if h.src not in vset or h.tgt not in vset:
-                raise ValueError("arrow %r has an endpoint outside the vertex set" % (h.id,))
-            if h.src == h.tgt:
-                raise ValueError("loop at vertex %r" % (h.src,))
-        if _has_cycle(self.vertices, [(h.src, h.tgt) for h in self.arrows]):
-            raise ValueError("quiver has an oriented cycle")
 
 
 class QuiverAutomorphism:
@@ -74,23 +55,30 @@ class QuiverAutomorphism:
 class ValuedQuiver:
     """A valued quiver: vertex valuations d_i, arrow valuations m_h.
 
-    m_h must be a common multiple of d at both endpoints; no loops, acyclic.
+    Vertex ids are distinct and arrows join declared vertices; m_h >= 1 is
+    a common multiple of d at both endpoints; no loops, acyclic.
     """
 
     def __init__(self, vertices, d, arrows):
         self.vertices = tuple(vertices)
         self.index = {i: n for n, i in enumerate(self.vertices)}
+        if len(self.index) != len(self.vertices):
+            raise ValueError("duplicate vertex ids")
         self.d = {i: int(d[i]) for i in self.vertices}
         self.arrows = tuple(h if isinstance(h, Arrow) else Arrow(*h) for h in arrows)
         for i, di in self.d.items():
             if di < 1:
                 raise ValueError("vertex valuation at %r must be positive" % (i,))
         for h in self.arrows:
+            if h.src not in self.index or h.tgt not in self.index:
+                raise ValueError("arrow %r has an endpoint outside the vertex set" % (h.id,))
             if h.src == h.tgt:
                 raise ValueError("loop at vertex %r" % (h.src,))
+            if h.m < 1:
+                raise ValueError("arrow valuation m=%d at %r must be positive" % (h.m, h.id))
             if h.m % self.d[h.src] or h.m % self.d[h.tgt]:
                 raise ValueError("arrow valuation m=%d at %r is not a common multiple of d" % (h.m, h.id))
-        if _has_cycle(self.vertices, [(h.src, h.tgt) for h in self.arrows]):
+        if topological_order(self.vertices, [(h.src, h.tgt) for h in self.arrows]) is None:
             raise ValueError("valued quiver has an oriented cycle")
 
     @property
@@ -101,10 +89,6 @@ class ValuedQuiver:
         e = [0] * self.n
         e[self.index[i]] = 1
         return tuple(e)
-
-    def sinks(self):
-        srcs = {h.src for h in self.arrows}
-        return [i for i in self.vertices if i not in srcs]
 
     def reverse_at(self, i):
         """The valued quiver with all arrows at vertex i reversed."""
@@ -126,30 +110,38 @@ class ValuedQuiver:
         return "ValuedQuiver(%s)" % self.key()
 
 
-def _has_cycle(vertices, edges):
-    out = {i: [] for i in vertices}
-    indeg = {i: 0 for i in vertices}
-    for s, t in edges:
-        out[s].append(t)
+def topological_order(vertices, arrows):
+    """The sources-first order of the vertices that is smallest by str of the ids.
+
+    arrows are (source, target) pairs; at each step the smallest vertex with
+    no arrow in from the vertices not yet ordered comes next.  None when the
+    arrows close an oriented cycle.
+    """
+    indeg = dict.fromkeys(vertices, 0)
+    for _, t in arrows:
         indeg[t] += 1
-    stack = [i for i in vertices if indeg[i] == 0]
-    seen = 0
-    while stack:
-        i = stack.pop()
-        seen += 1
-        for j in out[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    return seen != len(vertices)
+    ready = [i for i in vertices if not indeg[i]]
+    order = []
+    while ready:
+        i = min(ready, key=str)
+        ready.remove(i)
+        order.append(i)
+        for s, t in arrows:
+            if s == i:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    ready.append(t)
+    return tuple(order) if len(order) == len(indeg) else None
 
 
 def fold(quiver, auto):
-    """Fold a quiver along an automorphism into a valued quiver.
+    """Fold a trivially valued quiver along an automorphism into a valued quiver.
 
     Vertices/arrows of the result are the orbits; valuations are orbit sizes.
     Folding must not create a loop (an arrow inside a single vertex orbit).
     """
+    if any(quiver.d[i] != 1 for i in quiver.vertices) or any(h.m != 1 for h in quiver.arrows):
+        raise ValueError("fold needs a quiver whose valuations are all 1")
 
     def orbit(perm, x):
         o = [x]
@@ -360,23 +352,13 @@ def _symmetric_kernel_and_psd(datum):
     for a in kernel_rows:
         # the recorded row operations express a vanishing combination of rows
         vec = T[a]
-        den = 1
-        for x in vec:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in vec))
         ints = [int(x * den) for x in vec]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
+        g = gcd(*ints)
         if g:
             ints = [x // g for x in ints]
         kernel.append(tuple(ints))
     return kernel, True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def is_affine(datum):
@@ -485,30 +467,14 @@ class AdmissibleSequence:
 
 
 def admissible_of(vq):
-    """The admissible sequence obtained from a topological sink ordering.
+    """The admissible sequence of the sink ordering smallest by str of the ids.
 
-    Among the available sinks the smallest id is taken first, so the result
-    is deterministic.
+    A vertex is a sink at its turn when it has no arrow out to the vertices
+    not yet ordered, so the order is the sources-first order of the opposite
+    quiver.
     """
-    order = []
-    g = vq
-    remaining = set(vq.vertices)
-    while remaining:
-        sinks = sorted((i for i in g.sinks() if i in remaining), key=str)
-        if not sinks:
-            raise ValueError("no sink available; quiver is not acyclic")
-        i = sinks[0]
-        order.append(i)
-        remaining.discard(i)
-        g = g.reverse_at(i)
-    return AdmissibleSequence(vq, order)
-
-
-def beta(seq, datum, t):
-    """Module-level convenience wrapper; datum must match the sequence's quiver."""
-    if datum.index != seq.datum.index or datum.C != seq.datum.C:
-        raise ValueError("Cartan datum does not match the admissible sequence")
-    return seq.beta(t)
+    return AdmissibleSequence(vq, topological_order(vq.vertices,
+                                                    [(h.tgt, h.src) for h in vq.arrows]))
 
 
 # -- plain text quiver format ------------------------------------------
@@ -556,13 +522,9 @@ def parse_quiver(text):
     fixed = []
     for aid, src, tgt, m in arrows:
         if m is None:
-            m = _lcm(d.get(src, 1), d.get(tgt, 1))
+            m = lcm(d.get(src, 1), d.get(tgt, 1))
         fixed.append(Arrow(aid, src, tgt, m))
     return ValuedQuiver(vertices, d, fixed)
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 # -- built-in quivers ----------------------------------------------------
@@ -579,9 +541,12 @@ def builtin_quiver(name):
     if name == "a2tilde":
         return ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
                             (Arrow("a", "1", "3"), Arrow("b", "2", "3"), Arrow("c", "1", "2")))
-    if name == "c2tilde-folded":
-        # fold of the A3 path 1 -> 2 <- 3 along the swap of the two ends
-        q = Quiver(("1", "2", "3"), ((Arrow("a", "1", "2")), (Arrow("b", "3", "2"))))
+    if name == "c2-folded":
+        # the finite C2: fold of the A3 path 1 -> 2 <- 3 along the swap of the two ends
+        q = ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
+                         (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
         sigma = QuiverAutomorphism(q, {"1": "3", "3": "1", "2": "2"}, {"a": "b", "b": "a"})
         return fold(q, sigma)
+    if name == "c2tilde-folded":
+        raise ValueError("c2tilde-folded is the finite C2, renamed c2-folded")
     raise ValueError("unknown built-in quiver %r" % (name,))

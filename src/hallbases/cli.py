@@ -136,7 +136,7 @@ class _A1Labeler:
 
 def cmd_roots(config, window):
     shape = config.shape()
-    if getattr(shape, "nilpotent", False):
+    if shape.nilpotent:
         raise SystemExit("the roots command needs an acyclic valued quiver")
     seq = admissible_of(shape)
     datum = cartan_of(shape)
@@ -428,7 +428,7 @@ def _add_common(p, *names):
     """The shared options p reads, of ctx, quiver, cap and fields; then --cache-dir and --out."""
     if "ctx" in names:
         p.add_argument("--ctx", help="built-in context name (kronecker, a2tilde, "
-                                     "c2tilde-folded, cyclic:<r>, a1)")
+                                     "c2-folded, cyclic:<r>, a1)")
     if "quiver" in names:
         p.add_argument("--quiver", help="path to a quiver description file")
     if "cap" in names:
@@ -496,6 +496,9 @@ def main(argv=None):
             field_of_order(q)
         except ValueError as exc:
             raise SystemExit("--primes/--verify-prime: %s" % exc)
+    if config.verify_prime in config.primes:
+        raise SystemExit("--verify-prime %d: the held-out field must not be one of --primes %s"
+                         % (config.verify_prime, ",".join(map(str, config.primes))))
     try:
         if args.command == "roots":
             return cmd_roots(config, args.window)

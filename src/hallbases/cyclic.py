@@ -47,11 +47,6 @@ class CyclicQuiver:
     def n(self):
         return self.r
 
-    def unit_vector(self, i):
-        e = [0] * self.r
-        e[self.index[i]] = 1
-        return tuple(e)
-
     def key(self):
         return "K%d" % self.r
 

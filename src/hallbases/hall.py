@@ -105,7 +105,10 @@ class FitError(OracleError):
 
 
 def fit_and_verify(values, fit_fields, verify_field):
-    """Interpolate values[q] over fit_fields and check at verify_field."""
+    """Interpolate values[q] over fit_fields and check at verify_field, held out of them."""
+    if verify_field in fit_fields:
+        raise ValueError("verify field q=%d is one of the fit fields %s"
+                         % (verify_field, sorted(fit_fields)))
     pts = {q: values[q] for q in fit_fields}
     poly = lagrange_fit(pts)
     got = qpoly_eval(poly, verify_field)

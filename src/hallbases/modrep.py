@@ -10,7 +10,7 @@ Catalogs list exactly one representative per isomorphism class of each
 requested dimension vector.  Every slice is built one way: a synthesizer
 lists the indecomposables of the dimension vector and the catalog forms
 every direct sum of them.  The shape decides the synthesizer (synthesizer_of):
-the A1, Kronecker or nilpotent cyclic families, else orbit enumeration, which
+the Kronecker or nilpotent cyclic families, else orbit enumeration, which
 keeps the orbit representatives whose End is local.  Completeness is certified
 exactly, never assumed: a slice must pass the mass formula
 sum |G|/|Aut M| = |rep space| on every acyclic shape, and on the nilpotent
@@ -43,7 +43,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 
-from .cartan import euler_form, gradings_below, multisets
+from .cartan import cartan_of, euler_form, gradings_below, is_affine, min_delta, multisets
 # the fields and the GF(q) matrix kernel live in gf; modrep re-exports what its callers import
 from .gf import (  # noqa: F401
     GF,
@@ -764,29 +764,6 @@ def _iter_states(shape, F, dims):
         yield maps
 
 
-def _is_nilpotent_state(shape, F, dims, maps):
-    """Nilpotency of the composite around the cycle (cyclic shapes only)."""
-    verts = list(shape.vertices)
-    n0 = dims[0]
-    if n0 == 0:
-        # start from any vertex with nonzero dimension
-        for k, i in enumerate(verts):
-            if dims[k]:
-                verts = verts[k:] + verts[:k]
-                n0 = dims[k]
-                break
-        else:
-            return True
-    by_src = {h.src: h for h in shape.arrows}
-    comp = m_id(F, n0)
-    cur = verts[0]
-    for _ in range(len(verts)):
-        h = by_src[cur]
-        comp = m_mul(F, maps[h.id], comp) if comp else ()
-        cur = h.tgt
-    return _is_nilpotent(F, comp)
-
-
 def _is_nilpotent(F, C):
     """C^n == 0 for the n x n matrix C, by squaring."""
     power, exponent = C, 1
@@ -812,8 +789,7 @@ def _nilpotent_point_count(shape, F, dims):
     of nilpotent n0 x n0 matrices with rows in W = rowspace P: the X B_W,
     with B_W the reduced basis of W, such that B_W X is nilpotent (AB is
     nilpotent iff BA is).  For the same reason nilpotency of the composite
-    does not depend on the start vertex, so this equals counting
-    _is_nilpotent_state over _iter_states.
+    does not depend on the start vertex.
     """
     sizes = _arrow_shapes(shape, dims)
     if not all(dims):
@@ -890,14 +866,13 @@ def enumerate_bfs(shape, F, dims):
     """Orbit representatives by exhaustive breadth-first search.
 
     Returns a list of (maps, orbit_size) with maps the minimal state of its
-    orbit; together the orbits partition the whole (nilpotent, for cyclic
-    shapes) representation space.
+    orbit; together the orbits partition the whole representation space of
+    an acyclic shape.
     """
     for h in shape.arrows:
         if shape.d[h.tgt] != 1 and (shape.d[h.src] != shape.d[h.tgt] or h.m != shape.d[h.tgt]):
             raise NotImplementedError(
                 "BFS enumeration with equivariance constraints is not implemented")
-    nilpotent = getattr(shape, "nilpotent", False)
     # generator actions: (arrow -> left matrix or None, arrow -> right matrix or None)
     actions = []
     for i in shape.vertices:
@@ -926,8 +901,6 @@ def enumerate_bfs(shape, F, dims):
 
     n_states = 0
     for maps in _iter_states(shape, F, dims):
-        if nilpotent and not _is_nilpotent_state(shape, F, dims, maps):
-            continue
         n_states += 1
         key = encode(maps)
         if key in visited:
@@ -955,13 +928,6 @@ def enumerate_bfs(shape, F, dims):
 
 
 # -- synthesizers: the indecomposables of one dimension vector, [(key, module)]
-
-def synth_a1(shape, F, dims):
-    """Single vertex, no arrows: the simple is the one indecomposable."""
-    if dims != (1,):
-        return []
-    return [(("s",), FiniteModule(shape, F, dims, {}))]
-
 
 def kronecker_indec(shape, F, key):
     """Representative of a Kronecker indecomposable from its family key."""
@@ -1018,16 +984,14 @@ def synth_kronecker(shape, F, dims):
 def synthesizer_of(shape):
     """The synthesizer of shape's known families; None means orbit enumeration.
 
-    Cyclic (nilpotent) shapes get segments, one vertex without arrows its
-    simple, and two trivially valued vertices with exactly two arrows, both
-    first -> second with m = 1, the Kronecker families.
+    Cyclic (nilpotent) shapes get segments, and two trivially valued
+    vertices with exactly two arrows, both first -> second with m = 1, the
+    Kronecker families.
     """
-    if getattr(shape, "nilpotent", False):
+    if shape.nilpotent:
         from .cyclic import synth_cyclic
         return synth_cyclic
     arrows = [(h.src, h.tgt, h.m, shape.d[h.src], shape.d[h.tgt]) for h in shape.arrows]
-    if len(shape.vertices) == 1 and not arrows:
-        return synth_a1
     # (source, target, m, d_source, d_target): two arrows first -> second, all trivial
     return synth_kronecker if arrows == [shape.vertices + (1, 1, 1)] * 2 else None
 
@@ -1132,12 +1096,10 @@ class IsoClassCatalog:
         self._orbit_sizes = {}        # dims -> sorted orbit sizes, for orbit-enumerated slices
         self.cache_dir = cache_dir
         self.delta = None
-        if not getattr(shape, "nilpotent", False):
-            from .cartan import ValuedQuiver, cartan_of, is_affine, min_delta
-            if isinstance(shape, ValuedQuiver):
-                datum = cartan_of(shape)
-                if is_affine(datum):
-                    self.delta = min_delta(datum)
+        if not shape.nilpotent:
+            datum = cartan_of(shape)
+            if is_affine(datum):
+                self.delta = min_delta(datum)
         if not (cache_dir and self._load_cache()):
             self._build()
             if cache_dir:
@@ -1301,7 +1263,7 @@ class IsoClassCatalog:
         checked; STATE_BUDGET bounds only the nilpotent point count.
         """
         n_states = _state_count(self.shape, self.F, dims)
-        if getattr(self.shape, "nilpotent", False):
+        if self.shape.nilpotent:
             if n_states > 2 ** STATE_BUDGET:
                 return
             n_states = _nilpotent_point_count(self.shape, self.F, dims)
@@ -1573,7 +1535,7 @@ class IsoClassCatalog:
 
     def _cache_key(self):
         import hashlib
-        blob = "%s|%d|%s|v6" % (self.shape.key(), self.F.q,
+        blob = "%s|%d|%s|v7" % (self.shape.key(), self.F.q,
                                 ";".join(map(str, self.dims_list)))
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 

@@ -11,7 +11,15 @@ unitriangular eliminations in Q(v).
 
 from __future__ import annotations
 
-from .cartan import admissible_of, builtin_quiver, cartan_of, is_affine, min_delta, multisets
+from .cartan import (
+    admissible_of,
+    builtin_quiver,
+    cartan_of,
+    is_affine,
+    min_delta,
+    multisets,
+    topological_order,
+)
 from .cyclic import Multisegment, leq_G, word_of
 from .hall import (
     GenericHallAlgebra,
@@ -302,7 +310,8 @@ class CompositionContext:
         self.tube_dims = self.labeler.tube_simple_dims(self.alg.catalog(self.alg.ladder[0]))
         self.tube_ranks = [len(simples) for simples in self.tube_dims]
         # vertex order for monomials: sources first, no arrows backwards
-        self.vertex_order = _topological_vertices(shape)
+        self.vertex_order = topological_order(shape.vertices,
+                                              [(h.src, h.tgt) for h in shape.arrows])
         self._indices_cache = {}
         self._basis_cache = {}
         self._solver_cache = {}
@@ -585,21 +594,6 @@ def _delta_multiple(dims, delta):
         if tuple(m * x for x in delta) == tuple(dims):
             return m
     return None
-
-
-def _topological_vertices(shape):
-    order = []
-    remaining = set(shape.vertices)
-    arrows = [(h.src, h.tgt) for h in shape.arrows]
-    while remaining:
-        sources = sorted((i for i in remaining
-                          if not any(t == i and s in remaining for s, t in arrows)),
-                         key=str)
-        if not sources:
-            raise ValueError("shape is not acyclic")
-        order.append(sources[0])
-        remaining.discard(sources[0])
-    return tuple(order)
 
 
 class SpanSolver:

@@ -255,7 +255,13 @@ def H_element(alg, delta, m):
 
 
 class SymmetricLayer:
-    """Cached H_m / S_lambda evaluation with verified commutation."""
+    """Cached H_m / S_lambda evaluation with verified commutation.
+
+    H_a and H_b are checked to commute for every a < b with a + b <= max_m,
+    the products that S_lambda of weight <= max_m can reorder.  The shipped
+    caps check no pair: kronecker (2, 2) has max_m = 2 and a2tilde
+    (1, 1, 1) has max_m = 1.
+    """
 
     def __init__(self, alg, delta, max_m):
         self.alg = alg
@@ -267,7 +273,7 @@ class SymmetricLayer:
             self._H[m] = H_element(alg, delta, m)
         # the determinant is only well-defined because the H_m commute
         for a in range(1, max_m + 1):
-            for b in range(a, max_m + 1):
+            for b in range(a + 1, max_m + 1):
                 if a + b <= max_m:
                     left = self._H[a] * self._H[b]
                     right = self._H[b] * self._H[a]

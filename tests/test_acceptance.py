@@ -46,7 +46,7 @@ def gradings_below(cap):
 
 def test_01_quantum_serre_relations():
     ok = True
-    for name in ("kronecker", "c2tilde-folded"):
+    for name in ("kronecker", "c2-folded"):
         shape = builtin_quiver(name)
         dims = []
         from hallbases.cartan import cartan_of
@@ -268,7 +268,7 @@ def test_10_inner_product_normalization():
         contexts.append("cyclic:%d" % r)
     # the folded C2 quiver through a dimension labeler (one class per e_i),
     # on its ladder of primes
-    c2f = builtin_quiver("c2tilde-folded")
+    c2f = builtin_quiver("c2-folded")
 
     class DimsLabeler:
         def label_of(self, catalog, cid):
@@ -278,7 +278,7 @@ def test_10_inner_product_normalization():
     for v in c2f.vertices:
         ok = ok and _check_simple_inner(algf, v, c2f.d[v])
     ok = ok and 4 not in algf.ladder and set(algf.catalogs) <= set(algf.ladder)
-    contexts.append("c2tilde-folded")
+    contexts.append("c2-folded")
     report(10, "(<S_i>,<S_i>) = 1 + v_i^-2 + v_i^-4 + ... to order 10, "
                "all vertices of %s" % ", ".join(contexts), ok)
 

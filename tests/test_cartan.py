@@ -8,7 +8,6 @@ from hallbases.cartan import (
     Arrow,
     OutsideWindowError,
     CartanDatum,
-    Quiver,
     QuiverAutomorphism,
     ValuedQuiver,
     admissible_of,
@@ -24,12 +23,13 @@ from hallbases.cartan import (
     parse_quiver,
     reflect,
     sym_form,
+    topological_order,
 )
 
 KRON = builtin_quiver("kronecker")
 A2 = builtin_quiver("a2")
 A2T = builtin_quiver("a2tilde")
-C2F = builtin_quiver("c2tilde-folded")
+C2F = builtin_quiver("c2-folded")
 
 
 class TestQuiverValidation:
@@ -46,10 +46,63 @@ class TestQuiverValidation:
         with pytest.raises(ValueError):
             ValuedQuiver(("1", "2"), {"1": 2, "2": 1}, (Arrow("a", "1", "2", 1),))
 
+    def test_duplicate_vertex_rejected(self):
+        with pytest.raises(ValueError, match="duplicate vertex ids"):
+            ValuedQuiver(("1", "1"), {"1": 1}, ())
+
+    def test_undeclared_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="outside the vertex set"):
+            ValuedQuiver(("1",), {"1": 1}, (Arrow("a", "1", "2"),))
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_nonpositive_arrow_valuation_rejected(self, m):
+        with pytest.raises(ValueError, match="must be positive"):
+            ValuedQuiver(("1", "2"), {"1": 1, "2": 1}, (Arrow("a", "1", "2", m),))
+
+    def test_old_c2_name_names_the_new_one(self):
+        with pytest.raises(ValueError, match="c2-folded") as exc:
+            builtin_quiver("c2tilde-folded")
+        assert "\n" not in str(exc.value)
+
+
+class TestTopologicalOrder:
+    def test_smallest_source_first(self):
+        # 3 -> 1 and 2 -> 1: both sources precede 1, the smaller id first
+        assert topological_order(("1", "2", "3"), [("3", "1"), ("2", "1")]) == ("2", "3", "1")
+
+    def test_cycle_is_none(self):
+        assert topological_order(("1", "2", "3"), [("1", "2"), ("2", "3"), ("3", "2")]) is None
+
+    def test_opposite_order_is_the_sink_walk(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            vs = rng.sample("abcdefg", rng.randint(2, 6))
+            arrows = []
+            for k in range(rng.randint(0, 7)):
+                i, j = sorted(rng.sample(range(len(vs)), 2))  # list order is acyclic
+                arrows.append(Arrow("h%d" % k, vs[i], vs[j]))
+            g = ValuedQuiver(vs, dict.fromkeys(vs, 1), arrows)
+            assert topological_order(vs, [(h.tgt, h.src) for h in arrows]) == _sink_walk(g)
+
+    def test_admissible_order_is_the_sink_walk(self):
+        for g in (KRON, A2T, C2F):
+            assert admissible_of(g).base_order == _sink_walk(g)
+
+
+def _sink_walk(g):
+    """Take the smallest sink, reverse its arrows, repeat: a reference sink order."""
+    walk = []
+    while len(walk) < len(g.vertices):
+        walk.append(min((i for i in g.vertices
+                         if i not in walk and all(h.src != i for h in g.arrows)), key=str))
+        g = g.reverse_at(walk[-1])
+    return tuple(walk)
+
 
 class TestFold:
     def test_identity_fold_is_trivial(self):
-        q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+        q = ValuedQuiver(("1", "2"), {"1": 1, "2": 1},
+                         (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
         g = fold(q, QuiverAutomorphism.identity(q))
         assert g.n == 2
         assert all(g.d[i] == 1 for i in g.vertices)
@@ -63,8 +116,8 @@ class TestFold:
         assert g.arrows[0].m == 2
 
     def test_fold_d4_triple(self):
-        q = Quiver(("1", "2", "3", "c"),
-                   (Arrow("a", "1", "c"), Arrow("b", "2", "c"), Arrow("e", "3", "c")))
+        q = ValuedQuiver(("1", "2", "3", "c"), dict.fromkeys(("1", "2", "3", "c"), 1),
+                         (Arrow("a", "1", "c"), Arrow("b", "2", "c"), Arrow("e", "3", "c")))
         sigma = QuiverAutomorphism(q, {"1": "2", "2": "3", "3": "1", "c": "c"},
                                    {"a": "b", "b": "e", "e": "a"})
         g = fold(q, sigma)
@@ -75,9 +128,17 @@ class TestFold:
         # swapping the endpoints of 1 -> 2 while fixing the arrow is not an
         # automorphism; an orbit arrow inside a vertex orbit (the loop case)
         # is impossible for acyclic quivers, so rejection happens here
-        q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+        q = ValuedQuiver(("1", "2"), {"1": 1, "2": 1}, (Arrow("a", "1", "2"),))
         with pytest.raises(ValueError):
             QuiverAutomorphism(q, {"1": "2", "2": "1"}, {"a": "a"})
+
+    def test_valued_input_rejected(self):
+        # C2F has d = 2 at its folded vertex; fold only takes trivially valued quivers
+        with pytest.raises(ValueError, match="valuations are all 1"):
+            fold(C2F, QuiverAutomorphism.identity(C2F))
+        q = ValuedQuiver(("1", "2"), {"1": 1, "2": 1}, (Arrow("a", "1", "2", 2),))
+        with pytest.raises(ValueError, match="valuations are all 1"):
+            fold(q, QuiverAutomorphism.identity(q))
 
 
 class TestCartan:

@@ -142,6 +142,10 @@ class TestRefusals:
         (("verify", "--suite", "all", "--ctx", "a2tilde", "--rank", "1"), "--rank 1"),
         (("roots", "--ctx", "kronecker", "--window", "100"), "--window 100"),
         (("cyclic-canonical", "--rank", "2", "--dim", "4,4"), "exceeds budget"),
+        # a held-out field that is also fitted verifies nothing
+        (("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--verify-prime", "5"),
+         "--verify-prime 5"),
+        (("verify", "--suite", "hallpoly", "--verify-prime", "4"), "--verify-prime 4"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -162,6 +166,20 @@ class TestRefusals:
         monkeypatch.setattr(IsoClassCatalog, "__init__", build)
         with pytest.raises(SystemExit, match="exceeds budget"):
             run(tmp_path, *argv)
+
+    @pytest.mark.parametrize("text, names", [
+        ("vertex 1\narrow a 1 2\n", "outside the vertex set"),
+        ("vertex 1\nvertex 2\nvertex 1\narrow a 1 2\n", "duplicate vertex ids"),
+        ("vertex 1\nvertex 2\narrow a 1 2 m=0\n", "m=0"),
+        ("vertex 1\nvertex 2\narrow a 1 2 m=-2\n", "m=-2"),
+    ], ids=["undeclared-vertex", "repeated-vertex", "m=0", "m=-2"])
+    def test_malformed_quiver_file(self, tmp_path, text, names):
+        path = tmp_path / "q.txt"
+        path.write_text(text)
+        proc = _run_cli("roots", "--quiver", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert names in proc.stderr
 
     def test_refusal_exit_status(self):
         proc = _run_cli("cyclic-canonical", "--rank", "2", "--dim", "1")

@@ -81,6 +81,11 @@ class TestFitting:
         with pytest.raises(FitError):
             fit_and_verify(vals, (2, 3, 4), 5)
 
+    def test_fit_and_verify_holds_the_verify_field_out(self):
+        vals = {q: q * q + 1 for q in (2, 3, 4, 5)}
+        with pytest.raises(ValueError, match="q=5 is one of the fit fields"):
+            fit_and_verify(vals, (2, 3, 4, 5), 5)
+
     def test_qpoly_to_v(self):
         assert qpoly_to_v(LaurentPoly({1: 1, 0: 1})) == LaurentPoly({2: 1, 0: 1})
 
@@ -141,7 +146,7 @@ class TestSerrePerField:
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_folded_c2(self, q):
-        C2F = builtin_quiver("c2tilde-folded")
+        C2F = builtin_quiver("c2-folded")
         cat = IsoClassCatalog(C2F, field(q), [(3, 1), (1, 3)])
         hc = HallContext(cat)
         a, b = C2F.vertices
@@ -163,7 +168,7 @@ class TestSerrePerField:
         # does not depend on class order.  It is that of the sums from before
         # orbit enumeration became a synthesizer of indecomposables
         cases = [(KRON, [(3, 1), (1, 3)]),
-                 (builtin_quiver("c2tilde-folded"), [(3, 1), (1, 3)]),
+                 (builtin_quiver("c2-folded"), [(3, 1), (1, 3)]),
                  (cyclic_shape(3), list(itertools.permutations((2, 1, 0))))]
         digest = hashlib.sha256()
         for shape, dims in cases:
@@ -382,7 +387,7 @@ class TestFieldLadder:
             assert field_ladder(shape)[-1] == 256
 
     def test_valued_shapes_take_primes_only(self):
-        ladder = field_ladder(builtin_quiver("c2tilde-folded"))
+        ladder = field_ladder(builtin_quiver("c2-folded"))
         assert ladder[:6] == (2, 3, 5, 7, 11, 13) and ladder[-1] == 251
         assert all(all(p % k for k in range(2, p)) for p in ladder)
 

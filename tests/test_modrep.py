@@ -53,6 +53,7 @@ from hallbases.modrep import (
     kernel_basis,
     kronecker_indec,
     kronecker_indec_keys,
+    m_id,
     m_mul,
     m_rank,
     rref,
@@ -60,7 +61,6 @@ from hallbases.modrep import (
     simple_module,
     sub_quotient,
     submodule_tuples,
-    synth_a1,
     synth_kronecker,
 )
 from hallbases.pbwbasis import AffineLabeler
@@ -69,7 +69,7 @@ KRON = builtin_quiver("kronecker")
 A1 = builtin_quiver("a1")
 A2 = builtin_quiver("a2")
 A2T = builtin_quiver("a2tilde")
-C2F = builtin_quiver("c2tilde-folded")
+C2F = builtin_quiver("c2-folded")
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
@@ -182,7 +182,7 @@ class TestSynthesizerOf:
 
     @pytest.mark.parametrize("shape, synth", [
         pytest.param(KRON, synth_kronecker, id="kronecker"),
-        pytest.param(A1, synth_a1, id="a1"),
+        pytest.param(A1, None, id="a1"),
         pytest.param(cyclic_shape(2), synth_cyclic, id="cyclic:2"),
         pytest.param(cyclic_shape(3), synth_cyclic, id="cyclic:3"),
         pytest.param(A2, None, id="a2"),
@@ -697,6 +697,21 @@ def _dropping_one_indec(drop_dims, synthesizer=synth_cyclic):
     return synth
 
 
+def _is_nilpotent_state(shape, F, dims, maps):
+    """Nilpotency of the composite of maps once around the cycle of a cyclic shape."""
+    verts = list(shape.vertices)
+    nonzero = [k for k, n in enumerate(dims) if n]
+    if not nonzero:
+        return True
+    k = nonzero[0]
+    verts = verts[k:] + verts[:k]
+    by_src = {h.src: h for h in shape.arrows}
+    comp = m_id(F, dims[k])
+    for i in verts:
+        comp = m_mul(F, maps[by_src[i].id], comp) if comp else ()
+    return modrep._is_nilpotent(F, comp)
+
+
 class TestNilpotentMassCheck:
     @pytest.mark.parametrize("r, q", [(r, q) for r in (2, 3) for q in (2, 3, 4, 5)])
     def test_count_matches_state_walk(self, r, q):
@@ -705,7 +720,7 @@ class TestNilpotentMassCheck:
         for dims in itertools.product(range(4), repeat=r):
             if modrep._state_count(shape, F, dims) > 2 ** 12:
                 continue
-            walked = sum(modrep._is_nilpotent_state(shape, F, dims, maps)
+            walked = sum(_is_nilpotent_state(shape, F, dims, maps)
                          for maps in modrep._iter_states(shape, F, dims))
             assert modrep._nilpotent_point_count(shape, F, dims) == walked, dims
             checked += 1
@@ -1310,6 +1325,9 @@ def _shape_of(name):
         return TWO_BLOCKS
     if name in BACK_SHAPES:
         return BACK_SHAPES[name]
+    if name == "c2tilde-folded":
+        # the former built-in name of c2-folded, kept as a test label so test ids stay put
+        return C2F
     if name.startswith("cyclic:"):
         # the arrow r -> 1 closes back to the first vertex only at the last one
         return cyclic_shape(int(name[len("cyclic:"):]))
@@ -1561,7 +1579,7 @@ class TestScanCandidates:
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_valued_vertex_counts_over_its_division_ring(self, q):
-        # the vertex 1+3 of c2tilde-folded has d = 2, so D = GF(q^2)
+        # the vertex 1+3 of c2-folded has d = 2, so D = GF(q^2)
         D = field_of_order(q * q)
         for n in range(4):
             assert scan_candidates(C2F, field(q), (n, 0)) == len(list(all_subspaces(D, n)))

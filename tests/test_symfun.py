@@ -1,7 +1,9 @@
 import pytest
 
+from hallbases import symfun
 from hallbases.symfun import (
     HPoly,
+    SymmetricLayer,
     dominance_leq,
     h_to_s_matrix,
     jacobi_trudi,
@@ -84,3 +86,45 @@ class TestPartitions:
         for lam in lams:
             assert sum(lam) == n and list(lam) == sorted(lam, reverse=True)
             assert all(part > 0 for part in lam)
+
+
+class _Words:
+    """Elements of a free algebra, {word: coefficient}, where no two letters commute."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {w: c for w, c in coeffs.items() if c}
+
+    def __mul__(self, other):
+        out = {}
+        for w1, c1 in self.coeffs.items():
+            for w2, c2 in other.coeffs.items():
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+        return _Words(out)
+
+    def __sub__(self, other):
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            out[w] = out.get(w, 0) - c
+        return _Words(out)
+
+
+class _FreeAlgebra:
+    def unit(self):
+        return _Words({(): 1})
+
+
+class TestSymmetricLayerCommutation:
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        # H_m is the one-letter word (m,), so no two distinct H_m commute
+        monkeypatch.setattr(symfun, "H_element", lambda alg, delta, m: _Words({(m,): 1}))
+
+    def test_non_commuting_pair_raises(self, planted):
+        with pytest.raises(ArithmeticError, match="H_1 and H_2 do not commute"):
+            SymmetricLayer(_FreeAlgebra(), (1, 1), 3)
+
+    @pytest.mark.parametrize("max_m", [1, 2])
+    def test_caps_below_three_check_no_pair(self, planted, max_m):
+        # the shipped caps: a2tilde (1, 1, 1) has max_m = 1, kronecker (2, 2) max_m = 2
+        layer = SymmetricLayer(_FreeAlgebra(), (1, 1), max_m)
+        assert layer.H(max_m).coeffs == {(max_m,): 1}
