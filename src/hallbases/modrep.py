@@ -39,11 +39,11 @@ import itertools
 import json
 import os
 import tempfile
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, sub
 
-from .cartan import cartan_of, euler_form, gradings_below, is_affine, min_delta, multisets
+from .cartan import cartan_of, euler_form, gradings_below, is_affine, min_delta
 # the fields and the GF(q) matrix kernel live in gf; modrep re-exports what its callers import
 from .gf import (  # noqa: F401
     GF,
@@ -78,6 +78,9 @@ SEARCH_BUDGET = 21
 #: orbit enumeration and the nilpotent mass check walk or count at most
 #: 2^STATE_BUDGET arrow-map tuples of a slice
 STATE_BUDGET = 17
+
+#: one catalog holds at most CLASS_BUDGET isomorphism classes over all its slices
+CLASS_BUDGET = 2 ** 17
 
 
 class BudgetError(RuntimeError):
@@ -1121,9 +1124,10 @@ class IsoClassCatalog:
             check_budget(self.shape, self.F, dims)
             if synthesizer is None:
                 check_walk(self.shape, self.F, dims)
+        index, reprs = {}, {}   # of each finished slice, of each indec's synth key
         for dims in self.dims_list:
             start = len(self.classes)
-            self._build_dim_synth(dims, synthesizer or self._orbit_indecs)
+            self._build_dim_synth(dims, synthesizer or self._orbit_indecs, index, reprs)
             self.by_dim[dims] = list(range(start, len(self.classes)))
             self._mass_check(dims)
 
@@ -1147,40 +1151,64 @@ class IsoClassCatalog:
                 out.append((M.key()[1], M))
         return out
 
-    def _build_dim_synth(self, dims, synthesizer):
-        """Every class of dims: a multiset of cataloged or new indecomposables.
+    def _build_dim_synth(self, dims, synthesizer, index, reprs):
+        """Every class of dims: a new indecomposable, or a sum grown from a smaller slice.
 
-        Classes come in repr order of their decomposition by synthesizer key,
-        summands in repr-of-key order; a sum keeps them to form on first read.
-        A name joins one repr per item; dim End of a sum, sum m m' dim Hom(X, X'),
-        reads a table of the slice's items that _pair fills on first use.
+        A sum of two or more summands is listed once, as C + X: X is one copy
+        of its summand of largest cid, a cataloged indecomposable, and C a
+        class of dims - dim X whose summands all have cid at most X's.
+        index[dims - dim X] holds that slice's classes ascending in their
+        largest summand cid, so those C are a prefix of it.  dim End adds up,
+        end C + dim End X + sum over (Y, m) in C of m (dim Hom(X, Y) + dim Hom(Y, X)).
+        Classes come in repr order of their name, which joins one
+        repr(synth key) per summand in repr order; a sum keeps its summands in
+        that order to form on first read.  The slice is then indexed for the
+        slices above it; reprs maps each indecomposable's cid to its repr.
         """
-        # the cataloged indecomposables whose dimension vectors fit in dims
-        items = [(repr(info.synth_key), info.cid, info.module, None)
-                 for info in (self.classes[cid] for cid in self.indec_ids)
-                 if all(x <= y for x, y in zip(info.dims, dims))]
-        items += [(repr(key), None, M, key) for key, M in synthesizer(self.shape, self.F, dims)]
-        items.sort(key=itemgetter(0))
-        named = [("(%s%s)" % (", ".join("(%s, %d)" % (items[k][0], m) for k, m in chosen),
-                              "," if len(chosen) == 1 else ""), chosen)
-                 for chosen, _ in multisets([item[2].dims for item in items], dims)]
-        named.sort(key=itemgetter(0))
-        hom = [[None] * len(items) for _ in items]
-        for _, chosen in named:
-            if len(chosen) == 1 and items[chosen[0][0]][1] is None:
-                _, _, M, key = items[chosen[0][0]]
-                self._add_class(M, dims, None, key)
+        # (name, decomposition or None, summand cids in name order or module, end or key)
+        entries = [("((%s, 1),)" % repr(key), None, M, key)
+                   for key, M in synthesizer(self.shape, self.F, dims)]
+        if not any(dims):
+            entries.append(("()", (), (), 0))
+        for x in self.indec_ids:
+            rest = tuple(map(sub, dims, self.classes[x].dims))
+            if min(rest) < 0:
                 continue
-            end = 0
-            for k, m in chosen:
-                row = hom[k]
-                for k2, m2 in chosen:
-                    if row[k2] is None:
-                        row[k2] = self._pair(items[k][1], items[k2][1])
-                    end += m * m2 * row[k2]
-            summands = tuple(items[k][2] for k, m in chosen for _ in range(m))
-            self._add_class((summands, self.shape, self.F), dims,
-                            tuple(sorted((items[k][1], m) for k, m in chosen)), end=end)
+            tops, cids = index[rest]
+            end_x = self._pair(x, x)
+            sym = {}   # dim Hom(X, Y) + dim Hom(Y, X) by the cid of Y
+            for c in cids[:bisect_right(tops, x)]:
+                info = self.classes[c]
+                end = info.end + end_x
+                for y, m in info.decomposition:
+                    if y not in sym:
+                        sym[y] = self._pair(x, y) + self._pair(y, x)
+                    end += m * sym[y]
+                dec = info.decomposition
+                if dec[-1][0] == x:
+                    dec = dec[:-1] + ((x, dec[-1][1] + 1),)
+                else:
+                    dec += ((x, 1),)
+                named = sorted(dec, key=lambda cm: reprs[cm[0]])
+                name = "(%s%s)" % (", ".join("(%s, %d)" % (reprs[y], m) for y, m in named),
+                                   "," if len(named) == 1 else "")
+                entries.append((name, dec, tuple(y for y, m in named for _ in range(m)), end))
+        if len(self.classes) + len(entries) > CLASS_BUDGET:
+            raise BudgetError("catalog over GF(%d) reaches %d classes at %s, exceeds budget %d"
+                              % (self.F.q, len(self.classes) + len(entries), dims,
+                                 CLASS_BUDGET))
+        entries.sort(key=itemgetter(0))
+        start = len(self.classes)
+        for _, dec, held, last in entries:
+            if dec is None:
+                info = self._add_class(held, dims, None, last)
+                reprs[info.cid] = repr(last)
+            else:
+                summands = tuple(self.classes[y].module for y in held)
+                self._add_class((summands, self.shape, self.F), dims, dec, end=last)
+        tops = sorted((info.decomposition[-1][0], info.cid)
+                      for info in self.classes[start:] if info.decomposition)
+        index[dims] = [top for top, _ in tops], [cid for _, cid in tops]
 
     def _add_class(self, module, dims, decomposition, synth_key=None, end=None):
         """Append the class of module: a new indecomposable for decomposition None, else a sum."""

@@ -20,6 +20,7 @@ from hallbases.cartan import (
     admissible_of,
     builtin_quiver,
     euler_form,
+    multisets,
     parse_quiver,
 )
 from hallbases.cyclic import (
@@ -824,6 +825,84 @@ class TestSliceDecompositions:
         cat = IsoClassCatalog(KRON, F3, [(3, 3)])
         assert len(built) == len(cat.indec_ids) == len(set(built))
         assert set(built) == {cat.classes[cid].synth_key for cid in cat.indec_ids}
+
+
+def _multisets_classes(cat, dims, hom):
+    """(decomposition, end, aut) of every class of dims, from one cartan.multisets walk.
+
+    The walk runs over the catalog's indecomposables that fit in dims, in repr
+    order of their synth keys, and the classes are sorted by the name that
+    joins one (repr(key), m) per summand.  dim End is sum m m' hom(X, X')
+    over summands, and |Aut| = prod |GL_m(q^r)| q^(end - sum m^2 r).
+    """
+    items = sorted((info for info in (cat.classes[c] for c in cat.indec_ids)
+                    if all(x <= y for x, y in zip(info.dims, dims))),
+                   key=lambda info: repr(info.synth_key))
+    named = sorted(("(%s%s)" % (", ".join("(%r, %d)" % (items[k].synth_key, m) for k, m in chosen),
+                                "," if len(chosen) == 1 else ""), chosen)
+                   for chosen, _ in multisets([info.dims for info in items], dims))
+    out = []
+    for _, chosen in named:
+        summands = [(items[k], m) for k, m in chosen]
+        end = sum(m * m2 * hom(X, Y) for X, m in summands for Y, m2 in summands)
+        aut = cat.F.q ** (end - sum(m * m * X.res for X, m in summands))
+        for X, m in summands:
+            aut *= modrep.gl_order(cat.F.q ** X.res, m)
+        out.append((tuple(sorted((X.cid, m) for X, m in summands)), end, aut))
+    return out
+
+
+def _hom_table(cat):
+    """dim Hom(X, Y) of indecomposables, memoised, from one Hom system per (X, dim Y)."""
+    systems, values = {}, {}
+
+    def hom(X, Y):
+        if (X.cid, Y.cid) not in values:
+            if (X.cid, Y.dims) not in systems:
+                systems[X.cid, Y.dims] = HomSystem(X.module, Y.dims)
+            values[X.cid, Y.cid] = systems[X.cid, Y.dims].dim(Y.module)
+        return values[X.cid, Y.cid]
+    return hom
+
+
+GROWN_CATALOGS = {
+    "kronecker-window6-q2": lambda: IsoClassCatalog(
+        KRON, F2, sorted(admissible_of(KRON).betas(6).values())),
+    "kronecker-q3": lambda: IsoClassCatalog(KRON, F3, [(3, 3)]),
+    "a2tilde-q2": lambda: IsoClassCatalog(A2T, F2, [(1, 1, 2)]),
+    "cyclic2-q2": lambda: IsoClassCatalog(cyclic_shape(2), F2, [(2, 3)]),
+    "a1-q2": lambda: IsoClassCatalog(A1, F2, [(4,)]),
+}
+
+
+class TestGrownSlices:
+    """Sums grown from smaller slices are the multisets of the slice's indecomposables."""
+
+    @pytest.mark.parametrize("name", sorted(GROWN_CATALOGS))
+    def test_matches_multisets_oracle(self, name):
+        cat = GROWN_CATALOGS[name]()
+        hom = _hom_table(cat)
+        for dims in cat.dims_list:
+            got = [(c.decomposition, c.end, c.aut) for c in cat.classes_of_dim(dims)]
+            assert got == _multisets_classes(cat, dims, hom), dims
+
+    def test_class_budget_refuses_before_the_slice(self, monkeypatch):
+        # kronecker (2, 2) over GF(2): 35 classes, 16 of them at (2, 2)
+        monkeypatch.setattr(modrep, "CLASS_BUDGET", 35)
+        assert len(IsoClassCatalog(KRON, F2, [(2, 2)]).classes) == 35
+        formed = []
+        add = IsoClassCatalog._add_class
+
+        def recording(self, module, dims, *args, **kwargs):
+            formed.append(dims)
+            return add(self, module, dims, *args, **kwargs)
+
+        monkeypatch.setattr(IsoClassCatalog, "_add_class", recording)
+        monkeypatch.setattr(modrep, "CLASS_BUDGET", 34)
+        with pytest.raises(BudgetError, match=r"^catalog over GF\(2\) reaches 35 classes at "
+                                              r"\(2, 2\), exceeds budget 34$"):
+            IsoClassCatalog(KRON, F2, [(2, 2)])
+        assert len(formed) == 19 and (2, 2) not in formed
 
 
 def _random_invertible(F, n, rng):
