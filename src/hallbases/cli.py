@@ -78,10 +78,7 @@ def _basis_cap(config):
                          % (", ".join(sorted(CONTEXT_CAPS)), config.ctx))
     limit = CONTEXT_CAPS[config.ctx]
     cap = config.cap or limit
-    if len(cap) != len(limit):
-        raise SystemExit("--cap %s needs %d entries, one per vertex of %s"
-                         % (",".join(map(str, cap)), len(limit), config.ctx))
-    if any(not 0 <= c <= m for c, m in zip(cap, limit)):
+    if len(cap) != len(limit) or any(not 0 <= c <= m for c, m in zip(cap, limit)):
         raise SystemExit("--cap %s is outside the %s basis cap %s"
                          % (",".join(map(str, cap)), config.ctx, ",".join(map(str, limit))))
     return cap

@@ -79,9 +79,6 @@ SEARCH_BUDGET = 21
 #: 2^STATE_BUDGET arrow-map tuples of a slice
 STATE_BUDGET = 17
 
-#: one catalog holds at most CLASS_BUDGET isomorphism classes over all its slices
-CLASS_BUDGET = 2 ** 17
-
 
 class BudgetError(RuntimeError):
     """An enumeration request exceeded one of the fixed resource budgets."""
@@ -1165,17 +1162,17 @@ class IsoClassCatalog:
         that order to form on first read.  The slice is then indexed for the
         slices above it; reprs maps each indecomposable's cid to its repr.
         """
-        # (name, decomposition or None, summand cids in name order or module, end or key)
-        entries = [("((%s, 1),)" % repr(key), None, M, key)
+        # (name, module, decomposition, synth key, end): _add_class's arguments after the name
+        entries = [("((%s, 1),)" % repr(key), M, None, key, None)
                    for key, M in synthesizer(self.shape, self.F, dims)]
         if not any(dims):
-            entries.append(("()", (), (), 0))
+            entries.append(("()", ((), self.shape, self.F), (), None, 0))
         for x in self.indec_ids:
             rest = tuple(map(sub, dims, self.classes[x].dims))
             if min(rest) < 0:
                 continue
             tops, cids = index[rest]
-            end_x = self._pair(x, x)
+            end_x = self.classes[x].end
             sym = {}   # dim Hom(X, Y) + dim Hom(Y, X) by the cid of Y
             for c in cids[:bisect_right(tops, x)]:
                 info = self.classes[c]
@@ -1192,20 +1189,13 @@ class IsoClassCatalog:
                 named = sorted(dec, key=lambda cm: reprs[cm[0]])
                 name = "(%s%s)" % (", ".join("(%s, %d)" % (reprs[y], m) for y, m in named),
                                    "," if len(named) == 1 else "")
-                entries.append((name, dec, tuple(y for y, m in named for _ in range(m)), end))
-        if len(self.classes) + len(entries) > CLASS_BUDGET:
-            raise BudgetError("catalog over GF(%d) reaches %d classes at %s, exceeds budget %d"
-                              % (self.F.q, len(self.classes) + len(entries), dims,
-                                 CLASS_BUDGET))
+                summands = tuple(self.classes[y].module for y, m in named for _ in range(m))
+                entries.append((name, (summands, self.shape, self.F), dec, None, end))
         entries.sort(key=itemgetter(0))
-        start = len(self.classes)
-        for _, dec, held, last in entries:
-            if dec is None:
-                info = self._add_class(held, dims, None, last)
-                reprs[info.cid] = repr(last)
-            else:
-                summands = tuple(self.classes[y].module for y in held)
-                self._add_class((summands, self.shape, self.F), dims, dec, end=last)
+        start, first = len(self.classes), len(self.indec_ids)
+        for _, module, dec, key, end in entries:
+            self._add_class(module, dims, dec, key, end)
+        reprs.update((x, repr(self.classes[x].synth_key)) for x in self.indec_ids[first:])
         tops = sorted((info.decomposition[-1][0], info.cid)
                       for info in self.classes[start:] if info.decomposition)
         index[dims] = [top for top, _ in tops], [cid for _, cid in tops]

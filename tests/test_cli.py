@@ -146,8 +146,6 @@ class TestRefusals:
         (("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--verify-prime", "5"),
          "--verify-prime 5"),
         (("verify", "--suite", "hallpoly", "--verify-prime", "4"), "--verify-prime 4"),
-        (("comp-basis", "--ctx", "kronecker", "--cap", "1"),
-         "--cap 1 needs 2 entries, one per vertex of kronecker"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:
@@ -235,15 +233,6 @@ class TestRefusals:
         assert doc["table"][0] == {"warning": "no catalog: orbit enumeration of (2, 3, 3) "
                                               "over GF(2) walks 2097152 states, over 2^17"}
         assert len(doc["table"]) == 12
-
-    def test_class_budget_is_a_warning_row(self, tmp_path, monkeypatch):
-        # window 3 of kronecker holds 233 classes over GF(2), 93 in the slices before (2, 4)
-        monkeypatch.setattr(modrep, "CLASS_BUDGET", 100)
-        code, doc = run(tmp_path, "roots", "--ctx", "kronecker", "--window", "3")
-        assert code == 0
-        assert doc["table"][0] == {"warning": "no catalog: catalog over GF(2) reaches 114 "
-                                              "classes at (2, 4), exceeds budget 100"}
-        assert all("warning" not in row for row in doc["table"][1:])
 
     def test_failed_certificate_exit_status(self, tmp_path, monkeypatch, capsys):
         # a failed mass check is a failed identity, not a missing catalog

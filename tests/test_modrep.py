@@ -886,24 +886,6 @@ class TestGrownSlices:
             got = [(c.decomposition, c.end, c.aut) for c in cat.classes_of_dim(dims)]
             assert got == _multisets_classes(cat, dims, hom), dims
 
-    def test_class_budget_refuses_before_the_slice(self, monkeypatch):
-        # kronecker (2, 2) over GF(2): 35 classes, 16 of them at (2, 2)
-        monkeypatch.setattr(modrep, "CLASS_BUDGET", 35)
-        assert len(IsoClassCatalog(KRON, F2, [(2, 2)]).classes) == 35
-        formed = []
-        add = IsoClassCatalog._add_class
-
-        def recording(self, module, dims, *args, **kwargs):
-            formed.append(dims)
-            return add(self, module, dims, *args, **kwargs)
-
-        monkeypatch.setattr(IsoClassCatalog, "_add_class", recording)
-        monkeypatch.setattr(modrep, "CLASS_BUDGET", 34)
-        with pytest.raises(BudgetError, match=r"^catalog over GF\(2\) reaches 35 classes at "
-                                              r"\(2, 2\), exceeds budget 34$"):
-            IsoClassCatalog(KRON, F2, [(2, 2)])
-        assert len(formed) == 19 and (2, 2) not in formed
-
 
 def _random_invertible(F, n, rng):
     while True:
