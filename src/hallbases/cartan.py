@@ -529,24 +529,31 @@ def parse_quiver(text):
 
 # -- built-in quivers ----------------------------------------------------
 
+def _c2_folded():
+    # the finite C2: fold of the A3 path 1 -> 2 <- 3 along the swap of the two ends
+    q = ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
+                     (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
+    return fold(q, QuiverAutomorphism(q, {"1": "3", "3": "1", "2": "2"}, {"a": "b", "b": "a"}))
+
+
+#: every shipped shape: name -> (builder, composition-context basis cap or None),
+#: read by builtin_quiver, the contexts and --ctx help; README's table mirrors it
+BUILTIN_QUIVERS = {
+    "a1": (lambda: ValuedQuiver(("1",), {"1": 1}, ()), None),
+    "a2": (lambda: ValuedQuiver(("1", "2"), {"1": 1, "2": 1}, (Arrow("a", "1", "2"),)), None),
+    "kronecker": (lambda: ValuedQuiver(("1", "2"), {"1": 1, "2": 1},
+                                       (Arrow("a", "1", "2"), Arrow("b", "1", "2"))), (2, 2)),
+    "a2tilde": (lambda: ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
+                                     (Arrow("a", "1", "3"), Arrow("b", "2", "3"),
+                                      Arrow("c", "1", "2"))), (1, 1, 1)),
+    "c2-folded": (_c2_folded, None),
+}
+
+
 def builtin_quiver(name):
-    """Quivers used by the shipped contexts and the test suite."""
-    if name == "a1":
-        return ValuedQuiver(("1",), {"1": 1}, ())
-    if name == "a2":
-        return ValuedQuiver(("1", "2"), {"1": 1, "2": 1}, (Arrow("a", "1", "2"),))
-    if name == "kronecker":
-        return ValuedQuiver(("1", "2"), {"1": 1, "2": 1},
-                            (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
-    if name == "a2tilde":
-        return ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
-                            (Arrow("a", "1", "3"), Arrow("b", "2", "3"), Arrow("c", "1", "2")))
-    if name == "c2-folded":
-        # the finite C2: fold of the A3 path 1 -> 2 <- 3 along the swap of the two ends
-        q = ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
-                         (Arrow("a", "1", "2"), Arrow("b", "3", "2")))
-        sigma = QuiverAutomorphism(q, {"1": "3", "3": "1", "2": "2"}, {"a": "b", "b": "a"})
-        return fold(q, sigma)
+    """The shipped shape name, built from its BUILTIN_QUIVERS record."""
     if name == "c2tilde-folded":
         raise ValueError("c2tilde-folded is the finite C2, renamed c2-folded")
-    raise ValueError("unknown built-in quiver %r" % (name,))
+    if name not in BUILTIN_QUIVERS:
+        raise ValueError("unknown built-in quiver %r" % (name,))
+    return BUILTIN_QUIVERS[name][0]()

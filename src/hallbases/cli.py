@@ -14,6 +14,7 @@ import os
 import sys
 
 from .cartan import (
+    BUILTIN_QUIVERS,
     OutsideWindowError,
     admissible_of,
     builtin_quiver,
@@ -35,8 +36,15 @@ from .cyclic import (
 from .hall import FitError, GenericHallAlgebra, HallContext
 from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .laurent import RationalV
-from .modrep import BudgetError, IsoClassCatalog, OracleError, field, field_of_order
-from .pbwbasis import CONTEXT_CAPS, get_context
+from .modrep import (
+    BudgetError,
+    IsoClassCatalog,
+    OracleError,
+    check_admission,
+    field,
+    field_of_order,
+)
+from .pbwbasis import context_caps, get_context
 
 
 class RunConfig:
@@ -73,10 +81,11 @@ def _ctx_shape(ctx):
 
 def _basis_cap(config):
     """The grading cap of a composition-context command, within the context's cap."""
-    if config.ctx not in CONTEXT_CAPS:
+    caps = context_caps()
+    if config.ctx not in caps:
         raise SystemExit("--ctx must name a composition context (%s), not %r"
-                         % (", ".join(sorted(CONTEXT_CAPS)), config.ctx))
-    limit = CONTEXT_CAPS[config.ctx]
+                         % (", ".join(sorted(caps)), config.ctx))
+    limit = caps[config.ctx]
     cap = config.cap or limit
     if len(cap) != len(limit) or any(not 0 <= c <= m for c, m in zip(cap, limit)):
         raise SystemExit("--cap %s is outside the %s basis cap %s"
@@ -180,8 +189,11 @@ def _suite_serre(config):
     dims = _serre_dims(shape)
     results = []
     ok = True
-    for q in (2, 3):
-        cat = IsoClassCatalog(shape, field(q), dims, cache_dir=config.cache_dir)
+    fields = [field(2), field(3)]
+    for F in fields:  # both fields admitted before the first catalog
+        check_admission(shape, F, dims)
+    for F in fields:
+        cat = IsoClassCatalog(shape, F, dims, cache_dir=config.cache_dir)
         hc = HallContext(cat)
         for i in shape.vertices:
             for j in shape.vertices:
@@ -189,7 +201,7 @@ def _suite_serre(config):
                     continue
                 passed = hc.vanishes_at_field(hc.serre_sum(i, j))
                 ok = ok and passed
-                results.append({"q": q, "i": str(i), "j": str(j), "pass": passed})
+                results.append({"q": F.q, "i": str(i), "j": str(j), "pass": passed})
     return {"suite": "serre", "pass": ok, "checks": results}, not ok
 
 
@@ -303,7 +315,7 @@ def cmd_verify(config, suite, rank, bound):
     suites = [suite]
     if suite == "all":
         suites = ["serre", "eta", "hallpoly"]
-        if config.ctx in CONTEXT_CAPS:
+        if config.ctx in context_caps():
             suites += ["orthogonality", "triangularity", "kashiwara"]
     if "eta" in suites:
         _check_cyclic_rank(rank)
@@ -427,8 +439,8 @@ def cmd_hall_poly(config, triple_spec):
 def _add_common(p, *names):
     """The shared options p reads, of ctx, quiver, cap and fields; then --cache-dir and --out."""
     if "ctx" in names:
-        p.add_argument("--ctx", help="built-in context name (kronecker, a2tilde, "
-                                     "c2-folded, cyclic:<r>, a1)")
+        p.add_argument("--ctx", help="built-in context name (%s, cyclic:<r>)"
+                                     % ", ".join(BUILTIN_QUIVERS))
     if "quiver" in names:
         p.add_argument("--quiver", help="path to a quiver description file")
     if "cap" in names:

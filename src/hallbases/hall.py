@@ -36,7 +36,7 @@ from .modrep import (
     MAX_FIELD_ORDER,
     IsoClassCatalog,
     OracleError,
-    check_budget,
+    check_admission,
     check_search,
     direct_sum,
     field_of_order,
@@ -399,9 +399,10 @@ class GenericHallAlgebra(_HallAlgebra):
     shape decides (modrep.synthesizer_of).  The constructor checks
     the budgets of the fields of a first fit and one widening, so an
     over-budget cap is refused before any catalog is built; a field read
-    later checks its own budgets first: BUDGET on the cap and SEARCH_BUDGET
-    on the scan of the cap, the largest scan.  Its keys are labels and its
-    coefficients RationalVs.
+    later checks its own budgets first: BUDGET on the cap, STATE_BUDGET on
+    the orbit walk of the cap when the shape is orbit-enumerated
+    (modrep.check_admission) and SEARCH_BUDGET on the scan of the cap, the
+    largest scan.  Its keys are labels and its coefficients RationalVs.
     """
 
     def __init__(self, shape, cap, labeler, cache_dir=None):
@@ -423,7 +424,7 @@ class GenericHallAlgebra(_HallAlgebra):
     def _check_budgets(self, qs):
         for q in qs:
             F = field_of_order(q)
-            check_budget(self.shape, F, self.cap)
+            check_admission(self.shape, F, [self.cap])
             check_search(scan_candidates(self.shape, F, self.cap),
                          "a submodule scan of %s over GF(%d)" % (self.cap, q))
 

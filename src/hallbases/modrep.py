@@ -106,6 +106,16 @@ def check_walk(shape, F, dims):
                           % (dims, F.q, n_states, STATE_BUDGET))
 
 
+def check_admission(shape, F, dims_list):
+    """Raise BudgetError unless every dims of dims_list fits BUDGET over F and,
+    when shape has no synthesizer (orbit enumeration), STATE_BUDGET."""
+    walk = synthesizer_of(shape) is None
+    for dims in dims_list:
+        check_budget(shape, F, dims)
+        if walk:
+            check_walk(shape, F, dims)
+
+
 class OracleError(RuntimeError):
     """An internal consistency check of the oracle failed."""
 
@@ -1116,11 +1126,8 @@ class IsoClassCatalog:
         return out
 
     def _build(self):
+        check_admission(self.shape, self.F, self.dims_list)
         synthesizer = synthesizer_of(self.shape)
-        for dims in self.dims_list:
-            check_budget(self.shape, self.F, dims)
-            if synthesizer is None:
-                check_walk(self.shape, self.F, dims)
         index, reprs = {}, {}   # of each finished slice, of each indec's synth key
         for dims in self.dims_list:
             start = len(self.classes)

@@ -12,6 +12,7 @@ unitriangular eliminations in Q(v).
 from __future__ import annotations
 
 from .cartan import (
+    BUILTIN_QUIVERS,
     admissible_of,
     builtin_quiver,
     cartan_of,
@@ -48,9 +49,11 @@ class AffineLabeler:
     def __init__(self, shape, seq):
         self.shape = shape
         self.seq = seq
+        #: {t: beta_t}, |t| <= LABEL_WINDOW: the one root table of labels and contexts
+        self.betas = seq.betas(LABEL_WINDOW)
         self.beta_pp = {}
         self.beta_pi = {}
-        for t, beta in seq.betas(LABEL_WINDOW).items():
+        for t, beta in self.betas.items():
             (self.beta_pp if t <= 0 else self.beta_pi)[beta] = t
         self._tube_cache = {}  # catalog -> its _tube_data; one labeler may meet several
 
@@ -73,7 +76,6 @@ class AffineLabeler:
         anchored.sort(key=lambda simples: tuple(catalog.classes[c].dims for c in simples))
         members = {}
         for ti, simples in enumerate(anchored):
-            r = len(simples)
             sdims = [catalog.classes[c].dims for c in simples]
             for cid in catalog.regular_indec_ids():
                 tops = [j for j, lc in enumerate(simples) if catalog._pair(cid, lc) > 0]
@@ -81,19 +83,14 @@ class AffineLabeler:
                     continue
                 if len(tops) != 1:
                     raise OracleError("nonhomogeneous module has a non-simple top")
-                i = tops[0]
-                # accumulate simple dims cyclically from the top until they match
-                dims = catalog.classes[cid].dims
-                acc = tuple(0 for _ in dims)
-                l = None
-                for step in range(1, 12 * r + 1):
-                    acc = tuple(a + b for a, b in zip(acc, sdims[(i + step - 1) % r]))
-                    if acc == dims:
-                        l = step
-                        break
-                if l is None:
+                # the member is the segment [i;l) from its top i whose size is its own
+                i, dims = tops[0] + 1, catalog.classes[cid].dims
+                l = 1
+                while sum(_segment_dims(sdims, i, l)) < sum(dims):
+                    l += 1
+                if _segment_dims(sdims, i, l) != dims:
                     raise OracleError("tube member has inconsistent dimensions")
-                members[cid] = (ti, i + 1, l)
+                members[cid] = (ti, i, l)
         homogeneous = [cid for cid in catalog.regular_indec_ids() if cid not in members]
         self._tube_cache[catalog] = (anchored, members, homogeneous)
         return self._tube_cache[catalog]
@@ -304,6 +301,7 @@ class CompositionContext:
         self.delta = min_delta(self.datum)
         self.seq = admissible_of(shape)
         self.labeler = AffineLabeler(shape, self.seq)
+        self.betas = self.labeler.betas
         self.alg = GenericHallAlgebra(shape, self.cap, self.labeler, cache_dir=cache_dir)
         max_m = min((c // d for c, d in zip(self.cap, self.delta)), default=0)
         self.symmetric = SymmetricLayer(self.alg, self.delta, max_m) if max_m >= 0 else None
@@ -318,16 +316,13 @@ class CompositionContext:
 
     # -- index enumeration -------------------------------------------------
 
-    def beta(self, t):
-        return self.seq.beta(t)
-
     def indices_of_grading(self, nu):
         nu = tuple(nu)
         if nu in self._indices_cache:
             return self._indices_cache[nu]
         out = []
-        for cminus, rest1 in self._boundary_options(nu, positive=False):
-            for cplus, rest2 in self._boundary_options(rest1, positive=True):
+        for cminus, rest1 in _boundary_options(self.betas, nu, positive=False):
+            for cplus, rest2 in _boundary_options(self.betas, rest1, positive=True):
                 for c0, rest3 in self._tube_options(rest2):
                     m = _delta_multiple(rest3, self.delta)
                     if m is None:
@@ -338,55 +333,26 @@ class CompositionContext:
         self._indices_cache[nu] = out
         return out
 
-    def _boundary_options(self, bound, positive):
-        """Multisets of beta_t (t > 0 or t <= 0) with dim sum <= bound."""
-        roots = []
-        t = 1 if positive else 0
-        while True:
-            try:
-                b = self.beta(t)
-            except ValueError:
-                break
-            roots.append((t, b))
-            if sum(b) > sum(bound):
-                break
-            t += 1 if positive else -1
-            if abs(t) > 40:
-                break
-        return _fitting(roots, bound)
-
     def _tube_options(self, bound):
         """Tuples of per-tube multisegments with ambient dim sum <= bound."""
-        segs = [((ti, (i, l)), self._tube_segment_dim(ti, i, l))
+        segs = [((ti, (i, l)), _segment_dims(self.tube_dims[ti], i, l))
                 for ti, r in enumerate(self.tube_ranks)
                 for i in range(1, r + 1) for l in range(1, sum(bound) + 1)]
         return [(tuple(tuple((seg, m) for (tj, seg), m in chosen if tj == ti)
                        for ti in range(len(self.tube_ranks))), rest)
                 for chosen, rest in _fitting(segs, bound)]
 
-    def _tube_segment_dim(self, ti, i, l):
-        dims = self.tube_dims[ti]
-        r = len(dims)
-        acc = tuple(0 for _ in dims[0])
-        for step in range(l):
-            acc = tuple(a + b for a, b in zip(acc, dims[(i - 1 + step) % r]))
-        return acc
+    def _part_dims(self, boundary=(), c0=(), lam=()):
+        """The dimension vector of index parts: sum m beta_t over the (t, m)
+        of boundary, sum m dim [i;l) over the tubes' parts, |lam| delta."""
+        terms = [(self.betas[t], m) for t, m in boundary]
+        terms += [(_segment_dims(self.tube_dims[ti], i, l), m)
+                  for ti, part in enumerate(c0) for (i, l), m in part]
+        terms.append((self.delta, sum(lam)))
+        return tuple(sum(m * d[k] for d, m in terms) for k in range(len(self.delta)))
 
     def grading_of(self, index):
-        n = len(self.shape.vertices)
-        total = [0] * n
-        for t, m in index.cminus:
-            b = self.beta(t)
-            total = [a + m * x for a, x in zip(total, b)]
-        for t, m in index.cplus:
-            b = self.beta(t)
-            total = [a + m * x for a, x in zip(total, b)]
-        for ti, part in enumerate(index.c0):
-            for (i, l), m in part:
-                d = self._tube_segment_dim(ti, i, l)
-                total = [a + m * x for a, x in zip(total, d)]
-        total = [a + sum(index.lam) * x for a, x in zip(total, self.delta)]
-        return tuple(total)
+        return self._part_dims(index.cminus + index.cplus, index.c0, index.lam)
 
     # -- the four factors and N ---------------------------------------------
 
@@ -402,21 +368,12 @@ class CompositionContext:
         """<M(c_-)> or <M(c_+)> as a label element."""
         if not part:
             return self.alg.unit()
-        dims = [0] * len(self.shape.vertices)
-        for t, m in part:
-            b = self.beta(t)
-            dims = [a + m * x for a, x in zip(dims, b)]
-        return self.alg.angle_elt(tuple(dims), self._boundary_label(part, positive))
+        return self.alg.angle_elt(self._part_dims(part), self._boundary_label(part, positive))
 
     def angle_tube(self, c0):
         if all(not part for part in c0):
             return self.alg.unit()
-        dims = [0] * len(self.shape.vertices)
-        for ti, part in enumerate(c0):
-            for (i, l), m in part:
-                d = self._tube_segment_dim(ti, i, l)
-                dims = [a + m * x for a, x in zip(dims, d)]
-        return self.alg.angle_elt(tuple(dims), self._tube_label(c0))
+        return self.alg.angle_elt(self._part_dims(c0=c0), self._tube_label(c0))
 
     def N_element(self, index):
         """N(c, t_lambda) = <M(c_-)> * <M(c_0)> * S_lambda * <M(c_+)>."""
@@ -436,18 +393,18 @@ class CompositionContext:
     def monomial_word(self, index):
         word = []
         for t, m in sorted(index.cminus, reverse=True):   # beta_0 first
-            word.extend(self.dim_word(tuple(m * x for x in self.beta(t))))
+            word.extend(self.dim_word(tuple(m * x for x in self.betas[t])))
         for ti, part in enumerate(index.c0):
             if not part:
                 continue
             pi = Multisegment(self.tube_ranks[ti], dict(part))
             for j, a in word_of(pi):
                 word.extend(self.dim_word(
-                    tuple(a * x for x in self._tube_segment_dim(ti, j, 1))))
+                    tuple(a * x for x in _segment_dims(self.tube_dims[ti], j, 1))))
         for part_size in index.lam:
             word.extend(self.dim_word(tuple(part_size * x for x in self.delta)))
         for t, m in sorted(index.cplus, reverse=True):    # ... beta_2, beta_1 last
-            word.extend(self.dim_word(tuple(m * x for x in self.beta(t))))
+            word.extend(self.dim_word(tuple(m * x for x in self.betas[t])))
         return tuple(word)
 
     def monomial(self, index):
@@ -586,6 +543,19 @@ def _fitting(items, bound):
             for chosen, rest in multisets([d for _, d in items], bound, exact=False)]
 
 
+def _boundary_options(betas, bound, positive):
+    """Multisets of the roots beta_t of the table betas, t > 0 or t <= 0,
+    with dim sum <= bound."""
+    return _fitting([(t, b) for t, b in betas.items() if (t > 0) == positive], bound)
+
+
+def _segment_dims(simple_dims, i, l):
+    """The dimension vector of the tube segment [i;l): the l simples from the
+    i-th on (1-based), read cyclically from a tube's simple dims."""
+    r = len(simple_dims)
+    return tuple(map(sum, zip(*(simple_dims[(i - 1 + s) % r] for s in range(l)))))
+
+
 def _delta_multiple(dims, delta):
     """m with dims = m * delta, or None."""
     if all(x == 0 for x in dims):
@@ -646,18 +616,18 @@ class SpanSolver:
 
 _CONTEXTS = {}
 
-#: documented grading caps of the shipped desk-scale contexts
-CONTEXT_CAPS = {
-    "kronecker": (2, 2),
-    "a2tilde": (1, 1, 1),
-}
+
+def context_caps():
+    """{name: basis cap} of the shipped composition contexts, read off cartan.BUILTIN_QUIVERS."""
+    return {name: cap for name, (_, cap) in BUILTIN_QUIVERS.items() if cap is not None}
 
 
 def get_context(name, cache_dir=None):
     key = (name, cache_dir)
     if key not in _CONTEXTS:
-        if name not in CONTEXT_CAPS:
+        caps = context_caps()
+        if name not in caps:
             raise ValueError("no composition context named %r" % (name,))
-        _CONTEXTS[key] = CompositionContext(name, builtin_quiver(name), CONTEXT_CAPS[name],
+        _CONTEXTS[key] = CompositionContext(name, builtin_quiver(name), caps[name],
                                             cache_dir=cache_dir)
     return _CONTEXTS[key]

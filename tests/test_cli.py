@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import hallbases
+from hallbases.cartan import BUILTIN_QUIVERS
 from hallbases.cli import main
-from hallbases import modrep
+from hallbases import modrep, pbwbasis
 from hallbases.modrep import IsoClassCatalog
 
 
@@ -166,6 +167,20 @@ class TestRefusals:
         monkeypatch.setattr(IsoClassCatalog, "__init__", build)
         with pytest.raises(SystemExit, match="exceeds budget"):
             run(tmp_path, *argv)
+
+    def test_no_catalog_before_walk_refusal(self, tmp_path, monkeypatch):
+        # three Kronecker arrows have no synthesizer: (4, 1) walks 2^12 states
+        # over GF(2) but 3^12 over GF(3), refused before the GF(2) catalog
+        qf = tmp_path / "k3.txt"
+        qf.write_text(KRONECKER_FILE + "arrow c 1 2\n")
+
+        def build(self, shape, F, *args, **kwargs):
+            raise AssertionError("GF(%d) catalog built before the walk refusal" % F.q)
+
+        monkeypatch.setattr(IsoClassCatalog, "__init__", build)
+        with pytest.raises(SystemExit, match=r"orbit enumeration of \(4, 1\) over GF\(3\) "
+                                             r"walks 531441 states"):
+            run(tmp_path, "verify", "--suite", "serre", "--quiver", str(qf))
 
     @pytest.mark.parametrize("text, names", [
         ("vertex 1\narrow a 1 2\n", "outside the vertex set"),
@@ -347,6 +362,39 @@ class TestDeterminism:
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+class TestContextTable:
+    """cartan.BUILTIN_QUIVERS is the one record of every shipped shape."""
+
+    def test_readme_table_mirrors_the_records(self):
+        text = (REPO / "README.md").read_text()
+        section = text.split("## Built-in contexts and caps")[1].split("\n## ")[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("|")][2:]
+        caps = {row[0].strip("`"): row[2].strip("`") for row in rows}
+        assert len(rows) == len(caps)
+        assert set(caps) == set(BUILTIN_QUIVERS) | {"cyclic:r"}
+        for name, (_, cap) in BUILTIN_QUIVERS.items():
+            assert caps[name] == ("(%s)" % ",".join(map(str, cap)) if cap else "–"), name
+
+    def test_one_record_makes_a_context(self, tmp_path, monkeypatch, capsys):
+        # the Kronecker quiver under a new name with cap (1,1): its reports are
+        # those of --ctx kronecker --cap 1,1 under the new name
+        monkeypatch.setitem(BUILTIN_QUIVERS, "kron11", (BUILTIN_QUIVERS["kronecker"][0], (1, 1)))
+        monkeypatch.setattr(pbwbasis, "_CONTEXTS", {})
+        with pytest.raises(SystemExit):
+            main(["comp-basis", "--help"])
+        assert "(a1, a2, kronecker, a2tilde, c2-folded, kron11, cyclic:<r>)" in " ".join(
+            capsys.readouterr().out.split())
+        for argv in (("comp-basis", "--emit", "report"), ("verify", "--suite", "triangularity")):
+            code, doc = run(tmp_path, *argv, "--ctx", "kron11")
+            want = run(tmp_path, *argv, "--ctx", "kronecker", "--cap", "1,1")[1]
+            if "ctx" in want:
+                want["ctx"] = "kron11"
+            assert code == 0 and doc == want
+        with pytest.raises(SystemExit, match="--cap 2,2 is outside the kron11 basis cap 1,1"):
+            run(tmp_path, "comp-basis", "--ctx", "kron11", "--cap", "2,2")
 
 
 class TestGoldenReports:

@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from hallbases.cartan import admissible_of, builtin_quiver
+from hallbases.cartan import (
+    Arrow,
+    QuiverAutomorphism,
+    ValuedQuiver,
+    admissible_of,
+    builtin_quiver,
+    fold,
+)
 from hallbases.hall import eliminate
 from hallbases.laurent import LaurentPoly, RationalV, in_lattice
 from hallbases.modrep import IsoClassCatalog, OracleError, field
@@ -10,6 +17,7 @@ from hallbases.pbwbasis import (
     AffineLabeler,
     GenericElement,
     PbwIndex,
+    _boundary_options,
     _lex_geq_minus,
     _lex_geq_plus,
     get_context,
@@ -82,6 +90,31 @@ class TestLabeler:
         assert ([shared.label_of(big, cid) for cid in range(33)]
                 == [fresh.label_of(big, cid) for cid in range(33)])
         assert [t["simples"] for t in big.tube_structure() if t["rank"] > 1] == [[2, 8]]
+
+
+class TestRootTable:
+    def test_twisted_positive_ray_at_two_delta(self, monkeypatch):
+        # D3(2): A~3 with arrows 2 -> 1, 2 -> 3, 4 -> 1, 4 -> 3 folded along the
+        # swap of 2 and 4.  Its positive ray is beta_4 = (2,3,2), beta_5 = (2,2,1),
+        # beta_6 = (1,2,2): sizes do not grow along it, so the options at 2 delta
+        # must come from the whole root table, not from a walk stopped by size
+        a3 = ValuedQuiver(("1", "2", "3", "4"), dict.fromkeys("1234", 1),
+                          (Arrow("a", "2", "1"), Arrow("b", "2", "3"),
+                           Arrow("c", "4", "1"), Arrow("d", "4", "3")))
+        swap = QuiverAutomorphism(a3, {"1": "1", "2": "4", "3": "3", "4": "2"},
+                                  {"a": "c", "b": "d", "c": "a", "d": "b"})
+        d32 = fold(a3, swap)
+
+        def build(self, *args, **kwargs):
+            raise AssertionError("a catalog was built for the root table")
+
+        monkeypatch.setattr(IsoClassCatalog, "__init__", build)
+        betas = AffineLabeler(d32, admissible_of(d32)).betas
+        assert [betas[t] for t in (4, 5, 6)] == [(2, 3, 2), (2, 2, 1), (1, 2, 2)]
+        options = _boundary_options(betas, (2, 2, 2), positive=True)
+        used = {t for chosen, _ in options for t, _ in chosen}
+        assert {5, 6} <= used and 4 not in used
+        assert (((5, 1),), (0, 0, 1)) in options and (((6, 1),), (1, 0, 0)) in options
 
 
 class TestOrder:
