@@ -536,6 +536,15 @@ def _c2_folded():
     return fold(q, QuiverAutomorphism(q, {"1": "3", "3": "1", "2": "2"}, {"a": "b", "b": "a"}))
 
 
+def _d32():
+    # D_3^(2): fold of A~_3 with arrows 2 -> 1, 2 -> 3, 4 -> 1, 4 -> 3 along the swap of 2 and 4
+    q = ValuedQuiver(("1", "2", "3", "4"), {v: 1 for v in "1234"},
+                     (Arrow("a", "2", "1"), Arrow("b", "4", "1"),
+                      Arrow("c", "2", "3"), Arrow("d", "4", "3")))
+    return fold(q, QuiverAutomorphism(q, {"1": "1", "2": "4", "3": "3", "4": "2"},
+                                      {"a": "b", "b": "a", "c": "d", "d": "c"}))
+
+
 #: every shipped shape: name -> (builder, composition-context basis cap or None),
 #: read by builtin_quiver, the contexts and --ctx help; README's table mirrors it
 BUILTIN_QUIVERS = {
@@ -546,6 +555,7 @@ BUILTIN_QUIVERS = {
     "a2tilde": (lambda: ValuedQuiver(("1", "2", "3"), {"1": 1, "2": 1, "3": 1},
                                      (Arrow("a", "1", "3"), Arrow("b", "2", "3"),
                                       Arrow("c", "1", "2"))), (1, 1, 1)),
+    "d32": (_d32, (1, 1, 1)),
     "c2-folded": (_c2_folded, None),
 }
 

@@ -419,7 +419,7 @@ class GenericHallAlgebra(_HallAlgebra):
         self._label_facts = {}       # label -> dict(end, dim_k, aut) over the first field read
         self._label_data = {}        # label -> dict(end, dim_k, aut, dims, count)
         self._mult_tables = {}       # (dims1, dims2) -> {(l1, l2): {l: LaurentPoly in v}}
-        self._coproduct_tables = {}  # dims -> {l: {(l1, l2): RationalV}}
+        self._coproduct_splits = {}  # (dims1, dims2) -> {l: {(l1, l2): RationalV}}
 
     def _check_budgets(self, qs):
         for q in qs:
@@ -554,41 +554,32 @@ class GenericHallAlgebra(_HallAlgebra):
         return {(l1, l2, tl): g for tl, bucket in per_label.items()
                 for (l1, l2), g in bucket.items()}
 
-    def coproduct_table(self, dims):
-        """Green coproduct on the slice, label coordinates, RationalV entries."""
-        dims = tuple(dims)
-        if dims in self._coproduct_tables:
-            return self._coproduct_tables[dims]
-        self.labels_of_dim(dims)
+    def coproduct_split(self, dims1, dims2):
+        """The (dims1, dims2) part of the Green coproduct, as
+        {l: {(l1, l2): RationalV}} over the labels l of dims1 + dims2."""
+        key = (tuple(dims1), tuple(dims2))
+        if key in self._coproduct_splits:
+            return self._coproduct_splits[key]
+        table = self.mult_table(*key)
+        tw = euler_form(self.shape, *key)
+        data = self._label_data
         out = {}
-        for label in self._labels_by_dim[dims]:
-            aL = qpoly_to_v(self._label_data[label]["aut"])
-            cntL = qpoly_to_v(self._label_data[label]["count"])
-            terms = {}
-            # every split of the grading contributes its own mult table
-            for split1 in gradings_below(dims):
-                split2 = tuple(a - b for a, b in zip(dims, split1))
-                table = self.mult_table(split1, split2)
-                tw = euler_form(self.shape, split1, split2)
-                for (l1, l2), targets in table.items():
-                    c = targets.get(label)
-                    if c is None or c.is_zero():
-                        continue
-                    a1 = qpoly_to_v(self._label_data[l1]["aut"])
-                    a2 = qpoly_to_v(self._label_data[l2]["aut"])
-                    cnt1 = qpoly_to_v(self._label_data[l1]["count"])
-                    cnt2 = qpoly_to_v(self._label_data[l2]["count"])
-                    # the table entry c sums g^L_{MN} over realization pairs
-                    # for one fixed L; the coefficient of [l1] (x) [l2] in
-                    # r([l]) instead needs, for one fixed pair, the sum of
-                    # g^L over realizations of L.  Double counting the total
-                    # sum over all realizations converts one into the other:
-                    # per-pair L-sum = c * count_l / (count_1 count_2).
-                    num = c * a1 * a2 * cntL * LaurentPoly.v_power(tw)
-                    val = RationalV(num, aL * cnt1 * cnt2)
-                    terms[(l1, l2)] = val
-            out[label] = terms
-        self._coproduct_tables[dims] = out
+        for (l1, l2), targets in table.items():
+            for label, c in targets.items():
+                if c.is_zero():
+                    continue
+                # the table entry c sums g^L_{MN} over realization pairs
+                # for one fixed L; the coefficient of [l1] (x) [l2] in
+                # r([l]) instead needs, for one fixed pair, the sum of
+                # g^L over realizations of L.  Double counting the total
+                # sum over all realizations converts one into the other:
+                # per-pair L-sum = c * count_l / (count_1 count_2).
+                num = (c * qpoly_to_v(data[l1]["aut"]) * qpoly_to_v(data[l2]["aut"])
+                       * qpoly_to_v(data[label]["count"]) * LaurentPoly.v_power(tw))
+                den = (qpoly_to_v(data[label]["aut"]) * qpoly_to_v(data[l1]["count"])
+                       * qpoly_to_v(data[l2]["count"]))
+                out.setdefault(label, {})[(l1, l2)] = RationalV(num, den)
+        self._coproduct_splits[key] = out
         return out
 
     # -- elements --------------------------------------------------------
@@ -636,29 +627,33 @@ class GenericHallAlgebra(_HallAlgebra):
         return total
 
     def derive_left(self, vertex, x):
-        """The u_i (x) (-) component of the Green coproduct."""
+        """The u_i (x) (-) component of the Green coproduct.
+
+        The slice e_i has the one label [S_i], so the split (e_i, rest)
+        holds exactly this component.
+        """
         if x.is_zero():
             return self.zero_elt()
         e_i = tuple(1 if i == vertex else 0 for i in self.shape.vertices)
         rest = tuple(a - b for a, b in zip(x.grading, e_i))
         if any(c < 0 for c in rest):
             return self.zero_elt()
-        s_label = self.key_of_module(self._simple(vertex))
-        table = self.coproduct_table(x.grading)
+        table = self.coproduct_split(e_i, rest)
         out = {}
         for label, cx in x.coeffs.items():
-            for (l1, l2), val in table[label].items():
-                if l1 == s_label and self._label_data[l2]["dims"] == rest:
-                    out[l2] = out.get(l2, RationalV(0)) + cx * val
+            for (_, l2), val in table.get(label, {}).items():
+                out[l2] = out.get(l2, RationalV(0)) + cx * val
         return HallElement(self, rest, out)
 
     def coproduct(self, x):
-        """Full Green coproduct as {(label1, label2): RationalV}."""
+        """Full Green coproduct as {(label1, label2): RationalV}, summed over the splits."""
         out = {}
-        table = self.coproduct_table(x.grading)
+        splits = [self.coproduct_split(d1, tuple(a - b for a, b in zip(x.grading, d1)))
+                  for d1 in gradings_below(x.grading)]
         for label, cx in x.coeffs.items():
-            for pair, val in table[label].items():
-                out[pair] = out.get(pair, RationalV(0)) + cx * val
+            for table in splits:
+                for pair, val in table.get(label, {}).items():
+                    out[pair] = out.get(pair, RationalV(0)) + cx * val
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     # -- Hall polynomial fitting -----------------------------------------

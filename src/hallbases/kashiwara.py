@@ -72,16 +72,9 @@ class AdmissibleTriple:
     # -- verification of the defining relations -----------------------------
 
     def check_relation(self, nu):
-        """eps phi = v_i^2 phi eps + 1 on the full slice of grading nu."""
-        self._check_cap(tuple(x + y for x, y in zip(nu, self.e_i)))
-        vi2 = RationalV(LaurentPoly.v_power(2 * self.d_i))
-        for a in self.ctx.indices_of_grading(nu):
-            x = {a: RationalV(1)}
-            lhs = self.eps(self.phi(x))
-            rhs = _add(_scale(self.phi(self.eps(x)), vi2), x)
-            if not _eq(lhs, rhs):
-                return False
-        return True
+        """eps phi = v_i^2 phi eps + 1 on the full slice of grading nu: the
+        divided relation at N = 1, where phi^(1) = phi and phi^(0) = id."""
+        return self.check_divided_relation(nu, 1)
 
     def check_divided_relation(self, nu, n):
         """eps phi^(N) = v_i^(2N) phi^(N) eps + v_i^(N-1) phi^(N-1)."""

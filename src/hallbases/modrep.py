@@ -883,7 +883,7 @@ def enumerate_bfs(shape, F, dims):
         if shape.d[h.tgt] != 1 and (shape.d[h.src] != shape.d[h.tgt] or h.m != shape.d[h.tgt]):
             raise NotImplementedError(
                 "BFS enumeration with equivariance constraints is not implemented")
-    # generator actions: (arrow -> left matrix or None, arrow -> right matrix or None)
+    # generator actions: (arrow -> left matrix, arrow -> transposed right matrix)
     actions = []
     for i in shape.vertices:
         ii = shape.index[i]
@@ -899,7 +899,7 @@ def enumerate_bfs(shape, F, dims):
                     left[h.id] = g_fp
                 if h.src == i:
                     blocks = h.m // shape.d[h.src]
-                    right[h.id] = _block_diag(F, ginv_fp, blocks)
+                    right[h.id] = m_transpose(_block_diag(F, ginv_fp, blocks))
             if left or right:
                 actions.append((left, right))
     reps = []
@@ -923,8 +923,8 @@ def enumerate_bfs(shape, F, dims):
                 new = dict(cur)
                 for hid, g in left.items():
                     new[hid] = m_mul(F, g, new[hid])
-                for hid, g in right.items():
-                    new[hid] = m_mul(F, new[hid], g)
+                for hid, gt in right.items():
+                    new[hid] = _mul_t(F, new[hid], gt)
                 k = encode(new)
                 if k not in orbit:
                     orbit.add(k)

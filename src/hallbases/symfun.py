@@ -9,7 +9,6 @@ H_m commute, which is verified in the algebra rather than assumed.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .cartan import multisets
 from .hall import HallElement
@@ -34,12 +33,6 @@ def partitions_of(n):
     parts = range(n, 0, -1)
     return [tuple(parts[k] for k, m in chosen for _ in range(m))
             for chosen, _ in multisets([(p,) for p in parts], (n,))]
-
-
-def lex_less(lam, mu):
-    """Strict lexicographic order on partitions of the same size."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    return lam < mu
 
 
 def dominance_leq(lam, mu):
@@ -90,105 +83,29 @@ def kostka(lam, mu):
 
 
 # ---------------------------------------------------------------------------
-# the commuting-symbol ring Z[H_1, H_2, ...]
+# the Jacobi-Trudi expansion
 # ---------------------------------------------------------------------------
 
-class HPoly:
-    """A polynomial in commuting symbols H_1, H_2, ...; monomials are sorted
-    tuples of indices."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c:
-                    self.terms[tuple(sorted(mono, reverse=True))] = c
-
-    @staticmethod
-    def zero():
-        return HPoly()
-
-    @staticmethod
-    def one():
-        return HPoly({(): 1})
-
-    @staticmethod
-    def h(m):
-        if m < 0:
-            return HPoly.zero()
-        if m == 0:
-            return HPoly.one()
-        return HPoly({(m,): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = c
-            else:
-                s += c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        p = HPoly.__new__(HPoly)
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = HPoly.__new__(HPoly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2, reverse=True))
-                s = out.get(mono)
-                if s is None:
-                    out[mono] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        p = HPoly.__new__(HPoly)
-        p.terms = out
-        return p
-
-    def __eq__(self, other):
-        return isinstance(other, HPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("%s*H%s" % (c, list(m)) for m, c in sorted(self.terms.items()))
-
-
 def jacobi_trudi(lam):
-    """S_lambda = det(H_{lambda_t - t + t'}) as an HPoly, H_0 = 1, H_neg = 0."""
+    """S_lambda = det(H_{lambda_t - t + t'}) as {parts: coefficient}.
+
+    parts lists the H indices of one product of the commuting H_m in
+    descending order; H_0 = 1 is left out and a product with a negative
+    index, H_neg = 0, is dropped.
+    """
     lam = check_partition(lam)
-    s = len(lam)
-    if s == 0:
-        return HPoly.one()
-    total = HPoly.zero()
-    for perm in itertools.permutations(range(s)):
-        sign = _perm_sign(perm)
-        term = HPoly.one()
-        for t in range(s):
-            term = term * HPoly.h(lam[t] - t - 1 + perm[t] + 1)
-        total = total + (term if sign > 0 else -term)
-    return total
+    out = {}
+    for perm in itertools.permutations(range(len(lam))):
+        parts = [lam[t] - t + perm[t] for t in range(len(lam))]
+        if min(parts, default=0) < 0:
+            continue
+        parts = tuple(sorted((m for m in parts if m), reverse=True))
+        c = out.get(parts, 0) + _perm_sign(perm)
+        if c:
+            out[parts] = c
+        else:
+            del out[parts]
+    return out
 
 
 def _perm_sign(perm):
@@ -198,37 +115,6 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def h_to_s_matrix(n):
-    """Coefficients of H_mu over the S_lambda basis for |mu| = n.
-
-    Returns {(lam, mu): coefficient}; classically the coefficient is the
-    Kostka number K_{lam, mu}, which is what the tests assert.
-    """
-    lams = partitions_of(n)
-    s_polys = {lam: jacobi_trudi(lam) for lam in lams}
-    out = {}
-    for mu in lams:
-        h_mu = HPoly.one()
-        for part in mu:
-            h_mu = h_mu * HPoly.h(part)
-        # solve h_mu = sum c_lam s_lam by peeling leading monomials: S_lambda
-        # is H_lambda plus monomials strictly dominance-above lambda, so the
-        # extraction runs in ascending lex order
-        residual = h_mu
-        coeffs = {}
-        for lam in reversed(lams):
-            c = residual.terms.get(lam, Fraction(0))
-            coeffs[lam] = c
-            if c:
-                residual = residual - HPoly({(): c}) * s_polys[lam]
-        if residual.terms:
-            raise ArithmeticError("h-to-s expansion did not terminate")
-        for lam, c in coeffs.items():
-            if c:
-                out[(lam, mu)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +176,8 @@ class SymmetricLayer:
         if sum(lam) > self.max_m:
             raise ValueError("partition weight %d exceeds the layer cap %d"
                              % (sum(lam), self.max_m))
-        poly = jacobi_trudi(lam)
         total = None
-        for mono, c in poly.terms.items():
+        for mono, c in jacobi_trudi(lam).items():
             term = self.alg.unit().scale(RationalV(LaurentPoly.const(c)))
             for m in mono:
                 term = term * self._H[m]

@@ -385,7 +385,7 @@ class TestContextTable:
         monkeypatch.setattr(pbwbasis, "_CONTEXTS", {})
         with pytest.raises(SystemExit):
             main(["comp-basis", "--help"])
-        assert "(a1, a2, kronecker, a2tilde, c2-folded, kron11, cyclic:<r>)" in " ".join(
+        assert "(a1, a2, kronecker, a2tilde, d32, c2-folded, kron11, cyclic:<r>)" in " ".join(
             capsys.readouterr().out.split())
         for argv in (("comp-basis", "--emit", "report"), ("verify", "--suite", "triangularity")):
             code, doc = run(tmp_path, *argv, "--ctx", "kron11")
@@ -509,6 +509,29 @@ def test_e_basis_reports_pinned(tmp_path):
         digest.update(out.read_bytes())
     assert digest.hexdigest() == (
         "0a9ea0e79ac1170d141acfe3c725d9c26d60f98d30a85133230dc0788ce66d94")
+
+
+class TestValuedContext:
+    """D_3^(2), the folded A~_3 with the valued vertex 2+4 a source, at cap delta."""
+
+    def test_reports_pinned(self, tmp_path):
+        for argv, want in (
+                (("comp-basis", "--ctx", "d32", "--emit", "report"),
+                 "0d98edb952805c9cdd72619ba516fc975100bca6c0e333962cb45b90571cc4b7"),
+                (("verify", "--suite", "all", "--ctx", "d32"),
+                 "147dd65dd1b4e19c00beaef419439666937dd79749948509f11631c65dc0596e")):
+            out = tmp_path / "out.json"
+            assert main(list(argv) + ["--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == want, argv
+
+    def test_kostant_counts(self, tmp_path):
+        # Kostant's partition function, with mult delta = 1 in D_3^(2):
+        # (1,1,1) is delta, (1,1,0) + (0,0,1), (0,1,1) + (1,0,0) or
+        # (1,0,0) + (0,1,0) + (0,0,1); (1,1,0) is itself or (1,0,0) + (0,1,0)
+        code, doc = run(tmp_path, "comp-basis", "--ctx", "d32", "--emit", "report")
+        assert code == 0
+        assert doc["slices"]["[1, 1, 1]"]["indices"] == doc["slices"]["[1, 1, 1]"]["aperiodic"] == 4
+        assert doc["slices"]["[1, 1, 0]"]["indices"] == 2
 
 
 def test_tracer_targets_resolve():

@@ -12,6 +12,7 @@ from hallbases.hall import (
     FitError,
     GenericHallAlgebra,
     HallContext,
+    HallElement,
     field_ladder,
     fit_and_verify,
     fit_on_ladder,
@@ -212,6 +213,25 @@ class TestGenericLayer:
         d = alg.derive_left("1", u1)
         assert list(d.coeffs.values()) == [RationalV(1)]
         assert alg.derive_left("2", u1).is_zero()
+
+    @pytest.mark.parametrize("vertex, e_i", [("1", (1, 0)), ("2", (0, 1))])
+    def test_derive_left_fits_one_split(self, kron_gen, monkeypatch, vertex, e_i):
+        # a fresh algebra: derive_left on the slice (2, 2) fits the one table
+        # (e_i, nu - e_i) of the Green coproduct, no other split
+        alg = GenericHallAlgebra(kron_gen.shape, kron_gen.cap, kron_gen.labeler)
+        nu = (2, 2)
+        x = HallElement(alg, nu, {label: 1 for label in alg.labels_of_dim(nu)})
+        fitted = []
+        mult_table = GenericHallAlgebra.mult_table
+
+        def recorded(self, dims1, dims2):
+            if (tuple(dims1), tuple(dims2)) not in self._mult_tables:
+                fitted.append((tuple(dims1), tuple(dims2)))
+            return mult_table(self, dims1, dims2)
+
+        monkeypatch.setattr(GenericHallAlgebra, "mult_table", recorded)
+        assert not alg.derive_left(vertex, x).is_zero()
+        assert set(fitted) == {(e_i, tuple(a - b for a, b in zip(nu, e_i)))}
 
     def test_leibniz(self, kron_gen):
         alg = kron_gen
