@@ -162,13 +162,10 @@ def fit_on_ladder(ladder, read, bound):
 class HallPolynomial:
     """A verified Hall polynomial phi(q) for a generic triple."""
 
-    __slots__ = ("poly", "triple", "fit_fields", "verify_field")
+    __slots__ = ("poly",)
 
-    def __init__(self, poly, triple, fit_fields, verify_field):
+    def __init__(self, poly):
         self.poly = poly
-        self.triple = triple
-        self.fit_fields = tuple(fit_fields)
-        self.verify_field = verify_field
 
     def __call__(self, q):
         return qpoly_eval(self.poly, q)
@@ -230,12 +227,21 @@ class HallElement:
         return HallElement(self.alg, self.grading, {k: x * c for k, x in self.coeffs.items()})
 
     def __mul__(self, other):
-        """Twisted product: the constants of alg.mult_table times v^<d1, d2>."""
+        """Twisted product: the constants of alg.mult_table times v^<d1, d2>.
+
+        A factor of grading 0 is a multiple c[0] of the unit: [0][M] = [M][0]
+        = [M] and v^<0, d> = 1, so the product is the other factor times c
+        and reads no table.
+        """
         alg = self.alg
         if other.alg is not alg:
             raise ValueError("cannot multiply elements of different Hall algebras")
         if self.is_zero() or other.is_zero():
             return alg.zero_elt()
+        for unit, x in ((self, other), (other, self)):
+            if not any(unit.grading):
+                (c,) = unit.coeffs.values()
+                return x.scale(c)
         table = alg.mult_table(self.grading, other.grading)
         target = tuple(a + b for a, b in zip(self.grading, other.grading))
         tw = alg.scalar(LaurentPoly.v_power(euler_form(alg.shape, self.grading, other.grading)))
@@ -344,16 +350,8 @@ class HallContext(_HallAlgebra):
         return simple_module(self.shape, self.F, vertex)
 
     def mult_table(self, dims1, dims2):
-        """{(cid_M, cid_N): {cid_L: g^L_{MN}}} from the scan of the split dims1 + dims2.
-
-        A factor of dimension 0 is the unit, g^L_{L,0} = g^L_{0,L} = 1, so
-        its table needs no scan.
-        """
+        """{(cid_M, cid_N): {cid_L: g^L_{MN}}} from the scan of the split dims1 + dims2."""
         target = tuple(a + b for a, b in zip(dims1, dims2))
-        if not any(dims1) or not any(dims2):
-            zero = self.catalog.by_dim[tuple(0 for _ in target)][0]
-            return {(l_cid, zero) if any(dims1) else (zero, l_cid): {l_cid: 1}
-                    for l_cid in self.catalog.by_dim[target]}
         table = {}
         for l_cid, counts in self.catalog.scan_dim(target, dims2).items():
             for pair, g in counts.items():
@@ -364,27 +362,6 @@ class HallContext(_HallAlgebra):
         """True iff x is 0 under v = sqrt(q): each coefficient is 0 modulo v^2 - q."""
         q = self.F.q
         return all(c.subs_v_squared(q) == (0, 0) for c in x.coeffs.values())
-
-    def coproduct(self, x):
-        """Green's coproduct r([L]) with a_M a_N / a_L factors.
-
-        Returns {(cid_M, cid_N): LaurentPoly}; rational scalars appear as
-        Fraction coefficients.
-        """
-        out = {}
-        for cid, coeff in x.coeffs.items():
-            info = self.catalog.classes[cid]
-            scan = self.catalog.scan_dim(info.dims)[cid]
-            aL = info.aut
-            for (m_cid, n_cid), g in scan.items():
-                m_info = self.catalog.classes[m_cid]
-                n_info = self.catalog.classes[n_cid]
-                tw = euler_form(self.shape, m_info.dims, n_info.dims)
-                factor = Fraction(g * m_info.aut * n_info.aut, aL)
-                term = coeff * LaurentPoly.v_power(tw, factor)
-                key = (m_cid, n_cid)
-                out[key] = out.get(key, LaurentPoly.zero()) + term
-        return {k: p for k, p in out.items() if not p.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +457,6 @@ class GenericHallAlgebra(_HallAlgebra):
                 raise OracleError("Aut polynomial of %r fails at q=%d" % (label, q))
         self._label_maps[(q, dims)] = mapping
         return mapping
-
-    def realizations(self, q, dims, label):
-        self.labels_of_dim(dims)
-        return [cid for cid, l in self._label_map(q, tuple(dims)).items() if l == label]
 
     def _aut_poly_from(self, cat, info):
         """|Aut| as a polynomial in q, from the decomposition structure."""
@@ -659,23 +632,22 @@ class GenericHallAlgebra(_HallAlgebra):
     # -- Hall polynomial fitting -----------------------------------------
 
     def fit_hall_polynomial(self, l_label, m_label, n_label, dims_m, dims_n, primes, verify):
-        """Fit g^L_{MN} through oracle counts over primes and verify at verify.
+        """Fit the mult_table(dims_m, dims_n) entry of (m_label, n_label) at
+        l_label through its values over primes and verify it at verify.
 
-        Realizations are the canonical (lowest class id) ones per field.
+        It sums g^L_{MN} over the realizations M and N for one realization
+        L, so for labels with one realization per field it is g^L_{MN}.
         Every field's budget is checked before the first new catalog is built.
         """
-        primes = tuple(primes)
+        dims_m, dims_n = tuple(dims_m), tuple(dims_n)
         dims_l = tuple(a + b for a, b in zip(dims_m, dims_n))
         fields = sorted(set(primes) | {verify})
         self._check_budgets(fields)
-        values = {}
-        for q in fields:
-            l_cid = min(self.realizations(q, dims_l, l_label))
-            m_cid = min(self.realizations(q, dims_m, m_label))
-            n_cid = min(self.realizations(q, dims_n, n_label))
-            values[q] = self.catalog(q).hall_number(l_cid, m_cid, n_cid)
-        poly = fit_and_verify(values, primes, verify)
-        return HallPolynomial(poly, (l_label, m_label, n_label), primes, verify)
+        for dims in (dims_m, dims_n, dims_l):
+            self.labels_of_dim(dims)
+        values = {q: self._label_counts(q, dims_m, dims_n, dims_l).get(
+            (m_label, n_label, l_label), 0) for q in fields}
+        return HallPolynomial(fit_and_verify(values, primes, verify))
 
 
 # ---------------------------------------------------------------------------

@@ -1455,15 +1455,6 @@ class IsoClassCatalog:
             out[cid] = counts
         return out
 
-    def hall_number(self, l_cid, m_cid, n_cid):
-        """g^L_{MN}: submodules of L isomorphic to N with quotient M."""
-        L = self.classes[l_cid]
-        M = self.classes[m_cid]
-        N = self.classes[n_cid]
-        if tuple(a + b for a, b in zip(M.dims, N.dims)) != L.dims:
-            raise ValueError("dim L must equal dim M + dim N")
-        return self.scan_dim(L.dims, N.dims).get(l_cid, {}).get((m_cid, n_cid), 0)
-
     # -- tubes --------------------------------------------------------------
 
     def regular_indec_ids(self):
@@ -1631,13 +1622,32 @@ class IsoClassCatalog:
         _write_once(self._scan_path(dims), payload)
 
     def _load_scan(self, dims):
+        """The full scan of dims from its file, or None when there is none.
+
+        The file must list exactly the classes of the slice, and every
+        (quotient, sub) pair must be classes whose dimension vectors add up to dims.
+        """
         path = self._scan_path(dims)
         if not os.path.exists(path):
             return None
         with open(path) as fh:
-            payload = json.loads(fh.read())
-        return {int(cid): {tuple(int(x) for x in k.split(",")): v for k, v in counts.items()}
-                for cid, counts in payload.items()}
+            text = fh.read()
+        try:
+            out = {int(cid): {tuple(int(x) for x in k.split(",")): v for k, v in counts.items()}
+                   for cid, counts in json.loads(text).items()}
+        except ValueError:
+            raise OracleError("scan file %s is not a scan of class ids" % path) from None
+        if set(out) != set(self.by_dim[dims]):
+            raise OracleError("scan file %s does not list the classes of the slice %s"
+                              % (path, dims))
+        n = len(self.classes)
+        for counts in out.values():
+            for pair in counts:
+                ok = len(pair) == 2 and all(0 <= k < n for k in pair)
+                if not ok or tuple(map(sum, zip(*(self.classes[k].dims for k in pair)))) != dims:
+                    raise OracleError("scan file %s pairs classes %s, whose dimension "
+                                      "vectors do not add up to %s" % (path, pair, dims))
+        return out
 
 
 def _write_once(path, payload):

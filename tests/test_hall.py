@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from hallbases.cartan import builtin_quiver, cartan_of, gradings_below
-from hallbases.cyclic import cyclic_generic_algebra, cyclic_shape
+from hallbases.cyclic import Multisegment, cyclic_generic_algebra, cyclic_shape
 from hallbases.hall import (
     FitError,
     GenericHallAlgebra,
@@ -91,12 +91,24 @@ class TestFitting:
         assert qpoly_to_v(LaurentPoly({1: 1, 0: 1})) == LaurentPoly({2: 1, 0: 1})
 
 
+def _check_unit(layer, dims, keys, monkeypatch):
+    """x 1 = 1 x = x and (c 1) x = c x for the label elements of keys; the
+    unit rule of the shared product reads no mult_table."""
+    def no_table(*args):
+        raise AssertionError("a product by the unit read mult_table")
+
+    monkeypatch.setattr(type(layer), "mult_table", no_table)
+    two = layer.unit().scale(2)
+    for key in keys:
+        x = layer.label_elt(dims, key)
+        assert (layer.unit() * x - x).is_zero()
+        assert (x * layer.unit() - x).is_zero()
+        assert (two * x - x.scale(2)).is_zero() and (x * two - x.scale(2)).is_zero()
+
+
 class TestPerFieldMult:
-    def test_unit(self, a2_ctx):
-        for cid in a2_ctx.catalog.by_dim[(1, 1)]:
-            x = a2_ctx.label_elt((1, 1), cid)
-            assert (a2_ctx.unit() * x - x).is_zero()
-            assert (x * a2_ctx.unit() - x).is_zero()
+    def test_unit(self, a2_ctx, monkeypatch):
+        _check_unit(a2_ctx, (1, 1), a2_ctx.catalog.by_dim[(1, 1)], monkeypatch)
 
     def test_a2_products(self, a2_ctx):
         # [S1]*[S2] = v^-1([S1+S2] + [P]); [S2]*[S1] = [S1+S2]
@@ -187,26 +199,53 @@ class TestSerrePerField:
 
 
 class TestCoproduct:
-    def test_simple_is_primitive(self, a2_ctx):
-        u1 = a2_ctx.u("1")
-        cop = a2_ctx.coproduct(u1)
-        zero = a2_ctx.catalog.by_dim[(0, 0)][0]
-        s1 = list(u1.coeffs)[0]
-        assert set(cop) == {(s1, zero), (zero, s1)}
-        assert all(c == LaurentPoly.one() for c in cop.values())
+    """Green's coproduct of the generic layer on the cyclic quiver of rank 2 at (1, 1)."""
 
-    def test_p_extension_term(self, a2_ctx):
-        # r([P]) contains v^-1 (a_S1 a_S2 / a_P) [S1] (x) [S2]
-        p = [c for c in a2_ctx.catalog.classes_of_dim((1, 1)) if c.indec][0]
-        cop = a2_ctx.coproduct(a2_ctx.label_elt((1, 1), p.cid))
-        s1 = a2_ctx.catalog.classify(simple_module(A2, F2, "1"))
-        s2 = a2_ctx.catalog.classify(simple_module(A2, F2, "2"))
-        term = cop[(s1, s2)]
-        want = LaurentPoly.v_power(-1, Fraction(1 * 1, p.aut))
-        assert term == want
+    @staticmethod
+    def _label(pi):
+        alg = cyclic_generic_algebra(2, (1, 1))
+        return alg, alg.labeler.of_multisegment(pi)
+
+    def test_simple_is_primitive(self):
+        alg, zero = self._label(Multisegment.zero(2))
+        u1 = alg.u("1")
+        (s1,) = u1.coeffs
+        assert alg.coproduct(u1) == {(s1, zero): RationalV(1), (zero, s1): RationalV(1)}
+
+    def test_p_extension_term(self):
+        # r([1;2)) contains v^<e1,e2> g a_S1 a_S2 / a_[1;2) [S1] (x) [S2]
+        # = v^-1 (q - 1)^2 / (q - 1) = v - v^-1, with g = 1
+        alg, seg = self._label(Multisegment.segment(2, 1, 2))
+        s1 = alg.labeler.of_multisegment(Multisegment.segment(2, 1, 1))
+        s2 = alg.labeler.of_multisegment(Multisegment.segment(2, 2, 1))
+        cop = alg.coproduct(alg.label_elt((1, 1), seg))
+        assert cop[(s1, s2)] == RationalV(LaurentPoly({1: 1, -1: -1}))
+        assert (s2, s1) not in cop
 
 
 class TestGenericLayer:
+    def test_unit(self, kron_gen, monkeypatch):
+        _check_unit(kron_gen, (1, 1), kron_gen.labels_of_dim((1, 1)), monkeypatch)
+
+    def test_comp_basis_fits_no_unit_table(self, tmp_path, monkeypatch):
+        # a fresh context: every product by the unit follows the unit rule,
+        # so no generic table with a zero factor is fitted
+        from hallbases import pbwbasis
+        from hallbases.cli import main
+        monkeypatch.setattr(pbwbasis, "_CONTEXTS", {})
+        fitted = []
+        mult_table = GenericHallAlgebra.mult_table
+
+        def recorded(self, dims1, dims2):
+            if (tuple(dims1), tuple(dims2)) not in self._mult_tables:
+                fitted.append((tuple(dims1), tuple(dims2)))
+            return mult_table(self, dims1, dims2)
+
+        monkeypatch.setattr(GenericHallAlgebra, "mult_table", recorded)
+        assert main(["comp-basis", "--ctx", "kronecker", "--cap", "2,2",
+                     "--out", str(tmp_path / "out.json")]) == 0
+        assert fitted and not [split for split in fitted if not all(map(any, split))]
+
     def test_derive_left_on_simples(self, kron_gen):
         alg = kron_gen
         u1 = alg.u("1")
@@ -328,8 +367,8 @@ class TestLayersAgree:
             hc = HallContext(alg.catalog(q))
             label_of = {}
             for dims in gradings_below(alg.cap):
-                for label in alg.labels_of_dim(dims):
-                    label_of.update(dict.fromkeys(alg.realizations(q, dims, label), label))
+                alg.labels_of_dim(dims)
+                label_of.update(alg._label_map(q, dims))
             for target in gradings_below(alg.cap):
                 reps = {label_of[cid]: cid for cid in reversed(hc.catalog.by_dim[target])}
                 for d1 in gradings_below(target):
@@ -389,6 +428,21 @@ class TestHallPolynomials:
                                      (1,), (1,), primes=(2, 3, 4, 5), verify=7)
         assert hp.poly == LaurentPoly({1: 1, 0: 1})  # q + 1
         assert hp(9) == 10
+
+    def test_suite_triples_equal_their_table_entries(self):
+        # the triples of verify --suite hallpoly; a fit reads the counts of
+        # the structure constants, so it is the table entry with q = v^2
+        cyc = cyclic_generic_algebra(2, (1, 1))
+        seg = [cyc.labeler.of_multisegment(Multisegment.segment(2, *ab))
+               for ab in ((1, 2), (1, 1), (2, 1))]
+        a1 = GenericHallAlgebra(builtin_quiver("a1"), (2,), A1Labeler())
+        for alg, (l_label, m_label, n_label), dims_m, dims_n in (
+                (cyc, seg, (1, 0), (0, 1)),
+                (a1, [("A1", (d,)) for d in (2, 1, 1)], (1,), (1,))):
+            hp = alg.fit_hall_polynomial(l_label, m_label, n_label, dims_m, dims_n,
+                                         primes=(2, 3, 4, 5), verify=7)
+            entry = alg.mult_table(dims_m, dims_n)[(m_label, n_label)][l_label]
+            assert not hp.poly.is_zero() and qpoly_to_v(hp.poly) == entry
 
     def test_trivial_identity_polynomial(self):
         alg = cyclic_generic_algebra(2, (1, 1))

@@ -245,17 +245,19 @@ class TestHomEnd:
 
 class TestHallNumbers:
     def test_trivial_ends(self, kron_cat):
+        # the scan counts the submodules 0 and L of every L once each
+        scan = kron_cat.scan_dim((1, 1))
+        zero = kron_cat.by_dim[(0, 0)][0]
         for c in kron_cat.classes_of_dim((1, 1)):
-            zero = kron_cat.by_dim[(0, 0)][0]
-            assert kron_cat.hall_number(c.cid, zero, c.cid) == 1
-            assert kron_cat.hall_number(c.cid, c.cid, zero) == 1
+            assert scan[c.cid][(zero, c.cid)] == 1
+            assert scan[c.cid][(c.cid, zero)] == 1
 
     def test_a1_lines_in_plane(self):
         for F in (F2, F3, F4):
             cat = IsoClassCatalog(A1, F, [(2,)])
             s = cat.by_dim[(1,)][0]
             ss = cat.by_dim[(2,)][0]
-            assert cat.hall_number(ss, s, s) == F.q + 1
+            assert cat.scan_dim((2,), (1,)) == {ss: {(s, s): F.q + 1}}
 
     def test_module_level_hall(self):
         s1 = simple_module(KRON, F2, "1")
@@ -1078,6 +1080,28 @@ class TestCacheLoad:
         self._rewrite(path, lambda payload: payload["by_dim"].pop("1,2"))
         with pytest.raises(OracleError, match="does not hold the slices"):
             self._build(tmp_path)
+
+    @pytest.mark.parametrize("edit, match", [
+        # a class of the slice listed as the zero class
+        (lambda payload, zero: payload.update({zero: payload.pop(min(payload))}),
+         "does not list the classes of the slice"),
+        # a pair of the slice's first class read as the zero class twice
+        (lambda payload, zero: payload[min(payload)].update(
+            {"%s,%s" % (zero, zero): payload[min(payload)].popitem()[1]}),
+         "whose dimension vectors do not add up"),
+        # a pair key that is not two class ids
+        (lambda payload, zero: payload[min(payload)].update(
+            {"x,%s" % zero: payload[min(payload)].popitem()[1]}),
+         "is not a scan of class ids"),
+    ], ids=["class", "pair", "text"])
+    def test_edited_scan_file_is_refused(self, tmp_path, edit, match):
+        cat = self._build(tmp_path)
+        want, path = cat.scan_dim((1, 2)), cat._scan_path((1, 2))
+        # the file as written loads
+        assert self._build(tmp_path)._load_scan((1, 2)) == want
+        self._rewrite(path, lambda payload: edit(payload, str(cat.by_dim[(0, 0)][0])))
+        with pytest.raises(OracleError, match="scan file %s .*%s" % (re.escape(path), match)):
+            self._build(tmp_path).scan_dim((1, 2))
 
     def test_cache_of_the_previous_format_is_not_read(self, tmp_path):
         # the key names the catalog format; a file written under the old
