@@ -529,10 +529,23 @@ class GenericHallAlgebra(_HallAlgebra):
 
     def coproduct_split(self, dims1, dims2):
         """The (dims1, dims2) part of the Green coproduct, as
-        {l: {(l1, l2): RationalV}} over the labels l of dims1 + dims2."""
+        {l: {(l1, l2): RationalV}} over the labels l of dims1 + dims2.
+
+        A split with a zero part follows the unit rule and reads no table:
+        L has one submodule of dimension 0 and one of dimension dim L, so
+        r([l]) holds [l] (x) [0] and [0] (x) [l], each with coefficient 1.
+        """
         key = (tuple(dims1), tuple(dims2))
         if key in self._coproduct_splits:
             return self._coproduct_splits[key]
+        dims1, dims2 = key
+        if not (any(dims1) and any(dims2)):
+            (zero,) = self.labels_of_dim(tuple(0 for _ in self.shape.vertices))
+            target = tuple(a + b for a, b in zip(dims1, dims2))
+            out = {l: {(l, zero) if any(dims1) else (zero, l): RationalV(1)}
+                   for l in self.labels_of_dim(target)}
+            self._coproduct_splits[key] = out
+            return out
         table = self.mult_table(*key)
         tw = euler_form(self.shape, *key)
         data = self._label_data

@@ -1016,7 +1016,7 @@ class ClassInfo:
 
     def __init__(self, cid, module, dims):
         self.cid = cid
-        self._module = module         # a FiniteModule, or (summands, shape, F) of a sum
+        self._module = module         # a FiniteModule, or (decomposition, (modules, shape, F))
         self.dims = dims
         self.indec = False
         self.decomposition = ()       # tuple of (indec cid, mult)
@@ -1028,10 +1028,11 @@ class ClassInfo:
 
     @property
     def module(self):
-        """The representative; a recorded direct sum is formed on first read."""
+        """The representative; a recorded sum is formed from its classes on first read."""
         if not isinstance(self._module, FiniteModule):
-            summands, shape, F = self._module
-            self._module = direct_sum(*summands, shape=shape, F=F)
+            named, (modules, shape, F) = self._module
+            self._module = direct_sum(*(modules[y] for y, m in named for _ in range(m)),
+                                      shape=shape, F=F)
         return self._module
 
 
@@ -1058,6 +1059,18 @@ def _residue_degree(q, e, aut):
         k += 1
     r = e - k
     return r if 1 <= r <= e and aut == q ** r - 1 else None
+
+
+class _Fragments(dict):
+    """The name fragment "(repr(synth key), m)" of each (cid, m), formed on first read."""
+
+    def __init__(self, reprs):
+        super().__init__()
+        self.reprs = reprs
+
+    def __missing__(self, cm):
+        text = self[cm] = "(%s, %d)" % (self.reprs[cm[0]], cm[1])
+        return text
 
 
 def _dims_closure(requested):
@@ -1128,10 +1141,12 @@ class IsoClassCatalog:
     def _build(self):
         check_admission(self.shape, self.F, self.dims_list)
         synthesizer = synthesizer_of(self.shape)
-        index, reprs = {}, {}   # of each finished slice, of each indec's synth key
+        # of each finished slice; of each indec, its synth key's repr and its module.
+        # A sum holds modules, not the catalog, so no cycle keeps a dropped catalog alive.
+        index, reprs, modules = {}, {}, {}
         for dims in self.dims_list:
             start = len(self.classes)
-            self._build_dim_synth(dims, synthesizer or self._orbit_indecs, index, reprs)
+            self._build_dim_synth(dims, synthesizer or self._orbit_indecs, index, reprs, modules)
             self.by_dim[dims] = list(range(start, len(self.classes)))
             self._mass_check(dims)
 
@@ -1155,7 +1170,7 @@ class IsoClassCatalog:
                 out.append((M.key()[1], M))
         return out
 
-    def _build_dim_synth(self, dims, synthesizer, index, reprs):
+    def _build_dim_synth(self, dims, synthesizer, index, reprs, modules):
         """Every class of dims: a new indecomposable, or a sum grown from a smaller slice.
 
         A sum of two or more summands is listed once, as C + X: X is one copy
@@ -1164,50 +1179,60 @@ class IsoClassCatalog:
         index[dims - dim X] holds that slice's classes ascending in their
         largest summand cid, so those C are a prefix of it.  dim End adds up,
         end C + dim End X + sum over (Y, m) in C of m (dim Hom(X, Y) + dim Hom(Y, X)).
-        Classes come in repr order of their name, which joins one
-        repr(synth key) per summand in repr order; a sum keeps its summands in
-        that order to form on first read.  The slice is then indexed for the
-        slices above it; reprs maps each indecomposable's cid to its repr.
+        |Aut(C + X)| = |Aut C| (q^(rm) - 1) q^(end - end C - rm), m the multiplicity
+        and r the residue degree of X: |GL_m(q^r)| / |GL_(m-1)(q^r)| folded
+        into |Aut| = prod |GL_m(q^r)| q^(end - sum m^2 r) over summands.
+        Classes come in repr order of their name, which joins one fragment
+        (repr(synth key), m) per summand in repr order; a sum keeps its
+        (cid, m) in that order and the map modules to form on first read.
+        The slice is then indexed for the slices above it; reprs and modules
+        map each indecomposable's cid to its repr and its module.
         """
-        # (name, module, decomposition, synth key, end): _add_class's arguments after the name
-        entries = [("((%s, 1),)" % repr(key), M, None, key, None)
+        q, source = self.F.q, (modules, self.shape, self.F)
+        # (name, module, decomposition, synth key, end, aut): _add_class's arguments after the name
+        entries = [("((%s, 1),)" % repr(key), M, None, key, None, None)
                    for key, M in synthesizer(self.shape, self.F, dims)]
         if not any(dims):
-            entries.append(("()", ((), self.shape, self.F), (), None, 0))
+            entries.append(("()", ((), source), (), None, 0, 1))
+        fragments = _Fragments(reprs)
         for x in self.indec_ids:
-            rest = tuple(map(sub, dims, self.classes[x].dims))
+            X = self.classes[x]
+            rest = tuple(map(sub, dims, X.dims))
             if min(rest) < 0:
                 continue
             tops, cids = index[rest]
-            end_x = self.classes[x].end
             sym = {}   # dim Hom(X, Y) + dim Hom(Y, X) by the cid of Y
             for c in cids[:bisect_right(tops, x)]:
                 info = self.classes[c]
-                end = info.end + end_x
+                end = info.end + X.end
                 for y, m in info.decomposition:
                     if y not in sym:
                         sym[y] = self._pair(x, y) + self._pair(y, x)
                     end += m * sym[y]
                 dec = info.decomposition
                 if dec[-1][0] == x:
-                    dec = dec[:-1] + ((x, dec[-1][1] + 1),)
+                    m = dec[-1][1] + 1
+                    dec = dec[:-1] + ((x, m),)
                 else:
+                    m = 1
                     dec += ((x, 1),)
+                rm = X.res * m
+                aut = info.aut * (q ** rm - 1) * q ** (end - info.end - rm)
                 named = sorted(dec, key=lambda cm: reprs[cm[0]])
-                name = "(%s%s)" % (", ".join("(%s, %d)" % (reprs[y], m) for y, m in named),
+                name = "(%s%s)" % (", ".join(map(fragments.__getitem__, named)),
                                    "," if len(named) == 1 else "")
-                summands = tuple(self.classes[y].module for y, m in named for _ in range(m))
-                entries.append((name, (summands, self.shape, self.F), dec, None, end))
+                entries.append((name, (named, source), dec, None, end, aut))
         entries.sort(key=itemgetter(0))
         start, first = len(self.classes), len(self.indec_ids)
-        for _, module, dec, key, end in entries:
-            self._add_class(module, dims, dec, key, end)
-        reprs.update((x, repr(self.classes[x].synth_key)) for x in self.indec_ids[first:])
+        for _, module, dec, key, end, aut in entries:
+            self._add_class(module, dims, dec, key, end, aut)
+        for x in self.indec_ids[first:]:
+            reprs[x], modules[x] = repr(self.classes[x].synth_key), self.classes[x].module
         tops = sorted((info.decomposition[-1][0], info.cid)
                       for info in self.classes[start:] if info.decomposition)
         index[dims] = [top for top, _ in tops], [cid for _, cid in tops]
 
-    def _add_class(self, module, dims, decomposition, synth_key=None, end=None):
+    def _add_class(self, module, dims, decomposition, synth_key=None, end=None, aut=None):
         """Append the class of module: a new indecomposable for decomposition None, else a sum."""
         info = ClassInfo(len(self.classes), module, dims)
         if decomposition is None:
@@ -1218,7 +1243,7 @@ class IsoClassCatalog:
             self._finish_indec(info)
         else:
             info.decomposition = decomposition
-            self._finish_decomposable(info, end)
+            info.end, info.aut = end, aut
         self.classes.append(info)
         return info
 
@@ -1258,9 +1283,10 @@ class IsoClassCatalog:
                 self._pair_hom[(p, x)] = system.dim(self.classes[x].module)
 
     def _finish_indec(self, info):
-        """dim End and |Aut| from one basis of End, then the residue degree of End/rad."""
+        """dim End (also cached as dim Hom(X, X)) and |Aut| from one basis of End,
+        then the residue degree of End/rad."""
         basis = hom_space(info.module, info.module)
-        info.end = len(basis)
+        info.end = self._pair_hom[(info.cid, info.cid)] = len(basis)
         info.aut = sum(1 for _ in _isomorphisms(info.module, basis, "automorphism count"))
         info.res = _residue_degree(self.F.q, info.end, info.aut)
         if info.res is None:
@@ -1268,18 +1294,6 @@ class IsoClassCatalog:
         if self.delta is not None:
             dfc = euler_form(self.shape, self.delta, info.dims)
             info.defect = "pp" if dfc < 0 else ("pi" if dfc > 0 else "reg")
-
-    def _finish_decomposable(self, info, end):
-        """|Aut| of a sum with dim End end: prod |GL_m(q^r)| q^(end - sum m^2 r) over summands."""
-        q = self.F.q
-        info.end = end
-        aut = 1
-        sq_sum = 0
-        for cid, m in info.decomposition:
-            r = self.classes[cid].res
-            aut *= gl_order(q ** r, m)
-            sq_sum += m * m * r
-        info.aut = aut * q ** (end - sq_sum)
 
     def _mass_check(self, dims):
         """Certify the slice by the mass formula sum |G|/|Aut M| = #states.
@@ -1582,25 +1596,32 @@ class IsoClassCatalog:
         _write_once(self._cat_path(), payload)
 
     def _load_cache(self):
+        """Read the catalog from its file; False when there is none, OracleError
+        when the file is not a catalog."""
         path = self._cat_path()
         if not os.path.exists(path):
             return False
         with open(path) as fh:
-            payload = json.loads(fh.read())
-        for n, c in enumerate(payload["classes"]):
-            dims = tuple(c["dims"])
-            maps = {hid: tuple(tuple(r) for r in rows) for hid, rows in c["maps"].items()}
-            M = FiniteModule(self.shape, self.F, dims, maps)
-            info = ClassInfo(n, M, dims)
-            for slot in _STORED_AS_IS:
-                setattr(info, slot, c[slot])
-            info.decomposition = tuple(tuple(x) for x in c["decomposition"])
-            info.synth_key = _key_from_json(c["synth_key"])
-            self.classes.append(info)
-            if info.indec:
-                self.indec_ids.append(n)
-        self.by_dim = {tuple(int(x) for x in k.split(",")) if k else (): v
-                       for k, v in payload["by_dim"].items()}
+            text = fh.read()
+        try:
+            payload = json.loads(text)
+            for n, c in enumerate(payload["classes"]):
+                dims = tuple(c["dims"])
+                maps = {hid: tuple(tuple(r) for r in rows) for hid, rows in c["maps"].items()}
+                M = FiniteModule(self.shape, self.F, dims, maps)
+                info = ClassInfo(n, M, dims)
+                for slot in _STORED_AS_IS:
+                    setattr(info, slot, c[slot])
+                info.decomposition = tuple(tuple(x) for x in c["decomposition"])
+                info.synth_key = _key_from_json(c["synth_key"])
+                self.classes.append(info)
+                if info.indec:
+                    self.indec_ids.append(n)
+            self.by_dim = {tuple(int(x) for x in k.split(",")) if k else (): v
+                           for k, v in payload["by_dim"].items()}
+            stored = [tuple(d) for d in payload["mass_checked"]]
+        except (ValueError, KeyError, TypeError, AttributeError):
+            raise OracleError("cache file %s is not a catalog" % path) from None
         if set(self.by_dim) != set(self.dims_list):
             raise OracleError("cache file %s does not hold the slices %s"
                               % (path, self.dims_list))
@@ -1609,7 +1630,6 @@ class IsoClassCatalog:
                 self._mass_check(dims)
         except OracleError as err:
             raise OracleError("cache file %s: %s" % (path, err)) from None
-        stored = [tuple(d) for d in payload["mass_checked"]]
         if self.mass_checked != stored:
             raise OracleError("cache file %s lists the mass-checked slices %s, the check gives %s"
                               % (path, stored, self.mass_checked))

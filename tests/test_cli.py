@@ -262,6 +262,24 @@ class TestRefusals:
         assert len(err.splitlines()) == 1 and "planted" in err and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("text", ['{"schema": 1, "classes": [', '{"schema": 1}'],
+                             ids=["cut", "no-classes"])
+    def test_bad_catalog_file_exit_status(self, tmp_path, capsys, text):
+        # a catalog file that is not JSON, or lacks a field, is refused by name
+        cache = tmp_path / "cache"
+        argv = ["roots", "--ctx", "kronecker", "--window", "2", "--cache-dir", str(cache),
+                "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        [path] = cache.glob("cat_*.json")
+        path.write_text(text)
+        (tmp_path / "out.json").unlink()
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "check failed: cache file %s is not a catalog\n" % path
+        assert not (tmp_path / "out.json").exists()
+
 
 def _run_cli(*argv):
     src = os.path.dirname(os.path.dirname(hallbases.__file__))

@@ -223,6 +223,24 @@ class TestCoproduct:
         assert (s2, s1) not in cop
 
 
+def _fitted_tables(tmp_path, monkeypatch, *argv):
+    """The (dims1, dims2) of every generic mult_table a CLI command fits, in a fresh context."""
+    from hallbases import pbwbasis
+    from hallbases.cli import main
+    monkeypatch.setattr(pbwbasis, "_CONTEXTS", {})
+    fitted = []
+    mult_table = GenericHallAlgebra.mult_table
+
+    def recorded(self, dims1, dims2):
+        if (tuple(dims1), tuple(dims2)) not in self._mult_tables:
+            fitted.append((tuple(dims1), tuple(dims2)))
+        return mult_table(self, dims1, dims2)
+
+    monkeypatch.setattr(GenericHallAlgebra, "mult_table", recorded)
+    assert main(list(argv) + ["--out", str(tmp_path / "out.json")]) == 0
+    return fitted
+
+
 class TestGenericLayer:
     def test_unit(self, kron_gen, monkeypatch):
         _check_unit(kron_gen, (1, 1), kron_gen.labels_of_dim((1, 1)), monkeypatch)
@@ -230,20 +248,16 @@ class TestGenericLayer:
     def test_comp_basis_fits_no_unit_table(self, tmp_path, monkeypatch):
         # a fresh context: every product by the unit follows the unit rule,
         # so no generic table with a zero factor is fitted
-        from hallbases import pbwbasis
-        from hallbases.cli import main
-        monkeypatch.setattr(pbwbasis, "_CONTEXTS", {})
-        fitted = []
-        mult_table = GenericHallAlgebra.mult_table
+        fitted = _fitted_tables(tmp_path, monkeypatch,
+                                "comp-basis", "--ctx", "kronecker", "--cap", "2,2")
+        assert fitted and not [split for split in fitted if not all(map(any, split))]
 
-        def recorded(self, dims1, dims2):
-            if (tuple(dims1), tuple(dims2)) not in self._mult_tables:
-                fitted.append((tuple(dims1), tuple(dims2)))
-            return mult_table(self, dims1, dims2)
-
-        monkeypatch.setattr(GenericHallAlgebra, "mult_table", recorded)
-        assert main(["comp-basis", "--ctx", "kronecker", "--cap", "2,2",
-                     "--out", str(tmp_path / "out.json")]) == 0
+    @pytest.mark.parametrize("ctx", ["kronecker", "a2tilde"])
+    def test_verify_fits_no_unit_table(self, tmp_path, monkeypatch, ctx):
+        # a fresh context: a split of the Green coproduct with a zero part
+        # follows the unit rule too, so verify --suite all fits no generic
+        # table with a zero factor
+        fitted = _fitted_tables(tmp_path, monkeypatch, "verify", "--suite", "all", "--ctx", ctx)
         assert fitted and not [split for split in fitted if not all(map(any, split))]
 
     def test_derive_left_on_simples(self, kron_gen):

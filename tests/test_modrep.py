@@ -888,6 +888,22 @@ class TestGrownSlices:
             got = [(c.decomposition, c.end, c.aut) for c in cat.classes_of_dim(dims)]
             assert got == _multisets_classes(cat, dims, hom), dims
 
+    @pytest.mark.parametrize("name", sorted(GROWN_CATALOGS))
+    def test_sum_formed_from_its_summands_in_repr_order(self, name):
+        cat = GROWN_CATALOGS[name]()
+        for info in cat.classes:
+            if not info.indec:
+                named = sorted(info.decomposition,
+                               key=lambda cm: repr(cat.classes[cm[0]].synth_key))
+                summands = [cat.classes[y].module for y, m in named for _ in range(m)]
+                want = direct_sum(*summands, shape=cat.shape, F=cat.F)
+                assert info.module.key() == want.key(), info.cid
+
+    @pytest.mark.parametrize("name", sorted(GROWN_CATALOGS))
+    def test_end_of_every_indecomposable_in_the_pair_cache(self, name):
+        cat = GROWN_CATALOGS[name]()
+        assert all(cat._pair_hom.get((x, x)) == cat.classes[x].end for x in cat.indec_ids)
+
 
 def _random_invertible(F, n, rng):
     while True:
