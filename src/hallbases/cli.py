@@ -508,6 +508,9 @@ def main(argv=None):
             field_of_order(q)
         except ValueError as exc:
             raise SystemExit("--primes/--verify-prime: %s" % exc)
+    if len(set(config.primes)) != len(config.primes):
+        raise SystemExit("--primes %s: a fit field is named twice"
+                         % ",".join(map(str, config.primes)))
     if config.verify_prime in config.primes:
         raise SystemExit("--verify-prime %d: the held-out field must not be one of --primes %s"
                          % (config.verify_prime, ",".join(map(str, config.primes))))

@@ -38,11 +38,9 @@ from .modrep import (
     OracleError,
     check_admission,
     check_search,
-    direct_sum,
     field_of_order,
     prime_power,
     scan_candidates,
-    simple_module,
     total_dim,
 )
 
@@ -272,8 +270,8 @@ class _HallAlgebra:
     """The operations the per-field and the generic Hall algebra share.
 
     A subclass provides shape, scalar (coercion into its coefficient ring),
-    unit, mult_table(dims1, dims2) = {(k1, k2): {k: constant}} and the hooks
-    _simple(vertex), key_of_module(module) and angle_elt(dims, key).
+    mult_table(dims1, dims2) = {(k1, k2): {k: constant}} and the hooks
+    keys_of_dim(dims), the keys of a slice, and angle_elt(dims, key).
     """
 
     def zero_elt(self):
@@ -282,16 +280,27 @@ class _HallAlgebra:
     def label_elt(self, dims, key, coeff=None):
         return HallElement(self, tuple(dims), {key: 1 if coeff is None else coeff})
 
+    def only_key(self, dims):
+        """The key of a slice that holds one class, as 0 and a * e_i do."""
+        keys = self.keys_of_dim(dims)
+        if len(keys) != 1:
+            raise OracleError("slice %s holds %d classes, not one" % (tuple(dims), len(keys)))
+        return keys[0]
+
+    def unit(self):
+        dims0 = tuple(0 for _ in self.shape.vertices)
+        return self.label_elt(dims0, self.only_key(dims0))
+
     def u(self, vertex):
-        s = self._simple(vertex)
-        return self.label_elt(s.dims, self.key_of_module(s))
+        """u_i = u_i^(1) = [S_i], since dim_k End S_i = dim_k S_i."""
+        return self.divided_u(vertex, 1)
 
     def divided_u(self, vertex, a):
         """u_i^(a) = <S_i^(+a)> = v_i^(a(a-1)) [S_i^(+a)] (over one field: under v^2 = q)."""
         if a == 0:
             return self.unit()
-        M = direct_sum(*[self._simple(vertex)] * a)
-        return self.angle_elt(M.dims, self.key_of_module(M))
+        dims = tuple(a if i == vertex else 0 for i in self.shape.vertices)
+        return self.angle_elt(dims, self.only_key(dims))
 
     def monomial_elt(self, word):
         """Evaluate a word of divided powers ((vertex, power), ...)."""
@@ -333,21 +342,14 @@ class HallContext(_HallAlgebra):
     def scalar(c):
         return c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
 
-    def unit(self):
-        dims0 = tuple(0 for _ in self.shape.vertices)
-        return self.label_elt(dims0, self.catalog.by_dim[dims0][0])
+    def keys_of_dim(self, dims):
+        return self.catalog.by_dim[tuple(dims)]
 
     def angle_elt(self, dims, cid):
         """<M> = v^(-dim_k M + dim_k End M) [M]."""
         info = self.catalog.classes[cid]
         return self.label_elt(dims, cid,
                               LaurentPoly.v_power(-total_dim(self.shape, dims) + info.end))
-
-    def key_of_module(self, module):
-        return self.catalog.classify(module)
-
-    def _simple(self, vertex):
-        return simple_module(self.shape, self.F, vertex)
 
     def mult_table(self, dims1, dims2):
         """{(cid_M, cid_N): {cid_L: g^L_{MN}}} from the scan of the split dims1 + dims2."""
@@ -540,7 +542,7 @@ class GenericHallAlgebra(_HallAlgebra):
             return self._coproduct_splits[key]
         dims1, dims2 = key
         if not (any(dims1) and any(dims2)):
-            (zero,) = self.labels_of_dim(tuple(0 for _ in self.shape.vertices))
+            zero = self.only_key(tuple(0 for _ in self.shape.vertices))
             target = tuple(a + b for a, b in zip(dims1, dims2))
             out = {l: {(l, zero) if any(dims1) else (zero, l): RationalV(1)}
                    for l in self.labels_of_dim(target)}
@@ -574,9 +576,8 @@ class GenericHallAlgebra(_HallAlgebra):
     def scalar(c):
         return c if isinstance(c, RationalV) else RationalV(c)
 
-    def unit(self):
-        dims0 = tuple(0 for _ in self.shape.vertices)
-        return HallElement(self, dims0, {self.labels_of_dim(dims0)[0]: 1})
+    def keys_of_dim(self, dims):
+        return self.labels_of_dim(dims)
 
     def label_elt(self, dims, label, coeff=None):
         self.labels_of_dim(dims)
@@ -586,15 +587,6 @@ class GenericHallAlgebra(_HallAlgebra):
         self.labels_of_dim(dims)
         data = self.label_data(label)
         return self.label_elt(dims, label, LaurentPoly.v_power(-data["dim_k"] + data["end"]))
-
-    def key_of_module(self, module):
-        cid = self.catalog(module.F.q).classify(module)
-        self.labels_of_dim(module.dims)
-        return self._label_map(module.F.q, module.dims)[cid]
-
-    def _simple(self, vertex):
-        """S_vertex over the first field of the ladder."""
-        return simple_module(self.shape, self.catalog(self.ladder[0]).F, vertex)
 
     def inner(self, x, y):
         """Symbolic bilinear form; zero between different gradings."""

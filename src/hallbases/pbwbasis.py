@@ -58,54 +58,65 @@ class AffineLabeler:
         self._tube_cache = {}  # catalog -> its _tube_data; one labeler may meet several
 
     def _tube_data(self, catalog):
-        """(anchored simples of each nonhomogeneous tube, {member cid: (tube, top, length)},
-        homogeneous regular indecomposables), read off the catalog's regular Hom block."""
+        """(anchored simples of each tube, nonhomogeneous ones first,
+        {regular indec cid: (tube, top, length)}), read off the catalog's
+        regular Hom block.
+
+        A regular indecomposable X is the segment [i;l) of the tube of its
+        regular top: the one regular simple S with Hom(X, S) != 0, i its
+        position in the anchored tube and l the length whose dims are X's.
+        """
         if catalog in self._tube_cache:
             return self._tube_cache[catalog]
-        tubes = [t for t in catalog.tube_structure() if t["rank"] >= 2]
         # field-independent rotation anchor: start each tube at the simple
         # with the lexicographically smallest dimension vector
         anchored = []
-        for t in tubes:
+        for t in catalog.tube_structure():
             dims = [catalog.classes[c].dims for c in t["simples"]]
             if len(set(dims)) != len(dims):
                 raise OracleError("tube simples share a dimension vector; "
                                   "no canonical anchor")
             start = min(range(len(dims)), key=lambda k: dims[k])
             anchored.append(t["simples"][start:] + t["simples"][:start])
-        anchored.sort(key=lambda simples: tuple(catalog.classes[c].dims for c in simples))
+        anchored.sort(key=lambda simples: (len(simples) == 1,
+                                           tuple(catalog.classes[c].dims for c in simples)))
+        position = {s: (ti, j + 1) for ti, simples in enumerate(anchored)
+                    for j, s in enumerate(simples)}
         members = {}
-        for ti, simples in enumerate(anchored):
-            sdims = [catalog.classes[c].dims for c in simples]
-            for cid in catalog.regular_indec_ids():
-                tops = [j for j, lc in enumerate(simples) if catalog._pair(cid, lc) > 0]
-                if not tops:
-                    continue
-                if len(tops) != 1:
-                    raise OracleError("nonhomogeneous module has a non-simple top")
-                # the member is the segment [i;l) from its top i whose size is its own
-                i, dims = tops[0] + 1, catalog.classes[cid].dims
-                l = 1
-                while sum(_segment_dims(sdims, i, l)) < sum(dims):
-                    l += 1
-                if _segment_dims(sdims, i, l) != dims:
-                    raise OracleError("tube member has inconsistent dimensions")
-                members[cid] = (ti, i, l)
-        homogeneous = [cid for cid in catalog.regular_indec_ids() if cid not in members]
-        self._tube_cache[catalog] = (anchored, members, homogeneous)
+        for cid in catalog.regular_indec_ids():
+            tops = [s for s in position if catalog._pair(cid, s) > 0]
+            if len(tops) != 1:
+                raise OracleError("regular class %d has %d regular tops, not one"
+                                  % (cid, len(tops)))
+            # the member is the segment [i;l) from its top i whose size is its own
+            (ti, i), dims = position[tops[0]], catalog.classes[cid].dims
+            sdims = [catalog.classes[c].dims for c in anchored[ti]]
+            l = 1
+            while sum(_segment_dims(sdims, i, l)) < sum(dims):
+                l += 1
+            if _segment_dims(sdims, i, l) != dims:
+                raise OracleError("tube member has inconsistent dimensions")
+            members[cid] = (ti, i, l)
+        self._tube_cache[catalog] = (anchored, members)
         return self._tube_cache[catalog]
 
     def tube_simple_dims(self, catalog):
+        """The anchored simples' dims of each nonhomogeneous tube."""
         anchored = self._tube_data(catalog)[0]
-        return [[catalog.classes[c].dims for c in simples] for simples in anchored]
+        return [[catalog.classes[c].dims for c in simples]
+                for simples in anchored if len(simples) > 1]
 
     def label_of(self, catalog, cid):
-        anchored, members, _ = self._tube_data(catalog)
+        """Preprojective and preinjective root positions, one multisegment per
+        nonhomogeneous tube, and {(degree, partition): points} for the
+        homogeneous tubes: a point of degree dim S / delta, S its simple,
+        and the partition of its summands' lengths."""
+        anchored, members = self._tube_data(catalog)
         info = catalog.classes[cid]
         pp = {}
         pi = {}
-        nh = [dict() for _ in anchored]
-        h_parts = []  # (icid, mult) of homogeneous regular summands
+        nh = [dict() for simples in anchored if len(simples) > 1]
+        points = {}  # homogeneous tube -> lengths of its summands
         for icid, mult in info.decomposition:
             idec = catalog.classes[icid]
             if idec.defect == "pp":
@@ -120,52 +131,24 @@ class AffineLabeler:
                     raise OracleError("preinjective %s outside the root window"
                                       % (idec.dims,))
                 pi[t] = pi.get(t, 0) + mult
-            elif icid in members:
-                ti, i, l = members[icid]
-                nh[ti][(i, l)] = nh[ti].get((i, l), 0) + mult
             else:
-                h_parts.append((icid, mult))
-        h_tuple = self._group_points(catalog, h_parts)
+                ti, i, l = members[icid]
+                if ti < len(nh):
+                    nh[ti][(i, l)] = nh[ti].get((i, l), 0) + mult
+                else:
+                    points.setdefault(ti, []).extend([l] * mult)
+        h = {}
+        for ti, lengths in points.items():
+            dz = _delta_multiple(catalog.classes[anchored[ti][0]].dims, catalog.delta)
+            if not dz:
+                raise OracleError("homogeneous regular simple with non-delta dims")
+            entry = (dz, tuple(sorted(lengths, reverse=True)))
+            h[entry] = h.get(entry, 0) + 1
         return ("L",
                 tuple(sorted(pp.items())),
                 tuple(tuple(sorted(t.items())) for t in nh),
-                h_tuple,
+                tuple(sorted(h.items())),
                 tuple(sorted(pi.items())))
-
-    def _group_points(self, catalog, h_parts):
-        """Group homogeneous summands by point; record (degree, partition)."""
-        delta = catalog.delta
-        groups = []
-        for icid, mult in h_parts:
-            for g in groups:
-                if catalog._pair(g[0][0], icid) > 0:
-                    g.append((icid, mult))
-                    break
-            else:
-                groups.append([(icid, mult)])
-        entries = {}
-        for g in groups:
-            # the point degree is the minimal delta-multiple in the same tube
-            cands = [icid for icid in self._tube_data(catalog)[2]
-                     if catalog._pair(icid, g[0][0]) > 0]
-            degs = []
-            for icid in cands:
-                dims = catalog.classes[icid].dims
-                m = dims[0] // delta[0] if delta[0] else 0
-                if tuple(m * x for x in delta) != dims:
-                    raise OracleError("homogeneous regular with non-delta dims")
-                degs.append(m)
-            dz = min(degs)
-            lam = []
-            for icid, mult in g:
-                dims = catalog.classes[icid].dims
-                m = dims[0] // delta[0]
-                if m % dz:
-                    raise OracleError("tube member length is not a multiple of deg z")
-                lam.extend([m // dz] * mult)
-            lam = tuple(sorted(lam, reverse=True))
-            entries[(dz, lam)] = entries.get((dz, lam), 0) + 1
-        return tuple(sorted(entries.items()))
 
     def is_homogeneous_label(self, label):
         _, pp, nh, _h, pi = label

@@ -147,6 +147,9 @@ class TestRefusals:
         (("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--verify-prime", "5"),
          "--verify-prime 5"),
         (("verify", "--suite", "hallpoly", "--verify-prime", "4"), "--verify-prime 4"),
+        # a fit keys its points by q, so a repeated field is fitted once
+        (("hall-poly", "--ctx", "a1", "--triple", "2/1/1", "--primes", "2,2,3",
+          "--verify-prime", "5"), "--primes 2,2,3"),
     ])
     def test_one_line_refusal(self, tmp_path, argv, names):
         with pytest.raises(SystemExit) as exc:

@@ -106,6 +106,36 @@ def _check_unit(layer, dims, keys, monkeypatch):
         assert (two * x - x.scale(2)).is_zero() and (x * two - x.scale(2)).is_zero()
 
 
+class TestOneClassSlices:
+    def test_named_without_a_module(self, kron_gen, monkeypatch):
+        # 0 and a e_i hold one class each: the unit and u_i^(a) are read off
+        # the slice, so no module is formed or classified
+        import hallbases.modrep as modrep
+
+        per_field = HallContext(IsoClassCatalog(KRON, F2, [(2, 2)]))
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(modrep, "direct_sum", counted("direct_sum", modrep.direct_sum))
+        monkeypatch.setattr(IsoClassCatalog, "classify",
+                            counted("classify", IsoClassCatalog.classify))
+        for layer in (per_field, kron_gen):
+            layer.unit()
+            for i in KRON.vertices:
+                layer.u(i)
+                for a in (0, 1, 2):
+                    layer.divided_u(i, a)
+        assert calls == []
+        for layer in (per_field, kron_gen):
+            with pytest.raises(OracleError, match="not one"):
+                layer.only_key((1, 1))
+
+
 class TestPerFieldMult:
     def test_unit(self, a2_ctx, monkeypatch):
         _check_unit(a2_ctx, (1, 1), a2_ctx.catalog.by_dim[(1, 1)], monkeypatch)

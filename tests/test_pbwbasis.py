@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -12,7 +13,7 @@ from hallbases.cartan import (
 )
 from hallbases.hall import eliminate
 from hallbases.laurent import LaurentPoly, RationalV, in_lattice
-from hallbases.modrep import IsoClassCatalog, OracleError, field
+from hallbases.modrep import IsoClassCatalog, OracleError, field, field_of_order
 from hallbases.pbwbasis import (
     AffineLabeler,
     GenericElement,
@@ -90,6 +91,33 @@ class TestLabeler:
         assert ([shared.label_of(big, cid) for cid in range(33)]
                 == [fresh.label_of(big, cid) for cid in range(33)])
         assert [t["simples"] for t in big.tube_structure() if t["rank"] > 1] == [[2, 8]]
+
+    @pytest.mark.parametrize("hom", [0, 1])
+    def test_regular_class_needs_one_regular_top(self, monkeypatch, hom):
+        # with no map to a regular simple, or a map to all three at (1,1) over
+        # GF(2), a regular class is no segment of one tube
+        shape = builtin_quiver("kronecker")
+        cat = IsoClassCatalog(shape, field(2), [(1, 1)])
+        cat.tube_structure()
+        monkeypatch.setattr(cat, "_pair", lambda p, x: hom)
+        with pytest.raises(OracleError, match="%d regular tops" % (3 * hom)):
+            AffineLabeler(shape, admissible_of(shape)).label_of(cat, 0)
+
+    def test_labels_past_the_shipped_caps_pinned(self):
+        # caps where points carry two or more homogeneous summands, which no
+        # shipped cap does: 969 labels, 364 of them with two or more
+        cases = [("kronecker", (3, 3), 2), ("kronecker", (3, 3), 3), ("kronecker", (4, 4), 2),
+                 ("a2tilde", (1, 1, 2), 2), ("a2tilde", (1, 1, 2), 3),
+                 ("a2tilde", (2, 1, 1), 2), ("d32", (1, 1, 1), 2), ("d32", (1, 1, 1), 3)]
+        digest = hashlib.sha256()
+        for name, cap, q in cases:
+            shape = builtin_quiver(name)
+            cat = IsoClassCatalog(shape, field_of_order(q), [cap])
+            labeler = AffineLabeler(shape, admissible_of(shape))
+            digest.update(repr([labeler.label_of(cat, cid)
+                                for cid in range(len(cat.classes))]).encode())
+        assert digest.hexdigest() == (
+            "c83416aec956b40e7f92a5b4d106a54d8085ae84eef02a91086ccb89b8b17aab")
 
 
 class TestRootTable:
