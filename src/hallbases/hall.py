@@ -380,8 +380,9 @@ class GenericHallAlgebra(_HallAlgebra):
     over-budget cap is refused before any catalog is built; a field read
     later checks its own budgets first: BUDGET on the cap, STATE_BUDGET on
     the orbit walk of the cap when the shape is orbit-enumerated
-    (modrep.check_admission) and SEARCH_BUDGET on the scan of the cap, the
-    largest scan.  Its keys are labels and its coefficients RationalVs.
+    (modrep.check_admission) and SEARCH_BUDGET on the full scan of the cap,
+    which bounds the scan of every split.  Its keys are labels and its
+    coefficients RationalVs.
     """
 
     def __init__(self, shape, cap, labeler, cache_dir=None):

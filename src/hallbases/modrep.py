@@ -507,7 +507,8 @@ def _frame(F, Di, d, n, rows):
 
 
 #: the subspace frames of every vertex space met so far, keyed by
-#: (p, deg of the base field, d_i, n_i); see _vertex_frames
+#: (p, deg of the base field, d_i, n_i) (see _vertex_frames), and the walk
+#: plans of submodule_tuples that read them (see _walk_plan)
 _FRAMES = {}
 
 
@@ -668,36 +669,64 @@ def scan_candidates(shape, F, dims):
     return total
 
 
+def _walk_plan(shape, F, dims, sub):
+    """How submodule_tuples walks the modules of dims over F, once per (shape, F, dims, sub).
+
+    Returns (order, tables, spans, forcing, back, loops), indexed by vertex
+    position j.  tables[j] is _vertex_frames of vertex j and spans[j] the
+    index range of its candidates: all its subspaces, or those of dimension
+    sub[j].  order visits first the vertices whose span holds a single
+    subspace, then the others in shape order.  forcing[j] holds the arrows
+    into j from a vertex visited before it, back[j] those out of j to one,
+    and loops[j] those from j to j.  The plan lives in _FRAMES beside the
+    tables it reads, so the two never disagree.
+    """
+    key = ("walk", shape.key(), F.p, F.deg, dims, sub)
+    plan = _FRAMES.get(key)
+    if plan is None:
+        at = shape.index
+        tables = [_vertex_frames(F, shape.d[i], dims[at[i]]) for i in shape.vertices]
+        spans = [range(len(t[0])) if sub is None else t[3][sub[j]] for j, t in enumerate(tables)]
+        order = sorted(range(len(tables)), key=lambda j: len(spans[j]) > 1)
+        rank = {j: r for r, j in enumerate(order)}
+        forcing = [[h for h in shape.arrows if at[h.tgt] == j and rank[at[h.src]] < rank[j]]
+                   for j in range(len(tables))]
+        back = [[h for h in shape.arrows if at[h.src] == j and rank[at[h.tgt]] < rank[j]]
+                for j in range(len(tables))]
+        loops = [[h for h in shape.arrows if at[h.src] == at[h.tgt] == j]
+                 for j in range(len(tables))]
+        plan = _FRAMES[key] = (order, tables, spans, forcing, back, loops)
+    return plan
+
+
 def submodule_tuples(module, sub=None):
     """All arrow-stable tuples of D_i-subspaces of the module, or those of dimension sub.
 
-    The tuples grow vertex by vertex in shape order and come out in
-    lexicographic order over the per-vertex lists of all_subspaces.  With
-    sub, vertex j tries only its subspaces of dimension sub[j], one span of
-    its list, so the tuples are those of the full scan with dims == sub, in
-    the same order.  The subspaces and frames of a vertex space come from
-    the table that all modules share (_vertex_frames).  Vertex j tries only
-    the subspaces that every arrow between it and an earlier vertex allows:
+    The tuples come out in lexicographic order, in shape order, over the
+    per-vertex lists of all_subspaces.  With sub, vertex j tries only its
+    subspaces of dimension sub[j], one span of its list, so the tuples are
+    those of the full scan with dims == sub, in the same order.  The walk
+    (_walk_plan) first fixes the vertices whose span holds a single subspace,
+    which leaves the order unchanged, then grows the others one by one in
+    shape order.  The subspaces and frames of a vertex space come from the
+    table that all modules share (_vertex_frames).  Vertex j tries only the
+    subspaces that every arrow between it and a vertex visited before allows:
     an arrow s -> j forces the images of the chosen W_s into W_j, so W_j
-    must contain them (_containing), and an arrow h: j -> t back to an
-    earlier vertex confines W_j to the preimage M_h^{-1}(W_t), the common
-    zeros of the rows from_t[w_t:] M_h, block by block (_killed).  Both
-    index lists are ascending, so their meet keeps the order.  A loop is
-    checked for each candidate.  Each (arrow, source subspace) pair gets its
-    images once and each (back arrow, target subspace) pair its preimage
-    once, and a SubspaceTuple is built only for an arrow-stable tuple.
+    must contain them (_containing), and an arrow h: j -> t back to such a
+    vertex confines W_j to the preimage M_h^{-1}(W_t), the common zeros of
+    the rows from_t[w_t:] M_h, block by block (_killed).  So a split at one
+    vertex reads its candidates off the preimages of the zero subspaces
+    around it.  Both index lists are ascending, so their meet keeps the
+    order.  A loop is checked for each candidate.  Each (arrow, source
+    subspace) pair gets its images once and each (back arrow, target
+    subspace) pair its preimage once, and a SubspaceTuple is built only for
+    an arrow-stable tuple.
     """
     shape, F = module.shape, module.F
     verts = shape.vertices
     at = shape.index
-    tables = [_vertex_frames(F, shape.d[i], module.dims[at[i]]) for i in verts]
-    forcing = [[h for h in shape.arrows if at[h.tgt] == j and at[h.src] < j]
-               for j in range(len(verts))]
-    back = [[h for h in shape.arrows if at[h.src] == j and at[h.tgt] < j]
-            for j in range(len(verts))]
-    loops = [[h for h in shape.arrows if at[h.src] == at[h.tgt] == j]
-             for j in range(len(verts))]
-    spans = [range(len(t[0])) if sub is None else t[3][sub[j]] for j, t in enumerate(tables)]
+    order, tables, spans, forcing, back, loops = _walk_plan(
+        shape, F, module.dims, None if sub is None else tuple(sub))
     images = {h.id: {} for h in shape.arrows}
     preimages = {h.id: {} for hs in back for h in hs}
     picks = [0] * len(verts)
@@ -725,23 +754,21 @@ def submodule_tuples(module, sub=None):
                                for row in rows], spans[s])
         return got
 
-    def grow(j):
-        if j == len(verts):
+    def grow(r):
+        if r == len(order):
             yield SubspaceTuple(module, {i: tables[at[i]][0][picks[at[i]]] for i in verts},
                                 {i: frame(i) for i in verts},
                                 {h.id: image(h) for h in shape.arrows})
             return
-        if forcing[j]:
-            cands = _containing(F, tables[j], [v for h in forcing[j] for v in image(h)[0]],
-                                spans[j])
-        else:
-            cands = spans[j]
+        j = order[r]
+        forced = [v for h in forcing[j] for v in image(h)[0]]
+        cands = _containing(F, tables[j], forced, spans[j]) if forced else spans[j]
         for h in back[j]:
             cands = _meet(cands, preimage(h))
         for k in cands:
             picks[j] = k
             if all(_inside(F, frame(h.tgt), image(h)[0]) for h in loops[j]):
-                yield from grow(j + 1)
+                yield from grow(r + 1)
 
     yield from grow(0)
 
@@ -1432,29 +1459,21 @@ class IsoClassCatalog:
     def scan_dim(self, dims, sub=None):
         """For every class L of this dimension: counts of (quotient, sub) ids.
 
-        With sub, only the submodules of dimension sub count.  A split at one
-        vertex (N = S_i^a, a divided power) filters the full scan if that is in
-        memory or on file, else scans only its own submodules and keeps the
-        counts in memory.  Any other split filters the full scan; a filtered
-        scan is not kept.
+        With sub, only the submodules of dimension sub count; without, all
+        of them.  Each split is scanned once: from memory, else from its own
+        scan file, else by _scan, which enumerates only its submodules, and
+        then written to its file once.
         """
         dims, sub = tuple(dims), None if sub is None else tuple(sub)
         key = dims if sub is None else (dims, sub)
-        if key in self._scan_cache:
-            return self._scan_cache[key]
-        if sub is None:
-            out = self._load_scan(dims) if self.cache_dir else None
+        out = self._scan_cache.get(key)
+        if out is None:
+            out = self._load_scan(dims, sub) if self.cache_dir else None
             if out is None:
-                out = self._scan(dims)
+                out = self._scan(dims, sub)
                 if self.cache_dir:
-                    self._save_scan(dims, out)
-        elif (sum(map(bool, sub)) == 1 and dims not in self._scan_cache
-              and not (self.cache_dir and os.path.exists(self._scan_path(dims)))):
-            out = self._scan(dims, sub)
-        else:
-            return {cid: {k: g for k, g in counts.items() if self.classes[k[1]].dims == sub}
-                    for cid, counts in self.scan_dim(dims).items()}
-        self._scan_cache[key] = out
+                    self._save_scan(dims, sub, out)
+            self._scan_cache[key] = out
         return out
 
     def _scan(self, dims, sub=None):
@@ -1563,19 +1582,21 @@ class IsoClassCatalog:
 
     # -- caching -------------------------------------------------------------
 
+    @functools.cached_property
     def _cache_key(self):
-        import hashlib
+        """The key of this catalog's files: its shape, field, slices and format."""
+        import hashlib  # its OpenSSL backend costs memory; only cache dirs need it
         blob = "%s|%d|%s|v7" % (self.shape.key(), self.F.q,
                                 ";".join(map(str, self.dims_list)))
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def _cat_path(self):
-        return os.path.join(self.cache_dir, "cat_%s.json" % self._cache_key())
+        return os.path.join(self.cache_dir, "cat_%s.json" % self._cache_key)
 
-    def _scan_path(self, dims):
-        return os.path.join(self.cache_dir,
-                            "scan_%s_%s.json" % (self._cache_key(),
-                                                 "-".join(map(str, dims))))
+    def _scan_path(self, dims, sub=None):
+        """The scan file of dims, or of its split at sub: scan_<key>_<dims>[_<sub>].json."""
+        parts = [self._cache_key] + ["-".join(map(str, v)) for v in (dims, sub) if v is not None]
+        return os.path.join(self.cache_dir, "scan_%s.json" % "_".join(parts))
 
     def _save_cache(self):
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -1635,19 +1656,20 @@ class IsoClassCatalog:
                               % (path, stored, self.mass_checked))
         return True
 
-    def _save_scan(self, dims, out):
-        os.makedirs(self.cache_dir, exist_ok=True)
+    def _save_scan(self, dims, sub, out):
+        # the cache dir exists: the catalog was read from it or written to it
         payload = {str(cid): {"%d,%d" % k: v for k, v in counts.items()}
                    for cid, counts in out.items()}
-        _write_once(self._scan_path(dims), payload)
+        _write_once(self._scan_path(dims, sub), payload)
 
-    def _load_scan(self, dims):
-        """The full scan of dims from its file, or None when there is none.
+    def _load_scan(self, dims, sub=None):
+        """The scan of dims, or of its split at sub, from its file; None when there is none.
 
-        The file must list exactly the classes of the slice, and every
-        (quotient, sub) pair must be classes whose dimension vectors add up to dims.
+        The file must list exactly the classes of the slice.  Every
+        (quotient, sub) pair must be classes whose dimension vectors add up
+        to dims, and for a split the sub class must have dimension sub.
         """
-        path = self._scan_path(dims)
+        path = self._scan_path(dims, sub)
         if not os.path.exists(path):
             return None
         with open(path) as fh:
@@ -1667,6 +1689,9 @@ class IsoClassCatalog:
                 if not ok or tuple(map(sum, zip(*(self.classes[k].dims for k in pair)))) != dims:
                     raise OracleError("scan file %s pairs classes %s, whose dimension "
                                       "vectors do not add up to %s" % (path, pair, dims))
+                if sub is not None and self.classes[pair[1]].dims != sub:
+                    raise OracleError("scan file %s pairs classes %s, whose sub is not of "
+                                      "dimension %s" % (path, pair, sub))
         return out
 
 

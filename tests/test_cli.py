@@ -385,6 +385,10 @@ class TestDeterminism:
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _fail(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
 class TestContextTable:
     """cartan.BUILTIN_QUIVERS is the one record of every shipped shape."""
 
@@ -436,15 +440,22 @@ class TestGoldenReports:
         assert out.read_bytes() == want.read_bytes()
 
 
-def _cache_digest(tmp_path, monkeypatch, runs, pattern="*"):
-    """One sha256 over the cache files of the runs: their names, with the
-    catalog key masked, and their contents.
+def _kind(name):
+    """"cat" for a catalog file, "full" for scan_<key>_<dims>.json and
+    "split" for scan_<key>_<dims>_<sub>.json."""
+    parts = name[:-len(".json")].split("_")
+    return "cat" if parts[0] == "cat" else ("full", "split")[len(parts) - 3]
 
-    These runs multiply only by divided powers, whose scans are kept in
-    memory, so each run writes no scan file; after it, the full scan of
-    every nonzero slice of each catalog it scanned is written.  That is the
-    file set of the slices a product reads, whatever the product skips:
-    a product by the unit reads no scan.
+
+def _cache_digest(tmp_path, monkeypatch, runs, kinds=("cat", "full")):
+    """One sha256 over the cache files of the runs of the given kinds (_kind):
+    their names, with the catalog key masked, and their contents.
+
+    A run writes its catalogs and the file of every split its products
+    read, but no full scan; after it, the full scan of every nonzero slice
+    of each catalog it scanned is written.  That is the file set of the
+    slices a product reads, whatever the product skips: a product by the
+    unit reads no scan.
     """
     lines = []
     scan = IsoClassCatalog.scan_dim
@@ -460,14 +471,15 @@ def _cache_digest(tmp_path, monkeypatch, runs, pattern="*"):
         cache = tmp_path / label
         assert main(list(argv) + ["--cache-dir", str(cache),
                                   "--out", str(tmp_path / (label + ".json"))]) == 0
-        assert not list(cache.glob("scan_*.json"))
+        assert "full" not in {_kind(path.name) for path in cache.iterdir()}
         for cat in scanned:
             for dims in cat.by_dim:
                 if any(dims):
                     scan(cat, dims)
-        for path in cache.glob(pattern):
-            lines.append("%s/%s %s" % (label, re.sub(r"_[0-9a-f]{24}", "_KEY", path.name),
-                                       hashlib.sha256(path.read_bytes()).hexdigest()))
+        for path in cache.iterdir():
+            if _kind(path.name) in kinds:
+                lines.append("%s/%s %s" % (label, re.sub(r"_[0-9a-f]{24}", "_KEY", path.name),
+                                           hashlib.sha256(path.read_bytes()).hexdigest()))
     return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 
@@ -475,7 +487,8 @@ CYCLIC_23 = ("cyclic", ("cyclic-canonical", "--rank", "2", "--dim", "2,3"))
 
 
 def test_cache_files_pinned(tmp_path, monkeypatch):
-    """The cache files of two benchmark commands, byte for byte, by one digest.
+    """The catalog and full-scan files of two benchmark commands, byte for
+    byte, by one digest.
 
     The class order of every slice fixes the class ids and so every cache
     file; the digest holds both fixed while the way catalogs are built changes.
@@ -491,12 +504,35 @@ def test_cache_files_pinned(tmp_path, monkeypatch):
 def test_scan_files_pinned(tmp_path, monkeypatch):
     """Every submodule count of cyclic-canonical --rank 2 --dim 2,3, by one digest.
 
-    The scan files hold the counts of (quotient, sub) classes per class;
+    The full-scan files hold the counts of (quotient, sub) classes per class;
     the digest was taken before the scan grew its tuples vertex by vertex,
     and the GF(7) files were left out of it once no fit read GF(7).
     """
-    assert _cache_digest(tmp_path, monkeypatch, (CYCLIC_23,), "scan_*.json") == (
+    assert _cache_digest(tmp_path, monkeypatch, (CYCLIC_23,), ("full",)) == (
         "262bf2c7b047aafd563bab2de00ae5777b15fbd58e5a9589cc1b1f20e1bc1916")
+
+
+def test_split_scan_files_pinned(tmp_path, monkeypatch):
+    """The split files that cyclic-canonical --rank 2 --dim 2,3 writes, by one
+    digest, taken when every split was first scanned on its own.
+
+    Each split file holds the counts of its full scan, whose digest is
+    pinned above, restricted to the subs of its dimension.
+    """
+    digest = _cache_digest(tmp_path, monkeypatch, (CYCLIC_23,), ("split",))
+    cache = tmp_path / "cyclic"
+    splits = [path for path in cache.iterdir() if _kind(path.name) == "split"]
+    assert splits
+    for path in splits:
+        _, key, dims, sub = path.stem.split("_")
+        classes = json.loads((cache / ("cat_%s.json" % key)).read_text())["classes"]
+        want = [int(x) for x in sub.split("-")]
+        full = json.loads((cache / ("scan_%s_%s.json" % (key, dims))).read_text())
+        assert json.loads(path.read_text()) == {
+            cid: {pair: g for pair, g in counts.items()
+                  if classes[int(pair.split(",")[1])]["dims"] == want}
+            for cid, counts in full.items()}, path.name
+    assert digest == "29029f04fdcec0c7bc76a3705c40b387429e0eb4d6db82ab45cfa9114a22e2e8"
 
 
 def test_cyclic_33_report_pinned(tmp_path):
@@ -508,18 +544,26 @@ def test_cyclic_33_report_pinned(tmp_path):
         "35a0dfd0ccbd1d34340cc1390f6820048d1072c8d8aff1a4dee33c6cb0ca9559")
 
 
-def test_serre_suite_writes_only_catalogs(tmp_path):
+def test_serre_suite_writes_no_full_scan(tmp_path, monkeypatch):
     """verify --suite serre reads no full scan: the product of both layers
     takes a factor of grading 0 for the unit and reads no table for it, and
-    a product by a divided power scans only its own submodules, so the
-    cache holds the two catalogs alone.  The report digest is that of the
-    report from before unit products skipped their scans."""
+    a product by a divided power reads only its own split, so the cache
+    holds the two catalogs and split files alone.  A warm rerun reads them
+    all and scans nothing.  The report digest is that of the report from
+    before unit products skipped their scans."""
     out, cache = tmp_path / "out.json", tmp_path / "cache"
-    assert main(["verify", "--suite", "serre", "--ctx", "kronecker",
-                 "--cache-dir", str(cache), "--out", str(out)]) == 0
-    assert sorted(path.name.split("_")[0] for path in cache.iterdir()) == ["cat", "cat"]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "34a8d692db5346518d28a66d5ff793e236ef9654daf01d14280086389a3101a5")
+    argv = ["verify", "--suite", "serre", "--ctx", "kronecker",
+            "--cache-dir", str(cache), "--out", str(out)]
+    assert main(argv) == 0
+    files = sorted(path.name for path in cache.iterdir())
+    assert sorted(_kind(name) for name in files if _kind(name) != "split") == ["cat", "cat"]
+    assert "split" in map(_kind, files)
+    digest = "34a8d692db5346518d28a66d5ff793e236ef9654daf01d14280086389a3101a5"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    monkeypatch.setattr(modrep, "submodule_tuples", _fail)
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert sorted(path.name for path in cache.iterdir()) == files
 
 
 def test_e_basis_reports_pinned(tmp_path):

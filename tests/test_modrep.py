@@ -1119,6 +1119,26 @@ class TestCacheLoad:
         with pytest.raises(OracleError, match="scan file %s .*%s" % (re.escape(path), match)):
             self._build(tmp_path).scan_dim((1, 2))
 
+    def test_split_scan_pair_of_another_dimension_is_refused(self, tmp_path):
+        # a pair of the split (0,1) + (1,1) re-pointed at a quotient of (1,0)
+        # and a sub of (0,2): its dimension vectors still add up to (1,2)
+        cat = self._build(tmp_path)
+        want, path = cat.scan_dim((1, 2), (0, 1)), cat._scan_path((1, 2), (0, 1))
+        assert self._build(tmp_path)._load_scan((1, 2), (0, 1)) == want
+        pair = "%d,%d" % (cat.by_dim[(1, 0)][0], cat.by_dim[(0, 2)][0])
+        self._rewrite(path, lambda payload: payload[min(payload)].update(
+            {pair: payload[min(payload)].popitem()[1]}))
+        with pytest.raises(OracleError, match="scan file %s pairs classes .*, whose sub is not "
+                           "of dimension \\(0, 1\\)" % re.escape(path)):
+            self._build(tmp_path).scan_dim((1, 2), (0, 1))
+
+    def test_cache_key_is_hashed_once(self, tmp_path, monkeypatch):
+        import hashlib
+        cat = self._build(tmp_path)
+        monkeypatch.setattr(hashlib, "sha256", _fail)
+        paths = {cat._scan_path((1, 2), sub) for sub in ((0, 1), (1, 0), (1, 1))}
+        assert len(paths) == 3 and all(cat._cache_key in path for path in paths)
+
     def test_cache_of_the_previous_format_is_not_read(self, tmp_path):
         # the key names the catalog format; a file written under the old
         # key (class order of before) is never loaded
@@ -1640,24 +1660,21 @@ class TestSplitScan:
                              ids=["kronecker", "cyclic:2", "a2tilde"])
     def test_one_vertex_split_is_the_filtered_full_scan(self, name, q, dims):
         cat = self._catalog(name, q, dims)
-        splits = [tuple(a if j == i else 0 for j in range(len(dims)))
-                  for i, n in enumerate(dims) for a in range(1, n + 1)]
-        # scanned on their own: no full scan is in memory yet
+        splits = list(itertools.product(*(range(n + 1) for n in dims)))
+        assert sum(sum(map(bool, sub)) == 1 for sub in splits) == sum(dims)
+        # every split, at one vertex or more, is scanned on its own: no full
+        # scan is in memory yet
         own = {sub: cat.scan_dim(dims, sub) for sub in splits}
         assert dims not in cat._scan_cache
         for sub in splits:
             assert own[sub] == self._filtered(cat, dims, sub), sub
-        # every other split filters the full scan
-        for sub in itertools.product(*(range(n + 1) for n in dims)):
-            assert cat.scan_dim(dims, sub) == self._filtered(cat, dims, sub), sub
 
-    def test_one_vertex_split_reads_the_full_scan_file(self, tmp_path, monkeypatch):
-        dims, sub = (2, 3), (0, 2)
+    def test_split_reads_its_own_scan_file(self, tmp_path, monkeypatch):
+        dims, splits = (2, 3), ((0, 2), (1, 2))
         cat = self._catalog("cyclic:2", 2, dims, str(tmp_path))
-        own = cat.scan_dim(dims, sub)
-        assert not list(tmp_path.glob("scan_*.json"))
-        cat.scan_dim(dims)
-        assert len(list(tmp_path.glob("scan_*.json"))) == 1
+        own = {sub: cat.scan_dim(dims, sub) for sub in splits}
+        assert sorted(path.name for path in tmp_path.glob("scan_*.json")) == sorted(
+            os.path.basename(cat._scan_path(dims, sub)) for sub in splits)
         calls = Counter()
         scan = modrep.submodule_tuples
 
@@ -1667,8 +1684,13 @@ class TestSplitScan:
 
         monkeypatch.setattr(modrep, "submodule_tuples", counted)
         warm = self._catalog("cyclic:2", 2, dims, str(tmp_path))
-        assert warm.scan_dim(dims, sub) == own
+        assert {sub: warm.scan_dim(dims, sub) for sub in splits} == own
         assert not calls
+        # the full scan has a file of its own, written once it is scanned
+        assert not os.path.exists(warm._scan_path(dims))
+        assert {sub: self._filtered(warm, dims, sub) for sub in splits} == own
+        assert calls["scan"] == len(warm.by_dim[dims])
+        assert len(list(tmp_path.glob("scan_*.json"))) == len(splits) + 1
 
 
 class TestScanCandidates:
