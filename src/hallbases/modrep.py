@@ -462,9 +462,68 @@ def is_isomorphic(M, N):
     return next(_isomorphisms(M, basis, "isomorphism search"), None) is not None
 
 
-def aut_order_brute(M):
-    """|Aut M| by enumerating the endomorphism space (small modules only)."""
-    return sum(1 for _ in _isomorphisms(M, hom_space(M, M), "automorphism count"))
+def _aut_and_residue(M, basis):
+    """(|Aut M|, r) from a basis of End M, with r as in _residue_degree;
+    (None, None) when End M is not local.
+
+    End M is restricted to the smallest vertex where it acts faithfully, else
+    to all of them, in reduced echelon form: an element's coordinates are its
+    entries at the pivots.  When End M is commutative (the sum a of the basis
+    generates it, that is 1, a, ..., a^(e-1) are independent, or the basis
+    commutes pairwise), Phi(x) = x^q is F_q-linear on it, with fixed points
+    F_q^(number of local factors).  So End M is local iff Phi - 1 has rank
+    e - 1.  Then Phi kills rad and permutes End/rad = F_{q^r}, so the rank of
+    Phi^t settles at r, and |Aut M| = q^e - q^(e - r).  A non-commutative
+    End M is walked (_isomorphisms, within SEARCH_BUDGET).
+    """
+    shape, F, q, e = M.shape, M.F, M.F.q, len(basis)
+    if e == 1:
+        return q - 1, 1
+    size = {i: shape.d[i] * M.dims[shape.index[i]] for i in shape.vertices}
+    for vs in [[i] for i in sorted(shape.vertices, key=size.get)] + [shape.vertices]:
+        R, piv = rref(F, [[x for i in vs for row in b[i] for x in row] for b in basis])
+        if len(R) == e:
+            break
+
+    def unflat(row):
+        x, at = [], 0
+        for n in map(size.get, vs):
+            x.append(tuple(row[at + r * n:at + (r + 1) * n] for r in range(n)))
+            at += n * n
+        return x
+
+    def mul(x, y):
+        return [m_mul(F, u, v) for u, v in zip(x, y)]
+
+    def power(x, n):
+        if n == 1:
+            return x
+        y = power(mul(x, x), n // 2)
+        return mul(y, x) if n % 2 else y
+
+    def coords(x):
+        flat = [v for u in x for row in u for v in row]
+        return [flat[c] for c in piv]
+
+    elems = [unflat(row) for row in R]
+    a = unflat([functools.reduce(lambda s, v: F._add[s][v], col) for col in zip(*R)])
+    powers = [[m_id(F, size[i]) for i in vs], a]
+    while len(powers) < e:
+        powers.append(mul(powers[-1], a))
+    if m_rank(F, [coords(x) for x in powers]) < e and any(
+            mul(x, y) != mul(y, x) for j, x in enumerate(elems) for y in elems[:j]):
+        aut = sum(1 for _ in _isomorphisms(M, basis, "automorphism count"))
+        r = _residue_degree(q, e, aut)
+        return (aut, r) if r else (None, None)
+    phi = [coords(power(x, q)) for x in elems]
+    minus_one = F._neg[1]
+    if m_rank(F, [[F._add[v][minus_one] if j == k else v for k, v in enumerate(row)]
+                  for j, row in enumerate(phi)]) != e - 1:
+        return None, None
+    phi_t, r = phi, m_rank(F, phi)
+    while (rank := m_rank(F, phi_t := m_mul(F, phi_t, phi))) < r:
+        r = rank
+    return q ** e - q ** (e - r), r
 
 
 # -- submodules, subquotients ------------------------------------------------
@@ -1310,12 +1369,11 @@ class IsoClassCatalog:
                 self._pair_hom[(p, x)] = system.dim(self.classes[x].module)
 
     def _finish_indec(self, info):
-        """dim End (also cached as dim Hom(X, X)) and |Aut| from one basis of End,
-        then the residue degree of End/rad."""
+        """dim End (also cached as dim Hom(X, X)), then |Aut| and the residue
+        degree of End/rad from the same basis of End (_aut_and_residue)."""
         basis = hom_space(info.module, info.module)
         info.end = self._pair_hom[(info.cid, info.cid)] = len(basis)
-        info.aut = sum(1 for _ in _isomorphisms(info.module, basis, "automorphism count"))
-        info.res = _residue_degree(self.F.q, info.end, info.aut)
+        info.aut, info.res = _aut_and_residue(info.module, basis)
         if info.res is None:
             raise OracleError("class %d is not local; indec detection failed" % info.cid)
         if self.delta is not None:

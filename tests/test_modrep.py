@@ -40,7 +40,6 @@ from hallbases.modrep import (
     OracleError,
     SubspaceTuple,
     all_subspaces,
-    aut_order_brute,
     direct_sum,
     end_dim,
     ext_dim,
@@ -74,6 +73,11 @@ C2F = builtin_quiver("c2-folded")
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+
+
+def aut_order_brute(M):
+    """|Aut M| by walking every combination of a basis of End M (small modules only)."""
+    return sum(1 for _ in modrep._isomorphisms(M, hom_space(M, M), "automorphism count"))
 
 
 def _synthesize_with(monkeypatch, synth):
@@ -1799,3 +1803,95 @@ class TestIsomorphismOracle:
         system = HomSystem(S1, N.dims)
         assert set(system.P) == {"1+3"} and system.n_unknowns == len(system.rows(N)) == 2
         assert hom_dim(S1, N) == len(hom_space(S1, N)) == 2
+
+
+def _no_walk(*args):
+    raise AssertionError("the automorphism walk ran")
+
+
+class TestAutAndResidue:
+    """|Aut M| and the residue degree from the Frobenius map on End M, the walk as oracle."""
+
+    @pytest.mark.parametrize("shape, q, cap", [
+        *(pytest.param(KRON, q, (3, 3), id="kronecker-q%d" % q) for q in (2, 3, 4, 5)),
+        pytest.param(A2T, 2, (1, 1, 1), id="a2tilde-q2"),
+        pytest.param(A2T, 3, (1, 1, 1), id="a2tilde-q3"),
+        pytest.param(builtin_quiver("d32"), 2, (1, 1, 1), id="d32-q2"),
+        pytest.param(builtin_quiver("d32"), 3, (1, 1, 1), id="d32-q3"),
+        # c2-folded is finite: its highest root (1, 2) bounds every indecomposable
+        pytest.param(C2F, 2, (1, 2), id="c2-folded-q2"),
+        pytest.param(C2F, 3, (1, 2), id="c2-folded-q3"),
+        pytest.param(cyclic_shape(2), 2, (2, 3), id="cyclic2-q2"),
+        pytest.param(cyclic_shape(2), 3, (2, 3), id="cyclic2-q3"),
+    ])
+    def test_matches_the_walk_on_every_indecomposable(self, shape, q, cap):
+        F = field_of_order(q)
+        cat = IsoClassCatalog(shape, F, [cap])
+        for cid in cat.indec_ids:
+            M = cat.classes[cid].module
+            basis = hom_space(M, M)
+            aut = aut_order_brute(M)
+            want = (aut, modrep._residue_degree(q, len(basis), aut))
+            assert modrep._aut_and_residue(M, basis) == want, cid
+            assert (cat.classes[cid].aut, cat.classes[cid].res) == want, cid
+
+    @pytest.mark.parametrize("name, q", [
+        ("kronecker", 2), ("kronecker", 3), ("kronecker", 4), ("a2tilde", 2), ("a2tilde", 3),
+        ("c2tilde-folded", 2), ("c2tilde-folded", 3)])
+    def test_random_modules_agree_with_the_walk(self, name, q):
+        # mostly decomposable: r is None exactly when the walked count has no
+        # residue degree, and |Aut| is the walked one whenever r is not None
+        shape, F = _shape_of(name), field_of_order(q)
+        local = 0
+        for M in _random_modules(shape, F, random.Random("aut-%s-%d" % (name, q)), 40):
+            basis = hom_space(M, M)
+            if F.q ** len(basis) > 4096:
+                continue
+            walked = sum(1 for _ in modrep._isomorphisms(M, basis, "test"))
+            r = modrep._residue_degree(q, len(basis), walked)
+            got = modrep._aut_and_residue(M, basis)
+            assert got == ((walked, r) if r else (None, None)), M.maps
+            local += r is not None
+        assert local
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_split_end_is_refused_before_the_mass_check(self, q, monkeypatch):
+        # S1 + S2 passed off as an indecomposable of (1, 1): End = F_q x F_q is
+        # commutative, and the Frobenius map fixes both idempotents
+        F = field_of_order(q)
+        s1, s2 = simple_module(KRON, F, "1"), simple_module(KRON, F, "2")
+        checked, check = [], IsoClassCatalog._mass_check
+
+        def synth(shape, F, dims):
+            fake = [(("split",), direct_sum(s1, s2))] if dims == (1, 1) else []
+            return fake + synth_kronecker(shape, F, dims)
+
+        _synthesize_with(monkeypatch, synth)
+        monkeypatch.setattr(modrep, "_isomorphisms", _no_walk)
+        monkeypatch.setattr(IsoClassCatalog, "_mass_check",
+                            lambda self, dims: checked.append(dims) or check(self, dims))
+        with pytest.raises(OracleError, match="is not local"):
+            IsoClassCatalog(KRON, F, [(1, 1)])
+        assert (1, 1) not in checked and checked
+        basis = hom_space(direct_sum(s1, s2), direct_sum(s1, s2))
+        assert modrep._aut_and_residue(direct_sum(s1, s2), basis) == (None, None)
+
+    def test_matrix_end_takes_the_walk(self, monkeypatch):
+        # End(S + S) = M_2(F_q) is not commutative: the walk counts GL_2(q) and
+        # finds no residue degree
+        walks, walk = [], modrep._isomorphisms
+        monkeypatch.setattr(modrep, "_isomorphisms",
+                            lambda *args: walks.append(args[2]) or walk(*args))
+        for F in (F2, F3):
+            S = direct_sum(simple_module(KRON, F, "1"), simple_module(KRON, F, "1"))
+            assert modrep._aut_and_residue(S, hom_space(S, S)) == (None, None)
+            assert modrep._residue_degree(F.q, 4, modrep.gl_order(F.q, 2)) is None
+        assert walks == ["automorphism count"] * 2
+
+    def test_catalogs_never_walk(self, monkeypatch):
+        monkeypatch.setattr(modrep, "_isomorphisms", _no_walk)
+        for shape, F, cap in ((KRON, F3, (3, 3)), (A2T, F2, (1, 1, 1)),
+                              (builtin_quiver("d32"), F3, (1, 1, 1)),
+                              (cyclic_shape(2), F2, (2, 3)), (cyclic_shape(3), F2, (2, 2, 2))):
+            cat = IsoClassCatalog(shape, F, [cap])
+            assert all(cat.classes[c].res for c in cat.indec_ids)
