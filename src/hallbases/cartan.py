@@ -567,3 +567,8 @@ def builtin_quiver(name):
     if name not in BUILTIN_QUIVERS:
         raise ValueError("unknown built-in quiver %r" % (name,))
     return BUILTIN_QUIVERS[name][0]()
+
+
+def context_caps():
+    """{name: basis cap} of the shipped composition contexts, read off BUILTIN_QUIVERS."""
+    return {name: cap for name, (_, cap) in BUILTIN_QUIVERS.items() if cap is not None}

@@ -9,6 +9,7 @@ checked identity passed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -19,32 +20,42 @@ from .cartan import (
     admissible_of,
     builtin_quiver,
     cartan_of,
+    context_caps,
     gradings_below,
     is_affine,
     parse_quiver,
 )
-from .cyclic import (
-    CyclicCanonicalBasis,
-    cyclic_generic_algebra,
-    cyclic_shape,
-    diamond_step,
-    eta_fold,
-    multisegments_of_dim,
-    parse_multisegment,
-    word_of,
-)
-from .hall import FitError, GenericHallAlgebra, HallContext
-from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
-from .laurent import RationalV
 from .modrep import (
     BudgetError,
+    FitError,
     IsoClassCatalog,
     OracleError,
     check_admission,
     field,
     field_of_order,
 )
-from .pbwbasis import context_caps, get_context
+
+
+def _deferred(name):
+    """hallbases.<name> in sys.modules, compiled and run at its first attribute read.
+
+    Each command thus compiles only the layers it runs (`roots` reads cartan, gf
+    and modrep alone), while every layer is in sys.modules from the import of
+    this module on, where perfbench/tracer.py looks them up."""
+    qualname = "%s.%s" % (__package__, name)
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    spec = importlib.util.find_spec(qualname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+laurent, hall, cyclic, symfun, pbwbasis, kashiwara = map(
+    _deferred, ("laurent", "hall", "cyclic", "symfun", "pbwbasis", "kashiwara"))
 
 
 class RunConfig:
@@ -75,7 +86,7 @@ class RunConfig:
 def _ctx_shape(ctx):
     """The shape named by --ctx; ValueError for an unknown name."""
     if ctx.startswith("cyclic:"):
-        return cyclic_shape(int(ctx.split(":")[1]))
+        return cyclic.cyclic_shape(int(ctx.split(":")[1]))
     return builtin_quiver(ctx)
 
 
@@ -194,7 +205,7 @@ def _suite_serre(config):
         check_admission(shape, F, dims)
     for F in fields:
         cat = IsoClassCatalog(shape, F, dims, cache_dir=config.cache_dir)
-        hc = HallContext(cat)
+        hc = hall.HallContext(cat)
         for i in shape.vertices:
             for j in shape.vertices:
                 if i == j:
@@ -207,7 +218,7 @@ def _suite_serre(config):
 
 def _suite_orthogonality(config):
     cap = _basis_cap(config)
-    ctx = get_context(config.ctx, cache_dir=config.cache_dir)
+    ctx = pbwbasis.get_context(config.ctx, cache_dir=config.cache_dir)
     results = []
     ok = True
     for nu in gradings_below(cap):
@@ -228,7 +239,7 @@ def _slice_checks(ctx, nu):
 
 def _suite_triangularity(config):
     cap = _basis_cap(config)
-    ctx = get_context(config.ctx, cache_dir=config.cache_dir)
+    ctx = pbwbasis.get_context(config.ctx, cache_dir=config.cache_dir)
     results = []
     ok = True
     for nu in gradings_below(cap):
@@ -242,7 +253,7 @@ def _eta_pairs(rank, bound):
     apers = []
     for dims in sorted(gradings_below((bound,) * rank), key=lambda d: (sum(d), d)):
         if sum(dims) <= bound:
-            apers += [pi for pi in multisegments_of_dim(rank, dims) if pi.is_aperiodic()]
+            apers += [pi for pi in cyclic.multisegments_of_dim(rank, dims) if pi.is_aperiodic()]
     for pi1 in apers:
         for pi2 in apers:
             if pi1.total_boxes() + pi2.total_boxes() <= bound:
@@ -252,14 +263,14 @@ def _eta_pairs(rank, bound):
 def _eta_check(pair):
     pi1, pi2 = pair
     arg = pi2
-    for j, a in reversed(word_of(pi1)):
+    for j, a in reversed(cyclic.word_of(pi1)):
         for _ in range(a):
-            arg = diamond_step(j, arg)
-    lhs = eta_fold(arg)
-    rhs = eta_fold(pi2)
-    for j, a in reversed(word_of(eta_fold(pi1))):
+            arg = cyclic.diamond_step(j, arg)
+    lhs = cyclic.eta_fold(arg)
+    rhs = cyclic.eta_fold(pi2)
+    for j, a in reversed(cyclic.word_of(cyclic.eta_fold(pi1))):
         for _ in range(a):
-            rhs = diamond_step(j, rhs)
+            rhs = cyclic.diamond_step(j, rhs)
     return lhs == rhs
 
 
@@ -273,11 +284,11 @@ def _suite_eta(config, rank, bound):
 
 def _suite_kashiwara(config):
     cap = _basis_cap(config)
-    ctx = get_context(config.ctx, cache_dir=config.cache_dir)
+    ctx = pbwbasis.get_context(config.ctx, cache_dir=config.cache_dir)
     results = []
     ok = True
     for v in ctx.shape.vertices:
-        tri = AdmissibleTriple(ctx, v)
+        tri = kashiwara.AdmissibleTriple(ctx, v)
         rel_ok = True
         for nu in gradings_below(cap):
             target = tuple(a + b for a, b in zip(nu, tri.e_i))
@@ -285,14 +296,14 @@ def _suite_kashiwara(config):
                 rel_ok = rel_ok and tri.check_relation(nu)
         lat_fails = 0
         for nu in gradings_below(cap):
-            lat_fails += len(check_lattice_stability(tri, nu))
+            lat_fails += len(kashiwara.check_lattice_stability(tri, nu))
         ok = ok and rel_ok and lat_fails == 0
         results.append({"vertex": str(v), "relation": rel_ok,
                         "lattice_failures": lat_fails})
     sink_ok = True
     for nu in gradings_below(cap):
         for a in ctx.indices_of_grading(nu):
-            sink_ok = sink_ok and verify_sink_identity(ctx, a)
+            sink_ok = sink_ok and kashiwara.verify_sink_identity(ctx, a)
     ok = ok and sink_ok
     return {"suite": "kashiwara", "pass": ok, "vertices": results,
             "sink_identity": sink_ok}, not ok
@@ -338,7 +349,7 @@ def cmd_verify(config, suite, rank, bound):
 
 def cmd_comp_basis(config, which):
     cap = _basis_cap(config)
-    ctx = get_context(config.ctx, cache_dir=config.cache_dir)
+    ctx = pbwbasis.get_context(config.ctx, cache_dir=config.cache_dir)
     slices = {}
     failed = False
     for nu in gradings_below(cap):
@@ -350,7 +361,7 @@ def cmd_comp_basis(config, which):
             data = ctx.basis_of_grading(nu)
             for a in data["aperiodic"]:
                 if which == "N":
-                    coords = {a: RationalV(1)}
+                    coords = {a: laurent.RationalV(1)}
                 elif which == "E":
                     coords = data["E"][a]
                 else:
@@ -373,7 +384,7 @@ def cmd_cyclic_canonical(config, rank, dim):
     if len(cap) != rank:
         raise SystemExit("--dim %s needs %d entries, one per vertex of --rank %d"
                          % (",".join(map(str, cap)), rank, rank))
-    basis = CyclicCanonicalBasis(rank, cap, cache_dir=config.cache_dir)
+    basis = cyclic.CyclicCanonicalBasis(rank, cap, cache_dir=config.cache_dir)
     out = {}
     failed = False
     for pi in sorted(basis.B, key=str):
@@ -397,7 +408,7 @@ def _fit_triple(config, ctx, triple_spec):
         if len(parts) != 3:
             raise SystemExit("--triple needs 'L / M / N' multisegment texts")
         try:
-            pis = [parse_multisegment("r=%d; %s" % (r, p) if not p.startswith("r=") else p)
+            pis = [cyclic.parse_multisegment("r=%d; %s" % (r, p) if not p.startswith("r=") else p)
                    for p in parts]
         except ValueError as exc:
             raise SystemExit("--triple %s: %s" % (triple_spec, exc))
@@ -408,7 +419,7 @@ def _fit_triple(config, ctx, triple_spec):
             raise SystemExit("--triple %s: L must have the dimension vector of M + N"
                              % triple_spec)
         cap = tuple(max(d[k] for d in dims) for k in range(r))
-        alg = cyclic_generic_algebra(r, cap, cache_dir=config.cache_dir)
+        alg = cyclic.cyclic_generic_algebra(r, cap, cache_dir=config.cache_dir)
         labels = [alg.labeler.of_multisegment(pi) for pi in pis]
         return alg.fit_hall_polynomial(*labels, dims[1], dims[2], primes=primes, verify=verify)
     if ctx == "a1":
@@ -418,8 +429,8 @@ def _fit_triple(config, ctx, triple_spec):
             dims = []
         if len(dims) != 3 or dims[0] != dims[1] + dims[2]:
             raise SystemExit("--triple needs 'l / m / n' with l = m + n")
-        alg = GenericHallAlgebra(builtin_quiver("a1"), (dims[0],), _A1Labeler(),
-                                 cache_dir=config.cache_dir)
+        alg = hall.GenericHallAlgebra(builtin_quiver("a1"), (dims[0],), _A1Labeler(),
+                                      cache_dir=config.cache_dir)
         return alg.fit_hall_polynomial(*[("A1", (d,)) for d in dims], (dims[1],), (dims[2],),
                                        primes=primes, verify=verify)
     raise SystemExit("hall-poly supports --ctx a1 or --ctx cyclic:<r>")

@@ -203,9 +203,7 @@ def _mul_t(F, A, Bt):
     return tuple(out)
 
 def m_transpose(A):
-    if not A:
-        return ()
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
+    return tuple(zip(*A))
 
 
 def _eliminate(F, A, reduced, seed=None):

@@ -34,6 +34,7 @@ from .cartan import cartan_of, euler_form, gradings_below
 from .laurent import LaurentPoly, RationalV
 from .modrep import (
     MAX_FIELD_ORDER,
+    FitError,
     IsoClassCatalog,
     OracleError,
     check_admission,
@@ -96,10 +97,6 @@ def field_ladder(shape):
 
 #: the first fit of a constant reads ladder[:FIRST_WIDTH] and verifies at ladder[FIRST_WIDTH]
 FIRST_WIDTH = 3
-
-
-class FitError(OracleError):
-    """A fitted polynomial failed its held-out verification."""
 
 
 def fit_and_verify(values, fit_fields, verify_field):

@@ -67,7 +67,6 @@ from .gf import (  # noqa: F401
     rref,
     subspaces,
 )
-from .laurent import row_reduce
 
 #: every catalog slice over GF(q) has q^(total module dimension) <= 2^BUDGET
 BUDGET = 30
@@ -118,6 +117,10 @@ def check_admission(shape, F, dims_list):
 
 class OracleError(RuntimeError):
     """An internal consistency check of the oracle failed."""
+
+
+class FitError(OracleError):
+    """A fitted polynomial failed its held-out verification."""
 
 
 # ---------------------------------------------------------------------------
@@ -1618,6 +1621,8 @@ class IsoClassCatalog:
 
     def _coxeter_matrix(self):
         """Integer Coxeter matrix -E^-T E for trivially valued shapes."""
+        from .laurent import row_reduce  # only tubes need it; a catalog alone skips laurent
+
         sh = self.shape
         if any(sh.d[i] != 1 for i in sh.vertices):
             return None

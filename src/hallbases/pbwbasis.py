@@ -12,10 +12,10 @@ unitriangular eliminations in Q(v).
 from __future__ import annotations
 
 from .cartan import (
-    BUILTIN_QUIVERS,
     admissible_of,
     builtin_quiver,
     cartan_of,
+    context_caps,
     is_affine,
     min_delta,
     multisets,
@@ -598,11 +598,6 @@ class SpanSolver:
 # ---------------------------------------------------------------------------
 
 _CONTEXTS = {}
-
-
-def context_caps():
-    """{name: basis cap} of the shipped composition contexts, read off cartan.BUILTIN_QUIVERS."""
-    return {name: cap for name, (_, cap) in BUILTIN_QUIVERS.items() if cap is not None}
 
 
 def get_context(name, cache_dir=None):

@@ -614,3 +614,60 @@ def test_tracer_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, attr)
+
+
+_LAYERS_RUN = """\
+import os, sys, types
+from hallbases.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:] + ["--out", os.devnull])
+mods = {n[len("hallbases."):]: m for n, m in sys.modules.items() if n.startswith("hallbases.")}
+print(" ".join(sorted(n for n, m in mods.items() if type(m) is types.ModuleType)))
+print(" ".join(sorted(mods)))
+"""
+
+CATALOG_LAYERS = {"cartan", "gf", "modrep", "cli"}
+
+
+def _layers_run(*argv):
+    """(the hallbases layers compiled and run, every hallbases layer in sys.modules)
+    in a fresh interpreter without bytecode, once cli has run argv; a layer that no
+    one has read yet is still an importlib.util lazy module."""
+    src = os.path.dirname(os.path.dirname(hallbases.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LAYERS_RUN, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    ran, present = proc.stdout.splitlines()
+    return set(ran.split()), set(present.split())
+
+
+class TestStartupImports:
+    """Each command compiles only the layers it runs."""
+
+    def test_cli_import_runs_only_the_catalog_layers(self):
+        ran, present = _layers_run()
+        assert ran == CATALOG_LAYERS
+        # the rest are modules already, as perfbench/tracer.py reads them
+        assert present == CATALOG_LAYERS | {"laurent", "hall", "cyclic", "symfun",
+                                            "pbwbasis", "kashiwara"}
+
+    @pytest.mark.parametrize("ctx, window", [("kronecker", "3"), ("a2tilde", "2")])
+    def test_roots_runs_only_the_catalog_layers(self, ctx, window):
+        assert _layers_run("roots", "--ctx", ctx, "--window", window)[0] == CATALOG_LAYERS
+
+    def test_cyclic_canonical_runs_no_composition_layer(self):
+        ran = _layers_run("cyclic-canonical", "--rank", "2", "--dim", "1,1")[0]
+        assert {"cyclic", "hall"} <= ran and not ran & {"pbwbasis", "symfun", "kashiwara"}
+
+    def test_comp_basis_runs_no_kashiwara(self):
+        ran = _layers_run("comp-basis", "--ctx", "kronecker", "--cap", "1,1")[0]
+        assert "pbwbasis" in ran and "kashiwara" not in ran
+
+    def test_moved_names_are_one_object(self):
+        from hallbases import cartan, hall
+
+        # main catches FitError, and _basis_cap reads the caps, without hall or pbwbasis
+        assert hall.FitError is modrep.FitError
+        assert issubclass(modrep.FitError, modrep.OracleError)
+        assert pbwbasis.context_caps is cartan.context_caps

@@ -56,6 +56,7 @@ from hallbases.modrep import (
     m_id,
     m_mul,
     m_rank,
+    m_transpose,
     rref,
     scan_candidates,
     simple_module,
@@ -1376,6 +1377,18 @@ class TestKernelOracle:
             assert R[r][pc] == 1 and not any(R[r][:pc])
             assert all(R[k][pc] == 0 for k in range(len(R)) if k != r)
         assert m_rank(F, tuple(A) + R) == len(pivots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gf_matrices())
+    def test_transpose_matches_index_form(self, case):
+        _, A = case
+        want = tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0]))) if A else ()
+        assert m_transpose(A) == want
+
+    def test_transpose_of_empty_shapes(self):
+        # no rows, or rows of no columns: the index form gives () for both
+        assert m_transpose(()) == m_transpose([]) == ()
+        assert m_transpose(((), ())) == m_transpose([[]]) == ()
 
     @settings(max_examples=300, deadline=None)
     @given(gf_matrices())
