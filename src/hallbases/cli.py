@@ -9,11 +9,11 @@ checked identity passed.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
 
+from . import cyclic, hall, laurent, pbwbasis
 from .cartan import (
     BUILTIN_QUIVERS,
     OutsideWindowError,
@@ -25,6 +25,7 @@ from .cartan import (
     is_affine,
     parse_quiver,
 )
+from .kashiwara import AdmissibleTriple, check_lattice_stability, verify_sink_identity
 from .modrep import (
     BudgetError,
     FitError,
@@ -34,28 +35,6 @@ from .modrep import (
     field,
     field_of_order,
 )
-
-
-def _deferred(name):
-    """hallbases.<name> in sys.modules, compiled and run at its first attribute read.
-
-    Each command thus compiles only the layers it runs (`roots` reads cartan, gf
-    and modrep alone), while every layer is in sys.modules from the import of
-    this module on, where perfbench/tracer.py looks them up."""
-    qualname = "%s.%s" % (__package__, name)
-    if qualname in sys.modules:
-        return sys.modules[qualname]
-    spec = importlib.util.find_spec(qualname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[qualname] = module
-    setattr(sys.modules[__package__], name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-laurent, hall, cyclic, symfun, pbwbasis, kashiwara = map(
-    _deferred, ("laurent", "hall", "cyclic", "symfun", "pbwbasis", "kashiwara"))
 
 
 class RunConfig:
@@ -288,7 +267,7 @@ def _suite_kashiwara(config):
     results = []
     ok = True
     for v in ctx.shape.vertices:
-        tri = kashiwara.AdmissibleTriple(ctx, v)
+        tri = AdmissibleTriple(ctx, v)
         rel_ok = True
         for nu in gradings_below(cap):
             target = tuple(a + b for a, b in zip(nu, tri.e_i))
@@ -296,14 +275,14 @@ def _suite_kashiwara(config):
                 rel_ok = rel_ok and tri.check_relation(nu)
         lat_fails = 0
         for nu in gradings_below(cap):
-            lat_fails += len(kashiwara.check_lattice_stability(tri, nu))
+            lat_fails += len(check_lattice_stability(tri, nu))
         ok = ok and rel_ok and lat_fails == 0
         results.append({"vertex": str(v), "relation": rel_ok,
                         "lattice_failures": lat_fails})
     sink_ok = True
     for nu in gradings_below(cap):
         for a in ctx.indices_of_grading(nu):
-            sink_ok = sink_ok and kashiwara.verify_sink_identity(ctx, a)
+            sink_ok = sink_ok and verify_sink_identity(ctx, a)
     ok = ok and sink_ok
     return {"suite": "kashiwara", "pass": ok, "vertices": results,
             "sink_identity": sink_ok}, not ok

@@ -10,10 +10,10 @@ equality of vectors of rational functions.
 
 from __future__ import annotations
 
-from .hall import expand_in
-from .laurent import LaurentPoly, RationalV, in_lattice, quantum_factorial, row_reduce
+# read qualified: the package's lazy layers, so that importing this module
+# compiles none of them
+from . import hall, laurent, pbwbasis
 from .modrep import BudgetError, OracleError
-from .pbwbasis import PbwIndex, SpanSolver
 
 
 class AdmissibleTriple:
@@ -56,17 +56,17 @@ class AdmissibleTriple:
         return self._eps_cache[key]
 
     def phi(self, coords):
-        return expand_in(coords, {a: self.phi_on_index(a) for a in coords})
+        return hall.expand_in(coords, {a: self.phi_on_index(a) for a in coords})
 
     def eps(self, coords):
-        return expand_in(coords, {a: self.eps_on_index(a) for a in coords})
+        return hall.expand_in(coords, {a: self.eps_on_index(a) for a in coords})
 
     def phi_divided(self, coords, n):
         """phi^(n) = phi^n / [n]!_{v_i}."""
         out = dict(coords)
         for _ in range(n):
             out = self.phi(out)
-        fact = RationalV(quantum_factorial(n, self.d_i))
+        fact = laurent.RationalV(laurent.quantum_factorial(n, self.d_i))
         return {k: v / fact for k, v in out.items()}
 
     # -- verification of the defining relations -----------------------------
@@ -80,10 +80,10 @@ class AdmissibleTriple:
         """eps phi^(N) = v_i^(2N) phi^(N) eps + v_i^(N-1) phi^(N-1)."""
         target = tuple(x + n * y for x, y in zip(nu, self.e_i))
         self._check_cap(target)
-        vi2N = RationalV(LaurentPoly.v_power(2 * n * self.d_i))
-        viN1 = RationalV(LaurentPoly.v_power((n - 1) * self.d_i))
+        vi2N = laurent.RationalV(laurent.LaurentPoly.v_power(2 * n * self.d_i))
+        viN1 = laurent.RationalV(laurent.LaurentPoly.v_power((n - 1) * self.d_i))
         for a in self.ctx.indices_of_grading(nu):
-            x = {a: RationalV(1)}
+            x = {a: laurent.RationalV(1)}
             lhs = self.eps(self.phi_divided(x, n))
             rhs = _add(_scale(self.phi_divided(self.eps(x), n), vi2N),
                        _scale(self.phi_divided(x, n - 1), viN1))
@@ -101,14 +101,15 @@ class AdmissibleTriple:
         indices = self.ctx.indices_of_grading(nu)
         images = [self.eps_on_index(a) for a in indices]
         keys = sorted({k for img in images for k in img}, key=lambda a: repr(a.key()))
-        R, pivots = row_reduce([[img.get(k, RationalV(0)) for img in images]
-                                for k in keys], len(indices))
+        zero = laurent.RationalV(0)
+        R, pivots = laurent.row_reduce([[img.get(k, zero) for img in images] for k in keys],
+                                       len(indices))
         basis = []
         for free in range(len(indices)):
             if free in pivots:
                 continue
             vec = {indices[pc]: -R[r][free] for r, pc in enumerate(pivots)}
-            vec[indices[free]] = RationalV(1)
+            vec[indices[free]] = laurent.RationalV(1)
             basis.append({a: vec[a] for a in indices if vec.get(a)})
         self._p0_cache[nu] = basis
         return basis
@@ -134,7 +135,8 @@ class AdmissibleTriple:
                 by_n.setdefault(n, {})[bi] = c
         result = []
         for n, coefs in sorted(by_n.items()):
-            y = expand_in(coefs, self.p0_basis(tuple(x - n * e for x, e in zip(nu, self.e_i))))
+            base_nu = tuple(x - n * e for x, e in zip(nu, self.e_i))
+            y = hall.expand_in(coefs, self.p0_basis(base_nu))
             if y:
                 result.append((n, y))
         # exact reconstruction check
@@ -157,7 +159,7 @@ class AdmissibleTriple:
                     columns.append(self.phi_divided(y, n))
                     tags.append((n, bi))
                 n += 1
-            self._string_cache[nu] = (tags, SpanSolver(columns))
+            self._string_cache[nu] = (tags, pbwbasis.SpanSolver(columns))
         return self._string_cache[nu]
 
     def shift(self, strings, k):
@@ -192,13 +194,13 @@ def check_lattice_stability(triple, nu):
     target = tuple(p + e for p, e in zip(nu, triple.e_i))
     raise_too = all(t <= c for t, c in zip(target, ctx.cap))
     for a in ctx.indices_of_grading(nu):
-        strings = triple.string_decompose({a: RationalV(1)})
+        strings = triple.string_decompose({a: laurent.RationalV(1)})
         images = [("etilde", triple.shift(strings, -1))]
         if raise_too:
             images.append(("phitilde", triple.shift(strings, 1)))
         for tag, img in images:
             for b, c in img.items():
-                if not in_lattice(c, strict=False):
+                if not laurent.in_lattice(c, strict=False):
                     failures.append((tag, a, b, c))
     return failures
 
@@ -212,14 +214,14 @@ def verify_sink_identity(ctx, a):
     i0 = ctx.seq.vertex(0)
     triple = AdmissibleTriple(ctx, i0)
     n_mult = dict(a.cminus).get(0, 0)
-    reduced = PbwIndex(tuple((t, m) for t, m in a.cminus if t != 0),
-                       a.c0, a.cplus, a.lam)
-    base = {reduced: RationalV(1)}
+    reduced = pbwbasis.PbwIndex(tuple((t, m) for t, m in a.cminus if t != 0),
+                                a.c0, a.cplus, a.lam)
+    base = {reduced: laurent.RationalV(1)}
     eps_img = triple.eps(base)
     if eps_img:
         return False
     lifted = triple.phi_divided(base, n_mult)
-    return lifted == {a: RationalV(1)}
+    return lifted == {a: laurent.RationalV(1)}
 
 
 # -- small dict-vector helpers (N coordinates over Q(v)) --------------------
@@ -227,7 +229,7 @@ def verify_sink_identity(ctx, a):
 def _add(x, y):
     out = dict(x)
     for k, v in y.items():
-        s = out.get(k, RationalV(0)) + v
+        s = out.get(k, laurent.RationalV(0)) + v
         if s.is_zero():
             out.pop(k, None)
         else:
@@ -240,7 +242,7 @@ def _scale(x, c):
 
 
 def _eq(x, y):
-    return _is_zero(_add(x, _scale(y, RationalV(-1))))
+    return _is_zero(_add(x, _scale(y, laurent.RationalV(-1))))
 
 
 def _is_zero(x):
