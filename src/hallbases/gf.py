@@ -3,8 +3,12 @@
 Field elements are integers 0..q-1 whose base-p digits are polynomial
 coefficients; matrices are tuples of tuples of element codes.  The one
 GF(q) elimination is _eliminate; rref, m_rank, kernel_basis and the
-inverse are built on it.  The polynomial helpers over a GF list the monic
-irreducibles that fix the defining polynomials of extension fields.
+inverse are built on it.  Over GF(2) it packs each row into one int, a
+byte per entry, and adds rows by xor; over every other field it sweeps
+dense lists against sparse pivot rows.  Both paths keep the same pivot
+rows, so every result is the same.  The polynomial helpers over a GF list
+the monic irreducibles that fix the defining polynomials of extension
+fields.
 """
 
 from __future__ import annotations
@@ -207,20 +211,67 @@ def m_transpose(A):
 
 
 def _eliminate(F, A, reduced, seed=None):
-    """The GF(q) elimination: {pivot column: sparse row}, one per unit of rank.
+    """The GF(q) elimination: {pivot column: pivot row}, one per unit of rank.
 
-    A pivot row is its list of (column, value) entries, its leftmost entry
-    1 at the pivot column.  Each row of A is swept left to right as a dense
-    list: an entry at a pivot column is cleared by that pivot's entries
-    alone, and the first entry at a column without a pivot makes the row,
-    scaled, the pivot row of that column.  The pivot rows form an echelon
-    form, so their count is the rank.  With reduced, each pivot row is then
-    swept clear of the later pivot columns too, right to left, which gives
-    the reduced echelon form.
+    A pivot row has its leftmost entry 1 at the pivot column.  Each row of
+    A is swept left to right: an entry at a pivot column is cleared by that
+    pivot row, and the first entry at a column without a pivot makes the
+    row, scaled, the pivot row of that column.  The pivot rows form an
+    echelon form, so their count is the rank.  With reduced, each pivot row
+    is then swept clear of the later pivot columns too, right to left,
+    which gives the reduced echelon form.
 
-    seed, the forward pivots of rows eliminated before, is copied and the
-    rows of A are swept against it, as if those rows came first in A.
+    Over GF(2) a pivot row is one int holding one byte per entry, entry k
+    at byte k (_eliminate_gf2); over any other field it is its list of
+    (column, value) entries (_eliminate_lists).  Both keep the same rows.
+    Only _eliminate and rref read a pivot row; m_rank counts them, and
+    HomSystem passes them back as a seed.
+
+    seed, the forward pivots of rows eliminated before over the same F, is
+    copied and the rows of A are swept against it, as if those rows came
+    first in A.  The rows of A are read, never written.
     """
+    if F.q == 2:
+        return _eliminate_gf2(A, reduced, seed)
+    return _eliminate_lists(F, A, reduced, seed)
+
+
+def _eliminate_gf2(A, reduced, seed=None):
+    """_eliminate over GF(2): a row is int.from_bytes of its entries, and
+    adding a pivot row is one xor."""
+    pivots = dict(seed) if seed else {}
+    ncols = len(A[0]) if A else 0
+    for dense in A:
+        if len(pivots) == ncols:
+            break
+        row = int.from_bytes(bytes(dense), "little")
+        while row:
+            # the byte of the lowest set bit is the leftmost entry
+            c = (row & -row).bit_length() - 1 >> 3
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            row ^= piv
+    if reduced:
+        # the bits of the pivot columns right of c, whose rows are reduced
+        # already: adding one of them clears its own pivot bit in row alone
+        later = 0
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            hits = row & later
+            while hits:
+                low = hits & -hits
+                row ^= pivots[low.bit_length() - 1 >> 3]
+                hits ^= low
+            pivots[c] = row
+            later |= 1 << 8 * c
+    return pivots
+
+
+def _eliminate_lists(F, A, reduced, seed=None):
+    """_eliminate over any GF(q): a pivot row is its list of (column, value)
+    entries, and a row is swept as a dense list."""
     mul, add, neg, inv = F._mul, F._add, F._neg, F._inv
     pivots = dict(seed) if seed else {}
     ncols = len(A[0]) if A else 0
@@ -268,6 +319,8 @@ def rref(F, A):
     pivots = _eliminate(F, A, True)
     cols = tuple(sorted(pivots))
     ncols = len(A[0]) if A else 0
+    if F.q == 2:
+        return tuple(tuple(pivots[c].to_bytes(ncols, "little")) for c in cols), cols
     rows = []
     for c in cols:
         row = [0] * ncols

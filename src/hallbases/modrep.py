@@ -19,7 +19,8 @@ the whole representation space, with orbit sizes |G|/|Aut| of its classes.
 The build also certifies, in Krull-Schmidt form, that the classes of every
 dimension slice are pairwise non-isomorphic: their
 decompositions into indecomposables are pairwise distinct, and Hom-dimension
-profiles separate the indecomposables of each slice.
+profiles separate the indecomposables of each slice that share dim End and
+the residue degree of End/rad.
 
 Classification of arbitrary modules against a catalog goes through
 Hom-dimension profiles against a probe set of indecomposables.  Probes are
@@ -336,7 +337,7 @@ class HomSystem:
         if self._seed is None:
             self._seed = _eliminate(self.F, self._sink, False)
         self._fill(N)
-        # _eliminate sweeps copies of the rows
+        # _eliminate reads the rows and writes none of them
         return self.n_unknowns - len(_eliminate(self.F, self._live_rows, False, self._seed))
 
 
@@ -1416,19 +1417,29 @@ class IsoClassCatalog:
 
         By Krull-Schmidt, modules are isomorphic exactly when their
         decompositions into indecomposables agree.  So it suffices that the
-        decompositions of each slice are pairwise distinct and that Hom
-        profiles separate the indecomposables of each slice (indecomposables
-        of different slices differ in dimension).  A slice's own come first
-        as candidates, since X = Y forces dim Hom(X, Y) = end X.
+        decompositions of each slice are pairwise distinct and that no two
+        indecomposables of a slice are isomorphic (indecomposables of
+        different slices differ in dimension).  Isomorphic modules have the
+        same dim End and the same residue degree of End/rad, so the
+        indecomposables of a slice are grouped by (end, res), which
+        _finish_indec computes exactly (a catalog read from a cache takes
+        them from the file, as it takes |Aut|), and Hom profiles need only
+        separate each group of two or more.  A group's own come first as
+        candidates, since X = Y forces dim Hom(X, Y) = end X.
         """
         for dims, cids in self.by_dim.items():
             decs = {self.classes[cid].decomposition for cid in cids}
             if len(decs) != len(cids):
                 raise OracleError("two classes at %s share a decomposition" % (dims,))
-            indecs = [cid for cid in cids if self.classes[cid].indec]
-            if len(indecs) > 1:
-                self._separate(indecs, dims,
-                               indecs + [p for p in self.indec_ids if p not in indecs])
+            groups = {}
+            for cid in cids:
+                info = self.classes[cid]
+                if info.indec:
+                    groups.setdefault((info.end, info.res), []).append(cid)
+            for group in groups.values():
+                if len(group) > 1:
+                    self._separate(group, dims,
+                                   group + [p for p in self.indec_ids if p not in group])
 
     def _separate(self, cids, dims, candidates):
         """Probes whose Hom profiles tell the classes cids apart.

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from hallbases import modrep
+from hallbases import gf, modrep
 from hallbases.cartan import (
     Arrow,
     ValuedQuiver,
@@ -680,6 +680,21 @@ class TestBuildCertificate:
         with pytest.raises(OracleError, match="do not separate"):
             IsoClassCatalog(KRON, F2, [dims])
 
+    def test_base_changed_copy_is_not_separated(self, monkeypatch):
+        # a copy in another basis has the same (end, res), so it lands in
+        # the group of the indecomposable it copies
+        planted = ("reg", (1, 1, 1), 1)
+        dims = kronecker_indec(KRON, F2, planted).dims
+
+        def extra(shape, F, d):
+            if d != dims:
+                return []
+            copy = _base_change(kronecker_indec(shape, F, planted), random.Random("copy"))
+            return [(("regdup",) + planted[1:], copy)]
+        _synthesize_with(monkeypatch, _planted(extra))
+        with pytest.raises(OracleError, match="do not separate"):
+            IsoClassCatalog(KRON, F2, [dims])
+
     def test_decomposition_cataloged_twice(self, tmp_path):
         # the catalog records every sum once, so the duplicate is planted in
         # its cache file, which a later construction loads and certifies
@@ -695,6 +710,42 @@ class TestBuildCertificate:
             json.dump(payload, fh)
         with pytest.raises(OracleError, match="share a decomposition"):
             IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=str(tmp_path))
+
+
+class TestCertificateGroups:
+    @pytest.mark.parametrize("shape, F, cap", [
+        (KRON, F2, (3, 3)), (KRON, F3, (2, 2)), (A2T, F2, (1, 1, 1)),
+        (cyclic_shape(2), F2, (2, 2)),
+    ], ids=["kronecker-q2", "kronecker-q3", "a2tilde-q2", "cyclic2-q2"])
+    def test_each_separated_group_shares_end_and_residue(self, shape, F, cap, monkeypatch):
+        # construction calls _separate only from _certify_distinct: once per
+        # (end, res) group of two or more indecomposables of a slice, the
+        # group's own first among the candidates
+        calls = []
+        separate = IsoClassCatalog._separate
+
+        def recorded(self, cids, dims, candidates):
+            calls.append((dims, list(cids), list(candidates)))
+            return separate(self, cids, dims, candidates)
+        monkeypatch.setattr(IsoClassCatalog, "_separate", recorded)
+        cat = IsoClassCatalog(shape, F, [cap])
+        want = {}
+        for dims, cids in cat.by_dim.items():
+            for cid in cids:
+                info = cat.classes[cid]
+                if info.indec:
+                    want.setdefault((dims, info.end, info.res), []).append(cid)
+        want = sorted((dims, group) for (dims, _, _), group in want.items() if len(group) > 1)
+        assert sorted((dims, cids) for dims, cids, _ in calls) == want
+        for dims, cids, candidates in calls:
+            assert len({(cat.classes[c].end, cat.classes[c].res) for c in cids}) == 1
+            assert candidates[:len(cids)] == cids
+            assert sorted(candidates) == cat.indec_ids
+        if shape is KRON:
+            # (2, 2) splits by residue degree: the points of P^1 have r = 1 and
+            # the quadratic ones r = 2; GF(2) has one, which is separated from nothing
+            sizes = sorted(len(group) for dims, group in want if dims == (2, 2))
+            assert sizes == ([3] if F is F2 else [3, 4])
 
 
 def _dropping_one_indec(drop_dims, synthesizer=synth_cyclic):
@@ -1427,6 +1478,79 @@ class TestExtensionFieldRank:
         rank = m_rank(F, A)
         assert kernel == F.q ** (ncols - rank)
         assert len(rref(F, A)[1]) == rank
+
+
+@st.composite
+def gf2_wide_matrices(draw):
+    """A GF(2) matrix of up to 40 x 200 as mutable list rows, so a packed
+    row spans several int limbs.  Some are products through an inner
+    dimension of 1 to 5, so of low rank, and some have rows set to zero."""
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 200))
+
+    def mat(r, c):
+        return [[bits >> k & 1 for k in range(c)]
+                for bits in draw(st.lists(st.integers(0, 2 ** c - 1), min_size=r, max_size=r))]
+
+    inner = draw(st.one_of(st.none(), st.integers(1, 5)))
+    if inner is None:
+        A = mat(rows, cols)
+    else:
+        A = [list(row) for row in m_mul(F2, mat(rows, inner), mat(inner, cols))]
+    for r in draw(st.sets(st.integers(0, rows - 1))) if rows else ():
+        A[r] = [0] * cols
+    return A
+
+
+def _packed(pivots):
+    """Pivot rows of the list kernel as the GF(2) kernel keeps them: a byte per entry."""
+    return {c: sum(v << 8 * k for k, v in row) for c, row in pivots.items()}
+
+
+def _list_kernel(F, A, reduced):
+    """_eliminate by the list kernel over GF(2), pivots packed for rref to read."""
+    return _packed(gf._eliminate_lists(F, A, reduced))
+
+
+class TestPackedGF2:
+    # the list kernel, which every other field runs, is the oracle of the
+    # packed GF(2) one: both keep the same pivot rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(gf2_wide_matrices())
+    def test_pivot_rows_match_the_list_kernel(self, A):
+        before = [row[:] for row in A]
+        for reduced in (False, True):
+            assert gf._eliminate(F2, A, reduced) == _packed(gf._eliminate_lists(F2, A, reduced))
+        assert A == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(gf2_wide_matrices())
+    def test_rref_rank_and_kernel_match_the_list_kernel(self, A):
+        ncols = len(A[0]) if A else 0
+        packed = rref(F2, A), m_rank(F2, A), kernel_basis(F2, A, ncols)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "_eliminate", _list_kernel)
+            lists = rref(F2, A), m_rank(F2, A), kernel_basis(F2, A, ncols)
+        assert packed == lists
+
+    @settings(max_examples=100, deadline=None)
+    @given(gf2_wide_matrices(), st.integers(0, 40))
+    def test_seeded_elimination(self, A, split):
+        # rows swept against the pivots of rows before them, as HomSystem.dim does
+        head, tail = A[:split], A[split:]
+        seed = gf._eliminate(F2, head, False)
+        kept = dict(seed)
+        got = gf._eliminate(F2, tail, False, seed)
+        assert seed == kept
+        assert got == gf._eliminate(F2, A, False)
+        assert got == _packed(gf._eliminate_lists(
+            F2, tail, False, gf._eliminate_lists(F2, head, False)))
+
+    def test_pivot_rows_are_bytes_of_entries(self):
+        # one byte per entry, entry k at byte k, leftmost entry at the pivot column
+        A = [[0, 1, 1, 0, 1], [0, 1, 0, 1, 1], [0, 0, 0, 0, 0]]
+        assert gf._eliminate(F2, A, False) == {1: 0x0100010100, 2: 0x0001010000}
+        assert rref(F2, A) == (((0, 1, 0, 1, 1), (0, 0, 1, 1, 0)), (1, 2))
 
 
 class TestValuedVertices:
