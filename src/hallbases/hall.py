@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cartan import cartan_of, euler_form, gradings_below
-from .laurent import LaurentPoly, RationalV
+from .laurent import LaurentPoly, RationalV, in_lattice
 from .modrep import (
     MAX_FIELD_ORDER,
     FitError,
@@ -803,6 +803,6 @@ def bar_invariant_solve(a, order, bar_E):
     for k, v in coords.items():
         if k == a:
             continue
-        if not (v.is_polynomial() and v.as_poly().in_minus_lattice(strict=True)):
+        if not (v.is_polynomial() and in_lattice(v, strict=True)):
             raise OracleError("canonical coefficient at %r is not in v^-1 Q[v^-1]" % (k,))
     return coords

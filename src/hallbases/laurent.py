@@ -174,13 +174,6 @@ class LaurentPoly:
     def has_integer_coeffs(self):
         return all(c.denominator == 1 for c in self.coeffs.values())
 
-    def in_minus_lattice(self, strict=True):
-        """True iff all exponents are < 0 (strict) resp. <= 0."""
-        top = self.degree()
-        if top is None:
-            return True
-        return top < 0 if strict else top <= 0
-
     # -- operations ----------------------------------------------------
 
     def bar(self):

@@ -1129,9 +1129,6 @@ class ClassInfo:
 #: the position of each defect class in the order pp < reg < pi
 _DEFECT_RANK = {"pp": 0, "reg": 1, "pi": 2}
 
-#: the ClassInfo fields a cache file holds as they are
-_STORED_AS_IS = ("indec", "end", "aut", "res", "defect")
-
 
 def _residue_degree(q, e, aut):
     """r with End M / rad = F_{q^r} when End M, of dimension e over F_q, is local; else None.
@@ -1178,11 +1175,12 @@ class IsoClassCatalog:
     sum |G| / |Aut M| = |representation space| certifies completeness on
     every dimension vector of an acyclic shape and on every nilpotent one
     small enough to count; an orbit-enumerated slice must also have the
-    walked orbit sizes |G| / |Aut| of its classes.  Construction, from a
-    build or a cache, certifies that no two classes of a slice are
-    isomorphic (see _certify_distinct) and raises OracleError otherwise.  A catalog read
-    from a cache is mass-checked again, slice by slice, and must certify
-    exactly the slices the file lists as checked.  The probes that
+    walked orbit sizes |G| / |Aut| of its classes.  Construction certifies
+    that no two classes of a slice are isomorphic (see _certify_distinct)
+    and raises OracleError otherwise.  A cache file holds only the
+    indecomposables of each slice; a catalog read from it is grown, checked
+    and certified as a built one is, with the file in place of the
+    synthesizer, so it skips only the synthesizer's work.  The probes that
     classify uses are chosen per slice on its first classification, so
     probes_by_dim is empty right after construction.
     """
@@ -1213,11 +1211,16 @@ class IsoClassCatalog:
             datum = cartan_of(shape)
             if is_affine(datum):
                 self.delta = min_delta(datum)
-        if not (cache_dir and self._load_cache()):
-            self._build()
-            if cache_dir:
-                self._save_cache()
-        self._certify_distinct()
+        stored = self._load_cache() if cache_dir else None
+        try:
+            self._build(stored)
+            self._certify_distinct()
+        except OracleError as err:
+            if stored is None:
+                raise
+            raise OracleError("cache file %s: %s" % (self._cat_path(), err)) from None
+        if cache_dir and stored is None:
+            self._save_cache()
 
     # -- construction ---------------------------------------------------
 
@@ -1228,15 +1231,18 @@ class IsoClassCatalog:
             out *= gl_order(self.F.q ** self.shape.d[i], dims[ii])
         return out
 
-    def _build(self):
+    def _build(self, stored=None):
+        """Every slice in order, from its indecomposables: the synthesizer's, or
+        those of stored, {dims: [(synth key, module)]} as _load_cache reads them."""
         check_admission(self.shape, self.F, self.dims_list)
-        synthesizer = synthesizer_of(self.shape)
+        synthesizer = synthesizer_of(self.shape) or self._orbit_indecs
         # of each finished slice; of each indec, its synth key's repr and its module.
         # A sum holds modules, not the catalog, so no cycle keeps a dropped catalog alive.
         index, reprs, modules = {}, {}, {}
         for dims in self.dims_list:
             start = len(self.classes)
-            self._build_dim_synth(dims, synthesizer or self._orbit_indecs, index, reprs, modules)
+            indecs = synthesizer(self.shape, self.F, dims) if stored is None else stored[dims]
+            self._build_dim_synth(dims, indecs, index, reprs, modules)
             self.by_dim[dims] = list(range(start, len(self.classes)))
             self._mass_check(dims)
 
@@ -1260,8 +1266,9 @@ class IsoClassCatalog:
                 out.append((M.key()[1], M))
         return out
 
-    def _build_dim_synth(self, dims, synthesizer, index, reprs, modules):
-        """Every class of dims: a new indecomposable, or a sum grown from a smaller slice.
+    def _build_dim_synth(self, dims, indecs, index, reprs, modules):
+        """Every class of dims: one of indecs, [(synth key, module)], or a sum
+        grown from a smaller slice.
 
         A sum of two or more summands is listed once, as C + X: X is one copy
         of its summand of largest cid, a cataloged indecomposable, and C a
@@ -1280,8 +1287,7 @@ class IsoClassCatalog:
         """
         q, source = self.F.q, (modules, self.shape, self.F)
         # (name, module, decomposition, synth key, end, aut): _add_class's arguments after the name
-        entries = [("((%s, 1),)" % repr(key), M, None, key, None, None)
-                   for key, M in synthesizer(self.shape, self.F, dims)]
+        entries = [("((%s, 1),)" % repr(key), M, None, key, None, None) for key, M in indecs]
         if not any(dims):
             entries.append(("()", ((), source), (), None, 0, 1))
         fragments = _Fragments(reprs)
@@ -1422,8 +1428,7 @@ class IsoClassCatalog:
         different slices differ in dimension).  Isomorphic modules have the
         same dim End and the same residue degree of End/rad, so the
         indecomposables of a slice are grouped by (end, res), which
-        _finish_indec computes exactly (a catalog read from a cache takes
-        them from the file, as it takes |Aut|), and Hom profiles need only
+        _finish_indec computes exactly, and Hom profiles need only
         separate each group of two or more.  A group's own come first as
         candidates, since X = Y forces dim Hom(X, Y) = end X.
         """
@@ -1660,7 +1665,7 @@ class IsoClassCatalog:
     def _cache_key(self):
         """The key of this catalog's files: its shape, field, slices and format."""
         import hashlib  # its OpenSSL backend costs memory; only cache dirs need it
-        blob = "%s|%d|%s|v7" % (self.shape.key(), self.F.q,
+        blob = "%s|%d|%s|v8" % (self.shape.key(), self.F.q,
                                 ";".join(map(str, self.dims_list)))
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
@@ -1673,62 +1678,41 @@ class IsoClassCatalog:
         return os.path.join(self.cache_dir, "scan_%s.json" % "_".join(parts))
 
     def _save_cache(self):
+        """Write the indecomposables of each slice as [synth key, arrow maps]."""
         os.makedirs(self.cache_dir, exist_ok=True)
-        payload = {
-            "schema": 1,
-            "classes": [
-                dict({slot: getattr(c, slot) for slot in _STORED_AS_IS},
-                     dims=list(c.dims),
-                     maps={h.id: [list(r) for r in c.module.maps[h.id]]
-                           for h in self.shape.arrows},
-                     decomposition=[list(x) for x in c.decomposition],
-                     synth_key=_key_to_json(c.synth_key))
-                for c in self.classes
-            ],
-            "by_dim": {",".join(map(str, k)): v for k, v in self.by_dim.items()},
-            "mass_checked": [list(d) for d in self.mass_checked],
-        }
+        payload = {",".join(map(str, dims)): [] for dims in self.dims_list}
+        for cid in self.indec_ids:
+            info = self.classes[cid]
+            payload[",".join(map(str, info.dims))].append([info.synth_key, info.module.key()[1]])
         _write_once(self._cat_path(), payload)
 
     def _load_cache(self):
-        """Read the catalog from its file; False when there is none, OracleError
-        when the file is not a catalog."""
+        """The indecomposables of each slice from the catalog file, {dims: [(synth
+        key, module)]}; None when there is none, OracleError when the file is not
+        a catalog of these slices, whose every map is a matrix over GF(q)."""
         path = self._cat_path()
         if not os.path.exists(path):
-            return False
+            return None
         with open(path) as fh:
             text = fh.read()
+        arrows, digits = self.shape.arrows, range(self.F.q)
         try:
-            payload = json.loads(text)
-            for n, c in enumerate(payload["classes"]):
-                dims = tuple(c["dims"])
-                maps = {hid: tuple(tuple(r) for r in rows) for hid, rows in c["maps"].items()}
-                M = FiniteModule(self.shape, self.F, dims, maps)
-                info = ClassInfo(n, M, dims)
-                for slot in _STORED_AS_IS:
-                    setattr(info, slot, c[slot])
-                info.decomposition = tuple(tuple(x) for x in c["decomposition"])
-                info.synth_key = _key_from_json(c["synth_key"])
-                self.classes.append(info)
-                if info.indec:
-                    self.indec_ids.append(n)
-            self.by_dim = {tuple(int(x) for x in k.split(",")) if k else (): v
-                           for k, v in payload["by_dim"].items()}
-            stored = [tuple(d) for d in payload["mass_checked"]]
-        except (ValueError, KeyError, TypeError, AttributeError):
+            stored = {}
+            for k, indecs in json.loads(text).items():
+                dims = tuple(int(x) for x in k.split(","))
+                stored[dims] = out = []
+                for key, maps in indecs:
+                    if not all(len(row) == len(mat[0]) and all(x in digits for x in row)
+                               for mat in maps for row in mat):
+                        raise ValueError("a map is ragged or has an entry outside range(q)")
+                    maps = {h.id: mat for h, mat in zip(arrows, maps, strict=True)}
+                    out.append((_key_from_json(key), FiniteModule(self.shape, self.F, dims, maps)))
+        except (ValueError, KeyError, TypeError, AttributeError, IndexError):
             raise OracleError("cache file %s is not a catalog" % path) from None
-        if set(self.by_dim) != set(self.dims_list):
+        if set(stored) != set(self.dims_list):
             raise OracleError("cache file %s does not hold the slices %s"
                               % (path, self.dims_list))
-        try:
-            for dims in self.dims_list:
-                self._mass_check(dims)
-        except OracleError as err:
-            raise OracleError("cache file %s: %s" % (path, err)) from None
-        if self.mass_checked != stored:
-            raise OracleError("cache file %s lists the mass-checked slices %s, the check gives %s"
-                              % (path, stored, self.mass_checked))
-        return True
+        return stored
 
     def _save_scan(self, dims, sub, out):
         # the cache dir exists: the catalog was read from it or written to it
@@ -1742,6 +1726,7 @@ class IsoClassCatalog:
         The file must list exactly the classes of the slice.  Every
         (quotient, sub) pair must be classes whose dimension vectors add up
         to dims, and for a split the sub class must have dimension sub.
+        Every count must be a positive integer.
         """
         path = self._scan_path(dims, sub)
         if not os.path.exists(path):
@@ -1758,7 +1743,10 @@ class IsoClassCatalog:
                               % (path, dims))
         n = len(self.classes)
         for counts in out.values():
-            for pair in counts:
+            for pair, count in counts.items():
+                if type(count) is not int or count < 1:
+                    raise OracleError("scan file %s counts %r submodules, not a positive "
+                                      "integer" % (path, count))
                 ok = len(pair) == 2 and all(0 <= k < n for k in pair)
                 if not ok or tuple(map(sum, zip(*(self.classes[k].dims for k in pair)))) != dims:
                     raise OracleError("scan file %s pairs classes %s, whose dimension "
@@ -1791,10 +1779,6 @@ def _write_once(path, payload):
 
 def _unit(n, a):
     return tuple(1 if i == a else 0 for i in range(n))
-
-
-def _key_to_json(key):
-    return list(map(_key_to_json, key)) if isinstance(key, tuple) else key
 
 
 def _key_from_json(key):

@@ -265,15 +265,24 @@ class TestRefusals:
         assert len(err.splitlines()) == 1 and "planted" in err and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
 
-    @pytest.mark.parametrize("text", ['{"schema": 1, "classes": [', '{"schema": 1}'],
-                             ids=["cut", "no-classes"])
-    def test_bad_catalog_file_exit_status(self, tmp_path, capsys, text):
-        # a catalog file that is not JSON, or lacks a field, is refused by name
+    @pytest.mark.parametrize("edit", [
+        lambda text: '{"schema": 1, "classes": [',
+        lambda text: '{"schema": 1}',
+        # an entry 7 in a map over GF(2)
+        lambda text: text.replace('[["pp",1],[[[1],', '[["pp",1],[[[7],'),
+        # a row of two entries in a map of one column
+        lambda text: text.replace('[["pp",1],[[[1],[0]]', '[["pp",1],[[[1],[0,0]]'),
+    ], ids=["cut", "no-classes", "entry", "ragged"])
+    def test_bad_catalog_file_exit_status(self, tmp_path, capsys, edit):
+        # a catalog file that is not JSON, lacks a field or holds a map that
+        # is not a matrix over the field is refused by name
         cache = tmp_path / "cache"
         argv = ["roots", "--ctx", "kronecker", "--window", "2", "--cache-dir", str(cache),
                 "--out", str(tmp_path / "out.json")]
         assert main(argv) == 0
         [path] = cache.glob("cat_*.json")
+        text = edit(path.read_text())
+        assert text != path.read_text()
         path.write_text(text)
         (tmp_path / "out.json").unlink()
         capsys.readouterr()
@@ -367,7 +376,7 @@ class TestShapeDecidesSynthesizer:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         [path] = cache.glob("cat_*.json")
-        keys = [c["synth_key"] for c in json.loads(path.read_text())["classes"] if c["indec"]]
+        keys = [key for indecs in json.loads(path.read_text()).values() for key, _ in indecs]
         # family keys such as ["pp", n] and ["reg", p, l], not tuples of arrow maps
         assert keys and {key[0] for key in keys} == {"pp", "reg", "reginf", "pi"}
 
@@ -493,12 +502,13 @@ def test_cache_files_pinned(tmp_path, monkeypatch):
     The class order of every slice fixes the class ids and so every cache
     file; the digest holds both fixed while the way catalogs are built changes.
     The key in a file name versions the catalog format, so it is masked.  The
-    digest is that of the files from before the field ladder, less the GF(7)
-    ones: no fit of these commands reads GF(7) any more.
+    digest was re-taken when a catalog file came to hold only the
+    indecomposables of each slice; the full-scan files of the same runs kept
+    their digest, so the class ids did not move.
     """
     runs = (("roots", ("roots", "--ctx", "kronecker", "--window", "6")), CYCLIC_23)
     assert _cache_digest(tmp_path, monkeypatch, runs) == (
-        "a8e251411d8983f3b94c45963af34643313cf559169cffaaeb146decf3053bbb")
+        "478a5bbbef16eb4649cb2c620b00cd3c060ef978d8e7f261240c0c84d9c240a3")
 
 
 def test_scan_files_pinned(tmp_path, monkeypatch):
@@ -517,20 +527,29 @@ def test_split_scan_files_pinned(tmp_path, monkeypatch):
     digest, taken when every split was first scanned on its own.
 
     Each split file holds the counts of its full scan, whose digest is
-    pinned above, restricted to the subs of its dimension.
+    pinned above, restricted to the subs of its dimension.  The class of
+    an id is read from the catalog of the file's key, as the run built it.
     """
+    catalogs = {}
+    init = IsoClassCatalog.__init__
+
+    def recorded(cat, *args, **kwargs):
+        init(cat, *args, **kwargs)
+        catalogs[cat._cache_key] = cat
+
+    monkeypatch.setattr(IsoClassCatalog, "__init__", recorded)
     digest = _cache_digest(tmp_path, monkeypatch, (CYCLIC_23,), ("split",))
     cache = tmp_path / "cyclic"
     splits = [path for path in cache.iterdir() if _kind(path.name) == "split"]
     assert splits
     for path in splits:
         _, key, dims, sub = path.stem.split("_")
-        classes = json.loads((cache / ("cat_%s.json" % key)).read_text())["classes"]
-        want = [int(x) for x in sub.split("-")]
+        classes = catalogs[key].classes
+        want = tuple(int(x) for x in sub.split("-"))
         full = json.loads((cache / ("scan_%s_%s.json" % (key, dims))).read_text())
         assert json.loads(path.read_text()) == {
             cid: {pair: g for pair, g in counts.items()
-                  if classes[int(pair.split(",")[1])]["dims"] == want}
+                  if classes[int(pair.split(",")[1])].dims == want}
             for cid, counts in full.items()}, path.name
     assert digest == "29029f04fdcec0c7bc76a3705c40b387429e0eb4d6db82ab45cfa9114a22e2e8"
 

@@ -18,6 +18,7 @@ from hallbases.cyclic import (
     parse_multisegment,
     word_of,
 )
+from hallbases.laurent import RationalV, in_lattice
 from hallbases.modrep import OracleError, field, hall_number, hom_dim
 
 
@@ -249,18 +250,18 @@ class TestCanonical:
             ang = canonical22.B_in_angle(pi)
             for pi2, c in ang.items():
                 if pi2 == pi:
-                    assert c == __import__("hallbases.laurent", fromlist=["RationalV"]).RationalV(1)
+                    assert c == RationalV(1)
                 else:
                     assert leq_G(pi2, pi) and pi2 != pi
                     assert c.is_polynomial()
-                    assert c.as_poly().in_minus_lattice(strict=True)
+                    assert in_lattice(c, strict=True)
 
     def test_seg12_transition(self, canonical22):
         ss = Multisegment(2, {(1, 1): 1, (2, 1): 1})
         ang = canonical22.B_in_angle(seg(2, 1, 2))
         assert set(ang) == {seg(2, 1, 2), ss}
         got = ang[ss].as_poly()
-        assert got.in_minus_lattice(strict=True)
+        assert in_lattice(got, strict=True)
         assert got.bar() != got  # genuinely negative-power
 
     def test_word_monomials_unitriangular(self, canonical22):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import json
@@ -695,21 +696,17 @@ class TestBuildCertificate:
         with pytest.raises(OracleError, match="do not separate"):
             IsoClassCatalog(KRON, F2, [dims])
 
-    def test_decomposition_cataloged_twice(self, tmp_path):
-        # the catalog records every sum once, so the duplicate is planted in
-        # its cache file, which a later construction loads and certifies
-        cat = IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=str(tmp_path))
-        path = cat._cat_path()
-        with open(path) as fh:
-            payload = json.load(fh)
-        sums = [cid for cid in payload["by_dim"]["1,1"]
-                if not payload["classes"][cid]["indec"]]
-        payload["by_dim"]["1,1"].append(len(payload["classes"]))
-        payload["classes"].append(payload["classes"][sums[0]])
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+    def test_decomposition_cataloged_twice(self):
+        # the build records every sum once, so the duplicate, a copy of a
+        # sum under a new class id, is planted in a built catalog
+        cat = IsoClassCatalog(KRON, F2, [(1, 1)])
+        info = next(c for c in cat.classes_of_dim((1, 1)) if not c.indec)
+        twin = copy.copy(info)
+        twin.cid = len(cat.classes)
+        cat.classes.append(twin)
+        cat.by_dim[(1, 1)].append(twin.cid)
         with pytest.raises(OracleError, match="share a decomposition"):
-            IsoClassCatalog(KRON, F2, [(1, 1)], cache_dir=str(tmp_path))
+            cat._certify_distinct()
 
 
 class TestCertificateGroups:
@@ -1096,7 +1093,8 @@ class TestCacheWrites:
 
 
 class TestCacheLoad:
-    """A loaded catalog is re-checked by the mass formula, slice by slice."""
+    """A cache file holds each slice's indecomposables; a loaded catalog is
+    grown from them and checked as a built one is, slice by slice."""
 
     @staticmethod
     def _build(cache):
@@ -1111,46 +1109,46 @@ class TestCacheLoad:
             json.dump(payload, fh)
 
     def test_loaded_catalog_is_mass_checked_again(self, tmp_path, monkeypatch):
-        built = self._build(tmp_path)
-        calls = []
-        check = IsoClassCatalog._mass_check
-        monkeypatch.setattr(IsoClassCatalog, "_build", _fail)
-        monkeypatch.setattr(IsoClassCatalog, "_mass_check",
-                            lambda self, dims: calls.append(dims) or check(self, dims))
-        loaded = self._build(tmp_path)
-        assert calls == built.dims_list
-        assert loaded.mass_checked == built.mass_checked == built.dims_list
+        # a warm load runs no synthesizer and no orbit walk, and mass-checks
+        # every slice once; Kronecker has a synthesizer, A2~ walks orbits
+        for shape, dims, synth in ((KRON, (1, 2), synth_kronecker), (A2T, (1, 1, 1), None)):
+            cache = tmp_path / str(len(shape.vertices))
+            built = IsoClassCatalog(shape, F2, [dims], cache_dir=str(cache))
+            calls = []
+            check = IsoClassCatalog._mass_check
+            with monkeypatch.context() as m:
+                m.setattr(modrep, "synthesizer_of", lambda shape: _fail if synth else None)
+                m.setattr(modrep, "enumerate_bfs", _fail)
+                m.setattr(IsoClassCatalog, "_mass_check",
+                          lambda self, dims: calls.append(dims) or check(self, dims))
+                loaded = IsoClassCatalog(shape, F2, [dims], cache_dir=str(cache))
+            assert calls == built.dims_list
+            assert loaded.mass_checked == built.mass_checked == built.dims_list
+            assert [(c.dims, c.decomposition, c.synth_key, c.end, c.aut, c.res, c.defect)
+                    for c in loaded.classes] == [
+                (c.dims, c.decomposition, c.synth_key, c.end, c.aut, c.res, c.defect)
+                for c in built.classes]
 
-    def test_wrong_automorphism_count_is_refused(self, tmp_path):
+    def test_dropped_class_is_refused(self, tmp_path):
+        # without its one indecomposable, the slice (1, 2) is short of orbits
         path = self._build(tmp_path)._cat_path()
-
-        def edit(payload):
-            # another class's |Aut| still divides |G| but changes the sum
-            classes = [payload["classes"][cid] for cid in payload["by_dim"]["1,2"]]
-            other = next(c["aut"] for c in classes if c["aut"] != classes[0]["aut"])
-            classes[0]["aut"] = other
-        self._rewrite(path, edit)
+        self._rewrite(path, lambda payload: payload["1,2"].pop())
         with pytest.raises(OracleError, match="cache file %s: mass check failed at \\(1, 2\\)"
                            % re.escape(path)):
             self._build(tmp_path)
 
-    def test_dropped_class_is_refused(self, tmp_path):
-        path = self._build(tmp_path)._cat_path()
-        self._rewrite(path, lambda payload: payload["by_dim"]["1,2"].pop())
-        with pytest.raises(OracleError, match="cache file %s: mass check failed"
-                           % re.escape(path)):
-            self._build(tmp_path)
-
-    def test_stored_list_must_equal_the_recomputed_one(self, tmp_path):
-        path = self._build(tmp_path)._cat_path()
-        self._rewrite(path, lambda payload: payload["mass_checked"].pop())
-        with pytest.raises(OracleError, match="lists the mass-checked slices"):
-            self._build(tmp_path)
-
     def test_missing_slice_is_refused(self, tmp_path):
         path = self._build(tmp_path)._cat_path()
-        self._rewrite(path, lambda payload: payload["by_dim"].pop("1,2"))
+        self._rewrite(path, lambda payload: payload.pop("1,2"))
         with pytest.raises(OracleError, match="does not hold the slices"):
+            self._build(tmp_path)
+
+    def test_planted_decomposable_is_refused(self, tmp_path):
+        # S1 + S2, all maps zero, listed as an indecomposable of (1, 1)
+        path = self._build(tmp_path)._cat_path()
+        self._rewrite(path, lambda payload: payload["1,1"].append([["fake"], [[[0]], [[0]]]]))
+        with pytest.raises(OracleError, match="cache file %s: class \\d+ is not local"
+                           % re.escape(path)):
             self._build(tmp_path)
 
     @pytest.mark.parametrize("edit, match", [
@@ -1165,7 +1163,14 @@ class TestCacheLoad:
         (lambda payload, zero: payload[min(payload)].update(
             {"x,%s" % zero: payload[min(payload)].popitem()[1]}),
          "is not a scan of class ids"),
-    ], ids=["class", "pair", "text"])
+        # a count that is not a number, and one that is negative
+        (lambda payload, zero: payload[min(payload)].update(
+            {k: "x" for k in payload[min(payload)]}),
+         "counts 'x' submodules, not a positive integer"),
+        (lambda payload, zero: payload[min(payload)].update(
+            {k: -7 for k in payload[min(payload)]}),
+         "counts -7 submodules, not a positive integer"),
+    ], ids=["class", "pair", "text", "count", "negative"])
     def test_edited_scan_file_is_refused(self, tmp_path, edit, match):
         cat = self._build(tmp_path)
         want, path = cat.scan_dim((1, 2)), cat._scan_path((1, 2))

@@ -298,7 +298,7 @@ class TestBarAndC:
             for a2, g in data["C"][a].items():
                 if a2 != a:
                     assert g.is_polynomial()
-                    assert g.as_poly().in_minus_lattice(strict=True)
+                    assert in_lattice(g, strict=True)
 
     def test_minimal_C_equals_E(self, kron):
         data = kron.basis_of_grading((1, 1))
