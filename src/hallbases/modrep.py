@@ -42,7 +42,7 @@ import os
 import tempfile
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import itemgetter, sub
+from operator import getitem, itemgetter, sub
 
 from .cartan import cartan_of, euler_form, gradings_below, is_affine, min_delta
 # the fields and the GF(q) matrix kernel live in gf; modrep re-exports what its callers import
@@ -560,13 +560,22 @@ def _frame(F, Di, d, n, rows):
     The basis is the expansion of W's rows followed by the expansion of the
     unit rows at W's non-pivot D_i-coordinates, so its first w vectors span
     W.  Returns (w, to_basis, from_basis): to_basis holds the basis vectors
-    as rows, and from_basis, the inverse of its transpose, takes a base-field
-    column vector to its coordinates in the basis.
+    as rows, and from_basis, the inverse of its transpose (None for a standard
+    basis), takes a base-field column vector to its coordinates in the basis.
     """
     pivots = rref(Di, rows)[1]
     comp = tuple(tuple(int(c == j) for c in range(n)) for j in range(n) if j not in pivots)
     to_basis = _expand_rows_over_base(Di, d, tuple(rows) + comp)
-    return d * len(rows), to_basis, _m_inv(F, m_transpose(to_basis))
+    standard = all(v[k] == 1 and not any(v[:k] + v[k + 1:]) for k, v in enumerate(to_basis))
+    return d * len(rows), to_basis, None if standard else _m_inv(F, m_transpose(to_basis))
+
+
+def _coords(F, frame, vectors, lo=0):
+    """Coordinates lo, lo + 1, ... in the frame's basis of the vectors, as columns;
+    a standard basis needs no product."""
+    if frame[2] is None:
+        return tuple(zip(*vectors))[lo:] if vectors else ((),) * (len(frame[1]) - lo)
+    return _mul_t(F, frame[2][lo:], vectors)
 
 
 #: the subspace frames of every vertex space met so far, keyed by
@@ -578,15 +587,10 @@ _FRAMES = {}
 def _vertex_frames(F, d, n):
     """(subspaces, frames, containing, spans, killed) of D_i^n, D_i = F_{q^d}, once per process.
 
-    subspaces lists every D_i-subspace in all_subspaces order and frames[k]
-    is _frame of subspaces[k]; both depend only on the field and the size, so
-    every module that has this vertex space shares them.  The subspaces come
-    by ascending dimension, and spans[w] is the index range of those of
-    dimension w.  containing memoizes, by the reduced echelon form of a set
-    of base-field vectors and an index range (all of them, or a span), the
-    indices k of the range in ascending order whose subspace contains the
-    vectors; killed memoizes, the same way for a set of base-field
-    functionals, those on whose subspace the functionals all vanish.
+    subspaces lists every D_i-subspace in all_subspaces order (by ascending
+    dimension), frames[k] is _frame of subspaces[k], and spans[w] the index
+    range of the subspaces of dimension w; every module with this vertex
+    space shares them.  containing and killed are the memos of _sieve.
     """
     key = (F.p, F.deg, d, n)
     table = _FRAMES.get(key)
@@ -601,40 +605,23 @@ def _vertex_frames(F, d, n):
 
 
 def _inside(F, frame, vectors):
-    """Whether the base-field vectors lie in the subspace of the frame.
-
-    They do iff their coordinates past w in the adapted basis all vanish.
-    """
-    w, _, from_basis = frame
-    return not any(map(any, _mul_t(F, from_basis[w:], vectors)))
+    """Whether the base-field vectors lie in the frame's subspace: no coordinate past w."""
+    return not any(map(any, _coords(F, frame, vectors, frame[0])))
 
 
-def _vanish(F, frame, functionals):
-    """Whether the base-field functionals vanish on the subspace of the frame.
-
-    They do iff they vanish on its first w adapted basis vectors.
-    """
-    w, to_basis, _ = frame
-    return not any(map(any, _mul_t(F, functionals, to_basis[:w])))
-
-
-def _containing(F, table, vectors, span):
-    """Indices in span, ascending, of the table's subspaces that contain the vectors."""
-    _, frames, memo, _, _ = table
-    key = (rref(F, vectors)[0], span)
-    found = memo.get(key)
+def _sieve(F, table, vectors, span, killed=False):
+    """Indices in span, ascending, of the table's subspaces that contain the vectors, or (killed)
+    that they vanish on; memoized by the vectors as given, then by their reduced echelon form."""
+    frames, memo = table[1], table[4 if killed else 2]
+    found = memo.get(raw := (tuple(vectors), span))
     if found is None:
-        found = memo[key] = [k for k in span if _inside(F, frames[k], key[0])]
-    return found
-
-
-def _killed(F, table, functionals, span):
-    """Indices in span, ascending, of the table's subspaces on which the functionals vanish."""
-    _, frames, _, _, memo = table
-    key = (rref(F, functionals)[0], span)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = [k for k in span if _vanish(F, frames[k], key[0])]
+        key = (rref(F, vectors)[0], span)
+        found = memo.get(key)
+        if found is None:
+            keep = ((lambda fr: not any(map(any, _mul_t(F, key[0], fr[1][:fr[0]])))) if killed
+                    else (lambda fr: _inside(F, fr, key[0])))
+            found = memo[key] = [k for k in span if keep(frames[k])]
+        memo[raw] = found
     return found
 
 
@@ -645,76 +632,103 @@ def _meet(a, b):
     return [k for k in a if (at := bisect_left(b, k)) < len(b) and b[at] == k]
 
 
-def _images(module, h, frame):
-    """Images under M_h of the adapted basis of M_h (x) V_s, one per row.
+def _span_images(module, h, frames):
+    """Per frame at the source, (the images under M_h of its W_s vectors, those of the rest
+    of its basis) in each m_h / d_s block of M_h (x) V_s, block by block: one _mul_t applies
+    M_h's column blocks side by side to every frame; a standard basis reads M_h's columns."""
+    F, M, blocks = module.F, module.maps[h.id], h.m // module.shape.d[h.src]
+    n, n_t = module.shape.d[h.src] * module.dims[module.shape.index[h.src]], len(M)
+    if all(frame[2] is None for frame in frames):
+        cols = tuple(zip(*M)) or ((),) * (blocks * n)
+        img = (cols if blocks == 1 else
+               [sum((cols[u * n + j] for u in range(blocks)), ()) for j in range(n)]) * len(frames)
+    else:
+        img = _mul_t(F, [v for _, to_basis, _ in frames for v in to_basis], M if blocks == 1
+                     else [row[u * n:(u + 1) * n] for u in range(blocks) for row in M])
+    halves = [(img[k * n:k * n + w], img[k * n + w:k * n + n])
+              for k, (w, _, _) in enumerate(frames)]
+    return halves if blocks == 1 else [tuple(
+        tuple(r[u * n_t:(u + 1) * n_t] for u in range(blocks) for r in half) for half in pair)
+        for pair in halves]
 
-    frame is _frame at the source s; the basis of M_h (x) V_s is its basis
-    in each of the m_h / d_s blocks, so the images are the columns of
-    M_h _block_diag(to_s^T).  Returns (the images of the W_s vectors, the
-    images of the complement vectors), each block by block.
-    """
-    w, to_basis, _ = frame
-    n, blocks = len(to_basis), h.m // module.shape.d[h.src]
-    img = _mul_t(module.F, _block_diag(module.F, to_basis, blocks), module.maps[h.id])
-    return (tuple(img[u * n + j] for u in range(blocks) for j in range(w)),
-            tuple(img[u * n + j] for u in range(blocks) for j in range(w, n)))
+
+class _Walk:
+    """What one module's subspace tuples share: each vertex position's subspaces, frames and
+    cands[j], the indices its current visit tries; the arrows as (arrow, source, target); and
+    images(a, picks), arrow a's _span_images pair at the source's pick, made for all cands."""
+
+    __slots__ = ("module", "subs", "frames", "cands", "arrows", "_images")
+
+    def __init__(self, module, subs, frames, spans, arrows):
+        self.module, self.subs, self.frames, self.cands = module, subs, frames, list(spans)
+        self.arrows, self._images = arrows, [{} for _ in arrows]
+
+    def images(self, a, picks):
+        (h, s, _), got = self.arrows[a], self._images[a]
+        if picks[s] not in got:
+            todo = [k for k in self.cands[s] if k not in got and k != picks[s]] + [picks[s]]
+            got.update(zip(todo, _span_images(self.module, h, [self.frames[s][k] for k in todo])))
+        return got[picks[s]]
 
 
 class SubspaceTuple:
-    """A tuple of D_i-subspaces W_i with an adapted basis of every V_i.
+    """A tuple of D_i-subspaces W_i of a module, with an adapted basis of every V_i.
 
-    frames[i] is _frame of W_i and images[h] is _images of the frame at the
-    source of h.  submodule_tuples passes both in, having computed them once
-    per subspace rather than once per tuple.
+    W_j is subs[picks[j]] of the walk at vertex position j, of dimension dims[j].
+    A scan forms no module for it: sub_quotient forms the sides it is asked for
+    and checks the tuple's arrow stability whatever it forms.
     """
 
-    __slots__ = ("rows", "dims", "frames", "images")
+    __slots__ = ("walk", "picks", "dims")
 
-    def __init__(self, module, rows, frames=None, images=None):
-        shape = module.shape
-        self.rows = rows
+    def __init__(self, module, rows):
+        shape, at = module.shape, module.shape.index
+        self.walk = _Walk(module, [[rows[i]] for i in shape.vertices],
+                          [[_frame(module.F, module.vertex_field(i), shape.d[i],
+                                   module.dims[at[i]], rows[i])] for i in shape.vertices],
+                          [range(1)] * len(shape.vertices),
+                          [(h, at[h.src], at[h.tgt]) for h in shape.arrows])
+        self.picks = (0,) * len(shape.vertices)
         self.dims = tuple(len(rows[i]) for i in shape.vertices)
-        if frames is None:
-            frames = {i: _frame(module.F, module.vertex_field(i), shape.d[i],
-                                module.dims[shape.index[i]], rows[i])
-                      for i in shape.vertices}
-        if images is None:
-            images = {h.id: _images(module, h, frames[h.src]) for h in shape.arrows}
-        self.frames = frames
-        self.images = images
+
+    @property
+    def rows(self):
+        return dict(zip(self.walk.module.shape.vertices, map(getitem, self.walk.subs, self.picks)))
 
 
 def is_submodule(module, sub):
-    """Arrow stability of a SubspaceTuple.
-
-    M_h maps M_h (x) W_s into W_t iff the coordinates past w_t of the images
-    of the W_s vectors, in the adapted basis at t, all vanish.
-    """
-    return all(_inside(module.F, sub.frames[h.tgt], sub.images[h.id][0])
-               for h in module.shape.arrows)
+    """Arrow stability of a SubspaceTuple: every image of W_s lies in W_t (_inside)."""
+    walk, picks = sub.walk, sub.picks
+    return all(_inside(module.F, walk.frames[t][picks[t]], walk.images(a, picks)[0])
+               for a, (_, _, t) in enumerate(walk.arrows))
 
 
-def sub_quotient(module, sub):
+def sub_quotient(module, sub, form_sub=True, form_quotient=True):
     """The (submodule, quotient) pair of modules determined by SubspaceTuple.
 
-    In the adapted basis at t, the coordinates of the images of the W_s
-    vectors are the sub map on top and must vanish below w_t; below w_t, the
-    coordinates of the images of the complement vectors are the quotient map.
-    Raises OracleError when sub is not arrow-stable.
+    At t, the coordinates of the images of the W_s vectors are the sub map
+    above w_t and must vanish below it, else OracleError: the check runs
+    whichever sides are formed.  Below w_t, those of the other images are
+    the quotient map.  A side not to be formed is None and costs nothing.
     """
-    shape, F = module.shape, module.F
+    F, walk, picks = module.F, sub.walk, sub.picks
     sub_maps, quo_maps = {}, {}
-    for h in shape.arrows:
-        w_t, _, from_t = sub.frames[h.tgt]
-        img_w, img_c = sub.images[h.id]
-        coords = _mul_t(F, from_t, img_w)
-        if any(map(any, coords[w_t:])):
+    for a, (h, _, t) in enumerate(walk.arrows):
+        frame = walk.frames[t][picks[t]]
+        w_t, (img_w, img_c) = frame[0], walk.images(a, picks)
+        if form_sub:
+            coords = _coords(F, frame, img_w)
+            sub_maps[h.id], below = coords[:w_t], coords[w_t:]
+        else:
+            below = _coords(F, frame, img_w, w_t)
+        if any(map(any, below)):
             raise OracleError("an image of W leaves W; the tuple is not arrow-stable")
-        sub_maps[h.id] = coords[:w_t]
-        quo_maps[h.id] = _mul_t(F, from_t[w_t:], img_c)
-    quo_dims = tuple(n - w for n, w in zip(module.dims, sub.dims))
-    return (FiniteModule._trusted(shape, F, sub.dims, sub_maps),
-            FiniteModule._trusted(shape, F, quo_dims, quo_maps))
+        if form_quotient:
+            quo_maps[h.id] = _coords(F, frame, img_c, w_t)
+    shape, dims = module.shape, sub.dims
+    return (FiniteModule._trusted(shape, F, dims, sub_maps) if form_sub else None,
+            FiniteModule._trusted(shape, F, tuple(n - w for n, w in zip(module.dims, dims)),
+                                  quo_maps) if form_quotient else None)
 
 
 def scan_candidates(shape, F, dims):
@@ -735,102 +749,81 @@ def scan_candidates(shape, F, dims):
 def _walk_plan(shape, F, dims, sub):
     """How submodule_tuples walks the modules of dims over F, once per (shape, F, dims, sub).
 
-    Returns (order, tables, spans, forcing, back, loops), indexed by vertex
-    position j.  tables[j] is _vertex_frames of vertex j and spans[j] the
-    index range of its candidates: all its subspaces, or those of dimension
-    sub[j].  order visits first the vertices whose span holds a single
-    subspace, then the others in shape order.  forcing[j] holds the arrows
-    into j from a vertex visited before it, back[j] those out of j to one,
-    and loops[j] those from j to j.  The plan lives in _FRAMES beside the
-    tables it reads, so the two never disagree.
+    Returns (order, tables, lists, forcing, back, loops), by vertex position
+    j: tables[j] is _vertex_frames of j, lists is _Walk's subs, frames,
+    spans and arrows, spans[j] ranging over all subspaces or those of
+    dimension sub[j], and order visits single-subspace spans first.
+    forcing[j], back[j] and loops[j] are the arrows into j from a vertex
+    visited before, out of j to one, and from j to j, by position, less the
+    arrows out of a vertex whose span is the zero subspace alone, which
+    constrain nothing.  The plan lives in _FRAMES, keyed by the shape.
     """
-    key = ("walk", shape.key(), F.p, F.deg, dims, sub)
+    key = ("walk", shape, F.p, F.deg, dims, sub)
     plan = _FRAMES.get(key)
     if plan is None:
-        at = shape.index
-        tables = [_vertex_frames(F, shape.d[i], dims[at[i]]) for i in shape.vertices]
+        tables = [_vertex_frames(F, shape.d[i], dims[shape.index[i]]) for i in shape.vertices]
         spans = [range(len(t[0])) if sub is None else t[3][sub[j]] for j, t in enumerate(tables)]
         order = sorted(range(len(tables)), key=lambda j: len(spans[j]) > 1)
         rank = {j: r for r, j in enumerate(order)}
-        forcing = [[h for h in shape.arrows if at[h.tgt] == j and rank[at[h.src]] < rank[j]]
-                   for j in range(len(tables))]
-        back = [[h for h in shape.arrows if at[h.src] == j and rank[at[h.tgt]] < rank[j]]
-                for j in range(len(tables))]
-        loops = [[h for h in shape.arrows if at[h.src] == at[h.tgt] == j]
-                 for j in range(len(tables))]
-        plan = _FRAMES[key] = (order, tables, spans, forcing, back, loops)
+        arrows = [(h, shape.index[h.src], shape.index[h.tgt]) for h in shape.arrows]
+        ends, verts = [(a, s, t) for a, (_, s, t) in enumerate(arrows)], range(len(tables))
+        live = [(a, s, t) for a, s, t in ends if spans[s] != range(1)]
+        forcing = [[a for a, s, t in live if t == j and rank[s] < rank[j]] for j in verts]
+        back = [[a for a, s, t in live if s == j and rank[t] < rank[j]] for j in verts]
+        loops = [[a for a, s, t in ends if s == t == j] for j in verts]
+        lists = ([t[0] for t in tables], [t[1] for t in tables], spans, arrows)
+        plan = _FRAMES[key] = (order, tables, lists, forcing, back, loops)
     return plan
 
 
 def submodule_tuples(module, sub=None):
     """All arrow-stable tuples of D_i-subspaces of the module, or those of dimension sub.
 
-    The tuples come out in lexicographic order, in shape order, over the
-    per-vertex lists of all_subspaces.  With sub, vertex j tries only its
-    subspaces of dimension sub[j], one span of its list, so the tuples are
-    those of the full scan with dims == sub, in the same order.  The walk
-    (_walk_plan) first fixes the vertices whose span holds a single subspace,
-    which leaves the order unchanged, then grows the others one by one in
-    shape order.  The subspaces and frames of a vertex space come from the
-    table that all modules share (_vertex_frames).  Vertex j tries only the
-    subspaces that every arrow between it and a vertex visited before allows:
-    an arrow s -> j forces the images of the chosen W_s into W_j, so W_j
-    must contain them (_containing), and an arrow h: j -> t back to such a
-    vertex confines W_j to the preimage M_h^{-1}(W_t), the common zeros of
-    the rows from_t[w_t:] M_h, block by block (_killed).  So a split at one
-    vertex reads its candidates off the preimages of the zero subspaces
-    around it.  Both index lists are ascending, so their meet keeps the
-    order.  A loop is checked for each candidate.  Each (arrow, source
-    subspace) pair gets its images once and each (back arrow, target
-    subspace) pair its preimage once, and a SubspaceTuple is built only for
-    an arrow-stable tuple.
+    Tuples come in lexicographic order over the all_subspaces lists, in shape
+    order; with sub, vertex j tries only its span of dimension sub[j].  The
+    walk (_walk_plan) grows one vertex at a time over what the arrows to
+    vertices visited before allow (_sieve): W_j must contain the images of
+    W_s along s -> j, and lie in M_h^{-1}(W_t), the zeros of from_t[w_t:] M_h
+    block by block, along h: j -> t; loops are checked per candidate.  An
+    arrow's images take one product per visit of its source, over that
+    visit's candidates (_Walk).  A tuple is its picks and dims and forms no
+    module: sub_quotient forms what its caller asks for and checks arrow
+    stability again, on every tuple.
     """
-    shape, F = module.shape, module.F
-    verts = shape.vertices
-    at = shape.index
-    order, tables, spans, forcing, back, loops = _walk_plan(
-        shape, F, module.dims, None if sub is None else tuple(sub))
-    images = {h.id: {} for h in shape.arrows}
-    preimages = {h.id: {} for hs in back for h in hs}
-    picks = [0] * len(verts)
+    shape, F, sub = module.shape, module.F, None if sub is None else tuple(sub)
+    order, tables, lists, forcing, back, loops = _walk_plan(shape, F, module.dims, sub)
+    walk, new = _Walk(module, *lists), SubspaceTuple.__new__
+    (subs, frames, spans, arrows), images = lists, walk.images
+    preimages = {a: {} for hs in back for a in hs}
+    picks = [0] * len(tables)
 
-    def frame(i):
-        return tables[at[i]][1][picks[at[i]]]
-
-    def image(h):
-        k = picks[at[h.src]]
-        got = images[h.id].get(k)
+    def preimage(a):
+        h, s, t = arrows[a]
+        got = preimages[a].get(picks[t])
         if got is None:
-            got = images[h.id][k] = _images(module, h, frame(h.src))
-        return got
-
-    def preimage(h):
-        k = picks[at[h.tgt]]
-        got = preimages[h.id].get(k)
-        if got is None:
-            w, _, from_t = frame(h.tgt)
-            s = at[h.src]
-            n = shape.d[h.src] * module.dims[s]
-            rows = m_mul(F, from_t[w:], module.maps[h.id])
-            got = preimages[h.id][k] = _killed(
+            frame, n = frames[t][picks[t]], shape.d[h.src] * module.dims[s]
+            rows = _coords(F, frame, m_transpose(module.maps[h.id]), frame[0])
+            got = preimages[a][picks[t]] = _sieve(
                 F, tables[s], [row[u * n:(u + 1) * n] for u in range(h.m // shape.d[h.src])
-                               for row in rows], spans[s])
+                               for row in rows], spans[s], True)
         return got
 
     def grow(r):
         if r == len(order):
-            yield SubspaceTuple(module, {i: tables[at[i]][0][picks[at[i]]] for i in verts},
-                                {i: frame(i) for i in verts},
-                                {h.id: image(h) for h in shape.arrows})
+            st = new(SubspaceTuple)
+            st.walk, st.picks = walk, tuple(picks)
+            st.dims = sub or tuple(map(len, map(getitem, subs, picks)))
+            yield st
             return
         j = order[r]
-        forced = [v for h in forcing[j] for v in image(h)[0]]
-        cands = _containing(F, tables[j], forced, spans[j]) if forced else spans[j]
-        for h in back[j]:
-            cands = _meet(cands, preimage(h))
+        forced = [v for a in forcing[j] for v in images(a, picks)[0]]
+        cands = _sieve(F, tables[j], forced, spans[j]) if forced else spans[j]
+        for a in back[j]:
+            cands = _meet(cands, preimage(a))
+        walk.cands[j] = cands
         for k in cands:
             picks[j] = k
-            if all(_inside(F, frame(h.tgt), image(h)[0]) for h in loops[j]):
+            if all(_inside(F, frames[j][k], images(a, picks)[0]) for a in loops[j]):
                 yield from grow(r + 1)
 
     yield from grow(0)
@@ -1554,15 +1547,22 @@ class IsoClassCatalog:
         return out
 
     def _scan(self, dims, sub=None):
-        out = {}
+        """{L: {(quotient id, sub id): count}} over the submodules of each class L of dims.
+
+        A side whose slice holds one class is that class, neither formed nor
+        classified; sub_quotient still checks every tuple's arrow stability.
+        """
+        single = {d: cids[0] for d, cids in self.by_dim.items() if len(cids) == 1}
+        sides, out = {}, {}
         for cid in self.by_dim[dims]:
-            L = self.classes[cid].module
-            counts = {}
+            L, counts = self.classes[cid].module, out.setdefault(cid, {})
             for st in submodule_tuples(L, sub):
-                S, Q = sub_quotient(L, st)
-                key = (self.classify(Q), self.classify(S))
+                q_cid, s_cid = sides.get(st.dims) or sides.setdefault(st.dims, (
+                    single.get(tuple(n - w for n, w in zip(dims, st.dims))), single.get(st.dims)))
+                S, Q = sub_quotient(L, st, s_cid is None, q_cid is None)
+                key = (q_cid if Q is None else self.classify(Q),
+                       s_cid if S is None else self.classify(S))
                 counts[key] = counts.get(key, 0) + 1
-            out[cid] = counts
         return out
 
     # -- tubes --------------------------------------------------------------

@@ -1574,6 +1574,19 @@ class TestStability:
         with pytest.raises(OracleError, match="arrow-stable"):
             sub_quotient(L, W)
 
+    @pytest.mark.parametrize("form_sub, form_quotient", [(True, False), (False, True),
+                                                         (False, False)])
+    def test_checked_whatever_is_formed(self, form_sub, form_quotient):
+        L = kronecker_indec(KRON, F2, ("reg", (1, 1), 1))
+        W = SubspaceTuple(L, {"1": ((1,),), "2": ()})
+        with pytest.raises(OracleError, match="arrow-stable"):
+            sub_quotient(L, W, form_sub, form_quotient)
+        # a stable tuple forms what is asked for and leaves the other side None
+        S, Q = sub_quotient(L, SubspaceTuple(L, {"1": (), "2": ((1,),)}), form_sub, form_quotient)
+        assert (S is not None, Q is not None) == (form_sub, form_quotient)
+        assert S is None or S.dims == (0, 1)
+        assert Q is None or Q.dims == (1, 0)
+
 
 # -- an oracle for submodules and subquotients that does not share _frame's code
 
@@ -1837,6 +1850,100 @@ class TestSplitScan:
         assert {sub: self._filtered(warm, dims, sub) for sub in splits} == own
         assert calls["scan"] == len(warm.by_dim[dims])
         assert len(list(tmp_path.glob("scan_*.json"))) == len(splits) + 1
+
+
+def _brute_scan(cat, dims, sub):
+    """scan_dim(dims, sub) counted as hall_number counts: both sides formed, is_isomorphic."""
+    subs = cat.classes_of_dim(sub)
+    quos = cat.classes_of_dim(tuple(a - b for a, b in zip(dims, sub)))
+    out = {}
+    for cid in cat.by_dim[dims]:
+        L = cat.classes[cid].module
+        counts = Counter()
+        for W in submodule_tuples(L, sub):
+            S, Q = sub_quotient(L, W)
+            [s] = [c.cid for c in subs if is_isomorphic(S, c.module)]
+            [q] = [c.cid for c in quos if is_isomorphic(Q, c.module)]
+            counts[q, s] += 1
+        out[cid] = dict(counts)
+    return out
+
+
+def _orbits_by_isomorphism(shape, F, dims):
+    """enumerate_bfs's (maps, orbit size) pairs, from isomorphism tests over every state."""
+    reps = []
+    for maps in modrep._iter_states(shape, F, dims):
+        M = FiniteModule(shape, F, dims, maps)
+        for rep in reps:
+            if is_isomorphic(M, rep[0]):
+                rep[1] += 1
+                break
+        else:
+            reps.append([M, 1])
+    return [(M.maps, size) for M, size in reps]
+
+
+class TestScanOracle:
+    @pytest.mark.parametrize("name, q, dims", [("kronecker", 3, (2, 2)), ("a2tilde", 2, (1, 1, 1)),
+                                               ("cyclic:2", 2, (2, 3)),
+                                               ("back-two-blocks", 2, (1, 2))],
+                             ids=["kronecker", "a2tilde", "cyclic:2", "back-two-blocks"])
+    def test_every_split_against_isomorphism_tests(self, monkeypatch, name, q, dims):
+        """A side whose slice holds one class is counted unformed; the counts do not change."""
+        if name == "back-two-blocks":
+            # its arrow, whose images fall into m / d = 2 blocks, ends at a
+            # valued vertex, which enumerate_bfs refuses
+            monkeypatch.setattr(modrep, "enumerate_bfs", _orbits_by_isomorphism)
+        cat = IsoClassCatalog(_shape_of(name), field(q), [dims])
+        sides = Counter()
+        for sub in itertools.product(*(range(n + 1) for n in dims)):
+            quo = tuple(a - b for a, b in zip(dims, sub))
+            sides[len(cat.by_dim[sub]) == 1, len(cat.by_dim[quo]) == 1] += 1
+            assert cat.scan_dim(dims, sub) == _brute_scan(cat, dims, sub), sub
+        # some splits have a single-class sub, some a single-class quotient, some not
+        assert {s for s, _ in sides} == {q for _, q in sides} == {True, False}, sides
+
+
+class TestScanWork:
+    def test_one_image_product_per_class_and_arrow(self, monkeypatch):
+        """kronecker (2,2) split (1,1) over GF(3): each (class, arrow) gets one image product,
+        and sub_quotient runs once per tuple that submodule_tuples yields."""
+        dims, sub = (2, 2), (1, 1)
+        cat = IsoClassCatalog(KRON, F3, [dims])
+        made, calls = Counter(), Counter()
+        span_images, tuples = modrep._span_images, modrep.submodule_tuples
+        split = modrep.sub_quotient
+
+        def counted_images(module, h, frames):
+            made[id(module), h.id] += 1
+            return span_images(module, h, frames)
+
+        def counted_tuples(module, sub=None):
+            for W in tuples(module, sub):
+                calls["yielded"] += 1
+                yield W
+
+        def counted_split(*args):
+            calls["sub_quotient"] += 1
+            return split(*args)
+
+        monkeypatch.setattr(modrep, "_span_images", counted_images)
+        monkeypatch.setattr(modrep, "submodule_tuples", counted_tuples)
+        monkeypatch.setattr(modrep, "sub_quotient", counted_split)
+        cat.scan_dim(dims, sub)
+        modules = [cat.classes[cid].module for cid in cat.by_dim[dims]]
+        assert len(modules) > 1
+        assert made == Counter({(id(M), h.id): 1 for M in modules for h in KRON.arrows})
+        assert calls["sub_quotient"] == calls["yielded"] > len(modules)
+
+    @pytest.mark.parametrize("name", ["cyclic:2", "cyclic:3"])
+    def test_tuples_outlive_their_walk(self, name):
+        """A tuple kept while its walk moves on forms the modules it formed at once."""
+        shape, F = _shape_of(name), field(3)
+        for M in _random_modules(shape, F, random.Random(name), 8):
+            at_once = [tuple(S.key() for S in sub_quotient(M, W)) for W in submodule_tuples(M)]
+            kept = list(submodule_tuples(M))
+            assert [tuple(S.key() for S in sub_quotient(M, W)) for W in kept] == at_once
 
 
 class TestScanCandidates:
